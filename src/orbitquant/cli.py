@@ -172,19 +172,20 @@ def cmd_invariants(args) -> int:
     return 0
 
 
+def _exit_code(report: dict) -> int:
+    """pass -> 0, fail -> 1, incomplete (a capacity skip) -> 2."""
+    return {"pass": 0, "fail": 1, "incomplete": 2}[report["overall"]]
+
+
 def cmd_semi_check(args) -> int:
-    entry = check_semiinvariants(args.seed, ns=(args.n,), samples=args.samples)
-    if args.perturb:
-        # self-test hook: flip one expected weight so the law must fail
-        entry = dict(entry)
-        entry["status"] = "fail"
-        entry["details"] = {
-            "note": "perturbed run: expected weight deliberately offset by 1",
-            "original": entry["details"],
-        }
+    # self-test hook: --perturb offsets every expected weight by 1, so the
+    # exact laws are checked against wrong weights and must fail
+    entry = check_semiinvariants(
+        args.seed, ns=(args.n,), samples=args.samples, weight_offset=1 if args.perturb else 0
+    )
     doc = emit_report([entry], seed=args.seed, n_max=args.n)
     _write_output(args, doc, render_pretty(doc))
-    return 0 if doc["overall"] == "pass" else 1
+    return _exit_code(doc)
 
 
 def cmd_no_invariants(args) -> int:
@@ -300,7 +301,7 @@ def cmd_verify(args) -> int:
         inject_failure=args.perturb,
     )
     _write_output(args, report, render_pretty(report))
-    return 0 if report["overall"] == "pass" else 1
+    return _exit_code(report)
 
 
 HANDLERS = {

@@ -1,30 +1,66 @@
 """Noncommutative polynomials in the homogenized enveloping algebra.
 
-Words in the basis letters X_1 < ... < X_N are rewritten into
+Words in the basis letters X_0 < ... < X_{N-1} are rewritten into
 Poincare-Birkhoff-Witt normal form (non-decreasing letter sequences) by
 
     X_j X_i  ->  X_i X_j + h [X_j, X_i]      (j > i),
 
 where the bracket expands through the structure constants.  With the
 grading deg(X_i) = deg(h) = 1 the rewriting relation is homogeneous, so
-reduction preserves degree and multiplication adds degrees.  Termination
-follows from the (length, inversion count) measure; independence of the
-rewrite order is a property the tests drive with randomized schedules.
+reduction preserves degree and multiplication adds degrees.
+
+Every product is built on one primitive, ``PBWAlgebra._insert``, which
+puts a single letter in front of a sorted word:
+
+    X_l X^w = X^((l,) + w)                                  if l <= w[0],
+    X_l X_w0 X^rest = X_w0 (X_l X^rest) + h sum_k c_k X_k X^rest   otherwise,
+
+with [X_l, X_w0] = sum_k c_k X_k.  This is the normal-form recursion for
+algebras of solvable type (Kandri-Rody and Weispfenning, J. Symbolic
+Comput. 9, 1990); it terminates by the (length, inversion count)
+measure.  Results are memoized per algebra.  Because the relation is
+homogeneous, a term h^p X^v of X_l X^w has p = len(w) + 1 - len(v), so a
+memo entry is keyed by words alone: a tuple of (word, coefficient) pairs
+whose words are interned per algebra.  Structure constants with
+denominator 1 are stored as ``int``, which makes every memo coefficient
+an ``int`` for the integral structure constants of this package; other
+constants keep working as ``Fraction``.
+
+Products fold the letters of the left word into the right word from
+right to left; the symmetrizer, the letter commutator (through the
+derivation rule) and the quantization's left multiples are built on the
+same step.  They accumulate integer numerators over one common
+denominator, keyed by (word, h power), so a ``Fraction`` is built once
+per output coefficient; ``HPoly`` coefficients appear only at the edges:
+``NCPoly.terms`` and JSON.
+
+``reduce_word`` is the literal rewriter: it rewrites the leftmost
+inversion, or a randomly chosen one when given an rng.  It shares no code
+with ``_insert`` and serves as its oracle; ``from_word``, the ``pbw`` CLI
+verb and ``verify``'s confluence check use it directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 
 from .errors import CapacityError, StructuralError
 from .hpoly import HPoly
 from .lie import LieBasis, StructureConstants
 
 Word = tuple[int, ...]
+# Words with exact int (or Fraction) coefficients, all of one degree d:
+# the term of word v carries h^(d - len(v)).
+WordTerms = dict[Word, "int | Fraction"]
+
+
+def _exact(value: Fraction) -> int | Fraction:
+    return value.numerator if value.denominator == 1 else value
 
 
 class PBWAlgebra:
-    """Rewriting context: the letters and their bracket table."""
+    """Rewriting context: the letters, their bracket table and the insertion memo."""
 
     def __init__(self, basis: LieBasis, sc: StructureConstants):
         if basis.dim != sc.dim:
@@ -32,6 +68,59 @@ class PBWAlgebra:
         self.basis = basis
         self.sc = sc
         self.dim = basis.dim
+        # [X_i, X_j] = sum_k c X_k as ((k, c), ...) for every i != j
+        self._bracket: dict[tuple[int, int], tuple] = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                pairs = tuple(
+                    (k, _exact(v)) for k, v in sc.bracket_coeffs(i, j).items() if v
+                )
+                if pairs:
+                    self._bracket[i, j] = pairs
+        # _memo[l][w] = X_l * X^w for l > w[0]
+        self._memo: list[dict[Word, tuple]] = [{} for _ in range(self.dim)]
+        self._words: dict[Word, Word] = {}
+
+    # -- the insertion primitive ------------------------------------------
+
+    def _insert(self, l: int, w: Word) -> tuple:
+        """X_l * X^w for a sorted word w, as ((word, coefficient), ...).
+
+        The term of word v carries h^(len(w) + 1 - len(v)).
+        """
+        if not w or l <= w[0]:
+            return (((l,) + w, 1),)
+        hit = self._memo[l].get(w)
+        if hit is not None:
+            return hit
+        insert = self._insert
+        w0, rest = w[0], w[1:]
+        acc: dict[Word, int | Fraction] = {}
+        for u, c in insert(l, rest):
+            for v, d in insert(w0, u):
+                acc[v] = acc.get(v, 0) + c * d
+        for k, ck in self._bracket.get((l, w0), ()):
+            for v, d in insert(k, rest):
+                acc[v] = acc.get(v, 0) + ck * d
+        words = self._words
+        result = tuple((words.setdefault(v, v), c) for v, c in acc.items() if c)
+        self._memo[l][words.setdefault(w, w)] = result
+        return result
+
+    def _fold(self, left: Word, terms: WordTerms) -> WordTerms:
+        """X^left * terms, inserting the letters of ``left`` right to left.
+
+        ``terms`` holds sorted words of one degree d; the result has
+        degree d + len(left).
+        """
+        insert = self._insert
+        for l in reversed(left):
+            out: dict[Word, int | Fraction] = {}
+            for u, c in terms.items():
+                for v, d in insert(l, u):
+                    out[v] = out.get(v, 0) + c * d
+            terms = out
+        return {v: c for v, c in terms.items() if c}
 
     # -- word reduction --------------------------------------------------
 
@@ -63,20 +152,27 @@ class PBWAlgebra:
                 stack.append((w[:i] + (k,) + w[i + 2 :], c * HPoly.h(1, v)))
         return result
 
-    def letter_commutator_words(self, e: int, w: Word) -> dict[Word, HPoly]:
-        """[X_e, X_w] expanded through the derivation rule.
+    def letter_commutator_words(self, e: int, w: Word) -> WordTerms:
+        """[X_e, X^w] for a sorted word w, expanded through the derivation rule.
 
-        The bracket with a single letter is a derivation of the product,
-        so it is a sum over positions of the word with one letter replaced
-        by its bracket with X_e; much cheaper than two full products.
+        The bracket with a single letter is a derivation of the product:
+        the sum over positions i of X^w[:i] * h[X_e, X_w[i]] * X^w[i+1:],
+        much cheaper than two full products.  The result has degree
+        len(w) + 1, h included.
         """
-        result: dict[Word, HPoly] = {}
+        out: dict[Word, int | Fraction] = {}
         for pos, letter in enumerate(w):
-            for k, v in self.sc.bracket_coeffs(e, letter).items():
-                replaced = w[:pos] + (k,) + w[pos + 1 :]
-                for rw, rc in self.reduce_word(replaced, HPoly.h(1, v)).items():
-                    _accumulate(result, rw, rc)
-        return result
+            pairs = self._bracket.get((e, letter))
+            if pairs is None:
+                continue
+            rest = w[pos + 1 :]
+            inner: dict[Word, int | Fraction] = {}
+            for k, ck in pairs:
+                for v, d in self._insert(k, rest):
+                    inner[v] = inner.get(v, 0) + ck * d
+            for v, d in self._fold(w[:pos], inner).items():
+                out[v] = out.get(v, 0) + d
+        return {v: c for v, c in out.items() if c}
 
 
 def _accumulate(store: dict[Word, HPoly], word: Word, coeff: HPoly):
@@ -86,6 +182,32 @@ def _accumulate(store: dict[Word, HPoly], word: Word, coeff: HPoly):
         store.pop(word, None)
     else:
         store[word] = total
+
+
+def _integral(items) -> tuple[int, list]:
+    """(key, exact values) pairs as integer numerators over one common denominator."""
+    items = list(items)
+    den = 1
+    for _, values in items:
+        for x in values:
+            den = lcm(den, x.denominator)
+    return den, [
+        (key, [x.numerator * (den // x.denominator) for x in values])
+        for key, values in items
+    ]
+
+
+def _add_scaled(flat: dict, words: WordTerms, degree: int, coeffs) -> None:
+    """flat += (sum_p coeffs[p] h^p) * words, for words of the given degree.
+
+    ``flat`` maps (word, h power) to a numerator over the caller's common
+    denominator.
+    """
+    for p, a in enumerate(coeffs):
+        if a:
+            for v, d in words.items():
+                key = (v, p + degree - len(v))
+                flat[key] = flat.get(key, 0) + a * d
 
 
 class NCPoly:
@@ -104,6 +226,8 @@ class NCPoly:
             for w, c in terms.items():
                 if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
                     raise StructuralError(f"word {w} is not PBW-sorted")
+                if w and not (0 <= w[0] and w[-1] < algebra.dim):
+                    raise StructuralError(f"word {w} has a letter out of range")
                 if not c.is_zero():
                     clean[tuple(w)] = c
         object.__setattr__(self, "terms", clean)
@@ -172,26 +296,43 @@ class NCPoly:
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._check_context(other)
-        out: dict[Word, HPoly] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                for rw, rc in self.algebra.reduce_word(w1 + w2, c).items():
-                    _accumulate(out, rw, rc)
-        return NCPoly(self.algebra, out)
+        fold = self.algebra._fold
+        den1, left = _integral((w, c.coeffs) for w, c in self.terms.items())
+        den2, right = _integral((w, c.coeffs) for w, c in other.terms.items())
+        flat: dict[tuple[Word, int], int] = {}
+        for w1, c1 in left:
+            for w2, c2 in right:
+                words = fold(w1, {w2: 1})
+                degree = len(w1) + len(w2)
+                for p, a in enumerate(c1):
+                    if a:
+                        _add_scaled(flat, words, degree + p, [a * b for b in c2])
+        return NCPoly._from_flat(self.algebra, flat, den1 * den2)
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
 
     def commutator_with_letter(self, e: int) -> "NCPoly":
         """[X_e, self] via the derivation expansion (exact, fast)."""
-        out: dict[Word, HPoly] = {}
-        for w, c in self.terms.items():
-            for rw, rc in self.algebra.letter_commutator_words(e, w).items():
-                _accumulate(out, rw, rc * c)
-        return NCPoly(self.algebra, out)
+        den, terms = _integral((w, c.coeffs) for w, c in self.terms.items())
+        flat: dict[tuple[Word, int], int] = {}
+        for w, c in terms:
+            words = self.algebra.letter_commutator_words(e, w)
+            _add_scaled(flat, words, len(w) + 1, c)
+        return NCPoly._from_flat(self.algebra, flat, den)
+
+    @classmethod
+    def _from_flat(cls, algebra: PBWAlgebra, flat: dict, den: int) -> "NCPoly":
+        """Gather (word, h power) -> numerator terms over ``den`` into HPoly coefficients."""
+        by_word: dict[Word, dict[int, Fraction]] = {}
+        for (w, p), c in flat.items():
+            if c:
+                by_word.setdefault(w, {})[p] = Fraction(c, den)
+        terms = {
+            w: HPoly(tuple(cs.get(p, 0) for p in range(max(cs) + 1)))
+            for w, cs in by_word.items()
+        }
+        return cls(algebra, terms)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -263,10 +404,12 @@ SYMMETRIZER_DEGREE_CAP = 8
 def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> NCPoly:
     """The symmetrizer: average of all letter orderings, PBW-reduced.
 
-    Computed through the recursion Sym(x^a) = (1/|a|) * sum_l a_l X_l
-    Sym(x^(a - e_l)) with memoization over sub-exponents, avoiding the
-    factorial blowup of a literal permutation sum.  Degree is capped: a
-    monomial of degree more than ``cap`` raises CapacityError.
+    The sum U(a) of X^v over the distinct orderings v of the letters of
+    x^a satisfies U(a) = sum_{l : a_l > 0} X_l U(a - e_l), an integer
+    recursion memoized over sub-exponents that avoids the factorial
+    blowup of a literal permutation sum; Sym(x^a) is U(a) divided by the
+    multinomial |a|! / prod a_l!.  Degree is capped: a monomial of degree
+    more than ``cap`` raises CapacityError before any work is done.
     """
     from .poly import MultiPoly
 
@@ -274,38 +417,34 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
         raise StructuralError("symmetrize expects a commutative polynomial")
     if len(poly.variables) != algebra.dim:
         raise StructuralError("polynomial variables do not match the letters")
+    for exp in poly.terms:
+        if sum(exp) > cap:
+            raise CapacityError(f"symmetrizer degree {sum(exp)} exceeds cap {cap}")
 
-    memo: dict[tuple[int, ...], dict[Word, HPoly]] = {}
+    memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {(): 1}}
 
-    def sym_monomial(exp: tuple[int, ...]) -> dict[Word, HPoly]:
-        total_deg = sum(exp)
-        if total_deg == 0:
-            return {(): HPoly.one()}
+    def orderings(exp: tuple[int, ...]) -> WordTerms:
         cached = memo.get(exp)
         if cached is not None:
             return cached
-        acc: dict[Word, HPoly] = {}
-        inv = Fraction(1, total_deg)
+        acc: dict[Word, int | Fraction] = {}
         for letter, count in enumerate(exp):
-            if count == 0:
-                continue
-            sub = list(exp)
-            sub[letter] -= 1
-            sub_terms = sym_monomial(tuple(sub))
-            factor = HPoly.of(inv * count)
-            for w, c in sub_terms.items():
-                for rw, rc in algebra.reduce_word((letter,) + w, c * factor).items():
-                    _accumulate(acc, rw, rc)
-        memo[exp] = acc
+            if count:
+                sub = exp[:letter] + (count - 1,) + exp[letter + 1 :]
+                for u, c in orderings(sub).items():
+                    for v, d in algebra._insert(letter, u):
+                        acc[v] = acc.get(v, 0) + c * d
+        memo[exp] = acc = {v: c for v, c in acc.items() if c}
         return acc
 
-    result: dict[Word, HPoly] = {}
-    for exp, coeff in poly.terms.items():
-        if sum(exp) > cap:
-            raise CapacityError(
-                f"symmetrizer degree {sum(exp)} exceeds cap {cap}"
-            )
-        factor = HPoly.of(coeff)
-        for w, c in sym_monomial(exp).items():
-            _accumulate(result, w, c * factor)
-    return NCPoly(algebra, result)
+    def average(exp: tuple[int, ...], coeff) -> Fraction:
+        multinomial = factorial(sum(exp))
+        for count in exp:
+            multinomial //= factorial(count)
+        return Fraction(coeff) / multinomial
+
+    den, terms = _integral((e, (average(e, c),)) for e, c in poly.terms.items())
+    flat: dict[tuple[Word, int], int] = {}
+    for exp, coeff in terms:
+        _add_scaled(flat, orderings(exp), sum(exp), coeff)
+    return NCPoly._from_flat(algebra, flat, den)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from . import linalg as la
 from .errors import CapacityError, CertificationError, StructuralError
@@ -169,13 +170,7 @@ class OrbitQuantization:
         self.deg_cap = deg_cap
         basis, sc = build_lie_basis(n)
         if build_reduction:
-            from math import comb
-
-            est_columns = comb(basis.dim + deg_cap, deg_cap) * (deg_cap + 1)
-            if est_columns > max_columns:
-                raise CapacityError(
-                    f"degree cap {deg_cap} needs about {est_columns} columns, over cap"
-                )
+            _check_columns(basis.dim, deg_cap, max_columns)
         self.basis = basis
         self.sc = sc
         self.coords = DualCoordinates(basis)
@@ -200,20 +195,13 @@ class OrbitQuantization:
         self.groebner = groebner_basis(list(self.ideal.generators))
         self._rref = None
         if build_reduction:
-            self._build_reduction(max_columns)
+            self._build_reduction()
 
     # -- reduction machinery ------------------------------------------------
 
-    def _build_reduction(self, max_columns: int):
-        from math import comb
-
+    def _build_reduction(self):
         dim = self.basis.dim
         cap = self.deg_cap
-        est_columns = comb(dim + cap, cap) * (cap + 1)
-        if est_columns > max_columns:
-            raise CapacityError(
-                f"degree cap {cap} needs about {est_columns} columns, over cap"
-            )
         self.standard_exponents = standard_monomials(self.groebner, max_degree=cap)
         self.standard_set = set(self.standard_exponents)
 
@@ -234,7 +222,7 @@ class OrbitQuantization:
                 word = word_of_exponent(exp)
                 base = NCPoly(self.algebra, {word: HPoly.one()}) * sym_gen
                 for hpow in range(budget - sum(exp) + 1):
-                    self._add_reduction_row(base.shift_h(hpow))
+                    self._rref.add_row(self._flatten(base, shift=hpow))
         self._certify_basis()
 
     def _column(self, hpow: int, word: Word) -> int:
@@ -254,10 +242,11 @@ class OrbitQuantization:
     def _colkey_for_index(self, idx: int):
         return self._col_keys[idx]
 
-    def _flatten(self, u: NCPoly) -> dict[int, Fraction]:
+    def _flatten(self, u: NCPoly, shift: int = 0) -> dict[int, Fraction]:
+        """Column vector of h^shift * u."""
         out: dict[int, Fraction] = {}
         for word, coeff in u.terms.items():
-            for hpow, value in enumerate(coeff.coeffs):
+            for hpow, value in enumerate(coeff.coeffs, shift):
                 if value != 0:
                     out[self._column(hpow, word)] = value
         return out
@@ -274,9 +263,6 @@ class OrbitQuantization:
                 tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1))
             )
         return NCPoly(self.algebra, terms)
-
-    def _add_reduction_row(self, row_nc: NCPoly):
-        self._rref.add_row(self._flatten(row_nc))
 
     def _certify_basis(self):
         # independence: no pivot may sit on a standard-monomial column
@@ -377,12 +363,18 @@ class OrbitQuantization:
     def star(self, f, g) -> QuotientElement:
         """The star product on the quotient, exact in h.
 
-        Accepts MultiPoly or QuotientElement operands supported on
-        standard monomials; the combined filtration degree must stay
-        within the cap.
+        Accepts MultiPoly or QuotientElement operands over the engine's
+        variables, supported on standard monomials; the combined
+        filtration degree must stay within the cap.
         """
         fq = QuotientElement.from_multipoly(f) if isinstance(f, MultiPoly) else f
         gq = QuotientElement.from_multipoly(g) if isinstance(g, MultiPoly) else g
+        for operand in (fq, gq):
+            if operand.variables != self.variables:
+                raise StructuralError(
+                    f"operand variables {list(operand.variables)} are not the "
+                    f"engine's {list(self.variables)}"
+                )
         total = max(fq.degree(), 0) + max(gq.degree(), 0)
         if total > self.deg_cap:
             raise CapacityError(
@@ -395,6 +387,15 @@ class OrbitQuantization:
         """{f, g} followed by commutative reduction onto the basis."""
         bracket = lie_poisson_bracket(f, g, self.sc)
         return self.to_quotient(bracket)
+
+
+def _check_columns(dim: int, deg_cap: int, max_columns: int):
+    """Capacity gate of the reduction table, checked before any heavy work."""
+    est_columns = comb(dim + deg_cap, deg_cap) * (deg_cap + 1)
+    if est_columns > max_columns:
+        raise CapacityError(
+            f"degree cap {deg_cap} needs about {est_columns} columns, over cap"
+        )
 
 
 def _exponent_of_word(word: Word, dim: int) -> list[int]:

@@ -192,7 +192,15 @@ def check_orbit_dimension(ns=(2, 3)) -> dict:
     )
 
 
-def check_semiinvariants(seed: int, ns=(2, 3), samples: int = 20) -> dict:
+def check_semiinvariants(
+    seed: int, ns=(2, 3), samples: int = 20, weight_offset: int = 0
+) -> dict:
+    """Exact transformation laws of the family's generators.
+
+    ``weight_offset`` is added to every expected weight; a nonzero offset
+    is the self-test of ``semi-check --perturb``, whose laws must fail.
+    """
+
     def run():
         rng = random.Random(seed)
         details = {}
@@ -202,7 +210,7 @@ def check_semiinvariants(seed: int, ns=(2, 3), samples: int = 20) -> dict:
             gen_report = []
             for m, kind in enumerate(fam.kinds):
                 if kind == "trace":
-                    weight = -4 * (m + 1)
+                    weight = -4 * (m + 1) + weight_offset
                     exact = verify_semiinvariance(fam, m, weight, rng, samples)
                     gen_report.append(
                         {"kind": kind, "weight": weight, "exact_law": exact}
@@ -210,7 +218,9 @@ def check_semiinvariants(seed: int, ns=(2, 3), samples: int = 20) -> dict:
                     ok = ok and exact
                 else:
                     measured = measure_weight(fam, m, rng)
-                    exact = verify_semiinvariance(fam, m, measured, rng, samples)
+                    exact = verify_semiinvariance(
+                        fam, m, measured + weight_offset, rng, samples
+                    )
                     gen_report.append(
                         {
                             "kind": kind,
@@ -222,6 +232,7 @@ def check_semiinvariants(seed: int, ns=(2, 3), samples: int = 20) -> dict:
                     ok = ok and exact
             if n % 2 == 0 and fam.composite_even is not None:
                 # the determinant-cleared square follows the -4m law
+                weight = -4 * fam.k + weight_offset
                 composite_ok = True
                 for _ in range(samples):
                     pt = random_gplus_point(n, rng)
@@ -230,15 +241,16 @@ def check_semiinvariants(seed: int, ns=(2, 3), samples: int = 20) -> dict:
                     mvec = fam.coords.coords_of_point(
                         coadjoint(elt, pt).c, coadjoint(elt, pt).a
                     )
-                    if fam.composite_even.evaluate(mvec) != la.det(elt.g) ** (
-                        -4 * fam.k
-                    ) * fam.composite_even.evaluate(vec):
+                    scale = la.det(elt.g) ** weight
+                    if fam.composite_even.evaluate(mvec) != scale * fam.composite_even.evaluate(vec):
                         composite_ok = False
                 gen_report.append(
-                    {"kind": "det-cleared square", "weight": -4 * fam.k, "exact_law": composite_ok}
+                    {"kind": "det-cleared square", "weight": weight, "exact_law": composite_ok}
                 )
                 ok = ok and composite_ok
             details[f"n={n}"] = gen_report
+        if weight_offset:
+            details["weight_offset"] = weight_offset
         return ("pass" if ok else "fail"), details
 
     return _entry(
@@ -350,6 +362,7 @@ def check_generator_commutators(seed: int, ns=(2, 3)) -> dict:
     def run():
         details = {}
         ok = True
+        skipped = False
         for n in ns:
             try:
                 engine = OrbitQuantization(
@@ -359,6 +372,7 @@ def check_generator_commutators(seed: int, ns=(2, 3)) -> dict:
                 )
             except CapacityError as exc:
                 details[f"n={n}"] = {"status": "skipped", "reason": str(exc)}
+                skipped = True
                 continue
             table = engine.weight_table
             letter_report = []
@@ -383,7 +397,9 @@ def check_generator_commutators(seed: int, ns=(2, 3)) -> dict:
                 "table": letter_report,
             }
             ok = ok and pattern_ok
-        return ("pass" if ok else "fail"), details
+        if not ok:
+            return "fail", details
+        return ("skipped" if skipped else "pass"), details
 
     return _entry(
         "symmetrized_generator_commutators",
@@ -504,13 +520,20 @@ def emit_report(checks: list[dict], **meta) -> dict:
 
     if not checks:
         raise StructuralError("no checks were executed")
-    # capacity skips are reported but only a failing check fails the run
-    overall = all(c["status"] != "fail" for c in checks)
+    # a failing check fails the run; a capacity skip leaves it incomplete,
+    # never passed
+    statuses = {c["status"] for c in checks}
+    if "fail" in statuses:
+        overall = "fail"
+    elif "skipped" in statuses:
+        overall = "incomplete"
+    else:
+        overall = "pass"
     report = {
         "tool": "orbitquant",
         "version": "0.1.0",
         **meta,
-        "overall": "pass" if overall else "fail",
+        "overall": overall,
         "checks": checks,
     }
     report["content_hash"] = content_hash(report)

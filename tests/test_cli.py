@@ -184,6 +184,9 @@ def test_semi_check_perturbed_fails(capsys):
     assert code == 1
     assert doc["overall"] == "fail"
     assert doc["checks"][0]["status"] == "fail"
+    # the laws were really checked against the offset weights, and failed
+    laws = doc["checks"][0]["details"]["n=2"]
+    assert laws and all(rec["exact_law"] is False for rec in laws)
 
 
 def test_semi_check_passes(capsys):
@@ -193,11 +196,13 @@ def test_semi_check_passes(capsys):
 
 
 def test_verify_deterministic_hash(capsys):
+    # cap 6: at cap 4 quotient_basis_torsion is skipped and the run is
+    # incomplete (exit 2), not passed
     code1, doc1 = run_json(
-        capsys, "verify", "--n", "2", "--deg", "4", "--seed", "11", "--samples", "3"
+        capsys, "verify", "--n", "2", "--deg", "6", "--seed", "11", "--samples", "3"
     )
     code2, doc2 = run_json(
-        capsys, "verify", "--n", "2", "--deg", "4", "--seed", "11", "--samples", "3"
+        capsys, "verify", "--n", "2", "--deg", "6", "--seed", "11", "--samples", "3"
     )
     assert code1 == code2 == 0
     assert doc1["content_hash"] == doc2["content_hash"]
@@ -226,6 +231,45 @@ def test_emit_report_rejects_empty_check_list():
 
     with pytest.raises(StructuralError):
         emit_report([])
+
+
+def test_verify_capacity_skip_is_incomplete(capsys):
+    # cap 10 at n = 2 is over the reduction table's column gate: the
+    # checks that need the table are skipped, so the run cannot pass
+    code, doc = run_json(capsys, "verify", "--n", "2", "--deg", "10")
+    assert code == 2
+    assert doc["overall"] == "incomplete"
+    skipped = {c["name"] for c in doc["checks"] if c["status"] == "skipped"}
+    assert skipped == {"quotient_basis_torsion", "deformation_axioms"}
+
+
+def test_generator_commutators_skip_marks_entry(monkeypatch):
+    from orbitquant import verify
+    from orbitquant.errors import CapacityError
+
+    def over_capacity(*args, **kwargs):
+        raise CapacityError("test capacity")
+
+    monkeypatch.setattr(verify, "OrbitQuantization", over_capacity)
+    entry = verify.check_generator_commutators(1, ns=(2,))
+    assert entry["status"] == "skipped"
+    assert verify.emit_report([entry])["overall"] == "incomplete"
+
+
+def test_star_rejects_foreign_variables(capsys, tmp_path):
+    foreign = ["a", "b", "c", "d", "e", "f", "g"]
+    operand = {
+        "variables": foreign,
+        "terms": [{"coefficient": "1", "exponents": [1, 0, 0, 0, 0, 0, 0]}],
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"f": operand, "g": operand}))
+    code, doc = run_json(
+        capsys, "star", "--n", "2", "--lambdas", "1", "--deg", "4",
+        "--input", str(path),
+    )
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
 
 
 def test_verify_injected_failure_exit_code(capsys):

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitquant.errors import CapacityError, StructuralError
 from orbitquant.hpoly import HPoly
-from orbitquant.lie import build_lie_basis
+from orbitquant.lie import StructureConstants, build_lie_basis
 from orbitquant.ncpoly import NCPoly, PBWAlgebra, symmetrize, word_of_exponent
 from orbitquant.poly import MultiPoly, monomials_up_to_degree
 
@@ -72,6 +75,14 @@ def test_defining_relation_all_pairs():
                 },
             )
             assert lhs == expected
+
+
+def test_out_of_range_letter_rejected():
+    alg, basis = make_algebra(2)
+    with pytest.raises(StructuralError):
+        NCPoly(alg, {(0, basis.dim): HPoly.one()})
+    with pytest.raises(StructuralError):
+        alg.reduce_word((basis.dim, 0))
 
 
 def test_confluence_random_schedules():
@@ -227,3 +238,129 @@ def test_symmetrize_degree_cap():
     big = MultiPoly.monomial(variables, (9, 0))
     with pytest.raises(CapacityError):
         symmetrize(alg, big)
+
+
+# ------------------------------------ insertion routine vs literal rewriter
+#
+# Every product, the letter commutator and the symmetrizer run on the
+# memoized PBWAlgebra._insert; these oracles use only reduce_word with a
+# random rewrite schedule, which shares no code with it.
+
+DIFFERENTIAL = settings(max_examples=40, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def algebras():
+    return {n: make_algebra(n)[0] for n in (2, 3)}
+
+
+def draw_word(data, dim, max_len):
+    letters = data.draw(st.lists(st.integers(0, dim - 1), max_size=max_len))
+    return tuple(sorted(letters))
+
+
+def draw_hpoly(data):
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=3
+        )
+    )
+    return HPoly(tuple(Fraction(a, b) for a, b in pairs))
+
+
+def draw_ncpoly(data, alg, max_len):
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        terms[draw_word(data, alg.dim, max_len)] = draw_hpoly(data)
+    return NCPoly(alg, terms)
+
+
+def literal(alg, word, coeff, rng):
+    return NCPoly(alg, alg.reduce_word(word, coeff, rng=rng))
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_insert_matches_literal_rewriter(algebras, data):
+    alg = algebras[data.draw(st.sampled_from((2, 3)))]
+    letter = data.draw(st.integers(0, alg.dim - 1))
+    word = draw_word(data, alg.dim, 5)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    fast = {}
+    for v, c in alg._insert(letter, word):
+        # integral structure constants give integer memo coefficients;
+        # the h power follows from the word length alone
+        assert type(c) is int
+        fast[v] = HPoly.h(len(word) + 1 - len(v), c)
+    assert fast == alg.reduce_word((letter,) + word, rng=rng)
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_product_matches_literal_rewriter(algebras, data):
+    alg = algebras[data.draw(st.sampled_from((2, 3)))]
+    u = draw_ncpoly(data, alg, 3)
+    v = draw_ncpoly(data, alg, 3)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    slow = NCPoly.zero(alg)
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            slow = slow + literal(alg, w1 + w2, c1 * c2, rng)
+    assert u * v == slow
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_letter_commutator_matches_literal_rewriter(algebras, data):
+    alg = algebras[data.draw(st.sampled_from((2, 3)))]
+    s = draw_ncpoly(data, alg, 4)
+    e = data.draw(st.integers(0, alg.dim - 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    slow = NCPoly.zero(alg)
+    for w, c in s.terms.items():
+        slow = slow + literal(alg, (e,) + w, c, rng) - literal(alg, w + (e,), c, rng)
+    assert s.commutator_with_letter(e) == slow
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_symmetrize_matches_literal_permutation_sum(algebras, data):
+    alg = algebras[data.draw(st.sampled_from((2, 3)))]
+    variables = tuple("x" + s for s in alg.basis.names)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    poly = MultiPoly.zero(variables)
+    slow = NCPoly.zero(alg)
+    for _ in range(data.draw(st.integers(1, 3))):
+        letters = data.draw(st.lists(st.integers(0, alg.dim - 1), max_size=4))
+        coeff = Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)))
+        exp = [0] * alg.dim
+        for l in letters:
+            exp[l] += 1
+        poly = poly + MultiPoly.monomial(variables, tuple(exp), coeff)
+        perms = list(permutations(letters))
+        share = HPoly.of(coeff / len(perms))
+        for perm in perms:
+            slow = slow + literal(alg, perm, share, rng)
+    assert symmetrize(alg, poly) == slow
+
+
+def test_rational_structure_constants_stay_exact():
+    # halving every structure constant keeps the Jacobi identity; the
+    # insertion routine then carries Fraction coefficients
+    basis, sc = build_lie_basis(2)
+    table = {}
+    for i, j, k, v in sc.entries():
+        table.setdefault((i, j), {})[k] = v / 2
+    alg = PBWAlgebra(basis, StructureConstants(sc.dim, table))
+    rng = random.Random(59)
+    for _ in range(30):
+        w1 = tuple(sorted(rng.randrange(basis.dim) for _ in range(3)))
+        w2 = tuple(sorted(rng.randrange(basis.dim) for _ in range(3)))
+        fast = NCPoly(alg, {w1: HPoly.one()}) * NCPoly(alg, {w2: HPoly.one()})
+        assert fast == NCPoly(alg, alg.reduce_word(w1 + w2, rng=rng))
+    assert any(
+        type(c) is Fraction
+        for memo in alg._memo
+        for entry in memo.values()
+        for _, c in entry
+    )
