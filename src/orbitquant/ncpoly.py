@@ -55,10 +55,6 @@ Word = tuple[int, ...]
 WordTerms = dict[Word, "int | Fraction"]
 
 
-def _exact(value: Fraction) -> int | Fraction:
-    return value.numerator if value.denominator == 1 else value
-
-
 class PBWAlgebra:
     """Rewriting context: the letters, their bracket table and the insertion memo."""
 
@@ -68,12 +64,15 @@ class PBWAlgebra:
         self.basis = basis
         self.sc = sc
         self.dim = basis.dim
-        # [X_i, X_j] = sum_k c X_k as ((k, c), ...) for every i != j
+        # [X_i, X_j] = sum_k c X_k as ((k, c), ...) for every i != j, with
+        # c an int when its denominator is 1
         self._bracket: dict[tuple[int, int], tuple] = {}
         for i in range(self.dim):
             for j in range(self.dim):
                 pairs = tuple(
-                    (k, _exact(v)) for k, v in sc.bracket_coeffs(i, j).items() if v
+                    (k, v.numerator if v.denominator == 1 else v)
+                    for k, v in sc.bracket_coeffs(i, j).items()
+                    if v
                 )
                 if pairs:
                     self._bracket[i, j] = pairs
