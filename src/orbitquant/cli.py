@@ -273,12 +273,7 @@ def cmd_star(args) -> int:
         data = {"f": json.loads(args.f), "g": json.loads(args.g)}
     else:
         data = _load_input(args)
-    engine = OrbitQuantization(
-        args.n,
-        _lambdas(args),
-        deg_cap=args.deg,
-        max_columns=args.cap_terms if args.cap_terms else 200_000,
-    )
+    engine = OrbitQuantization(args.n, _lambdas(args), deg_cap=args.deg)
 
     def parse_operand(rec) -> QuotientElement:
         if "terms" in rec and rec.get("variables"):
@@ -339,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", type=str, default=None, help="JSON input file or '-'")
         p.add_argument("--output", type=str, default=None, help="output file (default stdout)")
         p.add_argument("--pretty", action="store_true", help="human-readable report rendering")
-        p.add_argument("--cap-terms", type=int, default=None, help="capacity guard override")
+        p.add_argument("--cap-terms", type=int, default=None, help="term cap on sym's input polynomial")
         p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
         p.add_argument("--perturb", action="store_true",
                        help="inject a deliberate failure (reporting self-test)")

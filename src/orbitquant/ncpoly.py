@@ -354,10 +354,7 @@ class NCPoly:
             c0 = c.coefficient(0)
             if c0 == 0:
                 continue
-            exp = [0] * n
-            for letter in w:
-                exp[letter] += 1
-            key = tuple(exp)
+            key = exponent_of_word(w, n)
             total = out.get(key, Fraction(0)) + c0
             if total == 0:
                 out.pop(key, None)
@@ -395,6 +392,14 @@ def word_of_exponent(exp: tuple[int, ...]) -> Word:
     for letter, count in enumerate(exp):
         out.extend([letter] * count)
     return tuple(out)
+
+
+def exponent_of_word(word: Word, dim: int) -> tuple[int, ...]:
+    """The exponent tuple of a word over ``dim`` letters: its letter counts."""
+    exp = [0] * dim
+    for letter in word:
+        exp[letter] += 1
+    return tuple(exp)
 
 
 SYMMETRIZER_DEGREE_CAP = 8

@@ -37,18 +37,14 @@ from orbitquant.orbits import (
     orbit_dimension,
     pair_dual_algebra,
 )
-from orbitquant.quantize import (
-    OrbitQuantization,
-    check_deformation_axioms,
-    commutator_weight,
-    torsion_check,
-)
+from orbitquant.quantize import OrbitQuantization
 from orbitquant.sampling import (
     random_gplus_point,
     random_group_element,
     random_orbit_sample,
     random_polynomial,
 )
+from orbitquant.verify import check_deformation, check_quotient_basis_torsion
 
 SEED = 7
 
@@ -219,32 +215,27 @@ def test_criterion_09_generator_commutator_scalars():
 
 
 def test_criterion_10_quotient_basis_and_torsion():
-    t0 = time.perf_counter()
-    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
-    basis_report = engine.basis_report()
-    ok = basis_report["independent_and_spanning"]
-    torsion = torsion_check(engine, random.Random(SEED + 6), samples=50, max_degree=4)
-    ok = ok and torsion["passed"]
-    print(f"         basis ranks: {basis_report}")
-    report(10, "quotient basis + torsion freeness", ok, time.perf_counter() - t0, 600)
+    # the check `verify --seed 7` runs: n = 2, cap 6, 50 torsion samples
+    entry = check_quotient_basis_torsion(SEED + 7, n=2, deg_cap=6, samples=50)
+    print(f"         basis ranks: {entry['details'].get('basis')}")
+    report(
+        10, "quotient basis + torsion freeness", entry["status"] == "pass",
+        entry["elapsed_s"], 600,
+    )
 
 
 def test_criterion_11_deformation_axioms():
-    t0 = time.perf_counter()
-    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
-    rng = random.Random(SEED + 7)
-    axioms = check_deformation_axioms(
-        engine, rng, monomial_degree=2, random_pairs=50, triples=20
-    )
-    ok = axioms["passed"]
+    # the check `verify --seed 7` runs: n = 2, cap 6, 50 pairs, 20 triples
+    entry = check_deformation(SEED + 8, n=2, deg_cap=6, pairs=50, triples=20)
     counts = {
-        "pairs": axioms["reduces_mod_h"]["pairs"],
-        "mod_h_failures": axioms["reduces_mod_h"]["failures"],
-        "poisson_failures": axioms["first_order_poisson"]["failures"],
-        "associativity_failures": axioms["associativity"]["failures"],
+        axiom: {k: v for k, v in entry["details"].get(axiom, {}).items() if k != "witness"}
+        for axiom in ("reduces_mod_h", "first_order_poisson", "associativity")
     }
     print(f"         axiom sample counts: {counts}")
-    report(11, "deformation axioms + star associativity", ok, time.perf_counter() - t0, 900)
+    report(
+        11, "deformation axioms + star associativity", entry["status"] == "pass",
+        entry["elapsed_s"], 900,
+    )
 
 
 def test_full_battery_under_thirty_minutes():

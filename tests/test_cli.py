@@ -196,8 +196,6 @@ def test_semi_check_passes(capsys):
 
 
 def test_verify_deterministic_hash(capsys):
-    # cap 6: at cap 4 quotient_basis_torsion is skipped and the run is
-    # incomplete (exit 2), not passed
     code1, doc1 = run_json(
         capsys, "verify", "--n", "2", "--deg", "6", "--seed", "11", "--samples", "3"
     )
@@ -234,13 +232,24 @@ def test_emit_report_rejects_empty_check_list():
 
 
 def test_verify_capacity_skip_is_incomplete(capsys):
-    # cap 10 at n = 2 is over the reduction table's column gate: the
-    # checks that need the table are skipped, so the run cannot pass
-    code, doc = run_json(capsys, "verify", "--n", "2", "--deg", "10")
+    # cap 3 at n = 2 is below the generator's degree 4: the checks that
+    # need the reduction are skipped, so the run cannot pass
+    code, doc = run_json(capsys, "verify", "--n", "2", "--deg", "3")
     assert code == 2
     assert doc["overall"] == "incomplete"
     skipped = {c["name"] for c in doc["checks"] if c["status"] == "skipped"}
     assert skipped == {"quotient_basis_torsion", "deformation_axioms"}
+
+
+def test_verify_torsion_at_the_generator_degree(capsys):
+    # at cap 4 = the generator's degree only h^0 g fits under the cap; the
+    # torsion check must not reduce h g beyond it
+    code, doc = run_json(
+        capsys, "verify", "--n", "2", "--deg", "4", "--seed", "11", "--samples", "3"
+    )
+    assert code == 0
+    status = {c["name"]: c["status"] for c in doc["checks"]}
+    assert status["quotient_basis_torsion"] == "pass"
 
 
 def test_generator_commutators_skip_marks_entry(monkeypatch):

@@ -1,5 +1,6 @@
 """The orbit quantization engine: reduction, star product, axioms."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from orbitquant.errors import CapacityError, CertificationError, StructuralError
 from orbitquant.groebner import divide
 from orbitquant.hpoly import HPoly
 from orbitquant.lie import lie_poisson_bracket
-from orbitquant.ncpoly import NCPoly, word_of_exponent
+from orbitquant.ncpoly import NCPoly, exponent_of_word, word_of_exponent
 from orbitquant.poly import MultiPoly
 from orbitquant.quantize import (
     OrbitQuantization,
@@ -244,16 +245,51 @@ def test_quotient_element_round_trip(engine):
     assert QuotientElement.from_json(star.to_json()) == star
 
 
-def test_reduction_engine_capacity_gate():
-    # the full reduction at n = 3 needs the degree-8 truncation of a
-    # 15-variable algebra (about half a million columns): the guard must
-    # refuse quickly instead of attempting it
+def test_n3_star_and_associativity_at_cap_10(capsys):
+    # n = 3 has one generator, of degree 8: left division gives its star
+    # product at cap 10 without listing the 3.3M standard monomials
+    import json
     import time
 
+    from orbitquant.cli import main
+    from orbitquant.groebner import standard_monomials
+    from orbitquant.sampling import random_polynomial
+
     t0 = time.perf_counter()
-    with pytest.raises(CapacityError):
-        OrbitQuantization(3, [Fraction(1)], deg_cap=8)
+    eng = OrbitQuantization(3, [Fraction(1)], deg_cap=10)
+    x0 = MultiPoly.variable(eng.variables, 0)
+    x9 = MultiPoly.variable(eng.variables, 9)
+    code = main(
+        ["star", "--n", "3", "--lambdas", "1", "--deg", "10",
+         "--f", json.dumps(x0.to_records()), "--g", json.dumps(x9.to_records())]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == eng.star(x0, x9).to_json()
+
+    # a seeded degree-3 triple whose product reaches the leading monomial,
+    # so that the associativity check runs through a division step
+    lead = word_of_exponent(eng.groebner[0].leading()[0])
+    rng = random.Random(70)
+    monos = standard_monomials(eng.groebner, max_degree=3)
+    f, g, w = (
+        MultiPoly.monomial(eng.variables, exponent_of_word(part, eng.basis.dim))
+        + random_polynomial(eng.variables, rng, monos, max_terms=2)
+        for part in (lead[:3], lead[3:6], lead[6:])
+    )
+    fq, gq, wq = (QuotientElement.from_multipoly(p) for p in (f, g, w))
+    raw = eng.phi(fq) * eng.phi(gq) * eng.phi(wq)
+    assert any(not eng.is_standard(v) for v in raw.terms)
+    assert eng.star(eng.star(f, g), w) == eng.star(f, eng.star(g, w))
     assert time.perf_counter() - t0 < 60
+
+
+def test_engine_without_reduction_refuses_reduction_queries():
+    eng = OrbitQuantization(2, [Fraction(1)], deg_cap=4, build_reduction=False)
+    x0 = MultiPoly.variable(eng.variables, 0)
+    letter = NCPoly.letter(eng.algebra, 0)
+    for query in (lambda: eng.star(x0, x0), eng.basis_report, lambda: eng.reduce(letter)):
+        with pytest.raises(StructuralError):
+            query()
 
 
 def test_different_orbit_different_constant():
@@ -280,3 +316,130 @@ def test_degree_eight_cap():
     assert basis_report["reduction_rank"] == 495
     assert basis_report["independent_and_spanning"]
     assert torsion_check(eng, random.Random(69), samples=10)["passed"]
+
+
+def _table_reduction(engine):
+    """The dense reduction table that left division replaced, as an oracle.
+
+    Sparse RREF of every left multiple h^p X^q g inside the cap, with the
+    column key that steers pivots off the standard monomials; the reduced
+    vector of u is its normal form.  Returns (rank, reduce).
+    """
+    from orbitquant import linalg as la
+    from orbitquant.groebner import standard_monomials
+    from orbitquant.poly import monomials_up_to_degree
+
+    dim, cap = engine.basis.dim, engine.deg_cap
+    standard = set(standard_monomials(engine.groebner, max_degree=cap))
+    names: list[tuple[int, tuple]] = []
+    index: dict[tuple[int, tuple], int] = {}
+    keys: list[tuple] = []
+
+    def column(hpow, word):
+        key = (hpow, word)
+        if key not in index:
+            index[key] = len(names)
+            names.append(key)
+            in_standard = exponent_of_word(word, dim) in standard
+            keys.append((1 if in_standard else 0, -(hpow + len(word)), word, hpow))
+        return index[key]
+
+    def flatten(u, shift=0):
+        return {
+            column(p, w): v
+            for w, c in u.terms.items()
+            for p, v in enumerate(c.coeffs, shift)
+            if v
+        }
+
+    rref = la.SparseRREF(colkey=keys.__getitem__)
+    sym_gen = engine.sym_generators[0]
+    budget = cap - engine.ideal.generators[0].total_degree()
+    for exp in monomials_up_to_degree(dim, budget):
+        base = NCPoly(engine.algebra, {word_of_exponent(exp): HPoly.one()}) * sym_gen
+        for hpow in range(budget - sum(exp) + 1):
+            rref.add_row(flatten(base, hpow))
+    assert all(exponent_of_word(names[c][1], dim) not in standard for c in rref.pivot_rows)
+
+    def reduce(u):
+        acc: dict[tuple, dict[int, Fraction]] = {}
+        for c, v in rref.reduce_vector(flatten(u)).items():
+            hpow, word = names[c]
+            acc.setdefault(word, {})[hpow] = v
+        return NCPoly(
+            engine.algebra,
+            {
+                w: HPoly(tuple(cs.get(i, 0) for i in range(max(cs) + 1)))
+                for w, cs in acc.items()
+            },
+        )
+
+    return rref.rank, reduce
+
+
+@pytest.mark.parametrize("cap, rank", [(6, 45), (8, 495)])
+def test_division_matches_reduction_table(cap, rank):
+    # 60 seeded elements per cap, half their words multiples of the
+    # leading monomial, reduced both ways: equal term for term
+    from orbitquant.poly import monomials_up_to_degree
+
+    eng = OrbitQuantization(2, [Fraction(1)], deg_cap=cap)
+    table_rank, table_reduce = _table_reduction(eng)
+    assert table_rank == rank == eng.basis_report()["reduction_rank"]
+    monos = monomials_up_to_degree(eng.basis.dim, cap)
+    divisible = [e for e in monos if not eng.is_standard(word_of_exponent(e))]
+    rng = random.Random(71 + cap)
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = rng.choice(divisible if rng.random() < 0.5 else monos)
+            coeffs = tuple(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(rng.randint(1, cap - sum(exp) + 1))
+            )
+            terms[word_of_exponent(exp)] = HPoly(coeffs)
+        u = NCPoly(eng.algebra, terms)
+        assert eng.reduce(u) == table_reduce(u)
+
+
+def test_corrupted_leading_coefficient_fails_certification():
+    # a generator whose leading coefficient no longer matches the certified
+    # one: the first division step cannot cancel its target
+    eng = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+    lead = word_of_exponent(eng.groebner[0].leading()[0])
+    terms = dict(eng.sym_generators[0].terms)
+    terms[lead] = terms[lead] + HPoly.of(1)
+    eng.sym_generators[0] = NCPoly(eng.algebra, terms)
+    with pytest.raises(CertificationError):
+        eng.reduce(NCPoly(eng.algebra, {lead: HPoly.one()}))
+
+
+def test_leading_term_must_be_the_groebner_lead(monkeypatch):
+    # a Groebner basis whose leading monomial x0^5 is not the leading
+    # word of g: the engine must refuse to divide by g
+    import orbitquant.quantize as quantize
+
+    real = quantize.groebner_basis
+
+    def raised_lead(generators):
+        (p,) = real(generators)
+        return [p + MultiPoly.variable(p.variables, 0) ** 5]
+
+    monkeypatch.setattr(quantize, "groebner_basis", raised_lead)
+    with pytest.raises(CertificationError):
+        OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+
+
+def test_division_needs_exactly_one_generator(monkeypatch):
+    # one element is a left Groebner basis; two (as at n >= 4) need not be
+    import orbitquant.quantize as quantize
+
+    real = quantize.orbit_ideal
+
+    def doubled(lambdas, family):
+        ideal = real(lambdas, family)
+        return dataclasses.replace(ideal, generators=ideal.generators * 2)
+
+    monkeypatch.setattr(quantize, "orbit_ideal", doubled)
+    with pytest.raises(StructuralError):
+        OrbitQuantization(2, [Fraction(1)], deg_cap=6)
