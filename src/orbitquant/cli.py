@@ -20,7 +20,6 @@ from .errors import (
     CapacityError,
     CertificationError,
     DomainError,
-    OrbitQuantError,
     StructuralError,
 )
 from .hpoly import HPoly

@@ -31,7 +31,7 @@ from .errors import CapacityError, DomainError, StructuralError
 from .groebner import Capacity, DEFAULT_CAPACITY
 from .lie import DualCoordinates, build_lie_basis
 from .orbits import DualPoint, NormalForm
-from .poly import MultiPoly, monomials_up_to_degree
+from .poly import MultiPoly, monomials_up_to_degree, sum_of_products
 
 
 def pfaffian(m: la.Matrix):
@@ -191,11 +191,10 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
         for _ in range(i - 1):
             half = la.mat_mul(half, mat)
         size = len(mat)
-        acc = MultiPoly.zero(coords.variables)
-        for r in range(size):
-            for s in range(size):
-                acc = acc + half[r][s] * half[s][r]
-        return acc
+        return sum_of_products(
+            coords.variables,
+            ((half[r][s], half[s][r]) for r in range(size) for s in range(size)),
+        )
 
     generators: list[MultiPoly] = []
     kinds: list[str] = []

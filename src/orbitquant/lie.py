@@ -160,28 +160,52 @@ class StructureConstants:
         return out
 
 
-def _decompose_in_basis(basis: LieBasis, m: la.Matrix) -> dict[int, Fraction]:
-    """Write a block matrix of the algebra shape in the basis, exactly.
+SparseMatrix = dict[tuple[int, int], Fraction]
+
+
+def _nonzero(m: SparseMatrix) -> SparseMatrix:
+    return {rc: v for rc, v in m.items() if v != 0}
+
+
+def _sparse(m: la.Matrix) -> SparseMatrix:
+    """The nonzero entries of a dense matrix, keyed by (row, col)."""
+    return _nonzero({(r, c): v for r, row in enumerate(m) for c, v in enumerate(row)})
+
+
+def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """XY - YX on sparse matrices, without zero entries."""
+    out: SparseMatrix = {}
+    for left, right, sign in ((x, y, 1), (y, x, -1)):
+        for (r, k), v in left.items():
+            for (k2, c), w in right.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), ZERO) + sign * v * w
+    return _nonzero(out)
+
+
+def _decompose_in_basis(
+    basis: LieBasis, sparse_elements: Sequence[SparseMatrix], m: SparseMatrix
+) -> dict[int, Fraction]:
+    """Write a sparse block matrix of the algebra shape in the basis, exactly.
 
     The block structure makes the solve a direct entry read-off: the
     a-block entry (r, s) is the coefficient of letter a{rs}, and the
     b-block entry (r, s), r <= s, the coefficient of letter b{rs}.  The
-    reconstruction is verified so a non-member input cannot slip through.
+    sparse reconstruction from ``sparse_elements`` (the basis elements as
+    returned by ``_sparse``) is compared entry for entry, so a non-member
+    input cannot slip through.
     """
     n = basis.n
     coeffs: dict[int, Fraction] = {}
     for idx, (kind, r, s) in enumerate(basis.kinds):
-        if kind == "a":
-            v = m[r][s]
-        else:
-            v = m[r][n + s]
+        v = m.get((r, s) if kind == "a" else (r, n + s), ZERO)
         if v != 0:
             coeffs[idx] = v
-    # verify: the matrix must equal the sum it claims to be
-    recon = la.zeros(2 * n, 2 * n)
+    recon: SparseMatrix = {}
     for idx, v in coeffs.items():
-        recon = la.mat_add(recon, la.mat_scale(basis.element(idx), v))
-    if recon != m:
+        for rc, w in sparse_elements[idx].items():
+            recon[rc] = recon.get(rc, ZERO) + v * w
+    if _nonzero(recon) != _nonzero(m):
         raise StructuralError("matrix does not lie in the spanned subalgebra")
     return coeffs
 
@@ -189,9 +213,10 @@ def _decompose_in_basis(basis: LieBasis, m: la.Matrix) -> dict[int, Fraction]:
 def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
     """Construct the block basis and its exact structure constants.
 
-    Structure constants come from exact matrix commutators of the basis
-    elements, decomposed back in the basis; closure of the block shape is
-    verified on every commutator.
+    Structure constants come from exact commutators of the basis elements,
+    computed on their sparse forms (every element has at most two nonzero
+    entries) and decomposed back in the basis; closure of the block shape
+    is verified on every commutator.
     """
     if n < 1:
         raise StructuralError("n must be at least 1")
@@ -216,13 +241,12 @@ def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
     )
     assert basis.dim == n * n + n * (n + 1) // 2
 
+    sparse = [_sparse(m) for m in elements]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(basis.dim):
-        mi = basis.element(i)
         for j in range(i + 1, basis.dim):
-            mj = basis.element(j)
-            comm = la.mat_sub(la.mat_mul(mi, mj), la.mat_mul(mj, mi))
-            coeffs = _decompose_in_basis(basis, comm)
+            comm = _sparse_commutator(sparse[i], sparse[j])
+            coeffs = _decompose_in_basis(basis, sparse, comm)
             if coeffs:
                 table[(i, j)] = coeffs
     return basis, StructureConstants(basis.dim, table)

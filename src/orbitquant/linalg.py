@@ -14,7 +14,7 @@ away from designated "standard monomial" columns.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DomainError, StructuralError
 
@@ -205,15 +205,6 @@ def inverse(m: Matrix) -> Matrix:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
     return inv
-
-
-def solve(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve m x = rhs for square invertible m, exactly."""
-    inv = inverse(m)
-    return [
-        sum((inv[i][j] * rhs[j] for j in range(len(rhs))), Fraction(0))
-        for i in range(len(inv))
-    ]
 
 
 SparseRow = dict[int, Fraction]

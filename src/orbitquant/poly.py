@@ -5,6 +5,10 @@ coefficients, one exponent slot per variable.  No floating point is ever
 involved and zero coefficients are never stored, so equality of
 polynomials is literal dictionary equality.
 
+Every product goes through one kernel, ``sum_of_products``: it works on
+integer numerators over one denominator per operand and builds a single
+Fraction per output term.
+
 Monomial orders are graded (degree first); the default is graded reverse
 lexicographic, which tends to give the smallest sets of standard
 monomials in quotient-ring computations.
@@ -14,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .errors import StructuralError
 
@@ -108,6 +114,14 @@ class MultiPoly:
                     clean[tuple(exp)] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap a term dict built here: nonzero Fractions, exponents of the right length."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -179,12 +193,12 @@ class MultiPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = new
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,20 +209,14 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = as_fraction(other)
-            return MultiPoly(self.variables, {e: c * other for e, c in self.terms.items()})
-        self._check_compatible(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = exponent_mul(e1, e2)
-                new = out.get(exp, ZERO) + c1 * c2
-                if new == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = new
-        return MultiPoly(self.variables, out)
+        if isinstance(other, MultiPoly):
+            return sum_of_products(self.variables, ((self, other),))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
+            return MultiPoly._trusted(self.variables, {})
+        other = as_fraction(other)
+        return MultiPoly._trusted(self.variables, {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -312,6 +320,63 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _numerators(p: MultiPoly) -> tuple[list[tuple[Exponent, int]], int]:
+    """p's terms as (exponent, integer numerator) over den, the lcm of p's denominators."""
+    den = 1
+    for c in p.terms.values():
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return [(e, c.numerator) for e, c in p.terms.items()], 1
+    return [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()], den
+
+
+def sum_of_products(
+    variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, MultiPoly]]
+) -> MultiPoly:
+    """The sum of f * g over ``pairs``, exactly, in integer arithmetic.
+
+    Each operand is written as integer numerators over one denominator,
+    the lcm of its own denominators.  The products accumulate as integers
+    per exponent over the lcm of the pairs' denominators, and each output
+    term becomes one Fraction at the end (sparse products over integer
+    numerators: Monagan & Pearce, CASC 2007).  ``MultiPoly.__mul__`` is
+    the one-pair case.
+    """
+    variables = tuple(variables)
+    scaled = []
+    common = 1
+    for f, g in pairs:
+        if f.variables != variables or g.variables != variables:
+            raise StructuralError(
+                f"variable lists differ: {f.variables} and {g.variables} vs {variables}"
+            )
+        if f.terms and g.terms:
+            fs, fd = _numerators(f)
+            gs, gd = _numerators(g)
+            d = fd * gd
+            if common % d:
+                common = common // gcd(common, d) * d
+            scaled.append((fs, gs, d))
+    if not scaled:
+        return MultiPoly._trusted(variables, {})
+    acc: dict[Exponent, int] = {}
+    get = acc.get
+    for fs, gs, d in scaled:
+        scale = common // d
+        for e1, c1 in fs:
+            c1 *= scale
+            for e2, c2 in gs:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
+    if common == 1:
+        terms = {e: Fraction(v) for e, v in acc.items() if v}
+    else:
+        terms = {e: Fraction(v, common) for e, v in acc.items() if v}
+    return MultiPoly._trusted(variables, terms)
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list[Exponent]:

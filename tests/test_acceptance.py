@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from orbitquant import linalg as la
 from orbitquant.hpoly import HPoly
 from orbitquant.invariants import (
@@ -42,7 +40,6 @@ from orbitquant.sampling import (
     random_gplus_point,
     random_group_element,
     random_orbit_sample,
-    random_polynomial,
 )
 from orbitquant.verify import check_deformation, check_quotient_basis_torsion
 

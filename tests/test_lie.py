@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from orbitquant import linalg as la
+from orbitquant.errors import StructuralError
 from orbitquant.lie import (
     DualCoordinates,
+    _decompose_in_basis,
+    _sparse,
     build_lie_basis,
     lie_poisson_bracket,
     standard_symplectic_form,
@@ -112,6 +115,59 @@ def test_commutator_closure_matches_constants():
             for k, v in sc.bracket_coeffs(i, j).items():
                 recon = la.mat_add(recon, la.mat_scale(basis.element(k), v))
             assert comm == recon
+
+
+def dense_structure_constants(basis):
+    """Oracle: dense matrix commutators, decomposed by dense reconstruction.
+
+    Each pair gets two dense matrix products; the coefficients are read off
+    the a- and b-block entries and the commutator must equal the dense sum
+    of scaled basis elements they claim.
+    """
+    n = basis.n
+    entries = []
+    for i in range(basis.dim):
+        mi = basis.element(i)
+        for j in range(i + 1, basis.dim):
+            mj = basis.element(j)
+            comm = la.mat_sub(la.mat_mul(mi, mj), la.mat_mul(mj, mi))
+            recon = la.zeros(2 * n, 2 * n)
+            for k, (kind, r, s) in enumerate(basis.kinds):
+                v = comm[r][s] if kind == "a" else comm[r][n + s]
+                if v != 0:
+                    entries.append((i, j, k, v))
+                    recon = la.mat_add(recon, la.mat_scale(basis.element(k), v))
+            assert recon == comm
+    return entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_structure_constants_match_dense_oracle(n):
+    basis, sc = build_lie_basis(n)
+    entries = list(sc.entries())
+    assert entries == dense_structure_constants(basis)
+    assert all(type(v) is Fraction for _, _, _, v in entries)
+
+
+def test_closure_check_rejects_non_members():
+    n = 2
+    basis, _ = build_lie_basis(n)
+    sparse = [_sparse(basis.element(k)) for k in range(basis.dim)]
+    a12 = basis.index_of("a12")
+    # a member: the a12 element itself decomposes to one coefficient
+    assert _decompose_in_basis(basis, sparse, sparse[a12]) == {a12: Fraction(1)}
+    # a nonzero lower-left (c-block) entry is outside the algebra
+    lower_left = dict(sparse[a12])
+    lower_left[(n, 0)] = Fraction(3)
+    with pytest.raises(StructuralError):
+        _decompose_in_basis(basis, sparse, lower_left)
+    # a lower-right block that is not -a^t: a12 with its mirror entry flipped
+    wrong_mirror = {(0, 1): Fraction(1), (n + 1, n): Fraction(1)}
+    with pytest.raises(StructuralError):
+        _decompose_in_basis(basis, sparse, wrong_mirror)
+    # the mirror entry missing altogether
+    with pytest.raises(StructuralError):
+        _decompose_in_basis(basis, sparse, {(0, 1): Fraction(1)})
 
 
 def test_trace_pairing_examples():

@@ -118,16 +118,3 @@ def test_sparse_rref_respects_column_order():
     rref = la.SparseRREF(colkey=lambda c: -c)
     rref.add_row({0: Fraction(1), 2: Fraction(3)})
     assert list(rref.pivot_rows) == [2]
-
-
-def test_solve_matches_inverse():
-    rng = random.Random(31)
-    m = random_matrix(rng, 3, 3)
-    while la.det(m) == 0:
-        m = random_matrix(rng, 3, 3)
-    rhs = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-    x = la.solve(m, rhs)
-    back = [
-        sum((m[i][j] * x[j] for j in range(3)), Fraction(0)) for i in range(3)
-    ]
-    assert back == rhs

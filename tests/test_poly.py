@@ -5,22 +5,25 @@ from fractions import Fraction
 
 import pytest
 
+from orbitquant import linalg as la
 from orbitquant.errors import StructuralError
+from orbitquant.invariants import semiinvariant_family, symbolic_dual_matrices
 from orbitquant.poly import (
     GREVLEX,
     MonomialOrder,
     MultiPoly,
     monomials_up_to_degree,
+    sum_of_products,
 )
 
 VARS = ("x", "y", "z")
 
 
-def random_poly(rng, nvars=3, max_deg=3, max_terms=6):
+def random_poly(rng, nvars=3, max_deg=3, max_terms=6, denominators=range(1, 6)):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exp = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        terms[exp] = Fraction(rng.randint(-9, 9), rng.choice(denominators))
     return MultiPoly(VARS[:nvars], terms)
 
 
@@ -40,6 +43,91 @@ def test_add_mul_against_oracle():
         p, q = random_poly(rng), random_poly(rng)
         assert (p * q).terms == oracle_mul(p, q).terms
         assert (p + q) - q == p
+
+
+def oracle_sum(variables, pairs):
+    acc = MultiPoly.zero(variables)
+    for f, g in pairs:
+        acc = acc + oracle_mul(f, g)
+    return acc
+
+
+def assert_clean(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+@pytest.mark.parametrize(
+    "denominators", [range(1, 8), [1], [2, 4, 8]], ids=["den1-7", "integer", "pow2"]
+)
+def test_product_kernel_matches_fraction_loop(denominators):
+    rng = random.Random(41)
+
+    def operand():
+        return random_poly(rng, max_terms=8, denominators=denominators)
+
+    for _ in range(60):
+        pairs = [(operand(), operand()) for _ in range(rng.randint(0, 5))]
+        total = sum_of_products(VARS, pairs)
+        assert total.terms == oracle_sum(VARS, pairs).terms
+        assert_clean(total)
+        for f, g in pairs:
+            product = f * g
+            assert product.terms == oracle_mul(f, g).terms
+            assert_clean(product)
+
+
+def test_product_kernel_cancellation_and_zero_operands():
+    rng = random.Random(43)
+    zero = MultiPoly.zero(VARS)
+    for _ in range(20):
+        f, g = (random_poly(rng, max_terms=8, denominators=range(1, 8)) for _ in range(2))
+        assert sum_of_products(VARS, [(f, g), (-f, g)]).terms == {}
+        assert sum_of_products(VARS, [(f, g), (g, -f), (f, f)]) == oracle_mul(f, f)
+        assert (f * zero).terms == {} and (zero * g).terms == {}
+        assert sum_of_products(VARS, [(zero, g), (f, zero)]).terms == {}
+        assert (f * 0).terms == {} and (f * Fraction(0)).terms == {}
+        assert_clean(f * Fraction(3, 7))
+    # the cross terms of (x + y)(x - y) cancel inside one product
+    x, y = MultiPoly.variable(VARS, 0), MultiPoly.variable(VARS, 1)
+    assert ((x + y) * (x - y)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    empty = sum_of_products(VARS, [])
+    assert empty == MultiPoly.zero(VARS) and empty.variables == VARS
+
+
+def test_product_kernel_rejects_mismatched_variables():
+    p = MultiPoly(("x", "y"), {(1, 0): Fraction(1)})
+    q = MultiPoly(("x", "z"), {(1, 0): Fraction(1)})
+    with pytest.raises(StructuralError):
+        sum_of_products(("x", "y"), [(p, p), (p, q)])
+    with pytest.raises(StructuralError):
+        sum_of_products(("x", "z"), [(p, p)])
+    with pytest.raises(StructuralError):
+        sum_of_products(("x", "y"), [(MultiPoly.zero(("x", "z")), p)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_semiinvariant_family_matches_fraction_loop(n):
+    # h_i = tr(T^(2i)) = sum_rs (T^i)_rs (T^i)_sr, summed here product by
+    # product with the Fraction loop; even n also checks det(c) * P^2
+    family = semiinvariant_family(n)
+    variables = family.coords.variables
+    c_mat, a_mat, adj_c, det_c = symbolic_dual_matrices(family.coords)
+    t_mat = la.mat_sub(
+        la.mat_mul(la.mat_mul(c_mat, a_mat), adj_c),
+        la.mat_scale(la.transpose(a_mat), det_c),
+    )
+    half = t_mat
+    traces = [g for g, kind in zip(family.generators, family.kinds) if kind == "trace"]
+    assert len(traces) == (n // 2 if n % 2 else n // 2 - 1)
+    for i, generator in enumerate(traces, start=1):
+        if i > 1:
+            half = la.mat_mul(half, t_mat)
+        pairs = [(half[r][s], half[s][r]) for r in range(n) for s in range(n)]
+        assert generator.terms == oracle_sum(variables, pairs).terms
+    if n == 2:
+        pfaffian = family.generators[family.kinds.index("pfaffian")]
+        expected = oracle_mul(oracle_mul(det_c, pfaffian), pfaffian)
+        assert family.composite_even.terms == expected.terms
 
 
 def test_ring_identities():
