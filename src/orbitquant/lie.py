@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import linalg as la
 from .errors import StructuralError
-from .poly import MultiPoly
+from .poly import MultiPoly, sum_of_products
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -351,29 +351,14 @@ def lie_poisson_bracket(
     if len(f.variables) != sc.dim:
         raise StructuralError("variable count does not match the algebra dimension")
     variables = f.variables
-    result = MultiPoly.zero(variables)
-    partials_f = {}
-    partials_g = {}
-
-    def pf(i):
-        if i not in partials_f:
-            partials_f[i] = f.diff(i)
-        return partials_f[i]
-
-    def pg(j):
-        if j not in partials_g:
-            partials_g[j] = g.diff(j)
-        return partials_g[j]
-
+    df = [f.diff(i) for i in range(sc.dim)]
+    dg = [g.diff(j) for j in range(sc.dim)]
+    pairs = []
     for i, j, k, value in sc.entries():
-        dfi, dgj = pf(i), pg(j)
-        dfj, dgi = pf(j), pg(i)
-        term = dfi * dgj - dfj * dgi
-        if term.is_zero():
-            continue
-        xk = MultiPoly.variable(variables, k)
-        result = result + xk * term * value
-    return result
+        for a, b, c in ((i, j, value), (j, i, -value)):
+            if df[a].terms and dg[b].terms:
+                pairs.append((MultiPoly.variable(variables, k) * df[a] * c, dg[b]))
+    return sum_of_products(variables, pairs)
 
 
 def basis_to_json(basis: LieBasis, sc: StructureConstants) -> dict:

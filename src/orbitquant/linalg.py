@@ -5,10 +5,11 @@ determinant, adjugate, Pfaffian-free helpers) work for any entries that
 support ring arithmetic, including MultiPoly; division-based routines
 (RREF, kernel, inverse) require Fraction entries.
 
-The sparse RREF is the workhorse behind rank certificates: rows are
-dictionaries column -> Fraction, and the column processing order is a
-caller-supplied key, which lets quotient-basis computations steer pivots
-away from designated "standard monomial" columns.
+The sparse RREF is the workhorse behind rank certificates, such as the
+rank of the invariance equations: rows are dictionaries column ->
+Fraction, and the column processing order is an optional caller-supplied
+key (the tests' reduction-table oracle uses it to keep standard-monomial
+columns from becoming pivots).
 """
 
 from __future__ import annotations

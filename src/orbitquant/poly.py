@@ -183,7 +183,9 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MultiPoly.constant(self.variables, other)
         self._check_compatible(other)
         out = dict(self.terms)
@@ -201,8 +203,8 @@ class MultiPoly:
         return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.variables, other)
+        if not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -233,10 +235,10 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.constant(self.variables, other)
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 from . import linalg as la
 from .errors import CapacityError, OrbitQuantError
@@ -65,6 +66,11 @@ def _entry(name: str, claim: str, runner, budget_s: float) -> dict:
         "budget_s": budget_s,
         "elapsed_s": round(elapsed, 3),
     }
+
+
+def _regular_lambdas(k: int) -> list[Fraction]:
+    """The reference orbit's block parameters k > k - 1 > ... > 1."""
+    return [Fraction(k - j) for j in range(k)]
 
 
 def check_embedding(seed: int, ns=(1, 2, 3), samples: int = 20) -> dict:
@@ -171,8 +177,7 @@ def check_orbit_dimension(ns=(2, 3)) -> dict:
         for n in ns:
             basis, _ = build_lie_basis(n)
             k = n // 2
-            lambdas = [Fraction(k - j) for j in range(k)]
-            pt = DualPoint(la.identity(n), lambda_block_matrix(n, lambdas))
+            pt = DualPoint(la.identity(n), lambda_block_matrix(n, _regular_lambdas(k)))
             rank = orbit_dimension(pt, basis)
             expected = basis.dim - k
             details[f"n={n}"] = {
@@ -210,26 +215,19 @@ def check_semiinvariants(
             gen_report = []
             for m, kind in enumerate(fam.kinds):
                 if kind == "trace":
-                    weight = -4 * (m + 1) + weight_offset
-                    exact = verify_semiinvariance(fam, m, weight, rng, samples)
-                    gen_report.append(
-                        {"kind": kind, "weight": weight, "exact_law": exact}
-                    )
-                    ok = ok and exact
+                    weight = fam.weights[m] + weight_offset
+                    law = {"kind": kind, "weight": weight}
                 else:
                     measured = measure_weight(fam, m, rng)
-                    exact = verify_semiinvariance(
-                        fam, m, measured + weight_offset, rng, samples
-                    )
-                    gen_report.append(
-                        {
-                            "kind": kind,
-                            "measured_weight": measured,
-                            "trace_law_weight": -4 * (m + 1),
-                            "exact_law": exact,
-                        }
-                    )
-                    ok = ok and exact
+                    weight = measured + weight_offset
+                    law = {
+                        "kind": kind,
+                        "measured_weight": measured,
+                        "trace_law_weight": -4 * (m + 1),
+                    }
+                law["exact_law"] = verify_semiinvariance(fam, m, weight, rng, samples)
+                gen_report.append(law)
+                ok = ok and law["exact_law"]
             if n % 2 == 0 and fam.composite_even is not None:
                 # the determinant-cleared square follows the -4m law
                 weight = -4 * fam.k + weight_offset
@@ -237,10 +235,9 @@ def check_semiinvariants(
                 for _ in range(samples):
                     pt = random_gplus_point(n, rng)
                     elt = random_group_element(n, rng)
+                    moved = coadjoint(elt, pt)
                     vec = fam.coords.coords_of_point(pt.c, pt.a)
-                    mvec = fam.coords.coords_of_point(
-                        coadjoint(elt, pt).c, coadjoint(elt, pt).a
-                    )
+                    mvec = fam.coords.coords_of_point(moved.c, moved.a)
                     scale = la.det(elt.g) ** weight
                     if fam.composite_even.evaluate(mvec) != scale * fam.composite_even.evaluate(vec):
                         composite_ok = False
@@ -292,7 +289,7 @@ def check_orbit_ideal(seed: int, ns=(2, 3), samples: int = 20) -> dict:
         ok = True
         for n in ns:
             fam = semiinvariant_family(n)
-            ideal = orbit_ideal([Fraction(j + 1) for j in range(fam.k)][::-1], fam)
+            ideal = orbit_ideal(_regular_lambdas(fam.k), fam)
             base = ideal.normal_form_point()
             pts = [base] + [random_orbit_sample(base, rng) for _ in range(samples)]
             vanish = all(
@@ -322,10 +319,13 @@ def check_pbw(seed: int, n: int = 2, words: int = 30, triples: int = 50) -> dict
         rng = random.Random(seed)
         basis, sc = build_lie_basis(n)
         algebra = PBWAlgebra(basis, sc)
+        letters = [NCPoly.letter(algebra, i) for i in range(basis.dim)]
         confluent = 0
         for _ in range(words):
             word = tuple(rng.randrange(basis.dim) for _ in range(5))
-            if algebra.reduce_word(word) == algebra.reduce_word(word, rng=rng):
+            # both rewriting orders, and the engine's product of the letters
+            product = prod((letters[i] for i in word), start=NCPoly.unit(algebra)).terms
+            if algebra.reduce_word(word) == algebra.reduce_word(word, rng=rng) == product:
                 confluent += 1
         associative = 0
         for _ in range(triples):
@@ -366,9 +366,7 @@ def check_generator_commutators(seed: int, ns=(2, 3)) -> dict:
         for n in ns:
             try:
                 engine = OrbitQuantization(
-                    n, [Fraction(j + 1) for j in range(n // 2)][::-1],
-                    deg_cap=8,
-                    build_reduction=False,
+                    n, _regular_lambdas(n // 2), deg_cap=8, build_reduction=False
                 )
             except CapacityError as exc:
                 details[f"n={n}"] = {"status": "skipped", "reason": str(exc)}
@@ -380,10 +378,8 @@ def check_generator_commutators(seed: int, ns=(2, 3)) -> dict:
             for j, row in enumerate(table):
                 for e, scalar in enumerate(row):
                     kind, r, s = engine.basis.kinds[e]
-                    expected_zero = kind == "b" or r != s
-                    if expected_zero and not scalar.is_zero():
-                        pattern_ok = False
-                    if not expected_zero and scalar.is_zero():
+                    # zero exactly off the diagonal gl letters
+                    if scalar.is_zero() != (kind == "b" or r != s):
                         pattern_ok = False
                 letter_report.append(
                     {

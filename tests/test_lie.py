@@ -277,3 +277,27 @@ def test_poisson_jacobi_on_random_triples():
             + lie_poisson_bracket(h, lie_poisson_bracket(f, g, sc), sc)
         )
         assert total.is_zero()
+
+
+def oracle_bracket(f, g, sc):
+    # the literal sum over structure-constant entries, one product at a time
+    variables = f.variables
+    result = MultiPoly.zero(variables)
+    for i, j, k, value in sc.entries():
+        term = f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i)
+        if not term.is_zero():
+            result = result + MultiPoly.variable(variables, k) * term * value
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poisson_matches_entrywise_oracle(n):
+    rng = random.Random(40 + n)
+    basis, sc = build_lie_basis(n)
+    variables = DualCoordinates(basis).variables
+    for _ in range(12):
+        f = random_poly(rng, variables, max_deg=3, terms=rng.randint(0, 5))
+        g = random_poly(rng, variables, max_deg=3, terms=rng.randint(0, 5))
+        bracket = lie_poisson_bracket(f, g, sc)
+        assert bracket == oracle_bracket(f, g, sc)
+        assert all(type(c) is Fraction and c != 0 for c in bracket.terms.values())

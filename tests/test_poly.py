@@ -146,6 +146,19 @@ def test_no_zero_coefficients_stored():
     assert (p + q).is_zero()
 
 
+def test_scalar_operands_are_constants():
+    rng = random.Random(8)
+    for _ in range(10):
+        p = random_poly(rng, max_deg=1)
+        for s in (0, 3, Fraction(-2, 7)):
+            c = MultiPoly.constant(VARS, s)
+            assert p + s == s + p == p + c
+            assert p - s == p - c and s - p == c - p
+            assert (p == s) == (p == c)
+    assert MultiPoly.constant(VARS, Fraction(5)) == 5
+    assert MultiPoly.zero(VARS) == 0 and MultiPoly.zero(VARS) != "0"
+
+
 def test_power_matches_repeated_multiplication():
     rng = random.Random(3)
     p = random_poly(rng)

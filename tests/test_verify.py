@@ -1,0 +1,84 @@
+"""Every check of the verify battery can fail.
+
+Each case runs one check on small inputs twice: as it is, where it must
+pass, and with one fault planted in a name the check relies on, where it
+must report "fail".  With the acceptance battery, which pins what each
+passing check measured, this is the evidence that a "pass" was earned.
+"""
+
+import dataclasses
+
+import pytest
+
+from orbitquant import verify
+from orbitquant.hpoly import HPoly
+from orbitquant.ncpoly import NCPoly
+from orbitquant.quantize import OrbitQuantization
+
+
+def spurious_invariant(honest):
+    def certificate(n, degree):
+        cert = honest(n, degree)
+        return dataclasses.replace(cert, kernel_dimension=cert.kernel_dimension + 1)
+
+    return certificate
+
+
+def reversed_product(honest):
+    return lambda self, other: honest(other, self)
+
+
+def vanished_scalar(honest):
+    def build(*args, **kwargs):
+        engine = honest(*args, **kwargs)
+        engine.weight_table[0][0] = HPoly.zero()  # letter a11, a diagonal gl letter
+        return engine
+
+    return build
+
+
+# (check name, run on small inputs, object and attribute to patch, fault)
+CASES = [
+    ("embedding_soundness", lambda: verify.check_embedding(1, ns=(1, 2), samples=3),
+     verify, "group_multiply", lambda honest: lambda p, q: p),
+    ("coadjoint_functoriality_duality", lambda: verify.check_coadjoint(2, ns=(2,), samples=2),
+     verify, "coadjoint", lambda honest: lambda g, pt: honest(verify.group_inverse(g), pt)),
+    ("normal_form", lambda: verify.check_normal_form(3, ns=(2,), samples=2),
+     verify, "normal_form",
+     lambda honest: lambda pt, tol: dataclasses.replace(honest(pt, tol=tol), residual=1.0)),
+    ("orbit_dimension", lambda: verify.check_orbit_dimension(ns=(2,)),
+     verify, "orbit_dimension", lambda honest: lambda pt, basis: honest(pt, basis) - 1),
+    ("semiinvariant_weights", lambda: verify.check_semiinvariants(4, ns=(2,), samples=2),
+     verify, "measure_weight", lambda honest: lambda fam, m, rng: honest(fam, m, rng) + 1),
+    ("invariant_polynomials_certificate", lambda: verify.check_invariant_polynomials(((2, 2),)),
+     verify, "no_invariants_certificate", spurious_invariant),
+    ("orbit_ideal", lambda: verify.check_orbit_ideal(5, ns=(2,), samples=2),
+     verify, "membership_residual",
+     lambda honest: lambda ideal, pt: [v + 1 for v in honest(ideal, pt)]),
+    ("pbw_engine", lambda: verify.check_pbw(6, words=5, triples=3),
+     NCPoly, "__mul__", reversed_product),
+    ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(7, ns=(2,)),
+     verify, "OrbitQuantization", vanished_scalar),
+    ("quotient_basis_torsion", lambda: verify.check_quotient_basis_torsion(8, samples=3),
+     OrbitQuantization, "reduce",
+     lambda honest: lambda self, u: honest(self, u) + NCPoly.unit(self.algebra)),
+    ("deformation_axioms", lambda: verify.check_deformation(9, deg_cap=4, pairs=2, triples=2),
+     OrbitQuantization, "star", lambda honest: lambda self, f, g: honest(self, g, f)),
+]
+
+
+@pytest.mark.parametrize("name, run, target, attr, fault", CASES, ids=[c[0] for c in CASES])
+def test_planted_fault_fails_the_check(monkeypatch, name, run, target, attr, fault):
+    honest = run()
+    assert (honest["name"], honest["status"]) == (name, "pass")
+    monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
+    assert run()["status"] == "fail"
+
+
+def test_pbw_check_compares_the_engine_product_with_rewriting(monkeypatch):
+    # a reversed product is still associative; only the comparison of the
+    # product of a word's letters with its rewritten form catches it
+    monkeypatch.setattr(NCPoly, "__mul__", reversed_product(NCPoly.__mul__))
+    details = verify.check_pbw(6, words=5, triples=3)["details"]
+    assert details["confluent_words"] < details["words"]
+    assert details["associative_triples"] == details["triples"]
