@@ -232,7 +232,7 @@ def cmd_regularity(args) -> int:
         base = ideal.normal_form_point()
         pts = [base] + [random_orbit_sample(base, rng) for _ in range(args.samples)]
     try:
-        ok = regularity_check(ideal, pts, tol=args.tolerance)
+        ok = regularity_check(ideal, pts)
     except DomainError as exc:
         _write_output(args, {"passed": False, "error": str(exc)})
         return 1

@@ -419,21 +419,19 @@ def membership_residual(ideal: OrbitIdeal, pt: DualPoint) -> list[Fraction]:
     return [g.evaluate(vec) for g in ideal.generators]
 
 
-def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint], tol: float = 1e-9) -> bool:
+def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint]) -> bool:
     """True iff the generator Jacobian has full rank k at every point.
 
-    Points must lie on the variety: a nonvanishing generator value is an
-    input error, exact for rational points and up to ``tol`` otherwise.
+    Points must be exact and lie on the variety: a nonzero generator value
+    is an input error.
     """
     jac = ideal.jacobian_polys()
     coords = ideal.family.coords
     for pt in pts:
         vec = coords.coords_of_point(pt.c, pt.a)
-        for g, value in zip(ideal.generators, [g.evaluate(vec) for g in ideal.generators]):
-            if isinstance(value, Fraction):
-                if value != 0:
-                    raise DomainError(f"point is not on the variety: generator value {value}")
-            elif abs(value) > tol:
+        for g in ideal.generators:
+            value = g.evaluate(vec)
+            if value != 0:
                 raise DomainError(f"point is not on the variety: generator value {value}")
         rows = [[entry.evaluate(vec) for entry in row] for row in jac]
         if la.rational_rank(rows) != ideal.k:

@@ -264,16 +264,27 @@ class DualCoordinates:
 
     basis: LieBasis
     variables: tuple[str, ...] = field(init=False, default=())
+    # the nonzero entries of each basis element, for coords_of_point
+    sparse_elements: tuple[SparseMatrix, ...] = field(
+        init=False, default=(), compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
             self, "variables", tuple("x" + s for s in self.basis.names)
         )
+        object.__setattr__(
+            self,
+            "sparse_elements",
+            tuple(_sparse(self.basis.element(i)) for i in range(self.basis.dim)),
+        )
 
     def coords_of_point(self, c: la.Matrix, a: la.Matrix) -> list[Fraction]:
+        """tr(p X_i) for each letter, summed over X_i's nonzero entries only."""
         p = dual_block(c, a)
         return [
-            trace_pairing(p, self.basis.element(i)) for i in range(self.basis.dim)
+            sum((p[col][row] * v for (row, col), v in entries.items()), ZERO)
+            for entries in self.sparse_elements
         ]
 
     def point_of_coords(self, coords: Sequence[Fraction]) -> tuple[la.Matrix, la.Matrix]:

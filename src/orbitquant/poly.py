@@ -7,7 +7,9 @@ polynomials is literal dictionary equality.
 
 Every product goes through one kernel, ``sum_of_products``: it works on
 integer numerators over one denominator per operand and builds a single
-Fraction per output term.
+Fraction per output term.  ``MultiPoly.evaluate`` works the same way: the
+point's numerators over the lcm of its denominators, the coefficients'
+numerators over theirs, and one Fraction for the value.
 
 Monomial orders are graded (degree first); the default is graded reverse
 lexicographic, which tends to give the smallest sets of standard
@@ -264,26 +266,46 @@ class MultiPoly:
         return MultiPoly(self.variables, out)
 
     def evaluate(self, values: Sequence) -> Fraction:
-        """Evaluate at a point given as one value per variable."""
+        """Evaluate exactly at a point given as one exact rational per variable.
+
+        The point is written as integer numerators over q, the lcm of its
+        denominators, and the coefficients as integer numerators over one
+        denominator (``_numerators``).  A term of degree d is scaled by
+        q^(D-d), D the total degree, so every term lies over den * q^D and
+        the value is one Fraction built at the end.
+        """
         if len(values) != len(self.variables):
             raise StructuralError("wrong number of values for evaluation")
-        vals = [as_fraction(v) if not isinstance(v, float) else v for v in values]
-        total = ZERO
+        vals = [as_fraction(v) for v in values]
+        if not self.terms:
+            return ZERO
+        q = 1
+        for v in vals:
+            d = v.denominator
+            if q % d:
+                q = q // gcd(q, d) * d
+        nums = [v.numerator * (q // v.denominator) for v in vals]
+        scaled, den = _numerators(self)
+        # integer sum of the terms of each degree
+        by_degree: dict[int, int] = {}
         # cache powers per variable; exponents repeat heavily in practice
-        powers: list[dict[int, Fraction]] = [dict() for _ in vals]
-        for exp, coeff in self.terms.items():
-            prod = coeff
+        powers: list[dict[int, int]] = [dict() for _ in nums]
+        for exp, prod in scaled:
+            degree = 0
             for i, e in enumerate(exp):
                 if e == 0:
                     continue
+                degree += e
                 cache = powers[i]
                 p = cache.get(e)
                 if p is None:
-                    p = vals[i] ** e
+                    p = nums[i] ** e
                     cache[e] = p
-                prod = prod * p
-            total = total + prod
-        return total
+                prod *= p
+            by_degree[degree] = by_degree.get(degree, 0) + prod
+        top = max(by_degree)
+        total = sum(v * q ** (top - d) for d, v in by_degree.items())
+        return Fraction(total, den * q**top)
 
     # -- serialization ------------------------------------------------
 

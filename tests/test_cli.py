@@ -260,7 +260,7 @@ def test_generator_commutators_skip_marks_entry(monkeypatch):
         raise CapacityError("test capacity")
 
     monkeypatch.setattr(verify, "OrbitQuantization", over_capacity)
-    entry = verify.check_generator_commutators(1, ns=(2,))
+    entry = verify.check_generator_commutators(ns=(2,))
     assert entry["status"] == "skipped"
     assert verify.emit_report([entry])["overall"] == "incomplete"
 

@@ -12,6 +12,7 @@ from orbitquant.lie import (
     _decompose_in_basis,
     _sparse,
     build_lie_basis,
+    dual_block,
     lie_poisson_bracket,
     standard_symplectic_form,
     trace_pairing,
@@ -196,6 +197,24 @@ def test_coords_point_round_trip():
         vec = coords.coords_of_point(c, a)
         c2, a2 = coords.point_of_coords(vec)
         assert c2 == c and a2 == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coords_of_point_match_dense_trace_pairing(n):
+    rng = random.Random(60 + n)
+    basis, _ = build_lie_basis(n)
+    coords = DualCoordinates(basis)
+
+    def entry():
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+    for _ in range(8):
+        # c need not be symmetric: the sparse sum is tr(p X_i) for any block
+        c = [[entry() for _ in range(n)] for _ in range(n)]
+        a = [[entry() for _ in range(n)] for _ in range(n)]
+        p = dual_block(c, a)
+        expected = [trace_pairing(p, basis.element(i)) for i in range(basis.dim)]
+        assert coords.coords_of_point(c, a) == expected
 
 
 def test_entry_polynomials_invert_coordinates():

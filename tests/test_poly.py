@@ -239,6 +239,66 @@ def test_evaluate_agrees_with_substitution_oracle():
         assert p.evaluate(point) == expected
 
 
+def oracle_evaluate(p, values):
+    """Reference evaluation: one Fraction multiply and add per factor."""
+    vals = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for exp, coeff in p.terms.items():
+        prod = coeff
+        for v, e in zip(vals, exp):
+            prod = prod * v**e
+        total = total + prod
+    return total
+
+
+@pytest.mark.parametrize("denominators", [range(1, 2), range(1, 4), range(1, 8)])
+def test_evaluate_matches_fraction_loop(denominators):
+    rng = random.Random(31 + len(denominators))
+    for _ in range(60):
+        p = random_poly(rng, max_deg=4, max_terms=8, denominators=denominators)
+        # zero, negative and fractional coordinates with denominators up to 7
+        point = [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 7)) if rng.random() < 0.8 else 0
+            for _ in range(3)
+        ]
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == oracle_evaluate(p, point)
+        # the same point as ints where integral, strings elsewhere
+        mixed = [int(v) if Fraction(v).denominator == 1 else str(v) for v in point]
+        assert p.evaluate(mixed) == value
+
+
+def test_evaluate_integer_polynomial_at_integers_and_constants():
+    rng = random.Random(37)
+    for _ in range(30):
+        p = random_poly(rng, max_deg=4, max_terms=8, denominators=(1,))
+        point = [rng.randint(-6, 6) for _ in range(3)]
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value.denominator == 1
+        assert value == oracle_evaluate(p, point)
+    zero = MultiPoly.zero(VARS)
+    assert zero.evaluate([Fraction(1, 3), 2, "5/7"]) == 0
+    assert type(zero.evaluate([1, 2, 3])) is Fraction
+    const = MultiPoly.constant(VARS, Fraction(-5, 6))
+    assert const.evaluate([Fraction(1, 7), Fraction(2, 3), 0]) == Fraction(-5, 6)
+    # a constant term beside terms of higher degree at a fractional point
+    p = const + MultiPoly.variable(VARS, 0) * MultiPoly.variable(VARS, 1) ** 2
+    assert p.evaluate([Fraction(1, 2), Fraction(1, 3), 1]) == Fraction(-5, 6) + Fraction(1, 18)
+
+
+def test_evaluate_rejects_inexact_and_misshapen_points():
+    p = random_poly(random.Random(41), max_terms=6)
+    with pytest.raises(StructuralError):
+        p.evaluate([0.5, 1, 2])
+    with pytest.raises(StructuralError):
+        MultiPoly.zero(VARS).evaluate([1, 2.0, 3])
+    with pytest.raises(StructuralError):
+        p.evaluate([1, 2])
+    with pytest.raises(StructuralError):
+        p.evaluate([1, 2, 3, 4])
+
+
 def test_serialization_round_trip_is_bit_exact():
     rng = random.Random(29)
     for _ in range(25):

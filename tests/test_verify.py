@@ -57,7 +57,7 @@ CASES = [
      lambda honest: lambda ideal, pt: [v + 1 for v in honest(ideal, pt)]),
     ("pbw_engine", lambda: verify.check_pbw(6, words=5, triples=3),
      NCPoly, "__mul__", reversed_product),
-    ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(7, ns=(2,)),
+    ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(ns=(2,)),
      verify, "OrbitQuantization", vanished_scalar),
     ("quotient_basis_torsion", lambda: verify.check_quotient_basis_torsion(8, samples=3),
      OrbitQuantization, "reduce",
