@@ -13,16 +13,14 @@ block-matrix conjugation in the test suite.
 
 Everything is exact on Fraction inputs.  Only the orbit normal form uses
 floating point (Cholesky and a real Schur decomposition), with explicit
-residual and regularity tolerances.
+residual and regularity tolerances; numpy and scipy are imported by the
+float branches on first use, so exact work never loads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import scipy.linalg
 
 from . import linalg as la
 from .errors import DomainError, StructuralError
@@ -36,12 +34,16 @@ def _is_exact(m) -> bool:
 def _det(m):
     if _is_exact(m):
         return la.det(m)
+    import numpy as np
+
     return float(np.linalg.det(np.asarray(m, dtype=float)))
 
 
 def _inv(m):
     if _is_exact(m):
         return la.inverse(m)
+    import numpy as np
+
     return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
 
 
@@ -53,6 +55,8 @@ def _check_symmetric(m, what: str, tol: float = 1e-9):
         if not la.is_symmetric(m):
             raise DomainError(f"{what} must be symmetric")
     else:
+        import numpy as np
+
         arr = np.asarray(m, dtype=float)
         scale = max(1.0, float(np.abs(arr).max()))
         if float(np.abs(arr - arr.T).max()) > tol * scale:
@@ -229,6 +233,8 @@ def is_positive_definite(c: la.Matrix) -> bool:
             if la.det(minor) <= 0:
                 return False
         return True
+    import numpy as np
+
     try:
         np.linalg.cholesky(np.asarray(c, dtype=float))
         return True
@@ -289,6 +295,9 @@ def normal_form(pt: DualPoint, tol: float = 1e-9, gap: float = 1e-6) -> NormalFo
     is computed and stored.  Raises DomainError when c is not positive
     definite.
     """
+    import numpy as np
+    import scipy.linalg
+
     n = pt.n
     c = np.asarray([[float(v) for v in row] for row in pt.c])
     a = np.asarray([[float(v) for v in row] for row in pt.a])

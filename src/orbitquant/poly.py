@@ -5,9 +5,13 @@ coefficients, one exponent slot per variable.  No floating point is ever
 involved and zero coefficients are never stored, so equality of
 polynomials is literal dictionary equality.
 
-Every product goes through one kernel, ``sum_of_products``: it works on
-integer numerators over one denominator per operand and builds a single
-Fraction per output term.  ``MultiPoly.evaluate`` works the same way: the
+Exponents are tuples of nonnegative ints, checked where a polynomial is
+built from outside data.  Every product goes through one kernel,
+``sum_of_products``: it works on integer numerators over one denominator
+per operand and builds a single Fraction per output term, and it keys its
+accumulator by packed exponents, each monomial one Python int with a
+fixed-width slot per variable, so that multiplying two monomials is one
+integer addition.  ``MultiPoly.evaluate`` works the same way: the
 point's numerators over the lcm of its denominators, the coefficients'
 numerators over theirs, and one Fraction for the value.
 
@@ -18,13 +22,15 @@ monomials in quotient-ring computations.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import StructuralError
+from .errors import CapacityError, StructuralError
 
 Exponent = tuple[int, ...]
 
@@ -108,17 +114,21 @@ class MultiPoly:
             nvars = len(self.variables)
             for exp, coeff in terms.items():
                 coeff = as_fraction(coeff)
+                exp = tuple(exp)
                 if len(exp) != nvars:
                     raise StructuralError(
                         f"exponent {exp} has length {len(exp)}, expected {nvars}"
                     )
+                # type(e) is int rules out bools; the type test runs before min()
+                if exp and (set(map(type, exp)) != {int} or min(exp) < 0):
+                    raise StructuralError(f"exponent {exp} is not a tuple of nonnegative ints")
                 if coeff != 0:
-                    clean[tuple(exp)] = coeff
+                    clean[exp] = coeff
         object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap a term dict built here: nonzero Fractions, exponents of the right length."""
+        """Wrap a term dict built here: nonzero Fractions, valid exponents of the right length."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
@@ -165,7 +175,7 @@ class MultiPoly:
         """Degree of the zero polynomial is -1 by convention."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def coefficient(self, exponent: Exponent) -> Fraction:
         return self.terms.get(tuple(exponent), ZERO)
@@ -263,7 +273,7 @@ class MultiPoly:
                 out.pop(key, None)
             else:
                 out[key] = val
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, out)
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Evaluate exactly at a point given as one exact rational per variable.
@@ -358,6 +368,15 @@ def _numerators(p: MultiPoly) -> tuple[list[tuple[Exponent, int]], int]:
     return [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()], den
 
 
+def _slot_code(top: int) -> tuple[str, int]:
+    """The smallest ``array`` typecode whose slot holds every value up to
+    ``top``, and its slot width in bytes."""
+    for code, width in (("B", 1), ("H", 2), ("Q", 8)):
+        if top < 1 << 8 * width:
+            return code, width
+    raise CapacityError(f"product exponents up to {top} exceed 64-bit packed slots")
+
+
 def sum_of_products(
     variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, MultiPoly]]
 ) -> MultiPoly:
@@ -369,10 +388,20 @@ def sum_of_products(
     term becomes one Fraction at the end (sparse products over integer
     numerators: Monagan & Pearce, CASC 2007).  ``MultiPoly.__mul__`` is
     the one-pair case.
+
+    Exponents are packed: each operand term's exponent becomes one int,
+    the bytes of a buffer with one slot per variable (``bytes`` for
+    one-byte slots, else an ``array``), so a product of monomials is one
+    integer addition (packed exponent vectors: Monagan &
+    Pearce, CASC 2007; Bachmann & Schoenemann, ISSAC 1998).  The slot
+    width comes from ``top``, the largest sum of the two operands' total
+    degrees over the pairs: no slot of a product exceeds it, so slots
+    never carry into each other.
     """
     variables = tuple(variables)
     scaled = []
     common = 1
+    top = 0
     for f, g in pairs:
         if f.variables != variables or g.variables != variables:
             raise StructuralError(
@@ -384,22 +413,36 @@ def sum_of_products(
             d = fd * gd
             if common % d:
                 common = common // gcd(common, d) * d
+            top = max(top, f.total_degree() + g.total_degree())
             scaled.append((fs, gs, d))
     if not scaled:
         return MultiPoly._trusted(variables, {})
-    acc: dict[Exponent, int] = {}
+    code, width = _slot_code(top)
+    # bytes(...) builds one-byte slots as array("B", ...) does, at half the cost
+    slots = bytes if code == "B" else partial(array, code)
+    order = sys.byteorder
+    size = width * len(variables)
+    acc: dict[int, int] = {}
     get = acc.get
     for fs, gs, d in scaled:
         scale = common // d
+        gp = [(int.from_bytes(slots(e2), order), c2) for e2, c2 in gs]
         for e1, c1 in fs:
+            k1 = int.from_bytes(slots(e1), order)
             c1 *= scale
-            for e2, c2 in gs:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + c1 * c2
+            for k2, c2 in gp:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
     if common == 1:
-        terms = {e: Fraction(v) for e, v in acc.items() if v}
+        terms = {
+            tuple(slots(k.to_bytes(size, order))): Fraction(v) for k, v in acc.items() if v
+        }
     else:
-        terms = {e: Fraction(v, common) for e, v in acc.items() if v}
+        terms = {
+            tuple(slots(k.to_bytes(size, order))): Fraction(v, common)
+            for k, v in acc.items()
+            if v
+        }
     return MultiPoly._trusted(variables, terms)
 
 

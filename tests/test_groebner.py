@@ -171,3 +171,43 @@ def test_capacity_guard_raises():
     g = P({(3, 0): 1})
     with pytest.raises(CapacityError):
         groebner_basis([g], capacity=tight)
+
+
+def test_groebner_basis_and_normal_form_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+
+    variables = ("x", "y", "z")
+    gens = sympy.symbols(variables)
+    rng = random.Random(53)
+
+    def rand_poly(min_deg, max_deg, max_terms):
+        terms = {}
+        for _ in range(rng.randint(2, max_terms)):
+            exp = [0] * len(variables)
+            for _ in range(rng.randint(min_deg, max_deg)):
+                exp[rng.randrange(len(exp))] += 1
+            terms[tuple(exp)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return MultiPoly(variables, terms)
+
+    def to_sympy(p):
+        coeffs = {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *gens, domain=QQ)
+
+    def from_sympy(p):
+        return MultiPoly(
+            variables,
+            {e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()},
+        )
+
+    for _ in range(12):
+        ideal = [rand_poly(1, 3, 4) for _ in range(rng.randint(2, 3))]
+        expected = sympy.groebner([to_sympy(g) for g in ideal], *gens, order="grevlex")
+        basis = groebner_basis(ideal)
+        assert {frozenset(g.terms.items()) for g in basis} == {
+            frozenset(from_sympy(g).terms.items()) for g in expected.polys
+        }
+        for _ in range(3):
+            p = rand_poly(0, 5, 6)
+            _, remainder = sympy.reduced(to_sympy(p), expected.polys, order="grevlex")
+            assert poly_normal_form(p, ideal) == from_sympy(remainder)

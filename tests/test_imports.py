@@ -1,6 +1,11 @@
-"""Every name a package or test module imports is used in that module."""
+"""Every name a package or test module imports is used in that module,
+and exact work does not load the float libraries."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +72,39 @@ def test_scanner_flags_an_unused_import():
         "x: Sequence[int] = [gcd(4, 6)]\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: osp"]
+
+
+
+FLOAT_LIBRARY_PROBE = """
+import runpy, sys
+
+def report():
+    print(sorted(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
+
+import orbitquant
+report()
+sys.argv = ["orbitquant", "basis", "--n", "1"]
+try:
+    runpy.run_module("orbitquant.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+report()
+from orbitquant.orbits import _det
+assert _det([[2.0]]) == 2.0
+report()
+"""
+
+
+def test_import_and_exact_cli_run_do_not_load_numpy_or_scipy():
+    # numpy and scipy serve only the float normal form; they load on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", FLOAT_LIBRARY_PROBE], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["n"] == 1
+    # the float branch of a determinant loads numpy, and the probe sees it
+    assert result.stderr.splitlines() == ["[]", "[]", "['numpy']"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbitquant import linalg as la
-from orbitquant.errors import StructuralError
+from orbitquant.errors import CapacityError, StructuralError
 from orbitquant.invariants import semiinvariant_family, symbolic_dual_matrices
 from orbitquant.poly import (
     GREVLEX,
@@ -15,6 +15,7 @@ from orbitquant.poly import (
     monomials_up_to_degree,
     sum_of_products,
 )
+from orbitquant.poly import _slot_code
 
 VARS = ("x", "y", "z")
 
@@ -103,6 +104,94 @@ def test_product_kernel_rejects_mismatched_variables():
         sum_of_products(("x", "z"), [(p, p)])
     with pytest.raises(StructuralError):
         sum_of_products(("x", "y"), [(MultiPoly.zero(("x", "z")), p)])
+
+
+def test_slot_width_boundaries():
+    assert [_slot_code(t) for t in (0, 255, 256, 65535, 65536, 2**64 - 1)] == [
+        ("B", 1), ("B", 1), ("H", 2), ("H", 2), ("Q", 8), ("Q", 8),
+    ]
+    with pytest.raises(CapacityError):
+        _slot_code(2**64)
+
+
+@pytest.mark.parametrize("total", [255, 256, 65535, 65536, 2**64 - 1])
+def test_product_kernel_at_slot_width_boundaries(total):
+    # exponent sums on both sides of each slot width's limit: the x slot of
+    # a product reaches `total`, the y slot above it must not see a carry
+    xy = ("x", "y")
+    for a in sorted({1, total // 2, total - 1}):
+        b = total - a
+        f = MultiPoly(xy, {(a, 0): Fraction(1), (0, 1): Fraction(1, 2)})
+        g = MultiPoly(xy, {(b, 0): Fraction(2, 3), (0, 1): Fraction(-1)})
+        for lhs, rhs in ((f, g), (g, f)):
+            assert (lhs * rhs).terms == oracle_mul(lhs, rhs).terms
+        pairs = [(f, g), (g, -f), (g, f)]
+        assert sum_of_products(xy, pairs).terms == oracle_sum(xy, pairs).terms
+    x = ("x",)
+    for a, b in ((200, 56), (70000, 70000)):
+        product = MultiPoly(x, {(a,): 3}) * MultiPoly(x, {(b,): Fraction(1, 3)})
+        assert product.terms == {(a + b,): 1}
+
+
+def test_product_kernel_refuses_exponents_beyond_64_bit_slots():
+    x = MultiPoly(("x", "y"), {(2**63, 0): 1})
+    assert (x * MultiPoly(("x", "y"), {(2**63 - 1, 0): 1})).terms == {(2**64 - 1, 0): 1}
+    with pytest.raises(CapacityError):
+        _ = x * x
+    with pytest.raises(CapacityError):
+        sum_of_products(x.variables, [(x, x ** 0), (x, x)])
+
+
+def test_product_kernel_with_no_variables():
+    three, half = MultiPoly((), {(): 3}), MultiPoly((), {(): Fraction(1, 2)})
+    assert (three * half).terms == {(): Fraction(3, 2)}
+    assert sum_of_products((), [(three, half), (half, half)]).terms == {(): Fraction(7, 4)}
+    assert sum_of_products((), [(three, -three), (three, three)]).terms == {}
+
+
+def random_sparse_poly(rng, variables, max_deg, max_terms):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = [0] * len(variables)
+        for _ in range(rng.randint(0, max_deg)):
+            exp[rng.randrange(len(variables))] += 1
+        terms[tuple(exp)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return MultiPoly(variables, terms)
+
+
+def test_product_kernel_in_26_variables():
+    # the width of the n=4 semiinvariant coordinates
+    rng = random.Random(26)
+    variables = tuple(f"v{i}" for i in range(26))
+    for _ in range(20):
+        pairs = [
+            tuple(random_sparse_poly(rng, variables, 6, 12) for _ in range(2))
+            for _ in range(rng.randint(1, 4))
+        ]
+        assert sum_of_products(variables, pairs).terms == oracle_sum(variables, pairs).terms
+        f, g = pairs[0]
+        assert (f * g).terms == oracle_mul(f, g).terms
+
+
+def test_product_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+
+    rng = random.Random(97)
+    variables = ("x", "y", "z", "w")
+    gens = sympy.symbols(variables)
+
+    def to_sympy(p):
+        coeffs = {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *gens, domain=QQ)
+
+    for _ in range(30):
+        f, g = (random_sparse_poly(rng, variables, 5, 10) for _ in range(2))
+        expected = {
+            e: Fraction(int(c.p), int(c.q))
+            for e, c in (to_sympy(f) * to_sympy(g)).as_dict().items()
+        }
+        assert (f * g).terms == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -297,6 +386,26 @@ def test_evaluate_rejects_inexact_and_misshapen_points():
         p.evaluate([1, 2])
     with pytest.raises(StructuralError):
         p.evaluate([1, 2, 3, 4])
+
+
+@pytest.mark.parametrize(
+    "exponent", [(-1, 2), (1.0, 0), (True, 0), (0, False), ("1", 0), (1, None)]
+)
+def test_exponents_must_be_nonnegative_ints(exponent):
+    with pytest.raises(StructuralError):
+        MultiPoly(("x", "y"), {exponent: 1})
+    record = {
+        "variables": ["x", "y"],
+        "terms": [{"coefficient": "1", "exponents": list(exponent)}],
+    }
+    with pytest.raises(StructuralError):
+        MultiPoly.from_records(record)
+
+
+def test_exponents_accept_large_ints():
+    p = MultiPoly(("x", "y"), {(0, 2**70): 1})
+    assert p.terms == {(0, 2**70): 1}
+    assert MultiPoly.from_records(p.to_records()) == p
 
 
 def test_serialization_round_trip_is_bit_exact():
