@@ -26,7 +26,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -390,13 +389,15 @@ def sum_of_products(
     the one-pair case.
 
     Exponents are packed: each operand term's exponent becomes one int,
-    the bytes of a buffer with one slot per variable (``bytes`` for
-    one-byte slots, else an ``array``), so a product of monomials is one
-    integer addition (packed exponent vectors: Monagan &
+    the bytes of an ``array`` with one slot per variable, so a product of
+    monomials is one integer addition (packed exponent vectors: Monagan &
     Pearce, CASC 2007; Bachmann & Schoenemann, ISSAC 1998).  The slot
     width comes from ``top``, the largest sum of the two operands' total
     degrees over the pairs: no slot of a product exceeds it, so slots
-    never carry into each other.
+    never carry into each other.  Past 64-bit slots (``top >= 2**64``)
+    the kernel raises ``CapacityError``, so every product with such an
+    operand does, ``p ** 1`` included, although ``MultiPoly`` itself
+    stores exponents of any size.
     """
     variables = tuple(variables)
     scaled = []
@@ -418,28 +419,28 @@ def sum_of_products(
     if not scaled:
         return MultiPoly._trusted(variables, {})
     code, width = _slot_code(top)
-    # bytes(...) builds one-byte slots as array("B", ...) does, at half the cost
-    slots = bytes if code == "B" else partial(array, code)
     order = sys.byteorder
     size = width * len(variables)
     acc: dict[int, int] = {}
     get = acc.get
     for fs, gs, d in scaled:
         scale = common // d
-        gp = [(int.from_bytes(slots(e2), order), c2) for e2, c2 in gs]
+        gp = [(int.from_bytes(array(code, e2), order), c2) for e2, c2 in gs]
         for e1, c1 in fs:
-            k1 = int.from_bytes(slots(e1), order)
+            k1 = int.from_bytes(array(code, e1), order)
             c1 *= scale
             for k2, c2 in gp:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
     if common == 1:
         terms = {
-            tuple(slots(k.to_bytes(size, order))): Fraction(v) for k, v in acc.items() if v
+            tuple(array(code, k.to_bytes(size, order))): Fraction(v)
+            for k, v in acc.items()
+            if v
         }
     else:
         terms = {
-            tuple(slots(k.to_bytes(size, order))): Fraction(v, common)
+            tuple(array(code, k.to_bytes(size, order))): Fraction(v, common)
             for k, v in acc.items()
             if v
         }

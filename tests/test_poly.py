@@ -140,6 +140,11 @@ def test_product_kernel_refuses_exponents_beyond_64_bit_slots():
         _ = x * x
     with pytest.raises(CapacityError):
         sum_of_products(x.variables, [(x, x ** 0), (x, x)])
+    # powers start from the constant 1 and multiply, so even p ** 1 needs a slot for 2**64
+    big = MultiPoly(("x", "y"), {(0, 2**64): 1})
+    assert big ** 0 == 1
+    with pytest.raises(CapacityError):
+        _ = big ** 1
 
 
 def test_product_kernel_with_no_variables():
