@@ -17,7 +17,8 @@ class HPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cleaned = [Fraction(c) for c in coeffs]
+        # Fractions are immutable and already normalized: keep them as they are
+        cleaned = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
@@ -142,11 +143,12 @@ class HPoly:
     # -- comparison and IO ----------------------------------------------
 
     def __eq__(self, other):
+        # HPoly first: isinstance against Fraction goes through the numbers ABCs
+        if isinstance(other, HPoly):
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = HPoly.of(other)
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return self.coeffs == HPoly.of(other).coeffs
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -367,8 +367,12 @@ def lie_poisson_bracket(
     pairs = []
     for i, j, k, value in sc.entries():
         for a, b, c in ((i, j, value), (j, i, -value)):
-            if df[a].terms and dg[b].terms:
-                pairs.append((MultiPoly.variable(variables, k) * df[a] * c, dg[b]))
+            if c and df[a].terms and dg[b].terms:
+                # c x_k df/dx_a: shift each exponent by x_k, scale each coefficient by c
+                shifted = {
+                    e[:k] + (e[k] + 1,) + e[k + 1 :]: v * c for e, v in df[a].terms.items()
+                }
+                pairs.append((MultiPoly._trusted(variables, shifted), dg[b]))
     return sum_of_products(variables, pairs)
 
 

@@ -29,10 +29,12 @@ constants keep working as ``Fraction``.
 Products fold the letters of the left word into the right word from
 right to left; the symmetrizer, the letter commutator (through the
 derivation rule) and the quantization's left multiples are built on the
-same step.  They accumulate integer numerators over one common
-denominator, keyed by (word, h power), so a ``Fraction`` is built once
-per output coefficient; ``HPoly`` coefficients appear only at the edges:
-``NCPoly.terms`` and JSON.
+same step.  They all work on one flat layout: integer numerators keyed
+by (word, h power) over one common denominator.  ``_flatten`` writes
+exact coefficients in it, ``PBWAlgebra._product`` multiplies in it and
+``_gather`` turns it back into one ``HPoly`` per word, building one
+``Fraction`` per output coefficient; ``HPoly`` coefficients appear only
+at the edges: ``NCPoly.terms`` and JSON.
 
 ``reduce_word`` is the literal rewriter: it rewrites the leftmost
 inversion, or a randomly chosen one when given an rng.  It shares no code
@@ -53,6 +55,7 @@ Word = tuple[int, ...]
 # Words with exact int (or Fraction) coefficients, all of one degree d:
 # the term of word v carries h^(d - len(v)).
 WordTerms = dict[Word, "int | Fraction"]
+_ZERO = Fraction(0)
 
 
 class PBWAlgebra:
@@ -121,6 +124,25 @@ class PBWAlgebra:
             terms = out
         return {v: c for v, c in terms.items() if c}
 
+    def _product(self, left: dict, right: dict) -> dict:
+        """left * right on the flat layout.
+
+        Numerators multiply, so the result lies over the product of the
+        operands' denominators.  The right operand is grouped by degree
+        (word length plus h power), which determines the h power of each
+        of its words, so each left word is folded into one homogeneous
+        sum per degree.
+        """
+        by_degree: dict[int, dict[Word, int]] = {}
+        for (w, p), b in right.items():
+            by_degree.setdefault(len(w) + p, {})[w] = b
+        fold = self._fold
+        out: dict[tuple[Word, int], int] = {}
+        for w, coeffs in _by_word(left).items():
+            for degree, terms in by_degree.items():
+                _add_scaled(out, fold(w, terms), degree + len(w), coeffs)
+        return out
+
     # -- word reduction --------------------------------------------------
 
     def reduce_word(self, word: Word, coeff: HPoly = None, rng=None) -> dict[Word, HPoly]:
@@ -183,30 +205,53 @@ def _accumulate(store: dict[Word, HPoly], word: Word, coeff: HPoly):
         store[word] = total
 
 
-def _integral(items) -> tuple[int, list]:
-    """(key, exact values) pairs as integer numerators over one common denominator."""
+def _flatten(items) -> tuple[dict, int]:
+    """(key, exact values by h power) pairs in the flat layout.
+
+    Returns ({(key, h power): integer numerator}, den) with den the lcm of
+    the values' denominators; zero values are left out.
+    """
     items = list(items)
     den = 1
     for _, values in items:
         for x in values:
-            den = lcm(den, x.denominator)
-    return den, [
-        (key, [x.numerator * (den // x.denominator) for x in values])
-        for key, values in items
-    ]
+            if den % x.denominator:
+                den = lcm(den, x.denominator)
+    flat = {}
+    for key, values in items:
+        for p, x in enumerate(values):
+            if x:
+                flat[key, p] = x.numerator * (den // x.denominator)
+    return flat, den
+
+
+def _by_word(flat: dict) -> dict:
+    """The flat layout grouped by word: word -> [(h power, numerator), ...]."""
+    out: dict[Word, list] = {}
+    for (w, p), c in flat.items():
+        out.setdefault(w, []).append((p, c))
+    return out
 
 
 def _add_scaled(flat: dict, words: WordTerms, degree: int, coeffs) -> None:
-    """flat += (sum_p coeffs[p] h^p) * words, for words of the given degree.
+    """flat += (sum_p a h^p over (p, a) in coeffs) * words, for words of the given degree."""
+    for v, d in words.items():
+        base = degree - len(v)
+        for p, a in coeffs:
+            key = (v, base + p)
+            flat[key] = flat.get(key, 0) + a * d
 
-    ``flat`` maps (word, h power) to a numerator over the caller's common
-    denominator.
-    """
-    for p, a in enumerate(coeffs):
-        if a:
-            for v, d in words.items():
-                key = (v, p + degree - len(v))
-                flat[key] = flat.get(key, 0) + a * d
+
+def _gather(flat: dict, den: int) -> dict:
+    """The flat layout over ``den`` as one HPoly per word (or other key)."""
+    by_key: dict = {}
+    for (k, p), c in flat.items():
+        if c:
+            by_key.setdefault(k, {})[p] = Fraction(c, den)
+    return {
+        k: HPoly(tuple(cs.get(p, _ZERO) for p in range(max(cs) + 1)))
+        for k, cs in by_key.items()
+    }
 
 
 class NCPoly:
@@ -295,43 +340,29 @@ class NCPoly:
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._check_context(other)
-        fold = self.algebra._fold
-        den1, left = _integral((w, c.coeffs) for w, c in self.terms.items())
-        den2, right = _integral((w, c.coeffs) for w, c in other.terms.items())
-        flat: dict[tuple[Word, int], int] = {}
-        for w1, c1 in left:
-            for w2, c2 in right:
-                words = fold(w1, {w2: 1})
-                degree = len(w1) + len(w2)
-                for p, a in enumerate(c1):
-                    if a:
-                        _add_scaled(flat, words, degree + p, [a * b for b in c2])
-        return NCPoly._from_flat(self.algebra, flat, den1 * den2)
+        left, den1 = self._flat()
+        right, den2 = other._flat()
+        return NCPoly._from_flat(self.algebra, self.algebra._product(left, right), den1 * den2)
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
 
     def commutator_with_letter(self, e: int) -> "NCPoly":
         """[X_e, self] via the derivation expansion (exact, fast)."""
-        den, terms = _integral((w, c.coeffs) for w, c in self.terms.items())
-        flat: dict[tuple[Word, int], int] = {}
-        for w, c in terms:
-            words = self.algebra.letter_commutator_words(e, w)
-            _add_scaled(flat, words, len(w) + 1, c)
-        return NCPoly._from_flat(self.algebra, flat, den)
+        flat, den = self._flat()
+        out: dict[tuple[Word, int], int] = {}
+        for w, coeffs in _by_word(flat).items():
+            _add_scaled(out, self.algebra.letter_commutator_words(e, w), len(w) + 1, coeffs)
+        return NCPoly._from_flat(self.algebra, out, den)
+
+    def _flat(self) -> tuple[dict, int]:
+        """The terms in the flat layout: ({(word, h power): numerator}, den)."""
+        return _flatten((w, c.coeffs) for w, c in self.terms.items())
 
     @classmethod
     def _from_flat(cls, algebra: PBWAlgebra, flat: dict, den: int) -> "NCPoly":
-        """Gather (word, h power) -> numerator terms over ``den`` into HPoly coefficients."""
-        by_word: dict[Word, dict[int, Fraction]] = {}
-        for (w, p), c in flat.items():
-            if c:
-                by_word.setdefault(w, {})[p] = Fraction(c, den)
-        terms = {
-            w: HPoly(tuple(cs.get(p, 0) for p in range(max(cs) + 1)))
-            for w, cs in by_word.items()
-        }
-        return cls(algebra, terms)
+        """The element with the flat layout's terms over ``den``."""
+        return cls(algebra, _gather(flat, den))
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -447,8 +478,8 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
             multinomial //= factorial(count)
         return Fraction(coeff) / multinomial
 
-    den, terms = _integral((e, (average(e, c),)) for e, c in poly.terms.items())
+    scaled, den = _flatten((e, (average(e, c),)) for e, c in poly.terms.items())
     flat: dict[tuple[Word, int], int] = {}
-    for exp, coeff in terms:
-        _add_scaled(flat, orderings(exp), sum(exp), coeff)
+    for (exp, p), a in scaled.items():
+        _add_scaled(flat, orderings(exp), sum(exp), ((p, a),))
     return NCPoly._from_flat(algebra, flat, den)

@@ -101,10 +101,11 @@ class MultiPoly:
 
     Supports ring arithmetic, formal differentiation, evaluation and a
     lossless record-based serialization.  All operations require both
-    operands to carry the identical variable tuple.
+    operands to carry the identical variable tuple.  ``_leads`` memoizes
+    the leading term per monomial order, set on first use.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_leads")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction] | None = None):
         object.__setattr__(self, "variables", tuple(variables))
@@ -180,10 +181,19 @@ class MultiPoly:
         return self.terms.get(tuple(exponent), ZERO)
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponent, Fraction]:
-        if not self.terms:
-            raise StructuralError("zero polynomial has no leading term")
-        exp = max(self.terms, key=order.key)
-        return exp, self.terms[exp]
+        """The leading (exponent, coefficient) under ``order``, computed once per order."""
+        try:
+            leads = self._leads
+        except AttributeError:
+            leads = {}
+            object.__setattr__(self, "_leads", leads)
+        lead = leads.get(order)
+        if lead is None:
+            if not self.terms:
+                raise StructuralError("zero polynomial has no leading term")
+            exp = max(self.terms, key=order.key)
+            leads[order] = lead = (exp, self.terms[exp])
+        return lead
 
     def _check_compatible(self, other: "MultiPoly"):
         if self.variables != other.variables:

@@ -17,6 +17,16 @@ support, and the star product f * g = phi^-1(reduce(phi(f) phi(g))),
 with phi the ordered-monomial identification.  No table is built, so
 this reaches n = 3 as well as n = 2; n >= 4 has two generators and is
 refused.  Everything is exact; each premise of the division is checked.
+
+The star product runs on one flat layout from start to finish: the
+operands' terms are lifted straight to integer numerators keyed by
+(word, h power) over one common denominator (``_lift``, which checks
+standard support on the exponents), multiplied with the PBW fold
+(``PBWAlgebra._product``), reduced with the memoized normal forms
+(``_reduce_flat``, which certifies standard support of the result) and
+gathered into one ``Fraction`` and one ``HPoly`` per output coefficient.
+The division steps and normal forms are memoized in the same layout.
+``reduce``, ``phi`` and ``NCPoly`` products run on the same helpers.
 """
 
 from __future__ import annotations
@@ -24,14 +34,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import CapacityError, CertificationError, StructuralError
 from .groebner import divide, groebner_basis, standard_monomials
 from .hpoly import HPoly
 from .invariants import OrbitIdeal, orbit_ideal, semiinvariant_family
 from .lie import DualCoordinates, build_lie_basis, lie_poisson_bracket
-from .ncpoly import NCPoly, PBWAlgebra, Word, exponent_of_word, symmetrize, word_of_exponent
+from .ncpoly import (
+    NCPoly,
+    PBWAlgebra,
+    Word,
+    _flatten,
+    _gather,
+    exponent_of_word,
+    symmetrize,
+    word_of_exponent,
+)
 from .poly import GREVLEX, Exponent, MultiPoly, monomials_up_to_degree
 
 
@@ -213,9 +232,10 @@ class OrbitQuantization:
         self._lead = lead
         self._lead_coeff = sym_gen.terms[word].coefficient(0)
         self._lead_counts = [(l, c) for l, c in enumerate(lead) if c]
-        # memos keyed by non-standard words w; terms are ((word, h power), value)
+        # memos keyed by non-standard words w; each entry is (den, terms) with
+        # terms ((word, h power), integer numerator) over den, in lowest terms
         self._steps: dict[Word, tuple] = {}  # X^w - X^q g / lc, leading term dropped
-        self._forms: dict[Word, dict] = {}  # NF(X^w)
+        self._forms: dict[Word, tuple] = {}  # NF(X^w)
 
     def _term_key(self, word: Word, hpow: int):
         """Term order on h^p X^w: length plus h power, then grevlex."""
@@ -225,7 +245,10 @@ class OrbitQuantization:
         """X^w is a standard monomial: the leading monomial does not divide it."""
         if self._lead is None:
             raise StructuralError("the reduction was not built")
-        return any(word.count(l) < c for l, c in self._lead_counts)
+        for letter, count in self._lead_counts:
+            if word.count(letter) < count:
+                return True
+        return False
 
     def _step(self, word: Word) -> tuple:
         """X^w - X^q g / lc for a non-standard word w, with q = exp(w) - lead,
@@ -235,23 +258,25 @@ class OrbitQuantization:
             return step
         exp = exponent_of_word(word, self.basis.dim)
         q = word_of_exponent(tuple(e - l for e, l in zip(exp, self._lead)))
-        multiple = NCPoly(self.algebra, {q: HPoly.one()}) * self.sym_generators[0]
+        generator, den = self.sym_generators[0]._flat()
+        multiple = self.algebra._product({(q, 0): 1}, generator)  # X^q g over den
         top, lc = self._term_key(word, 0), self._lead_coeff
         cancels, rest = False, []
-        for v, coeff in multiple.terms.items():
-            for p, value in enumerate(coeff.coeffs):
-                if (v, p) == (word, 0):
-                    cancels = value == lc
-                elif value and self._term_key(v, p) >= top:
-                    raise CertificationError(f"X^{q} g has h^{p} * {v} at or above X^{word}")
-                elif value:
-                    rest.append(((v, p), -value / lc))
+        for (v, p), value in multiple.items():
+            if not value:
+                continue
+            if (v, p) == (word, 0):
+                cancels = value * lc.denominator == lc.numerator * den
+            elif self._term_key(v, p) >= top:
+                raise CertificationError(f"X^{q} g has h^{p} * {v} at or above X^{word}")
+            else:
+                rest.append(((v, p), -value * lc.denominator))
         if not cancels:
             raise CertificationError(f"X^{q} g does not have the leading term {lc} * X^{word}")
-        self._steps[word] = step = tuple(rest)
+        self._steps[word] = step = _lowest_terms(den * lc.numerator, rest)
         return step
 
-    def _normal_form(self, word: Word) -> dict:
+    def _normal_form(self, word: Word) -> tuple:
         """NF(X^w) of a non-standard word, from a stack worked off in post-order:
         a word is finished after every non-standard word its step leaves."""
         forms = self._forms
@@ -261,17 +286,78 @@ class OrbitQuantization:
             if w in forms:
                 pending.pop()
                 continue
-            step = self._step(w)
+            den, step = self._step(w)
             todo = [v for (v, _), _ in step if v not in forms and not self.is_standard(v)]
             if todo:
                 pending.extend(todo)
                 continue
-            form: dict[tuple[Word, int], Fraction] = {}
+            # the step's terms over den, each non-standard word replaced by its form
+            scale = lcm(*(forms[v][0] for (v, _), _ in step if v in forms))
+            form: dict[tuple[Word, int], int] = {}
             for (v, p), c in step:
-                for (u, p2), d in (forms[v] if v in forms else {(v, 0): 1}).items():
-                    form[u, p + p2] = form.get((u, p + p2), 0) + c * d
-            forms[pending.pop()] = {key: c for key, c in form.items() if c}
+                if v in forms:
+                    d_v, terms_v = forms[v]
+                    c *= scale // d_v
+                    for (u, p2), d in terms_v:
+                        form[u, p + p2] = form.get((u, p + p2), 0) + c * d
+                else:
+                    form[v, p] = form.get((v, p), 0) + c * scale
+            forms[pending.pop()] = _lowest_terms(den * scale, form.items())
         return forms[word]
+
+    def _reduce_flat(self, flat: dict, den: int) -> tuple[dict, int]:
+        """Normal form of flat-layout terms over ``den``, as (terms, denominator).
+
+        Standard words keep their numerators; every other word is replaced
+        by its memoized normal form, shifted by its h power.  The result is
+        certified to lie on standard-monomial words.
+        """
+        if self._lead is None:
+            raise StructuralError("the reduction was not built")
+        forms, is_standard = self._forms, self.is_standard
+        out: dict[tuple[Word, int], int] = {}
+        divided = []
+        for (w, p), c in flat.items():
+            if not c:
+                continue
+            form = forms.get(w)
+            if form is None and not is_standard(w):
+                form = self._normal_form(w)
+            if form is None:
+                out[w, p] = c
+            else:
+                divided.append((form, p, c))
+        if divided:
+            scale = lcm(*(form[0] for form, _, _ in divided))
+            if scale != 1:
+                out = {key: c * scale for key, c in out.items()}
+                den *= scale
+            for (d_form, terms), p, c in divided:
+                c *= scale // d_form
+                for (u, p2), d in terms:
+                    out[u, p + p2] = out.get((u, p + p2), 0) + c * d
+        self._certify_standard({w for (w, _), c in out.items() if c}, "reduction")
+        return out, den
+
+    def _certify_standard(self, words, context: str):
+        """CertificationError unless every word is a standard monomial."""
+        for word in words:
+            if not self.is_standard(word):
+                raise CertificationError(f"{context}: word {word} is not a standard monomial")
+
+    def _lift(self, f) -> tuple[dict, int]:
+        """phi on the flat layout: the terms of a MultiPoly or QuotientElement
+        as ({(word, h power): numerator}, den).  An exponent that the leading
+        monomial divides raises StructuralError."""
+        if self._lead is None:
+            raise StructuralError("the reduction was not built")
+        items = []
+        for exp, coeff in f.terms.items():
+            if all(exp[l] >= c for l, c in self._lead_counts):
+                raise StructuralError(f"exponent {exp} is not a standard monomial")
+            values = coeff.coeffs if type(coeff) is HPoly else (coeff,)
+            items.append((word_of_exponent(exp), values))
+        return _flatten(items)
 
     @cached_property
     def standard_exponents(self) -> list[Exponent]:
@@ -325,49 +411,19 @@ class OrbitQuantization:
             raise CapacityError(
                 f"element degree {u.degree()} exceeds cap {self.deg_cap}"
             )
-        # standard words keep their coefficients; the normal forms of the
-        # other words are added onto them
-        terms: dict[Word, list] = {}
-        divided = []
-        for word, coeff in u.terms.items():
-            if self.is_standard(word):
-                terms[word] = list(coeff.coeffs)
-            else:
-                divided.append((word, coeff.coeffs))
-        for word, coeffs in divided:
-            for (v, p), d in self._normal_form(word).items():
-                acc = terms.setdefault(v, [])
-                acc.extend([0] * (p + len(coeffs) - len(acc)))
-                for k, a in enumerate(coeffs, p):
-                    if a:
-                        acc[k] += a * d
-        result = NCPoly(self.algebra, {w: HPoly(c) for w, c in terms.items()})
-        for word in result.terms:
-            if not self.is_standard(word):
-                raise CertificationError(f"reduction left non-standard word {word}")
-        return result
+        flat, den = self._reduce_flat(*u._flat())
+        return NCPoly._from_flat(self.algebra, flat, den)
 
     def phi(self, f: QuotientElement) -> NCPoly:
         """Ordered-monomial lift: x^a -> X^a as a PBW word."""
-        terms: dict[Word, HPoly] = {}
-        for exp, coeff in f.terms.items():
-            word = word_of_exponent(exp)
-            if not self.is_standard(word):
-                raise StructuralError(
-                    f"exponent {exp} is not a standard monomial"
-                )
-            terms[word] = coeff
-        return NCPoly(self.algebra, terms)
+        return NCPoly._from_flat(self.algebra, *self._lift(f))
 
     def phi_inverse(self, u: NCPoly) -> QuotientElement:
-        terms: dict[Exponent, HPoly] = {}
-        for word, coeff in u.terms.items():
-            if not self.is_standard(word):
-                raise CertificationError(
-                    f"word {word} is outside the standard basis"
-                )
-            terms[exponent_of_word(word, self.basis.dim)] = coeff
-        return QuotientElement(self.variables, terms)
+        self._certify_standard(u.terms, "phi_inverse")
+        dim = self.basis.dim
+        return QuotientElement(
+            self.variables, {exponent_of_word(w, dim): c for w, c in u.terms.items()}
+        )
 
     def to_quotient(self, f: MultiPoly) -> QuotientElement:
         """Commutative normal form onto standard-monomial support."""
@@ -378,28 +434,46 @@ class OrbitQuantization:
 
         Accepts MultiPoly or QuotientElement operands over the engine's
         variables, supported on standard monomials; the combined
-        filtration degree must stay within the cap.
+        filtration degree must stay within the cap.  phi(f) phi(g) is
+        formed, reduced and read back on the flat layout.
         """
-        fq = QuotientElement.from_multipoly(f) if isinstance(f, MultiPoly) else f
-        gq = QuotientElement.from_multipoly(g) if isinstance(g, MultiPoly) else g
-        for operand in (fq, gq):
+        for operand in (f, g):
             if operand.variables != self.variables:
                 raise StructuralError(
                     f"operand variables {list(operand.variables)} are not the "
                     f"engine's {list(self.variables)}"
                 )
-        total = max(fq.degree(), 0) + max(gq.degree(), 0)
+        total = sum(
+            max(p.total_degree() if isinstance(p, MultiPoly) else p.degree(), 0)
+            for p in (f, g)
+        )
         if total > self.deg_cap:
             raise CapacityError(
                 f"combined degree {total} exceeds cap {self.deg_cap}"
             )
-        product = self.phi(fq) * self.phi(gq)
-        return self.phi_inverse(self.reduce(product))
+        left, den1 = self._lift(f)
+        right, den2 = self._lift(g)
+        flat, den = self._reduce_flat(self.algebra._product(left, right), den1 * den2)
+        dim = self.basis.dim
+        return QuotientElement(
+            self.variables,
+            {exponent_of_word(w, dim): c for w, c in _gather(flat, den).items()},
+        )
 
     def poisson_reduced(self, f: MultiPoly, g: MultiPoly) -> QuotientElement:
         """{f, g} followed by commutative reduction onto the basis."""
         bracket = lie_poisson_bracket(f, g, self.sc)
         return self.to_quotient(bracket)
+
+
+def _lowest_terms(den: int, terms) -> tuple:
+    """(den, ((key, numerator), ...)) with den positive and the common factor
+    of den and the nonzero numerators divided out."""
+    terms = [(key, c) for key, c in terms if c]
+    g = gcd(den, *(c for _, c in terms))
+    if den < 0:
+        g = -g
+    return den // g, tuple((key, c // g) for key, c in terms)
 
 
 # ---------------------------------------------------------------- checks

@@ -307,15 +307,23 @@ def test_entry_point_runs():
     [
         (("basis", "--n", "1"), "basis_n1.json"),
         (("pbw", "--n", "1", "--input", "-"), "pbw_n1.json"),
+        # f * g reaches the leading monomial x_a21^2 x_b11^2, so a division
+        # step runs; g is a QuotientElement with an h term
+        (("star", "--n", "2", "--lambdas", "1", "--deg", "6", "--input", "-"), "star_n2.json"),
     ],
 )
 def test_golden_outputs(capsys, monkeypatch, tmp_path, argv, golden):
     import io
     import pathlib
 
+    folder = pathlib.Path(__file__).parent / "golden"
+    stdin = {
+        "pbw_n1.json": lambda: json.dumps({"word": [1, 0]}),
+        "star_n2.json": lambda: (folder / "star_n2_input.json").read_text(),
+    }
     if "--input" in argv:
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"word": [1, 0]})))
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin[golden]()))
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+    expected = (folder / golden).read_text()
     assert out == expected

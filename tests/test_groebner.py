@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from orbitquant.errors import CapacityError
+from orbitquant.errors import CapacityError, StructuralError
 from orbitquant.groebner import (
     Capacity,
     divide,
@@ -14,7 +14,7 @@ from orbitquant.groebner import (
     poly_normal_form,
     standard_monomials,
 )
-from orbitquant.poly import GREVLEX, MultiPoly
+from orbitquant.poly import GREVLEX, MonomialOrder, MultiPoly
 
 
 XY = ("x", "y")
@@ -211,3 +211,35 @@ def test_groebner_basis_and_normal_form_match_sympy():
             p = rand_poly(0, 5, 6)
             _, remainder = sympy.reduced(to_sympy(p), expected.polys, order="grevlex")
             assert poly_normal_form(p, ideal) == from_sympy(remainder)
+
+
+def test_leading_term_is_computed_once_per_order():
+    # the leading term is memoized per order: a second order gets its own
+    # entry, and divide does not scan a divisor's terms again
+    calls = []
+
+    class Counting(MonomialOrder):
+        def key(self, exponent):
+            calls.append(exponent)
+            return super().key(exponent)
+
+    grlex = Counting("grlex")
+    q = P({(1, 1): 1, (2, 0): 3})
+    assert q.leading(grlex) == ((2, 0), Fraction(3))
+    assert len(calls) == 2
+    assert q.leading(grlex) is q.leading(grlex)
+    assert len(calls) == 2
+    assert q.leading(MonomialOrder("grlex", (1, 0))) == ((1, 1), Fraction(1))
+    assert q.leading(grlex) == ((2, 0), Fraction(3))
+
+    g = P({(2, 0): 1, (1, 2): 1, (0, 1): -1})
+    p = X**3 * Y + X * Y**2 + Y**3
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        runs.append((divide(p, [g], grlex), len(calls)))
+    (first, cold), (second, warm) = runs
+    assert first == second == divide(p, [g], MonomialOrder("grlex"))
+    assert cold - warm == len(g.terms)
+    with pytest.raises(StructuralError):
+        MultiPoly.zero(XY).leading()

@@ -43,6 +43,20 @@ def test_hpoly_no_trailing_zeros_and_eval():
     assert HPoly.from_json(p.to_json()) == p
 
 
+def test_hpoly_keeps_fractions_and_converts_other_values():
+    half = Fraction(1, 2)
+    p = HPoly((half, 3, "1/3"))
+    assert p.coeffs[0] is half
+    assert p.coeffs == (half, Fraction(3), Fraction(1, 3))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert HPoly((Fraction(2), 0, Fraction(0))).coeffs == (Fraction(2),)
+    # equality with HPoly, int and Fraction; anything else is not comparable
+    assert HPoly.of(2) == 2 and HPoly.of(half) == half and HPoly.zero() == 0
+    assert HPoly.of(2) != HPoly.h(1, 2) and HPoly.h() != 0
+    assert HPoly.of(1).__eq__(1.0) is NotImplemented
+    assert HPoly.of(1).__eq__("1") is NotImplemented
+
+
 # ------------------------------------------------------------------- PBW
 
 

@@ -1,0 +1,227 @@
+"""The star product and the reduction on the flat layout, against the
+composition they replace: phi, an NCPoly product, reduce and phi_inverse
+over HPoly coefficients.  Planted faults show that every certificate
+still surfaces from ``star``."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from orbitquant.errors import CapacityError, CertificationError, StructuralError
+from orbitquant.hpoly import HPoly
+from orbitquant.ncpoly import NCPoly, exponent_of_word, word_of_exponent
+from orbitquant.poly import MultiPoly
+from orbitquant.quantize import OrbitQuantization, QuotientElement
+
+DIFFERENTIAL = settings(max_examples=25, deadline=None)
+CAPS = (6, 8)
+
+
+@pytest.fixture(scope="module")
+def engines():
+    return {cap: OrbitQuantization(2, [Fraction(1)], deg_cap=cap) for cap in CAPS}
+
+
+# -- the composition the flat path replaces, kept here as the oracle ----------
+
+
+def composed_phi(engine, f) -> NCPoly:
+    """x^a -> X^a, one HPoly per word."""
+    terms = {}
+    for exp, coeff in f.terms.items():
+        word = word_of_exponent(exp)
+        if not engine.is_standard(word):
+            raise StructuralError(f"exponent {exp} is not a standard monomial")
+        terms[word] = coeff if isinstance(coeff, HPoly) else HPoly.of(coeff)
+    return NCPoly(engine.algebra, terms)
+
+
+def literal_product(u: NCPoly, v: NCPoly) -> NCPoly:
+    """u * v with every pair of words rewritten by the literal rewriter."""
+    out = NCPoly.zero(u.algebra)
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            out = out + NCPoly.from_word(u.algebra, w1 + w2, c1 * c2)
+    return out
+
+
+def composed_reduce(engine, u: NCPoly) -> NCPoly:
+    """The body ``reduce`` had over HPoly coefficient lists: standard words
+    keep their coefficients, the memoized normal forms of the others are
+    added onto them in Fractions."""
+    terms: dict = {}
+    divided = []
+    for word, coeff in u.terms.items():
+        if engine.is_standard(word):
+            terms[word] = list(coeff.coeffs)
+        else:
+            divided.append((word, coeff.coeffs))
+    for word, coeffs in divided:
+        den, form = engine._normal_form(word)
+        for (v, p), d in form:
+            acc = terms.setdefault(v, [])
+            acc.extend([0] * (p + len(coeffs) - len(acc)))
+            for k, a in enumerate(coeffs, p):
+                if a:
+                    acc[k] += a * Fraction(d, den)
+    result = NCPoly(engine.algebra, {w: HPoly(c) for w, c in terms.items()})
+    assert all(engine.is_standard(w) for w in result.terms)
+    return result
+
+
+def composed_star(engine, f, g) -> QuotientElement:
+    product = literal_product(composed_phi(engine, f), composed_phi(engine, g))
+    reduced = composed_reduce(engine, product)
+    dim = engine.basis.dim
+    return QuotientElement(
+        engine.variables, {exponent_of_word(w, dim): c for w, c in reduced.terms.items()}
+    )
+
+
+# -- operands -------------------------------------------------------------------
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def draw_operand(data, engine, degree: int, max_terms: int = 3) -> MultiPoly:
+    """A MultiPoly on standard monomials of degree at most ``degree``."""
+    monos = [e for e in engine.standard_exponents if sum(e) <= degree]
+    exps = data.draw(st.lists(st.sampled_from(monos), max_size=max_terms, unique=True))
+    return MultiPoly(engine.variables, {e: data.draw(coefficients) for e in exps})
+
+
+def draw_split(data, engine):
+    """Standard monomials x^a, x^b whose product is a multiple of the
+    leading monomial, of degree at most the cap: X^a X^b needs division."""
+    lead = engine.groebner[0].leading()[0]
+    monos = [e for e in engine.standard_exponents if sum(e) <= engine.deg_cap - sum(lead)]
+    total = tuple(x + y for x, y in zip(lead, data.draw(st.sampled_from(monos))))
+    a = tuple(data.draw(st.integers(0, t)) for t in total)
+    b = tuple(t - x for t, x in zip(total, a))
+    assume(engine.is_standard(word_of_exponent(a)) and engine.is_standard(word_of_exponent(b)))
+    return (
+        MultiPoly.monomial(engine.variables, a, data.draw(coefficients)),
+        MultiPoly.monomial(engine.variables, b, data.draw(coefficients)),
+    )
+
+
+def draw_pair(data, engine):
+    """Two operands within the cap; the first is a MultiPoly or a product
+    fed back, a QuotientElement that carries h terms.  The MultiPoly pairs
+    include a pair of monomials whose product needs division."""
+    cap = engine.deg_cap
+    if data.draw(st.booleans()):
+        da = data.draw(st.integers(1, cap - 2))
+        db = data.draw(st.integers(1, cap - 1 - da))
+        a = draw_operand(data, engine, da, max_terms=2)
+        b = draw_operand(data, engine, db, max_terms=2)
+        f = engine.star(a, b)
+        rest = cap - max(f.degree(), 0)
+        g = draw_operand(data, engine, data.draw(st.integers(0, rest)))
+    else:
+        f, g = draw_split(data, engine)
+        df = data.draw(st.integers(f.total_degree(), cap - g.total_degree()))
+        f = f + draw_operand(data, engine, df)
+        g = g + draw_operand(data, engine, cap - df)
+    return (f, g) if data.draw(st.booleans()) else (g, f)
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_star_matches_composed_path(engines, data):
+    engine = engines[data.draw(st.sampled_from(CAPS))]
+    f, g = draw_pair(data, engine)
+    assert engine.star(f, g) == composed_star(engine, f, g)
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_reduce_matches_its_composed_body(engines, data):
+    # elements with h terms on any words inside the cap, two thirds of
+    # them multiples of the leading monomial
+    from orbitquant.poly import monomials_up_to_degree
+
+    engine = engines[data.draw(st.sampled_from(CAPS))]
+    cap = engine.deg_cap
+    monos = monomials_up_to_degree(engine.basis.dim, cap)
+    divisible = [e for e in monos if not engine.is_standard(word_of_exponent(e))]
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        exp = data.draw(st.sampled_from(divisible if data.draw(st.integers(0, 2)) else monos))
+        coeffs = data.draw(st.lists(coefficients | st.just(Fraction(0)),
+                                    min_size=1, max_size=cap - sum(exp) + 1))
+        terms[word_of_exponent(exp)] = HPoly(coeffs)
+    u = NCPoly(engine.algebra, terms)
+    assert engine.reduce(u) == composed_reduce(engine, u)
+
+
+def test_star_builds_no_ncpoly(engines, monkeypatch):
+    # the product is lifted, multiplied, reduced and read back on the flat
+    # layout: no NCPoly is built on the way
+    engine = engines[6]
+    lead = word_of_exponent(engine.groebner[0].leading()[0])
+    f, g = (
+        MultiPoly.monomial(engine.variables, exponent_of_word(part, engine.basis.dim))
+        for part in (lead[:2], lead[2:])
+    )
+    expected = composed_star(engine, f, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star built an NCPoly")
+
+    monkeypatch.setattr(NCPoly, "__init__", refuse)
+    assert engine.star(f, g) == expected
+
+
+# -- planted faults ---------------------------------------------------------------
+
+
+def test_corrupted_normal_form_fails_certification_in_star(monkeypatch):
+    # a normal form that leaves the non-standard word X^lead itself: the
+    # standard-support certificate of the reduction must catch it
+    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+    lead = word_of_exponent(engine.groebner[0].leading()[0])
+    f, g = (
+        MultiPoly.monomial(engine.variables, exponent_of_word(part, engine.basis.dim))
+        for part in (lead[:2], lead[2:])
+    )
+    honest = engine.star(f, g)
+    assert lead in engine._forms
+    den, terms = engine._forms[lead]
+    monkeypatch.setitem(engine._forms, lead, (den, terms + (((lead, 0), 1),)))
+    with pytest.raises(CertificationError):
+        engine.star(f, g)
+    monkeypatch.undo()
+    assert engine.star(f, g) == honest
+
+
+def test_non_standard_operand_is_refused_by_star(engines):
+    engine = engines[6]
+    lead = engine.groebner[0].leading()[0]
+    one = MultiPoly.constant(engine.variables, 1)
+    bad = MultiPoly.monomial(engine.variables, lead)
+    bad_q = QuotientElement(engine.variables, {lead: HPoly((Fraction(0), Fraction(2)))})
+    for f, g in ((bad, one), (one, bad), (bad_q, one), (one, bad_q)):
+        with pytest.raises(StructuralError):
+            engine.star(f, g)
+
+
+def test_over_cap_product_is_refused_by_star(engines):
+    engine = engines[6]
+    x0 = MultiPoly.variable(engine.variables, 0)
+    with pytest.raises(CapacityError):
+        engine.star(x0**4, x0**3)
+    # the h degree of a fed-back operand counts towards the cap
+    x0_h2 = QuotientElement(engine.variables, {(1,) + (0,) * 6: HPoly.h(2)})
+    assert engine.star(x0_h2, x0**3).degree() == 6
+    with pytest.raises(CapacityError):
+        engine.star(x0_h2, x0**4)
+
+
+def test_foreign_variables_are_refused_by_star(engines):
+    engine = engines[6]
+    foreign = MultiPoly.variable(tuple("abcdefg"), 0)
+    with pytest.raises(StructuralError):
+        engine.star(foreign, MultiPoly.constant(engine.variables, 1))
