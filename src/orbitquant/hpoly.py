@@ -1,7 +1,10 @@
 """Univariate polynomials in the deformation parameter over the rationals.
 
-Coefficients of noncommutative normal forms live here.  Everything is
-exact; degrees are tracked and nothing is ever truncated.
+HPoly is the public coefficient type of noncommutative elements: their
+constructors take it, their ``terms`` views and JSON give it.  Their
+arithmetic runs on integer numerators instead (see ``ncpoly``).
+Everything is exact: an inexact coefficient such as a float raises
+StructuralError, and nothing is ever truncated.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import StructuralError
+from .poly import as_fraction
 
 
 class HPoly:
@@ -17,8 +21,9 @@ class HPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        # Fractions are immutable and already normalized: keep them as they are
-        cleaned = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        # Fractions are immutable and already normalized: keep them as they are;
+        # anything inexact, such as a float, raises StructuralError
+        cleaned = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
@@ -38,11 +43,11 @@ class HPoly:
 
     @classmethod
     def of(cls, value) -> "HPoly":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def h(cls, power: int = 1, coeff=Fraction(1)) -> "HPoly":
-        return cls((Fraction(0),) * power + (Fraction(coeff),))
+        return cls((Fraction(0),) * power + (coeff,))
 
     # -- structure ------------------------------------------------------
 
@@ -56,16 +61,6 @@ class HPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return Fraction(0)
-
-    def valuation(self) -> int:
-        """Order of vanishing at h = 0 (0 for a unit constant term)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise StructuralError("zero polynomial has no valuation")
-
-    def divisible_by_h_power(self, k: int) -> bool:
-        return self.is_zero() or self.valuation() >= k
 
     # -- arithmetic -----------------------------------------------------
 
@@ -102,44 +97,6 @@ class HPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "HPoly":
-        """Multiply by h^k."""
-        if self.is_zero():
-            return self
-        return HPoly((Fraction(0),) * k + self.coeffs)
-
-    def divmod(self, other: "HPoly") -> tuple["HPoly", "HPoly"]:
-        """Polynomial division with remainder."""
-        other = _coerce(other)
-        if other.is_zero():
-            raise StructuralError("division by the zero polynomial")
-        remainder = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return HPoly.zero(), self
-        quotient = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            idx = k + len(other.coeffs) - 1
-            coeff = remainder[idx] / lead
-            if coeff != 0:
-                quotient[k] = coeff
-                for j, b in enumerate(other.coeffs):
-                    remainder[k + j] -= coeff * b
-        return HPoly(tuple(quotient)), HPoly(tuple(remainder))
-
-    def exact_div(self, other: "HPoly") -> "HPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise StructuralError("division is not exact")
-        return q
-
-    def evaluate(self, value) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     # -- comparison and IO ----------------------------------------------
 
     def __eq__(self, other):
@@ -158,7 +115,9 @@ class HPoly:
 
     @classmethod
     def from_json(cls, data) -> "HPoly":
-        return cls(tuple(Fraction(c) for c in data))
+        if not isinstance(data, list):
+            raise StructuralError(f"an h polynomial is a list of coefficients, not {data!r}")
+        return cls(data)
 
     def __str__(self):
         if self.is_zero():

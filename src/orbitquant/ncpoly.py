@@ -30,11 +30,14 @@ Products fold the letters of the left word into the right word from
 right to left; the symmetrizer, the letter commutator (through the
 derivation rule) and the quantization's left multiples are built on the
 same step.  They all work on one flat layout: integer numerators keyed
-by (word, h power) over one common denominator.  ``_flatten`` writes
-exact coefficients in it, ``PBWAlgebra._product`` multiplies in it and
-``_gather`` turns it back into one ``HPoly`` per word, building one
-``Fraction`` per output coefficient; ``HPoly`` coefficients appear only
-at the edges: ``NCPoly.terms`` and JSON.
+by (word, h power) over one positive denominator.  ``NCPoly`` stores
+its terms in that layout, in lowest terms (``_lowest_terms``), so equal
+elements have equal layouts; ``QuotientElement`` stores the same layout
+keyed by exponents, and both share their arithmetic (``_FlatTerms``).
+``_flatten`` writes exact coefficients in the layout and
+``PBWAlgebra._product`` multiplies in it.  ``HPoly`` appears only at the
+edges: constructor input, the ``terms`` view (``_gather``, one
+``HPoly`` per key on each access), JSON and printing.
 
 ``reduce_word`` is the literal rewriter: it rewrites the leftmost
 inversion, or a randomly chosen one when given an rng.  It shares no code
@@ -45,11 +48,12 @@ verb and ``verify``'s confluence check use it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import CapacityError, StructuralError
 from .hpoly import HPoly
 from .lie import LieBasis, StructureConstants
+from .poly import MultiPoly, as_fraction
 
 Word = tuple[int, ...]
 # Words with exact int (or Fraction) coefficients, all of one degree d:
@@ -208,8 +212,8 @@ def _accumulate(store: dict[Word, HPoly], word: Word, coeff: HPoly):
 def _flatten(items) -> tuple[dict, int]:
     """(key, exact values by h power) pairs in the flat layout.
 
-    Returns ({(key, h power): integer numerator}, den) with den the lcm of
-    the values' denominators; zero values are left out.
+    Returns ({(key, h power): integer numerator}, den) in lowest terms,
+    with den the lcm of the values' denominators; zero values are left out.
     """
     items = list(items)
     den = 1
@@ -223,6 +227,25 @@ def _flatten(items) -> tuple[dict, int]:
             if x:
                 flat[key, p] = x.numerator * (den // x.denominator)
     return flat, den
+
+
+def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
+    """(flat, den) with integer numerators, zero ones dropped, den positive and
+    the common factor of den and the numerators divided out: equal values,
+    equal layouts."""
+    flat = {key: c for key, c in flat.items() if c}
+    try:
+        g = gcd(den, *flat.values())
+    except TypeError:  # Fraction numerators, from non-integral structure constants
+        scale = lcm(*(c.denominator for c in flat.values()))
+        flat = {key: int(c * scale) for key, c in flat.items()}
+        den *= scale
+        g = gcd(den, *flat.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        flat = {key: c // g for key, c in flat.items()}
+    return flat, den // g
 
 
 def _by_word(flat: dict) -> dict:
@@ -246,38 +269,147 @@ def _gather(flat: dict, den: int) -> dict:
     """The flat layout over ``den`` as one HPoly per word (or other key)."""
     by_key: dict = {}
     for (k, p), c in flat.items():
-        if c:
-            by_key.setdefault(k, {})[p] = Fraction(c, den)
+        by_key.setdefault(k, {})[p] = Fraction(c, den)
     return {
         k: HPoly(tuple(cs.get(p, _ZERO) for p in range(max(cs) + 1)))
         for k, cs in by_key.items()
     }
 
 
-class NCPoly:
-    """An element of the algebra in PBW normal form.
+def _hvalues(coeff) -> tuple:
+    """The values by h power of an HPoly or an exact scalar coefficient."""
+    return coeff.coeffs if isinstance(coeff, HPoly) else (as_fraction(coeff),)
 
-    terms maps non-decreasing words to HPoly coefficients; the empty word
-    is the unit.  All arithmetic stays inside one PBWAlgebra context.
+
+class _FlatTerms:
+    """Exact terms on the flat layout: the storage of NCPoly and QuotientElement.
+
+    ``flat`` maps (key, h power) to a nonzero integer numerator over the
+    positive denominator ``den``, in lowest terms, so equal elements have
+    equal layouts.  Keys are PBW words or exponent tuples; ``terms`` is a
+    view with one HPoly per key, built on each access.  A subclass names
+    the slot of the context its operands share and the degree of a key.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("flat", "den")
+    _context_slot: str
+    _key_degree: staticmethod
+    _mismatch: str
 
-    def __init__(self, algebra: PBWAlgebra, terms: dict[Word, HPoly] | None = None):
-        object.__setattr__(self, "algebra", algebra)
-        clean: dict[Word, HPoly] = {}
-        if terms:
-            for w, c in terms.items():
-                if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
-                    raise StructuralError(f"word {w} is not PBW-sorted")
-                if w and not (0 <= w[0] and w[-1] < algebra.dim):
-                    raise StructuralError(f"word {w} has a letter out of range")
-                if not c.is_zero():
-                    clean[tuple(w)] = c
-        object.__setattr__(self, "terms", clean)
+    def _set(self, context, flat: dict, den: int):
+        flat, den = _lowest_terms(flat, den)
+        object.__setattr__(self, self._context_slot, context)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _trusted(cls, context, flat: dict, den: int):
+        """The element with ``flat`` over ``den``, whose keys are valid in ``context``."""
+        out = object.__new__(cls)
+        out._set(context, flat, den)
+        return out
+
+    @property
+    def _context(self):
+        return getattr(self, self._context_slot)
+
+    def _new(self, flat: dict, den: int):
+        return self._trusted(self._context, flat, den)
 
     def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_context(self, other):
+        if not isinstance(other, type(self)) or other._context != self._context:
+            raise StructuralError(self._mismatch)
+
+    @property
+    def terms(self) -> dict:
+        """{key: HPoly coefficient}, built on each access."""
+        return _gather(self.flat, self.den)
+
+    # -- structure --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.flat
+
+    def degree(self) -> int:
+        """Filtration degree: key degree plus h power, maximized; -1 for zero."""
+        key_degree = self._key_degree
+        return max((key_degree(key) + p for key, p in self.flat), default=-1)
+
+    def max_h_degree(self) -> int:
+        return max((p for _, p in self.flat), default=-1)
+
+    def divisible_by_h_power(self, k: int) -> bool:
+        return all(p >= k for _, p in self.flat)
+
+    def _h_part(self, k: int) -> dict:
+        """The coefficient of h^k as {key: Fraction}."""
+        den = self.den
+        return {key: Fraction(c, den) for (key, p), c in self.flat.items() if p == k}
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        self._check_context(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {key: c * a for key, c in self.flat.items()}
+        for key, c in other.flat.items():
+            out[key] = out.get(key, 0) + c * b
+        return self._new(out, den)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.flat.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, coeff):
+        """The product with an h polynomial (an HPoly) or an exact scalar."""
+        factor, den = _flatten((((), _hvalues(coeff)),))
+        out: dict = {}
+        for (key, p), c in self.flat.items():
+            for (_, q), d in factor.items():
+                out[key, p + q] = out.get((key, p + q), 0) + c * d
+        return self._new(out, self.den * den)
+
+    def shift_h(self, k: int):
+        """Multiply by h^k."""
+        return self._new({(key, p + k): c for (key, p), c in self.flat.items()}, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._context == other._context and self.den == other.den and self.flat == other.flat
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.flat.items())))
+
+
+class NCPoly(_FlatTerms):
+    """An element of the algebra in PBW normal form.
+
+    Keys are non-decreasing words; the empty word is the unit.  The
+    constructor takes {word: HPoly or exact scalar}.  All arithmetic stays
+    inside one PBWAlgebra context.
+    """
+
+    __slots__ = ("algebra",)
+    _context_slot = "algebra"
+    _key_degree = staticmethod(len)
+    _mismatch = "operands from different algebra contexts"
+
+    def __init__(self, algebra: PBWAlgebra, terms: dict | None = None):
+        items = []
+        for w, c in (terms or {}).items():
+            if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
+                raise StructuralError(f"word {w} is not PBW-sorted")
+            if w and not (0 <= w[0] and w[-1] < algebra.dim):
+                raise StructuralError(f"word {w} has a letter out of range")
+            items.append((tuple(w), _hvalues(c)))
+        self._set(algebra, *_flatten(items))
 
     # -- constructors ----------------------------------------------------
 
@@ -287,111 +419,43 @@ class NCPoly:
 
     @classmethod
     def unit(cls, algebra: PBWAlgebra, coeff: HPoly | None = None) -> "NCPoly":
-        return cls(algebra, {(): coeff if coeff is not None else HPoly.one()})
+        return cls(algebra, {(): 1 if coeff is None else coeff})
 
     @classmethod
     def letter(cls, algebra: PBWAlgebra, index: int) -> "NCPoly":
-        return cls(algebra, {(index,): HPoly.one()})
+        return cls(algebra, {(index,): 1})
 
     @classmethod
     def from_word(cls, algebra: PBWAlgebra, word: Word, coeff: HPoly | None = None, rng=None) -> "NCPoly":
         reduced = algebra.reduce_word(tuple(word), coeff or HPoly.one(), rng=rng)
         return cls(algebra, reduced)
 
-    # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Filtration degree: word length plus h-degree, maximized."""
-        if not self.terms:
-            return -1
-        return max(len(w) + c.degree() for w, c in self.terms.items())
-
-    def _check_context(self, other: "NCPoly"):
-        if self.algebra is not other.algebra:
-            raise StructuralError("operands from different algebra contexts")
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check_context(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return NCPoly(self.algebra, out)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def scale(self, coeff) -> "NCPoly":
-        coeff = coeff if isinstance(coeff, HPoly) else HPoly.of(coeff)
-        if coeff.is_zero():
-            return NCPoly.zero(self.algebra)
-        return NCPoly(self.algebra, {w: c * coeff for w, c in self.terms.items()})
-
-    def shift_h(self, k: int) -> "NCPoly":
-        """Multiply by h^k."""
-        return NCPoly(self.algebra, {w: c.shift(k) for w, c in self.terms.items()})
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._check_context(other)
-        left, den1 = self._flat()
-        right, den2 = other._flat()
-        return NCPoly._from_flat(self.algebra, self.algebra._product(left, right), den1 * den2)
+        return self._new(self.algebra._product(self.flat, other.flat), self.den * other.den)
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
 
     def commutator_with_letter(self, e: int) -> "NCPoly":
         """[X_e, self] via the derivation expansion (exact, fast)."""
-        flat, den = self._flat()
         out: dict[tuple[Word, int], int] = {}
-        for w, coeffs in _by_word(flat).items():
+        for w, coeffs in _by_word(self.flat).items():
             _add_scaled(out, self.algebra.letter_commutator_words(e, w), len(w) + 1, coeffs)
-        return NCPoly._from_flat(self.algebra, out, den)
-
-    def _flat(self) -> tuple[dict, int]:
-        """The terms in the flat layout: ({(word, h power): numerator}, den)."""
-        return _flatten((w, c.coeffs) for w, c in self.terms.items())
-
-    @classmethod
-    def _from_flat(cls, algebra: PBWAlgebra, flat: dict, den: int) -> "NCPoly":
-        """The element with the flat layout's terms over ``den``."""
-        return cls(algebra, _gather(flat, den))
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self.terms.items()))
+        return self._new(out, self.den)
 
     # -- views ---------------------------------------------------------------
 
     def commutative_image(self):
         """Set h = 0 and abelianize: the symbol in the polynomial ring.
 
-        Returns exponent-keyed Fraction terms over the algebra's letters.
+        Returns exponent-keyed Fraction terms over the algebra's letters;
+        sorted words have distinct exponents, so no two terms meet.
         """
-        out: dict[tuple[int, ...], Fraction] = {}
         n = self.algebra.dim
-        for w, c in self.terms.items():
-            c0 = c.coefficient(0)
-            if c0 == 0:
-                continue
-            key = exponent_of_word(w, n)
-            total = out.get(key, Fraction(0)) + c0
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return out
+        return {exponent_of_word(w, n): c for w, c in self._h_part(0).items()}
 
     def to_json(self) -> list[dict]:
         items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -405,7 +469,7 @@ class NCPoly:
         return cls(algebra, terms)
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         names = self.algebra.basis.names
         parts = []
@@ -446,8 +510,6 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
     multinomial |a|! / prod a_l!.  Degree is capped: a monomial of degree
     more than ``cap`` raises CapacityError before any work is done.
     """
-    from .poly import MultiPoly
-
     if not isinstance(poly, MultiPoly):
         raise StructuralError("symmetrize expects a commutative polynomial")
     if len(poly.variables) != algebra.dim:
@@ -482,4 +544,4 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
     flat: dict[tuple[Word, int], int] = {}
     for (exp, p), a in scaled.items():
         _add_scaled(flat, orderings(exp), sum(exp), ((p, a),))
-    return NCPoly._from_flat(algebra, flat, den)
+    return NCPoly._trusted(algebra, flat, den)

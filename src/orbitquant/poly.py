@@ -46,6 +46,19 @@ def as_fraction(value) -> Fraction:
     raise StructuralError(f"not an exact rational value: {value!r}")
 
 
+def checked_exponent(exp, nvars: int) -> Exponent:
+    """``exp`` as a tuple, or StructuralError unless it holds ``nvars`` ints >= 0."""
+    if not isinstance(exp, (tuple, list)):
+        raise StructuralError(f"exponent {exp!r} is not a tuple of nonnegative ints")
+    exp = tuple(exp)
+    if len(exp) != nvars:
+        raise StructuralError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
+    # type(e) is int rules out bools; the type test runs before min()
+    if exp and (set(map(type, exp)) != {int} or min(exp) < 0):
+        raise StructuralError(f"exponent {exp} is not a tuple of nonnegative ints")
+    return exp
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A graded monomial order with an explicit variable priority.
@@ -114,14 +127,7 @@ class MultiPoly:
             nvars = len(self.variables)
             for exp, coeff in terms.items():
                 coeff = as_fraction(coeff)
-                exp = tuple(exp)
-                if len(exp) != nvars:
-                    raise StructuralError(
-                        f"exponent {exp} has length {len(exp)}, expected {nvars}"
-                    )
-                # type(e) is int rules out bools; the type test runs before min()
-                if exp and (set(map(type, exp)) != {int} or min(exp) < 0):
-                    raise StructuralError(f"exponent {exp} is not a tuple of nonnegative ints")
+                exp = checked_exponent(exp, nvars)
                 if coeff != 0:
                     clean[exp] = coeff
         object.__setattr__(self, "terms", clean)
@@ -342,7 +348,7 @@ class MultiPoly:
     def from_records(cls, data: Mapping) -> "MultiPoly":
         variables = data["variables"]
         terms = {
-            tuple(rec["exponents"]): Fraction(rec["coefficient"])
+            checked_exponent(rec["exponents"], len(variables)): rec["coefficient"]
             for rec in data["terms"]
         }
         return cls(variables, terms)

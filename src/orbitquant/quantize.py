@@ -21,12 +21,15 @@ refused.  Everything is exact; each premise of the division is checked.
 The star product runs on one flat layout from start to finish: the
 operands' terms are lifted straight to integer numerators keyed by
 (word, h power) over one common denominator (``_lift``, which checks
-standard support on the exponents), multiplied with the PBW fold
+standard support on the exponents and reads a QuotientElement's stored
+layout as it is), multiplied with the PBW fold
 (``PBWAlgebra._product``), reduced with the memoized normal forms
 (``_reduce_flat``, which certifies standard support of the result) and
-gathered into one ``Fraction`` and one ``HPoly`` per output coefficient.
-The division steps and normal forms are memoized in the same layout.
-``reduce``, ``phi`` and ``NCPoly`` products run on the same helpers.
+keyed by exponents into the returned QuotientElement, which stores the
+same layout; no ``NCPoly`` and no ``HPoly`` is built.  The division
+steps and normal forms are memoized in the same layout, and both apply
+one substitution (``_substitute``).  ``reduce``, ``phi``,
+``phi_inverse`` and ``NCPoly`` products run on the same helpers.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .errors import CapacityError, CertificationError, StructuralError
 from .groebner import divide, groebner_basis, standard_monomials
@@ -46,84 +49,44 @@ from .ncpoly import (
     PBWAlgebra,
     Word,
     _flatten,
-    _gather,
+    _FlatTerms,
+    _hvalues,
+    _lowest_terms,
     exponent_of_word,
     symmetrize,
     word_of_exponent,
 )
-from .poly import GREVLEX, Exponent, MultiPoly, monomials_up_to_degree
+from .poly import GREVLEX, Exponent, MultiPoly, checked_exponent, monomials_up_to_degree
 
 
-class QuotientElement:
+class QuotientElement(_FlatTerms):
     """A quotient-algebra element on standard-monomial support.
 
-    terms maps exponent tuples (standard monomials) to HPoly
-    coefficients.  The commutative polynomial algebra embeds via h-free
-    coefficients; star products return elements with genuine h content.
+    Keys are exponent tuples (standard monomials) over ``variables``.  The
+    constructor takes {exponent: HPoly or exact scalar} and checks each
+    exponent as MultiPoly does.  The commutative polynomial algebra embeds
+    via h-free coefficients; star products return elements with genuine h
+    content.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables",)
+    _context_slot = "variables"
+    _key_degree = staticmethod(sum)
+    _mismatch = "quotient elements over different variables"
 
-    def __init__(self, variables, terms: dict[Exponent, HPoly] | None = None):
-        self.variables = tuple(variables)
-        self.terms = {
-            tuple(e): c for e, c in (terms or {}).items() if not c.is_zero()
-        }
+    def __init__(self, variables, terms: dict | None = None):
+        variables = tuple(variables)
+        items = [
+            (checked_exponent(e, len(variables)), _hvalues(c)) for e, c in (terms or {}).items()
+        ]
+        self._set(variables, *_flatten(items))
 
     @classmethod
     def from_multipoly(cls, p: MultiPoly) -> "QuotientElement":
-        return cls(p.variables, {e: HPoly.of(c) for e, c in p.terms.items()})
+        return cls._trusted(p.variables, *_flatten((e, (c,)) for e, c in p.terms.items()))
 
     def h_coefficient(self, k: int) -> MultiPoly:
-        return MultiPoly(
-            self.variables,
-            {e: c.coefficient(k) for e, c in self.terms.items()},
-        )
-
-    def max_h_degree(self) -> int:
-        return max((c.degree() for c in self.terms.values()), default=-1)
-
-    def degree(self) -> int:
-        """Filtration degree: monomial degree plus h degree."""
-        return max(
-            (sum(e) + c.degree() for e, c in self.terms.items()), default=-1
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "QuotientElement") -> "QuotientElement":
-        if self.variables != other.variables:
-            raise StructuralError("quotient elements over different variables")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            total = out.get(e, HPoly.zero()) + c
-            if total.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = total
-        return QuotientElement(self.variables, out)
-
-    def __neg__(self) -> "QuotientElement":
-        return QuotientElement(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "QuotientElement") -> "QuotientElement":
-        return self + (-other)
-
-    def scale(self, coeff: HPoly) -> "QuotientElement":
-        if coeff.is_zero():
-            return QuotientElement(self.variables, {})
-        return QuotientElement(
-            self.variables, {e: c * coeff for e, c in self.terms.items()}
-        )
-
-    def divisible_by_h_power(self, k: int) -> bool:
-        return all(c.divisible_by_h_power(k) for c in self.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return MultiPoly._trusted(self.variables, self._h_part(k))
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -136,39 +99,40 @@ class QuotientElement:
 
     @classmethod
     def from_json(cls, data) -> "QuotientElement":
-        return cls(
-            tuple(data["variables"]),
-            {
-                tuple(rec["exponents"]): HPoly.from_json(rec["coefficient"])
-                for rec in data["terms"]
-            },
-        )
+        variables = tuple(data["variables"])
+        n = len(variables)
+        terms = {
+            checked_exponent(rec["exponents"], n): HPoly.from_json(rec["coefficient"])
+            for rec in data["terms"]
+        }
+        return cls(variables, terms)
 
 
 def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPoly:
     """The scalar F with [X_letter, sym_gen] = F * sym_gen, certified.
 
-    Divides the commutator by the generator coefficient-wise; any failure
-    of exact proportionality raises CertificationError, which is the
-    primary diagnostic for a wrong generator.
+    F is the commutator's coefficient on a longest word of the generator,
+    divided by the generator's coefficient there, which must be h-free.
+    The identity itself is then checked term for term; any failure of
+    exact proportionality raises CertificationError, which is the primary
+    diagnostic for a wrong generator.
     """
+    if sym_gen.algebra is not algebra:
+        raise StructuralError("the generator lies in another algebra context")
     comm = sym_gen.commutator_with_letter(letter)
     if comm.is_zero():
         return HPoly.zero()
-    ref_word = max(sym_gen.terms, key=lambda w: (len(w), w))
-    ref_coeff = sym_gen.terms[ref_word]
-    num = comm.terms.get(ref_word)
-    if num is None:
+    ref_word = max((w for w, _ in sym_gen.flat), key=lambda w: (len(w), w))
+    if any(w == ref_word and p for w, p in sym_gen.flat):
+        raise CertificationError(f"the generator's coefficient of the word {ref_word} carries h")
+    ref = Fraction(sym_gen.flat[ref_word, 0], sym_gen.den)
+    num = {p: Fraction(c, comm.den) for (w, p), c in comm.flat.items() if w == ref_word}
+    if not num:
         raise CertificationError(
             f"commutator with letter {letter} is not proportional to the generator"
         )
-    try:
-        factor = num.exact_div(ref_coeff)
-    except StructuralError as exc:
-        raise CertificationError(
-            f"commutator scalar for letter {letter} is not polynomial: {exc}"
-        ) from exc
-    if comm - sym_gen.scale(factor) != NCPoly.zero(algebra):
+    factor = HPoly(tuple(num.get(p, 0) / ref for p in range(max(num) + 1)))
+    if comm != sym_gen.scale(factor):
         raise CertificationError(
             f"commutator with letter {letter} deviates from scalar proportionality"
         )
@@ -224,16 +188,15 @@ class OrbitQuantization:
     def _certify_lead(self):
         """Record the leading term of g, certified h-free and equal to X^lead."""
         sym_gen = self.sym_generators[0]
-        terms = [(w, p) for w, c in sym_gen.terms.items() for p, x in enumerate(c.coeffs) if x]
-        word, hpow = max(terms, key=lambda term: self._term_key(*term))
+        word, hpow = max(sym_gen.flat, key=lambda term: self._term_key(*term))
         lead = self.groebner[0].leading()[0]
         if hpow != 0 or word != word_of_exponent(lead):
             raise CertificationError(f"leading term h^{hpow} * {word} of g is not X^{lead}")
         self._lead = lead
-        self._lead_coeff = sym_gen.terms[word].coefficient(0)
+        self._lead_coeff = Fraction(sym_gen.flat[word, 0], sym_gen.den)
         self._lead_counts = [(l, c) for l, c in enumerate(lead) if c]
-        # memos keyed by non-standard words w; each entry is (den, terms) with
-        # terms ((word, h power), integer numerator) over den, in lowest terms
+        # memos keyed by non-standard words w; each entry is (terms, den), the
+        # flat layout {(word, h power): integer numerator} over den in lowest terms
         self._steps: dict[Word, tuple] = {}  # X^w - X^q g / lc, leading term dropped
         self._forms: dict[Word, tuple] = {}  # NF(X^w)
 
@@ -258,10 +221,11 @@ class OrbitQuantization:
             return step
         exp = exponent_of_word(word, self.basis.dim)
         q = word_of_exponent(tuple(e - l for e, l in zip(exp, self._lead)))
-        generator, den = self.sym_generators[0]._flat()
-        multiple = self.algebra._product({(q, 0): 1}, generator)  # X^q g over den
+        generator = self.sym_generators[0]
+        den = generator.den
+        multiple = self.algebra._product({(q, 0): 1}, generator.flat)  # X^q g over den
         top, lc = self._term_key(word, 0), self._lead_coeff
-        cancels, rest = False, []
+        cancels, rest = False, {}
         for (v, p), value in multiple.items():
             if not value:
                 continue
@@ -270,10 +234,10 @@ class OrbitQuantization:
             elif self._term_key(v, p) >= top:
                 raise CertificationError(f"X^{q} g has h^{p} * {v} at or above X^{word}")
             else:
-                rest.append(((v, p), -value * lc.denominator))
+                rest[v, p] = -value * lc.denominator
         if not cancels:
             raise CertificationError(f"X^{q} g does not have the leading term {lc} * X^{word}")
-        self._steps[word] = step = _lowest_terms(den * lc.numerator, rest)
+        self._steps[word] = step = _lowest_terms(rest, den * lc.numerator)
         return step
 
     def _normal_form(self, word: Word) -> tuple:
@@ -286,23 +250,19 @@ class OrbitQuantization:
             if w in forms:
                 pending.pop()
                 continue
-            den, step = self._step(w)
-            todo = [v for (v, _), _ in step if v not in forms and not self.is_standard(v)]
+            step, den = self._step(w)
+            todo = [v for v, _ in step if v not in forms and not self.is_standard(v)]
             if todo:
                 pending.extend(todo)
                 continue
             # the step's terms over den, each non-standard word replaced by its form
-            scale = lcm(*(forms[v][0] for (v, _), _ in step if v in forms))
-            form: dict[tuple[Word, int], int] = {}
-            for (v, p), c in step:
+            kept, divided = {}, []
+            for (v, p), c in step.items():
                 if v in forms:
-                    d_v, terms_v = forms[v]
-                    c *= scale // d_v
-                    for (u, p2), d in terms_v:
-                        form[u, p + p2] = form.get((u, p + p2), 0) + c * d
+                    divided.append((forms[v], p, c))
                 else:
-                    form[v, p] = form.get((v, p), 0) + c * scale
-            forms[pending.pop()] = _lowest_terms(den * scale, form.items())
+                    kept[v, p] = c
+            forms[pending.pop()] = _lowest_terms(*_substitute(kept, den, divided))
         return forms[word]
 
     def _reduce_flat(self, flat: dict, den: int) -> tuple[dict, int]:
@@ -315,7 +275,7 @@ class OrbitQuantization:
         if self._lead is None:
             raise StructuralError("the reduction was not built")
         forms, is_standard = self._forms, self.is_standard
-        out: dict[tuple[Word, int], int] = {}
+        kept: dict[tuple[Word, int], int] = {}
         divided = []
         for (w, p), c in flat.items():
             if not c:
@@ -324,18 +284,10 @@ class OrbitQuantization:
             if form is None and not is_standard(w):
                 form = self._normal_form(w)
             if form is None:
-                out[w, p] = c
+                kept[w, p] = c
             else:
                 divided.append((form, p, c))
-        if divided:
-            scale = lcm(*(form[0] for form, _, _ in divided))
-            if scale != 1:
-                out = {key: c * scale for key, c in out.items()}
-                den *= scale
-            for (d_form, terms), p, c in divided:
-                c *= scale // d_form
-                for (u, p2), d in terms:
-                    out[u, p + p2] = out.get((u, p + p2), 0) + c * d
+        out, den = _substitute(kept, den, divided)
         self._certify_standard({w for (w, _), c in out.items() if c}, "reduction")
         return out, den
 
@@ -351,13 +303,16 @@ class OrbitQuantization:
         monomial divides raises StructuralError."""
         if self._lead is None:
             raise StructuralError("the reduction was not built")
-        items = []
-        for exp, coeff in f.terms.items():
-            if all(exp[l] >= c for l, c in self._lead_counts):
+        if isinstance(f, QuotientElement):
+            flat, den = f.flat, f.den
+        else:
+            flat, den = _flatten((exp, (coeff,)) for exp, coeff in f.terms.items())
+        out = {}
+        for (exp, p), c in flat.items():
+            if all(exp[l] >= k for l, k in self._lead_counts):
                 raise StructuralError(f"exponent {exp} is not a standard monomial")
-            values = coeff.coeffs if type(coeff) is HPoly else (coeff,)
-            items.append((word_of_exponent(exp), values))
-        return _flatten(items)
+            out[word_of_exponent(exp), p] = c
+        return out, den
 
     @cached_property
     def standard_exponents(self) -> list[Exponent]:
@@ -411,18 +366,21 @@ class OrbitQuantization:
             raise CapacityError(
                 f"element degree {u.degree()} exceeds cap {self.deg_cap}"
             )
-        flat, den = self._reduce_flat(*u._flat())
-        return NCPoly._from_flat(self.algebra, flat, den)
+        return NCPoly._trusted(self.algebra, *self._reduce_flat(u.flat, u.den))
 
     def phi(self, f: QuotientElement) -> NCPoly:
         """Ordered-monomial lift: x^a -> X^a as a PBW word."""
-        return NCPoly._from_flat(self.algebra, *self._lift(f))
+        return NCPoly._trusted(self.algebra, *self._lift(f))
 
     def phi_inverse(self, u: NCPoly) -> QuotientElement:
-        self._certify_standard(u.terms, "phi_inverse")
+        self._certify_standard({w for w, _ in u.flat}, "phi_inverse")
+        return self._quotient(u.flat, u.den)
+
+    def _quotient(self, flat: dict, den: int) -> QuotientElement:
+        """Word-keyed terms on standard words as the quotient element."""
         dim = self.basis.dim
-        return QuotientElement(
-            self.variables, {exponent_of_word(w, dim): c for w, c in u.terms.items()}
+        return QuotientElement._trusted(
+            self.variables, {(exponent_of_word(w, dim), p): c for (w, p), c in flat.items()}, den
         )
 
     def to_quotient(self, f: MultiPoly) -> QuotientElement:
@@ -453,12 +411,7 @@ class OrbitQuantization:
             )
         left, den1 = self._lift(f)
         right, den2 = self._lift(g)
-        flat, den = self._reduce_flat(self.algebra._product(left, right), den1 * den2)
-        dim = self.basis.dim
-        return QuotientElement(
-            self.variables,
-            {exponent_of_word(w, dim): c for w, c in _gather(flat, den).items()},
-        )
+        return self._quotient(*self._reduce_flat(self.algebra._product(left, right), den1 * den2))
 
     def poisson_reduced(self, f: MultiPoly, g: MultiPoly) -> QuotientElement:
         """{f, g} followed by commutative reduction onto the basis."""
@@ -466,14 +419,20 @@ class OrbitQuantization:
         return self.to_quotient(bracket)
 
 
-def _lowest_terms(den: int, terms) -> tuple:
-    """(den, ((key, numerator), ...)) with den positive and the common factor
-    of den and the nonzero numerators divided out."""
-    terms = [(key, c) for key, c in terms if c]
-    g = gcd(den, *(c for _, c in terms))
-    if den < 0:
-        g = -g
-    return den // g, tuple((key, c // g) for key, c in terms)
+def _substitute(kept: dict, den: int, divided) -> tuple[dict, int]:
+    """kept / den plus c h^p form for each (form, p, c) in divided, with form
+    a normal form (terms, d_form) and c a numerator over den: the terms of
+    one division with its non-standard words substituted, as (flat, den)
+    over den times the lcm of the forms' denominators; kept may be updated."""
+    if not divided:
+        return kept, den
+    scale = lcm(*(form[1] for form, _, _ in divided))
+    out = {key: c * scale for key, c in kept.items()} if scale != 1 else kept
+    for (terms, d_form), p, c in divided:
+        c *= scale // d_form
+        for (u, p2), d in terms.items():
+            out[u, p + p2] = out.get((u, p + p2), 0) + c * d
+    return out, den * scale
 
 
 # ---------------------------------------------------------------- checks
@@ -530,7 +489,7 @@ def check_deformation_axioms(
         star_gf = engine.star(g, f)
         commutator = star_fg - star_gf
         bracket = engine.poisson_reduced(f, g)
-        delta = commutator - bracket.scale(HPoly.h(1))
+        delta = commutator - bracket.shift_h(1)
         if not delta.divisible_by_h_power(2):
             first_order_failures.append((f.to_records(), g.to_records()))
     report["reduces_mod_h"] = {

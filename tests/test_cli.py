@@ -281,6 +281,40 @@ def test_star_rejects_foreign_variables(capsys, tmp_path):
     assert doc["error"]["type"] == "StructuralError"
 
 
+STAR_N2_VARIABLES = ["xa11", "xa12", "xa21", "xa22", "xb11", "xb12", "xb22"]
+
+
+@pytest.mark.parametrize(
+    "exponents,coefficient",
+    [
+        # a negative slot lifted to the empty word: its square was the unit 1
+        ([-1, 0, 0, 0, 0, 0, 0], ["1"]),
+        # eight slots for seven variables: an IndexError traceback
+        ([1, 0, 0, 0, 0, 0, 0, 0], ["1"]),
+        # a float read as its binary expansion 3602879701896397/36028797018963968,
+        # in an h polynomial and as a plain coefficient
+        ([1, 0, 0, 0, 0, 0, 0], [0.1]),
+        ([1, 0, 0, 0, 0, 0, 0], 0.1),
+        # an exponent that is no sequence: a TypeError traceback
+        (5, ["1"]),
+        (5, "1"),
+    ],
+)
+def test_star_rejects_malformed_quotient_operand(capsys, tmp_path, exponents, coefficient):
+    operand = {
+        "variables": STAR_N2_VARIABLES,
+        "terms": [{"exponents": exponents, "coefficient": coefficient}],
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"f": operand, "g": operand}))
+    code, doc = run_json(
+        capsys, "star", "--n", "2", "--lambdas", "1", "--deg", "6",
+        "--input", str(path),
+    )
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
 def test_verify_injected_failure_exit_code(capsys):
     code, doc = run_json(
         capsys, "verify", "--n", "2", "--deg", "4", "--seed", "11",

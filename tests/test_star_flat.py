@@ -59,8 +59,8 @@ def composed_reduce(engine, u: NCPoly) -> NCPoly:
         else:
             divided.append((word, coeff.coeffs))
     for word, coeffs in divided:
-        den, form = engine._normal_form(word)
-        for (v, p), d in form:
+        form, den = engine._normal_form(word)
+        for (v, p), d in form.items():
             acc = terms.setdefault(v, [])
             acc.extend([0] * (p + len(coeffs) - len(acc)))
             for k, a in enumerate(coeffs, p):
@@ -175,6 +175,28 @@ def test_star_builds_no_ncpoly(engines, monkeypatch):
     assert engine.star(f, g) == expected
 
 
+def test_star_builds_no_hpoly(engines, monkeypatch):
+    # operands, product, reduction and result stay on the flat layout,
+    # also for a fed-back product that carries h terms
+    engine = engines[6]
+    lead = word_of_exponent(engine.groebner[0].leading()[0])
+    f, g = (
+        MultiPoly.monomial(engine.variables, exponent_of_word(part, engine.basis.dim), Fraction(2, 3))
+        for part in (lead[:2], lead[2:])
+    )
+    fed = engine.star(g, f)
+    assert fed.max_h_degree() > 0
+    x0 = MultiPoly.variable(engine.variables, 0)
+    pairs = [(f, g), (fed, x0), (x0, fed), (f, fed)]
+    expected = [composed_star(engine, a, b) for a, b in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star built an HPoly")
+
+    monkeypatch.setattr(HPoly, "__init__", refuse)
+    assert [engine.star(a, b) for a, b in pairs] == expected
+
+
 # -- planted faults ---------------------------------------------------------------
 
 
@@ -189,8 +211,8 @@ def test_corrupted_normal_form_fails_certification_in_star(monkeypatch):
     )
     honest = engine.star(f, g)
     assert lead in engine._forms
-    den, terms = engine._forms[lead]
-    monkeypatch.setitem(engine._forms, lead, (den, terms + (((lead, 0), 1),)))
+    terms, den = engine._forms[lead]
+    monkeypatch.setitem(engine._forms, lead, ({**terms, (lead, 0): 1}, den))
     with pytest.raises(CertificationError):
         engine.star(f, g)
     monkeypatch.undo()

@@ -1,0 +1,47 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps names of the
+package from outside; a refactor that drops one of them fails here, not
+only in a benchmark run."""
+
+from fractions import Fraction
+from pathlib import Path
+
+from orbitquant.hpoly import HPoly
+from orbitquant.ncpoly import NCPoly, PBWAlgebra
+from orbitquant.poly import MultiPoly
+from orbitquant.quantize import OrbitQuantization
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_traces_a_star_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    patched = [
+        (HPoly, "__init__"),
+        (NCPoly, "__mul__"),
+        (OrbitQuantization, "reduce"),
+        (PBWAlgebra, "reduce_word"),
+        (MultiPoly, "__mul__"),
+    ]
+    originals = [cls.__dict__[attr] for cls, attr in patched]
+    untraced = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+    f, g = (MultiPoly.variable(untraced.variables, i) for i in (4, 0))
+    expected = untraced.star(f, g)
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+        tracer.phase = "stream"
+        product = engine.star(f, g)
+    finally:
+        tracer.uninstall()
+
+    assert product == expected and product.max_h_degree() == 1
+    assert tracer.count("setup", "lie.build") == 1
+    assert tracer.count("setup", "ncpoly.symmetrize") == 1
+    assert tracer.count("setup", "quantize.weight") == engine.basis.dim
+    assert tracer.count("setup", "ncpoly.sym_terms") == len(engine.sym_generators[0].terms)
+    assert tracer.count("setup", "hpoly.init") > 0
+    assert [cls.__dict__[attr] for cls, attr in patched] == originals
