@@ -27,7 +27,7 @@ from .jsonio import float_to_str, matrix_from_json, matrix_to_json
 from .lie import DualCoordinates, basis_to_json, build_lie_basis
 from .ncpoly import NCPoly, PBWAlgebra, symmetrize
 from .orbits import DualPoint, GroupElement, LieElement, adjoint, coadjoint, group_multiply, normal_form
-from .poly import MultiPoly
+from .poly import MultiPoly, as_fraction
 from .quantize import OrbitQuantization, QuotientElement
 from .invariants import (
     invariant_trace_power,
@@ -105,7 +105,7 @@ def _dual_point_json(pt: DualPoint) -> dict:
 def _lambdas(args) -> list[Fraction]:
     if not args.lambdas:
         raise StructuralError("this verb requires --lambdas (comma-separated exact rationals)")
-    return [Fraction(part) for part in args.lambdas.split(",")]
+    return [as_fraction(part) for part in args.lambdas.split(",")]
 
 
 def cmd_basis(args) -> int:
@@ -201,8 +201,9 @@ def cmd_no_invariants(args) -> int:
 
 
 def cmd_orbit_ideal(args) -> int:
+    lambdas = _lambdas(args)
     fam = semiinvariant_family(args.n)
-    ideal = orbit_ideal(_lambdas(args), fam)
+    ideal = orbit_ideal(lambdas, fam)
     doc = {
         "n": ideal.n,
         "k": ideal.k,
@@ -222,8 +223,9 @@ def cmd_regularity(args) -> int:
 
     from .sampling import random_orbit_sample
 
+    lambdas = _lambdas(args)
     fam = semiinvariant_family(args.n)
-    ideal = orbit_ideal(_lambdas(args), fam)
+    ideal = orbit_ideal(lambdas, fam)
     rng = _random.Random(args.seed)
     if args.input:
         data = _load_input(args)

@@ -1,6 +1,7 @@
 """Shared JSON encoding conventions.
 
-Rationals travel as exact strings ("p/q" or "p"), matrices as row-major
+Rationals travel as exact strings ("p/q" or "p") and are read back by
+``poly.as_fraction``, the one rational parser; matrices travel as row-major
 nested lists, floats as decimal strings with 17 significant digits so
 that every value round-trips bit-exactly.
 """
@@ -11,19 +12,11 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .errors import StructuralError
+from .poly import as_fraction
 
 
 def frac_to_str(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def frac_from_str(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    raise StructuralError(f"expected an exact rational string, got {s!r}")
 
 
 def float_to_str(x: float) -> str:
@@ -42,7 +35,7 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(data, exact: bool = True):
     if exact:
-        return [[frac_from_str(x) for x in row] for row in data]
+        return [[as_fraction(x) for x in row] for row in data]
     return [[float(x) for x in row] for row in data]
 
 

@@ -3,7 +3,11 @@
 Matrices are plain lists of lists.  Generic routines (multiplication,
 determinant, adjugate, Pfaffian-free helpers) work for any entries that
 support ring arithmetic, including MultiPoly; division-based routines
-(RREF, kernel, inverse) require Fraction entries.
+(RREF, kernel, inverse) require Fraction entries.  Multiplication of
+int/Fraction factors runs over integer numerators: each factor is
+brought to integer rows over one denominator, and each output entry is
+one Fraction; MultiPoly and float entries keep the entrywise loop, so
+float products are bit-identical to it.
 
 The sparse RREF is the workhorse behind rank certificates, such as the
 rank of the invariance equations: rows are dictionaries column ->
@@ -15,6 +19,8 @@ columns from becoming pivots).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable
 
 from .errors import DomainError, StructuralError
@@ -63,11 +69,23 @@ def mat_scale(a: Matrix, s) -> Matrix:
     return [[x * s for x in row] for row in a]
 
 
+_EXACT_TYPES = {int, Fraction}
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product, generic over the entry ring.
+
+    Factors whose entries are all of type int or Fraction multiply over
+    integer numerators (see ``_mat_mul_exact``); every other entry type,
+    such as MultiPoly or float, goes through the entrywise loop below.
+    """
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise StructuralError(f"matrix size mismatch: {ra}x{ca} times {rb}x{cb}")
+    types = {type(x) for row in a for x in row} | {type(x) for row in b for x in row}
+    if types <= _EXACT_TYPES:
+        return _mat_mul_exact(a, b, ints_only=Fraction not in types)
     out = []
     for i in range(ra):
         row = []
@@ -79,6 +97,35 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(row)
     return out
+
+
+def is_exact(m: Matrix) -> bool:
+    """Whether every entry is an int or a Fraction."""
+    return all(isinstance(x, (Fraction, int)) for row in m for x in row)
+
+
+def _numerators(m: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows and one positive denominator d with m = rows / d."""
+    den = lcm(*{x.denominator for row in m for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _mat_mul_exact(a: Matrix, b: Matrix, ints_only: bool) -> Matrix:
+    """The product of int/Fraction factors over integer numerators.
+
+    Each factor is brought to integer rows over the lcm of its entries'
+    denominators, so every inner product is an integer sum and each
+    output entry is one Fraction over the product of the two
+    denominators: no Fraction arithmetic runs inside the sums.  With
+    ``ints_only`` the entries stay ints, as the entrywise loop gives.
+    """
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    cols = list(zip(*nb))
+    if ints_only:
+        return [[sum(map(mul, row, col)) for col in cols] for row in na]
+    den = da * db
+    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in na]
 
 
 def trace(m: Matrix):
@@ -119,7 +166,7 @@ def det(m: Matrix):
         return m[0][0]
     if rows == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if all(isinstance(x, (Fraction, int)) for row in m for x in row):
+    if is_exact(m):
         return _det_fraction(m)
     total = None
     for j in range(cols):

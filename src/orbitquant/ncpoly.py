@@ -53,7 +53,7 @@ from math import factorial, gcd, lcm
 from .errors import CapacityError, StructuralError
 from .hpoly import HPoly
 from .lie import LieBasis, StructureConstants
-from .poly import MultiPoly, as_fraction
+from .poly import MultiPoly, as_fraction, keyed_once
 
 Word = tuple[int, ...]
 # Words with exact int (or Fraction) coefficients, all of one degree d:
@@ -463,9 +463,9 @@ class NCPoly(_FlatTerms):
 
     @classmethod
     def from_json(cls, algebra: PBWAlgebra, data) -> "NCPoly":
-        terms = {
-            tuple(rec["word"]): HPoly.from_json(rec["coefficient"]) for rec in data
-        }
+        terms = keyed_once(
+            ((tuple(rec["word"]), HPoly.from_json(rec["coefficient"])) for rec in data), "word"
+        )
         return cls(algebra, terms)
 
     def __str__(self):

@@ -11,28 +11,31 @@ which is associative and makes the embedding a homomorphism; the adjoint
 and coadjoint formulas below are its derivatives and are verified against
 block-matrix conjugation in the test suite.
 
-Everything is exact on Fraction inputs.  Only the orbit normal form uses
-floating point (Cholesky and a real Schur decomposition), with explicit
-residual and regularity tolerances; numpy and scipy are imported by the
-float branches on first use, so exact work never loads them.
+Everything is exact on Fraction inputs, and the matrix products run over
+integer numerators (``linalg.mat_mul``).  A group element computes g^{-1}
+and gcheck once, on first use, and keeps them (``GroupElement.inverse``
+and ``.gcheck``); the actions, the group inverse and the embedding read
+them, so acting on many points or basis elements inverts g once.  The
+trace pairing of a dual point with an algebra element is read off the
+element's nonzero entries.  Only the orbit normal form uses floating
+point (Cholesky and a real Schur decomposition), with explicit residual
+and regularity tolerances; numpy and scipy are imported by the float
+branches on first use, so exact work never loads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg as la
 from .errors import DomainError, StructuralError
-from .lie import LieBasis, algebra_block, dual_block, trace_pairing
-
-
-def _is_exact(m) -> bool:
-    return all(isinstance(x, (Fraction, int)) for row in m for x in row)
+from .lie import ZERO, LieBasis
 
 
 def _det(m):
-    if _is_exact(m):
+    if la.is_exact(m):
         return la.det(m)
     import numpy as np
 
@@ -40,7 +43,7 @@ def _det(m):
 
 
 def _inv(m):
-    if _is_exact(m):
+    if la.is_exact(m):
         return la.inverse(m)
     import numpy as np
 
@@ -51,7 +54,7 @@ def _check_symmetric(m, what: str, tol: float = 1e-9):
     rows, cols = la.shape(m)
     if rows != cols:
         raise StructuralError(f"{what} must be square")
-    if _is_exact(m):
+    if la.is_exact(m):
         if not la.is_symmetric(m):
             raise DomainError(f"{what} must be symmetric")
     else:
@@ -65,7 +68,11 @@ def _check_symmetric(m, what: str, tol: float = 1e-9):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A pair (x, g), x symmetric, det(g) > 0."""
+    """A pair (x, g), x symmetric, det(g) > 0.
+
+    ``inverse`` and ``gcheck`` are kept once computed, so x, g and the
+    matrices these return are read-only.
+    """
 
     x: la.Matrix
     g: la.Matrix
@@ -82,6 +89,18 @@ class GroupElement:
     @property
     def n(self) -> int:
         return len(self.g)
+
+    # computed on first use and kept in the instance dict, outside the
+    # dataclass fields, so equality still compares (x, g) only
+    @cached_property
+    def inverse(self) -> la.Matrix:
+        """g^{-1}."""
+        return _inv(self.g)
+
+    @cached_property
+    def gcheck(self) -> la.Matrix:
+        """The contragredient (g^t)^{-1}."""
+        return _inv(la.transpose(self.g))
 
 
 @dataclass(frozen=True)
@@ -118,11 +137,6 @@ def group_identity(n: int) -> GroupElement:
     return GroupElement(la.zeros(n, n), la.identity(n))
 
 
-def gcheck(g: la.Matrix) -> la.Matrix:
-    """The contragredient (g^t)^{-1}."""
-    return _inv(la.transpose(g))
-
-
 def group_multiply(p: GroupElement, q: GroupElement) -> GroupElement:
     """(x1, g1)(x2, g2) = (x1 + g1 x2 g1^t, g1 g2)."""
     if p.n != q.n:
@@ -132,15 +146,16 @@ def group_multiply(p: GroupElement, q: GroupElement) -> GroupElement:
 
 
 def group_inverse(p: GroupElement) -> GroupElement:
-    ginv = _inv(p.g)
+    ginv = p.inverse
     x = la.mat_neg(la.mat_mul(la.mat_mul(ginv, p.x), la.transpose(ginv)))
-    return GroupElement(x, ginv)
+    # a copy: the new element's g must not alias p's kept inverse
+    return GroupElement(x, [list(row) for row in ginv])
 
 
 def embed_sp(p: GroupElement) -> la.Matrix:
     """The symplectic block matrix (g  x*gcheck; 0  gcheck)."""
     n = p.n
-    gc = gcheck(p.g)
+    gc = p.gcheck
     xgc = la.mat_mul(p.x, gc)
     out = la.zeros(2 * n, 2 * n)
     for i in range(n):
@@ -153,8 +168,7 @@ def embed_sp(p: GroupElement) -> la.Matrix:
 
 def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
     """Ad(x,g)(b,a) = (g b g^t - {g a g^-1 x + (g a g^-1 x)^t}, g a g^-1)."""
-    g, x = p.g, p.x
-    ginv = _inv(g)
+    g, x, ginv = p.g, p.x, p.inverse
     a_new = la.mat_mul(la.mat_mul(g, elt.a), ginv)
     gax = la.mat_mul(a_new, x)
     b_new = la.mat_sub(
@@ -166,9 +180,7 @@ def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
 
 def coadjoint(p: GroupElement, pt: DualPoint) -> DualPoint:
     """Ad*(x,g)(c,a) = (gcheck c g^-1, g a g^-1 + x gcheck c g^-1)."""
-    g, x = p.g, p.x
-    ginv = _inv(g)
-    gc = gcheck(g)
+    g, x, ginv, gc = p.g, p.x, p.inverse, p.gcheck
     c_new = la.mat_mul(la.mat_mul(gc, pt.c), ginv)
     a_new = la.mat_add(
         la.mat_mul(la.mat_mul(g, pt.a), ginv),
@@ -196,8 +208,15 @@ def ad_star(elt: LieElement, pt: DualPoint) -> DualPoint:
 
 
 def pair_dual_algebra(pt: DualPoint, elt: LieElement) -> Fraction:
-    """Trace pairing of a dual point against an algebra element."""
-    return trace_pairing(dual_block(pt.c, pt.a), algebra_block(elt.a, elt.b))
+    """Trace pairing of a dual point against an algebra element.
+
+    tr(dual_block(c, a) * algebra_block(alpha, b)) = 2 tr(a alpha) + tr(c b),
+    summed over the nonzero entries of alpha and b only.
+    """
+    a, c = pt.a, pt.c
+    gl = sum((a[j][i] * v for i, row in enumerate(elt.a) for j, v in enumerate(row) if v), ZERO)
+    sym = sum((c[j][i] * v for i, row in enumerate(elt.b) for j, v in enumerate(row) if v), ZERO)
+    return 2 * gl + sym
 
 
 def basis_lie_element(basis: LieBasis, i: int) -> LieElement:
@@ -226,7 +245,7 @@ def orbit_dimension(pt: DualPoint, basis: LieBasis) -> int:
 
 def is_positive_definite(c: la.Matrix) -> bool:
     """Exact Sylvester criterion for Fraction input, Cholesky for floats."""
-    if _is_exact(c) and la.is_symmetric(c):
+    if la.is_exact(c) and la.is_symmetric(c):
         n = len(c)
         for k in range(1, n + 1):
             minor = [row[:k] for row in c[:k]]

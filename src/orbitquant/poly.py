@@ -38,11 +38,19 @@ ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction.
+
+    This is the one parser of exact rationals from input.  Anything else
+    raises StructuralError: floats, bools (a JSON ``true`` is not the
+    rational 1), strings that are not rationals, and zero denominators.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise StructuralError(f"not an exact rational value: {value!r}")
 
 
@@ -57,6 +65,16 @@ def checked_exponent(exp, nvars: int) -> Exponent:
     if exp and (set(map(type, exp)) != {int} or min(exp) < 0):
         raise StructuralError(f"exponent {exp} is not a tuple of nonnegative ints")
     return exp
+
+
+def keyed_once(pairs: Iterable, what: str) -> dict:
+    """The dict of (key, value) pairs, or StructuralError if a key repeats."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise StructuralError(f"{what} {key} appears in two records")
+        out[key] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -347,10 +365,13 @@ class MultiPoly:
     @classmethod
     def from_records(cls, data: Mapping) -> "MultiPoly":
         variables = data["variables"]
-        terms = {
-            checked_exponent(rec["exponents"], len(variables)): rec["coefficient"]
-            for rec in data["terms"]
-        }
+        terms = keyed_once(
+            (
+                (checked_exponent(rec["exponents"], len(variables)), rec["coefficient"])
+                for rec in data["terms"]
+            ),
+            "exponent",
+        )
         return cls(variables, terms)
 
     def __str__(self):

@@ -56,7 +56,14 @@ from .ncpoly import (
     symmetrize,
     word_of_exponent,
 )
-from .poly import GREVLEX, Exponent, MultiPoly, checked_exponent, monomials_up_to_degree
+from .poly import (
+    GREVLEX,
+    Exponent,
+    MultiPoly,
+    checked_exponent,
+    keyed_once,
+    monomials_up_to_degree,
+)
 
 
 class QuotientElement(_FlatTerms):
@@ -101,10 +108,13 @@ class QuotientElement(_FlatTerms):
     def from_json(cls, data) -> "QuotientElement":
         variables = tuple(data["variables"])
         n = len(variables)
-        terms = {
-            checked_exponent(rec["exponents"], n): HPoly.from_json(rec["coefficient"])
-            for rec in data["terms"]
-        }
+        terms = keyed_once(
+            (
+                (checked_exponent(rec["exponents"], n), HPoly.from_json(rec["coefficient"]))
+                for rec in data["terms"]
+            ),
+            "exponent",
+        )
         return cls(variables, terms)
 
 

@@ -315,6 +315,78 @@ def test_star_rejects_malformed_quotient_operand(capsys, tmp_path, exponents, co
     assert doc["error"]["type"] == "StructuralError"
 
 
+@pytest.mark.parametrize("value", ["1/0", True], ids=["zero_denominator", "json_true"])
+@pytest.mark.parametrize(
+    "argv,request_of",
+    [
+        # a matrix entry, read by jsonio.matrix_from_json
+        (("group-mul",), lambda v: {"p": {"x": [["0"]], "g": [[v]]},
+                                    "q": {"x": [["0"]], "g": [["1"]]}}),
+        # a coefficient of an h polynomial, read by HPoly.from_json
+        (("pbw", "--n", "1"), lambda v: {"word": [1, 0], "coefficient": [v]}),
+        # a plain coefficient, read by MultiPoly.from_records
+        (("star", "--n", "2", "--lambdas", "1", "--deg", "6"), lambda v: {
+            "f": {"variables": STAR_N2_VARIABLES,
+                  "terms": [{"exponents": [1, 0, 0, 0, 0, 0, 0], "coefficient": v}]},
+            "g": {"variables": STAR_N2_VARIABLES, "terms": []},
+        }),
+    ],
+    ids=["group-mul", "pbw", "star"],
+)
+def test_inexact_or_undefined_rationals_are_input_errors(
+    capsys, tmp_path, argv, request_of, value
+):
+    # "1/0" was a ZeroDivisionError traceback with exit 1; true was read as 1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(request_of(value)))
+    code, doc = run_json(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
+@pytest.mark.parametrize("lambdas", ["1/0", "x", "true"])
+def test_lambdas_must_be_exact_rationals(capsys, lambdas):
+    code, doc = run_json(capsys, "orbit-ideal", "--n", "2", "--lambdas", lambdas)
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        ("1", "5"),  # MultiPoly records: the second used to replace the first
+        (["1"], ["5", "1"]),  # QuotientElement records
+    ],
+    ids=["multipoly", "quotient"],
+)
+def test_star_refuses_a_repeated_exponent(capsys, coefficients):
+    f = {
+        "variables": STAR_N2_VARIABLES,
+        "terms": [{"exponents": [1, 0, 0, 0, 0, 0, 0], "coefficient": c} for c in coefficients],
+    }
+    one = {"variables": STAR_N2_VARIABLES,
+           "terms": [{"exponents": [0] * 7, "coefficient": "1"}]}
+    code, doc = run_json(
+        capsys, "star", "--n", "2", "--lambdas", "1", "--deg", "6",
+        "--f", json.dumps(f), "--g", json.dumps(one),
+    )
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+    assert "appears in two records" in doc["error"]["message"]
+
+
+def test_ncpoly_from_json_refuses_a_repeated_word():
+    from orbitquant.errors import StructuralError
+    from orbitquant.ncpoly import NCPoly, PBWAlgebra
+    from orbitquant.lie import build_lie_basis
+
+    algebra = PBWAlgebra(*build_lie_basis(1))
+    records = [{"word": [0, 1], "coefficient": ["1"]}, {"word": [0, 1], "coefficient": ["5"]}]
+    with pytest.raises(StructuralError, match="appears in two records"):
+        NCPoly.from_json(algebra, records)
+    assert NCPoly.from_json(algebra, records[:1]).to_json() == [records[0]]
+
+
 def test_verify_injected_failure_exit_code(capsys):
     code, doc = run_json(
         capsys, "verify", "--n", "2", "--deg", "4", "--seed", "11",
@@ -344,6 +416,12 @@ def test_entry_point_runs():
         # f * g reaches the leading monomial x_a21^2 x_b11^2, so a division
         # step runs; g is a QuotientElement with an h term
         (("star", "--n", "2", "--lambdas", "1", "--deg", "6", "--input", "-"), "star_n2.json"),
+        # the group verbs on one n = 3 input with non-integer entries; the
+        # normal form is float and pins its bits
+        (("group-mul", "--input", "-"), "group_mul_n3.json"),
+        (("adjoint", "--input", "-"), "adjoint_n3.json"),
+        (("coadjoint", "--input", "-"), "coadjoint_n3.json"),
+        (("normal-form", "--input", "-"), "normal_form_n3.json"),
     ],
 )
 def test_golden_outputs(capsys, monkeypatch, tmp_path, argv, golden):
@@ -351,9 +429,17 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path, argv, golden):
     import pathlib
 
     folder = pathlib.Path(__file__).parent / "golden"
+
+    def orbits_n3():
+        return (folder / "orbits_n3_input.json").read_text()
+
     stdin = {
         "pbw_n1.json": lambda: json.dumps({"word": [1, 0]}),
         "star_n2.json": lambda: (folder / "star_n2_input.json").read_text(),
+        "group_mul_n3.json": orbits_n3,
+        "adjoint_n3.json": orbits_n3,
+        "coadjoint_n3.json": orbits_n3,
+        "normal_form_n3.json": orbits_n3,
     }
     if "--input" in argv:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin[golden]()))

@@ -13,6 +13,7 @@ import pytest
 from orbitquant import verify
 from orbitquant.hpoly import HPoly
 from orbitquant.ncpoly import NCPoly
+from orbitquant.orbits import GroupElement
 from orbitquant.quantize import OrbitQuantization
 
 
@@ -22,6 +23,13 @@ def spurious_invariant(honest):
         return dataclasses.replace(cert, kernel_dimension=cert.kernel_dimension + 1)
 
     return certificate
+
+
+def wrong_inverse(honest):
+    # a data descriptor on the class wins over the cached value, so every
+    # group element reads twice its true inverse: the images stay valid
+    # dual points, and only the comparisons can catch the fault
+    return property(lambda self: [[2 * v for v in row] for row in honest.func(self)])
 
 
 def reversed_product(honest):
@@ -43,6 +51,8 @@ CASES = [
      verify, "group_multiply", lambda honest: lambda p, q: p),
     ("coadjoint_functoriality_duality", lambda: verify.check_coadjoint(2, ns=(2,), samples=2),
      verify, "coadjoint", lambda honest: lambda g, pt: honest(verify.group_inverse(g), pt)),
+    ("coadjoint_functoriality_duality", lambda: verify.check_coadjoint(2, ns=(2,), samples=2),
+     GroupElement, "inverse", wrong_inverse),
     ("normal_form", lambda: verify.check_normal_form(3, ns=(2,), samples=2),
      verify, "normal_form",
      lambda honest: lambda pt, tol: dataclasses.replace(honest(pt, tol=tol), residual=1.0)),
@@ -67,7 +77,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, run, target, attr, fault", CASES, ids=[c[0] for c in CASES])
+# a check's first fault is named after the check, a further one also after its attribute
+IDS = [
+    name if all(c[0] != name for c in CASES[:i]) else f"{name}-{attr}"
+    for i, (name, _, _, attr, _) in enumerate(CASES)
+]
+
+
+@pytest.mark.parametrize("name, run, target, attr, fault", CASES, ids=IDS)
 def test_planted_fault_fails_the_check(monkeypatch, name, run, target, attr, fault):
     honest = run()
     assert (honest["name"], honest["status"]) == (name, "pass")
