@@ -251,7 +251,7 @@ def cmd_pbw(args) -> int:
     data = _load_input(args)
     algebra = _algebra(args.n)
     coeff = HPoly.from_json(data.get("coefficient", ["1"]))
-    result = NCPoly.from_word(algebra, tuple(data["word"]), coeff)
+    result = NCPoly.from_word(algebra, data["word"], coeff)
     _write_output(args, {"terms": result.to_json()})
     return 0
 

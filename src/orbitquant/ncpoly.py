@@ -9,6 +9,17 @@ where the bracket expands through the structure constants.  With the
 grading deg(X_i) = deg(h) = 1 the rewriting relation is homogeneous, so
 reduction preserves degree and multiplication adds degrees.
 
+Inside the package a sorted word X_{w0} X_{w1} ... (w0 <= w1 <= ...)
+is one int, its packed code: sum (w_i + 1) << (s i) with the letter
+shift s = dim.bit_length() (``pack_word``).  Each letter is a digit from
+1 to dim, so the empty word is 0 and the first letter sits in the low
+digit: the first letter is (w & mask) - 1, prepending l is
+(w << s) | (l + 1), the rest of the word is w >> s and the length is
+``word_length``.  Digits never carry and ints are unbounded, so packing
+sets no limit.  Tuple words appear only at the public edges: the
+``NCPoly`` constructor, its ``terms`` view, JSON and printing,
+``word_of_exponent``/``exponent_of_word`` and ``reduce_word``.
+
 Every product is built on one primitive, ``PBWAlgebra._insert``, which
 puts a single letter in front of a sorted word:
 
@@ -18,26 +29,30 @@ puts a single letter in front of a sorted word:
 with [X_l, X_w0] = sum_k c_k X_k.  This is the normal-form recursion for
 algebras of solvable type (Kandri-Rody and Weispfenning, J. Symbolic
 Comput. 9, 1990); it terminates by the (length, inversion count)
-measure.  Results are memoized per algebra.  Because the relation is
-homogeneous, a term h^p X^v of X_l X^w has p = len(w) + 1 - len(v), so a
-memo entry is keyed by words alone: a tuple of (word, coefficient) pairs
-whose words are interned per algebra.  Structure constants with
-denominator 1 are stored as ``int``, which makes every memo coefficient
-an ``int`` for the integral structure constants of this package; other
-constants keep working as ``Fraction``.
+measure.  Results are memoized per algebra and letter, keyed by the
+packed word: an int hashes as itself, so a memo hit builds no key.
+Because the relation is homogeneous, a term h^p X^v of X_l X^w has
+p = len(w) + 1 - len(v), so a memo entry is a tuple of (packed word,
+coefficient) pairs.  Structure constants with denominator 1 are stored
+as ``int``, which makes every memo coefficient an ``int`` for the
+integral structure constants of this package; other constants keep
+working as ``Fraction``.
 
 Products fold the letters of the left word into the right word from
 right to left; the symmetrizer, the letter commutator (through the
 derivation rule) and the quantization's left multiples are built on the
 same step.  They all work on one flat layout: integer numerators keyed
-by (word, h power) over one positive denominator.  ``NCPoly`` stores
-its terms in that layout, in lowest terms (``_lowest_terms``), so equal
-elements have equal layouts; ``QuotientElement`` stores the same layout
-keyed by exponents, and both share their arithmetic (``_FlatTerms``).
-``_flatten`` writes exact coefficients in the layout and
-``PBWAlgebra._product`` multiplies in it.  ``HPoly`` appears only at the
-edges: constructor input, the ``terms`` view (``_gather``, one
+by (packed word, h power) over one positive denominator.  ``NCPoly``
+stores its terms in that layout, in lowest terms (``_lowest_terms``), so
+equal elements have equal layouts; ``QuotientElement`` stores the same
+layout keyed by exponents, and both share their arithmetic
+(``_FlatTerms``).  ``_flatten`` writes exact coefficients in the layout
+and ``PBWAlgebra._product`` multiplies in it.  ``HPoly`` appears only at
+the edges: constructor input, the ``terms`` view (``_gather``, one
 ``HPoly`` per key on each access), JSON and printing.
+
+Letters are checked where they enter (``checked_word``): each is an int,
+not a bool, in range.
 
 ``reduce_word`` is the literal rewriter: it rewrites the leftmost
 inversion, or a randomly chosen one when given an rng.  It shares no code
@@ -56,10 +71,57 @@ from .lie import LieBasis, StructureConstants
 from .poly import MultiPoly, as_fraction, keyed_once
 
 Word = tuple[int, ...]
-# Words with exact int (or Fraction) coefficients, all of one degree d:
-# the term of word v carries h^(d - len(v)).
-WordTerms = dict[Word, "int | Fraction"]
+# Packed words with exact int (or Fraction) coefficients, all of one
+# degree d: the term of word v carries h^(d - len(v)).
+WordTerms = dict[int, "int | Fraction"]
 _ZERO = Fraction(0)
+
+
+def checked_word(word, dim: int) -> Word:
+    """``word`` as a tuple, or StructuralError unless every letter is an int
+    (not a bool) in range(dim)."""
+    if not isinstance(word, (tuple, list)):
+        raise StructuralError(f"word {word!r} is not a list of letters")
+    word = tuple(word)
+    # type(x) is int rules out bools and floats; the type test runs first
+    if word and (set(map(type, word)) != {int} or min(word) < 0 or max(word) >= dim):
+        raise StructuralError(f"word {word} has a letter that is not an int in range({dim})")
+    return word
+
+
+def pack_word(word: Word, shift: int) -> int:
+    """The packed code sum (w_i + 1) << (shift i) of a word of int letters."""
+    code = 0
+    for letter in reversed(word):
+        code = (code << shift) | (letter + 1)
+    return code
+
+
+def unpack_word(code: int, shift: int) -> Word:
+    """The word of a packed code."""
+    mask = (1 << shift) - 1
+    out = []
+    while code:
+        out.append((code & mask) - 1)
+        code >>= shift
+    return tuple(out)
+
+
+def word_length(code: int, shift: int) -> int:
+    """The number of letters of a packed word: its top digit is nonzero."""
+    return (code.bit_length() + shift - 1) // shift
+
+
+def pack_exponent(exp, shift: int) -> int:
+    """The packed code of the ordered word X_0^e0 X_1^e1 ... of an exponent."""
+    code = pos = 0
+    mask = (1 << shift) - 1
+    for digit, count in enumerate(exp, 1):
+        if count:
+            # count copies of the digit, written at once: digits never carry
+            code |= (digit * ((1 << (shift * count)) - 1) // mask) << pos
+            pos += shift * count
+    return code
 
 
 class PBWAlgebra:
@@ -71,62 +133,74 @@ class PBWAlgebra:
         self.basis = basis
         self.sc = sc
         self.dim = basis.dim
-        # [X_i, X_j] = sum_k c X_k as ((k, c), ...) for every i != j, with
-        # c an int when its denominator is 1
-        self._bracket: dict[tuple[int, int], tuple] = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                pairs = tuple(
+        # the width in bits of one letter digit of a packed word
+        self.shift = self.dim.bit_length()
+        self._mask = (1 << self.shift) - 1
+        # _bracket[i][j]: [X_i, X_j] = sum_k c X_k as ((k, c), ...), with c an
+        # int when its denominator is 1
+        self._bracket: list[list[tuple]] = [
+            [
+                tuple(
                     (k, v.numerator if v.denominator == 1 else v)
                     for k, v in sc.bracket_coeffs(i, j).items()
                     if v
                 )
-                if pairs:
-                    self._bracket[i, j] = pairs
-        # _memo[l][w] = X_l * X^w for l > w[0]
-        self._memo: list[dict[Word, tuple]] = [{} for _ in range(self.dim)]
-        self._words: dict[Word, Word] = {}
+                for j in range(self.dim)
+            ]
+            for i in range(self.dim)
+        ]
+        # _memo[l][w] = X_l * X^w for a packed word w with first letter below l
+        self._memo: list[dict[int, tuple]] = [{} for _ in range(self.dim)]
 
     # -- the insertion primitive ------------------------------------------
 
-    def _insert(self, l: int, w: Word) -> tuple:
-        """X_l * X^w for a sorted word w, as ((word, coefficient), ...).
+    def _insert(self, l: int, w: int) -> tuple:
+        """X_l * X^w for a packed sorted word w, as ((packed word, coefficient), ...).
 
         The term of word v carries h^(len(w) + 1 - len(v)).
         """
-        if not w or l <= w[0]:
-            return (((l,) + w, 1),)
-        hit = self._memo[l].get(w)
+        first = w & self._mask  # the first letter plus one; 0 for the empty word
+        if l < first or not w:
+            return (((w << self.shift) | (l + 1), 1),)
+        memo = self._memo[l]
+        hit = memo.get(w)
         if hit is not None:
             return hit
-        insert = self._insert
-        w0, rest = w[0], w[1:]
-        acc: dict[Word, int | Fraction] = {}
-        for u, c in insert(l, rest):
-            for v, d in insert(w0, u):
-                acc[v] = acc.get(v, 0) + c * d
-        for k, ck in self._bracket.get((l, w0), ()):
-            for v, d in insert(k, rest):
-                acc[v] = acc.get(v, 0) + ck * d
-        words = self._words
-        result = tuple((words.setdefault(v, v), c) for v, c in acc.items() if c)
-        self._memo[l][words.setdefault(w, w)] = result
+        prepend = self._prepend
+        w0, rest = first - 1, w >> self.shift
+        acc = prepend(w0, self._insert(l, rest))
+        for k, ck in self._bracket[l][w0]:
+            prepend(k, ((rest, ck),), acc)
+        memo[w] = result = tuple((v, c) for v, c in acc.items() if c)
         return result
 
-    def _fold(self, left: Word, terms: WordTerms) -> WordTerms:
-        """X^left * terms, inserting the letters of ``left`` right to left.
+    def _fold(self, left: int, terms: WordTerms) -> WordTerms:
+        """X^left * terms, inserting the letters of the packed word ``left``
+        right to left.
 
-        ``terms`` holds sorted words of one degree d; the result has
-        degree d + len(left).
+        ``terms`` holds packed sorted words of one degree d; the result has
+        degree d + len(left) and may hold zero coefficients.
         """
-        insert = self._insert
-        for l in reversed(left):
-            out: dict[Word, int | Fraction] = {}
-            for u, c in terms.items():
-                for v, d in insert(l, u):
-                    out[v] = out.get(v, 0) + c * d
-            terms = out
-        return {v: c for v, c in terms.items() if c}
+        shift, mask = self.shift, self._mask
+        # the digits of left from the last letter to the first
+        for cut in range(shift * (word_length(left, shift) - 1), -1, -shift):
+            terms = self._prepend(((left >> cut) & mask) - 1, terms.items())
+        return terms
+
+    def _prepend(self, l: int, terms, out: WordTerms | None = None) -> WordTerms:
+        """X_l * terms for (packed sorted word, coefficient) pairs, added into
+        ``out`` if given; may hold zero coefficients."""
+        insert, shift, mask = self._insert, self.shift, self._mask
+        if out is None:
+            out = {}
+        for u, c in terms:
+            if l < u & mask or not u:  # X_l X^u is already sorted
+                v = (u << shift) | (l + 1)
+                out[v] = out.get(v, 0) + c
+                continue
+            for v, d in insert(l, u):
+                out[v] = out.get(v, 0) + c * d
+        return out
 
     def _product(self, left: dict, right: dict) -> dict:
         """left * right on the flat layout.
@@ -137,14 +211,16 @@ class PBWAlgebra:
         of its words, so each left word is folded into one homogeneous
         sum per degree.
         """
-        by_degree: dict[int, dict[Word, int]] = {}
+        shift = self.shift
+        by_degree: dict[int, dict[int, int]] = {}
         for (w, p), b in right.items():
-            by_degree.setdefault(len(w) + p, {})[w] = b
+            by_degree.setdefault(word_length(w, shift) + p, {})[w] = b
         fold = self._fold
-        out: dict[tuple[Word, int], int] = {}
+        out: dict[tuple[int, int], int] = {}
         for w, coeffs in _by_word(left).items():
+            length = word_length(w, shift)
             for degree, terms in by_degree.items():
-                _add_scaled(out, fold(w, terms), degree + len(w), coeffs)
+                _add_scaled(out, fold(w, terms), degree + length, coeffs, shift)
         return out
 
     # -- word reduction --------------------------------------------------
@@ -157,11 +233,8 @@ class PBWAlgebra:
         """
         if coeff is None:
             coeff = HPoly.one()
-        for letter in word:
-            if not 0 <= letter < self.dim:
-                raise StructuralError(f"letter {letter} out of range")
         result: dict[Word, HPoly] = {}
-        stack: list[tuple[Word, HPoly]] = [(tuple(word), coeff)]
+        stack: list[tuple[Word, HPoly]] = [(checked_word(word, self.dim), coeff)]
         while stack:
             w, c = stack.pop()
             if c.is_zero():
@@ -177,27 +250,27 @@ class PBWAlgebra:
                 stack.append((w[:i] + (k,) + w[i + 2 :], c * HPoly.h(1, v)))
         return result
 
-    def letter_commutator_words(self, e: int, w: Word) -> WordTerms:
-        """[X_e, X^w] for a sorted word w, expanded through the derivation rule.
+    def letter_commutator_words(self, e: int, w: int) -> WordTerms:
+        """[X_e, X^w] for a packed sorted word w, expanded through the
+        derivation rule.
 
         The bracket with a single letter is a derivation of the product:
         the sum over positions i of X^w[:i] * h[X_e, X_w[i]] * X^w[i+1:],
-        much cheaper than two full products.  The result has degree
-        len(w) + 1, h included.
+        much cheaper than two full products.  It is summed Horner-wise from
+        the last letter: C_i = X_w[i] C_(i+1) + h[X_e, X_w[i]] X^w[i+1:].
+        The result has degree len(w) + 1, h included.
         """
-        out: dict[Word, int | Fraction] = {}
-        for pos, letter in enumerate(w):
-            pairs = self._bracket.get((e, letter))
-            if pairs is None:
-                continue
-            rest = w[pos + 1 :]
-            inner: dict[Word, int | Fraction] = {}
-            for k, ck in pairs:
-                for v, d in self._insert(k, rest):
-                    inner[v] = inner.get(v, 0) + ck * d
-            for v, d in self._fold(w[:pos], inner).items():
-                out[v] = out.get(v, 0) + d
-        return {v: c for v, c in out.items() if c}
+        insert, shift, mask, brackets = self._insert, self.shift, self._mask, self._bracket[e]
+        acc: dict[int, int | Fraction] = {}
+        for cut in range(shift * (word_length(w, shift) - 1), -1, -shift):
+            letter = ((w >> cut) & mask) - 1
+            if acc:
+                acc = self._prepend(letter, acc.items())
+            rest = w >> (cut + shift)
+            for k, ck in brackets[letter]:
+                for v, d in insert(k, rest):
+                    acc[v] = acc.get(v, 0) + ck * d
+        return {v: c for v, c in acc.items() if c}
 
 
 def _accumulate(store: dict[Word, HPoly], word: Word, coeff: HPoly):
@@ -250,16 +323,18 @@ def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
 
 def _by_word(flat: dict) -> dict:
     """The flat layout grouped by word: word -> [(h power, numerator), ...]."""
-    out: dict[Word, list] = {}
+    out: dict[int, list] = {}
     for (w, p), c in flat.items():
         out.setdefault(w, []).append((p, c))
     return out
 
 
-def _add_scaled(flat: dict, words: WordTerms, degree: int, coeffs) -> None:
-    """flat += (sum_p a h^p over (p, a) in coeffs) * words, for words of the given degree."""
+def _add_scaled(flat: dict, words: WordTerms, degree: int, coeffs, shift: int) -> None:
+    """flat += (sum_p a h^p over (p, a) in coeffs) * words, for packed words of
+    the given degree with letter shift ``shift``."""
+    top = shift - 1
     for v, d in words.items():
-        base = degree - len(v)
+        base = degree - (v.bit_length() + top) // shift  # minus the length of v
         for p, a in coeffs:
             key = (v, base + p)
             flat[key] = flat.get(key, 0) + a * d
@@ -286,14 +361,14 @@ class _FlatTerms:
 
     ``flat`` maps (key, h power) to a nonzero integer numerator over the
     positive denominator ``den``, in lowest terms, so equal elements have
-    equal layouts.  Keys are PBW words or exponent tuples; ``terms`` is a
-    view with one HPoly per key, built on each access.  A subclass names
-    the slot of the context its operands share and the degree of a key.
+    equal layouts.  Keys are packed PBW words or exponent tuples;
+    ``terms`` is a view with one HPoly per key, built on each access.  A
+    subclass names the slot of the context its operands share and gives
+    the degree of a key (``_key_degree``).
     """
 
     __slots__ = ("flat", "den")
     _context_slot: str
-    _key_degree: staticmethod
     _mismatch: str
 
     def _set(self, context, flat: dict, den: int):
@@ -392,24 +467,32 @@ class NCPoly(_FlatTerms):
     """An element of the algebra in PBW normal form.
 
     Keys are non-decreasing words; the empty word is the unit.  The
-    constructor takes {word: HPoly or exact scalar}.  All arithmetic stays
-    inside one PBWAlgebra context.
+    constructor takes {word: HPoly or exact scalar} with tuple words, and
+    ``terms`` gives them back; ``flat`` keys them by packed words.  All
+    arithmetic stays inside one PBWAlgebra context.
     """
 
     __slots__ = ("algebra",)
     _context_slot = "algebra"
-    _key_degree = staticmethod(len)
     _mismatch = "operands from different algebra contexts"
 
     def __init__(self, algebra: PBWAlgebra, terms: dict | None = None):
         items = []
         for w, c in (terms or {}).items():
+            w = checked_word(w, algebra.dim)
             if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
                 raise StructuralError(f"word {w} is not PBW-sorted")
-            if w and not (0 <= w[0] and w[-1] < algebra.dim):
-                raise StructuralError(f"word {w} has a letter out of range")
-            items.append((tuple(w), _hvalues(c)))
+            items.append((pack_word(w, algebra.shift), _hvalues(c)))
         self._set(algebra, *_flatten(items))
+
+    def _key_degree(self, key: int) -> int:
+        return word_length(key, self.algebra.shift)
+
+    @property
+    def terms(self) -> dict:
+        """{tuple word: HPoly coefficient}, built on each access."""
+        shift = self.algebra.shift
+        return {unpack_word(w, shift): c for w, c in _gather(self.flat, self.den).items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -427,7 +510,7 @@ class NCPoly(_FlatTerms):
 
     @classmethod
     def from_word(cls, algebra: PBWAlgebra, word: Word, coeff: HPoly | None = None, rng=None) -> "NCPoly":
-        reduced = algebra.reduce_word(tuple(word), coeff or HPoly.one(), rng=rng)
+        reduced = algebra.reduce_word(word, coeff or HPoly.one(), rng=rng)
         return cls(algebra, reduced)
 
     # -- arithmetic --------------------------------------------------------
@@ -441,9 +524,13 @@ class NCPoly(_FlatTerms):
 
     def commutator_with_letter(self, e: int) -> "NCPoly":
         """[X_e, self] via the derivation expansion (exact, fast)."""
-        out: dict[tuple[Word, int], int] = {}
+        algebra = self.algebra
+        checked_word((e,), algebra.dim)
+        shift = algebra.shift
+        out: dict[tuple[int, int], int] = {}
         for w, coeffs in _by_word(self.flat).items():
-            _add_scaled(out, self.algebra.letter_commutator_words(e, w), len(w) + 1, coeffs)
+            words = algebra.letter_commutator_words(e, w)
+            _add_scaled(out, words, word_length(w, shift) + 1, coeffs, shift)
         return self._new(out, self.den)
 
     # -- views ---------------------------------------------------------------
@@ -454,8 +541,8 @@ class NCPoly(_FlatTerms):
         Returns exponent-keyed Fraction terms over the algebra's letters;
         sorted words have distinct exponents, so no two terms meet.
         """
-        n = self.algebra.dim
-        return {exponent_of_word(w, n): c for w, c in self._h_part(0).items()}
+        n, shift = self.algebra.dim, self.algebra.shift
+        return {exponent_of_word(unpack_word(w, shift), n): c for w, c in self._h_part(0).items()}
 
     def to_json(self) -> list[dict]:
         items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -464,7 +551,11 @@ class NCPoly(_FlatTerms):
     @classmethod
     def from_json(cls, algebra: PBWAlgebra, data) -> "NCPoly":
         terms = keyed_once(
-            ((tuple(rec["word"]), HPoly.from_json(rec["coefficient"])) for rec in data), "word"
+            (
+                (checked_word(rec["word"], algebra.dim), HPoly.from_json(rec["coefficient"]))
+                for rec in data
+            ),
+            "word",
         )
         return cls(algebra, terms)
 
@@ -518,19 +609,17 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
         if sum(exp) > cap:
             raise CapacityError(f"symmetrizer degree {sum(exp)} exceeds cap {cap}")
 
-    memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {(): 1}}
+    memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {0: 1}}
 
     def orderings(exp: tuple[int, ...]) -> WordTerms:
         cached = memo.get(exp)
         if cached is not None:
             return cached
-        acc: dict[Word, int | Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for letter, count in enumerate(exp):
             if count:
                 sub = exp[:letter] + (count - 1,) + exp[letter + 1 :]
-                for u, c in orderings(sub).items():
-                    for v, d in algebra._insert(letter, u):
-                        acc[v] = acc.get(v, 0) + c * d
+                algebra._prepend(letter, orderings(sub).items(), acc)
         memo[exp] = acc = {v: c for v, c in acc.items() if c}
         return acc
 
@@ -541,7 +630,7 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
         return Fraction(coeff) / multinomial
 
     scaled, den = _flatten((e, (average(e, c),)) for e, c in poly.terms.items())
-    flat: dict[tuple[Word, int], int] = {}
+    flat: dict[tuple[int, int], int] = {}
     for (exp, p), a in scaled.items():
-        _add_scaled(flat, orderings(exp), sum(exp), ((p, a),))
+        _add_scaled(flat, orderings(exp), sum(exp), ((p, a),), algebra.shift)
     return NCPoly._trusted(algebra, flat, den)

@@ -14,22 +14,27 @@ NF(X^w) = NF(X^w - X^q g / lc) with q = exp(w) - lead when lead divides
 exp(w), else X^w; and NF(h^p X^w) = h^p NF(X^w).  This gives the
 quotient-basis certificate, a linear reduction onto standard-monomial
 support, and the star product f * g = phi^-1(reduce(phi(f) phi(g))),
-with phi the ordered-monomial identification.  No table is built, so
-this reaches n = 3 as well as n = 2; n >= 4 has two generators and is
-refused.  Everything is exact; each premise of the division is checked.
+with phi the ordered-monomial identification.  No reduction table is
+built, so this reaches n = 3 as well as n = 2; n >= 4 has two generators
+and is refused.  Everything is exact; each premise of the division is checked.
 
 The star product runs on one flat layout from start to finish: the
 operands' terms are lifted straight to integer numerators keyed by
-(word, h power) over one common denominator (``_lift``, which checks
-standard support on the exponents and reads a QuotientElement's stored
-layout as it is), multiplied with the PBW fold
-(``PBWAlgebra._product``), reduced with the memoized normal forms
-(``_reduce_flat``, which certifies standard support of the result) and
-keyed by exponents into the returned QuotientElement, which stores the
-same layout; no ``NCPoly`` and no ``HPoly`` is built.  The division
-steps and normal forms are memoized in the same layout, and both apply
-one substitution (``_substitute``).  ``reduce``, ``phi``,
-``phi_inverse`` and ``NCPoly`` products run on the same helpers.
+(packed word, h power) over one common denominator (``_lift``, which
+packs each word straight from its exponent, checks that it is standard
+and reads a QuotientElement's stored layout as it is), multiplied with
+the PBW fold (``PBWAlgebra._product``), reduced with the memoized normal
+forms (``_reduce_flat``) and keyed by exponents into the returned
+QuotientElement, which stores the same layout (``_certify_standard``,
+which also certifies standard support of the result).  No ``NCPoly``
+and no ``HPoly`` is built, and no tuple word once the engine has seen
+the words: what the engine needs to know of a packed word (its
+exponent, whether it is standard, its grevlex key) is worked out once,
+on first sight, into one table (``_word_data``).  The division steps
+and normal forms are memoized in the same layout, keyed by packed
+words, and both apply one substitution (``_substitute``).  ``reduce``,
+``phi``, ``phi_inverse`` and ``NCPoly`` products run on the same
+helpers.
 """
 
 from __future__ import annotations
@@ -53,7 +58,11 @@ from .ncpoly import (
     _hvalues,
     _lowest_terms,
     exponent_of_word,
+    pack_exponent,
+    pack_word,
     symmetrize,
+    unpack_word,
+    word_length,
     word_of_exponent,
 )
 from .poly import (
@@ -132,11 +141,16 @@ def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPol
     comm = sym_gen.commutator_with_letter(letter)
     if comm.is_zero():
         return HPoly.zero()
-    ref_word = max((w for w, _ in sym_gen.flat), key=lambda w: (len(w), w))
-    if any(w == ref_word and p for w, p in sym_gen.flat):
+    # the longest word, the lexicographically largest among those
+    shift = algebra.shift
+    words = {w for w, _ in sym_gen.flat}
+    longest = max(word_length(w, shift) for w in words)
+    ref_word = max(unpack_word(w, shift) for w in words if word_length(w, shift) == longest)
+    ref_code = pack_word(ref_word, shift)
+    if any(w == ref_code and p for w, p in sym_gen.flat):
         raise CertificationError(f"the generator's coefficient of the word {ref_word} carries h")
-    ref = Fraction(sym_gen.flat[ref_word, 0], sym_gen.den)
-    num = {p: Fraction(c, comm.den) for (w, p), c in comm.flat.items() if w == ref_word}
+    ref = Fraction(sym_gen.flat[ref_code, 0], sym_gen.den)
+    num = {p: Fraction(c, comm.den) for (w, p), c in comm.flat.items() if w == ref_code}
     if not num:
         raise CertificationError(
             f"commutator with letter {letter} is not proportional to the generator"
@@ -198,39 +212,56 @@ class OrbitQuantization:
     def _certify_lead(self):
         """Record the leading term of g, certified h-free and equal to X^lead."""
         sym_gen = self.sym_generators[0]
-        word, hpow = max(sym_gen.flat, key=lambda term: self._term_key(*term))
         lead = self.groebner[0].leading()[0]
-        if hpow != 0 or word != word_of_exponent(lead):
-            raise CertificationError(f"leading term h^{hpow} * {word} of g is not X^{lead}")
+        self._lead_counts = [(l, c) for l, c in enumerate(lead) if c]
+        # packed word -> (exponent, standard flag, grevlex key), filled on first sight
+        self._word_table: dict[int, tuple] = {}
+        word, hpow = max(sym_gen.flat, key=lambda term: self._term_key(*term))
+        if hpow != 0 or word != pack_exponent(lead, self.algebra.shift):
+            raise CertificationError(
+                f"leading term h^{hpow} * {self._word(word)} of g is not X^{lead}"
+            )
         self._lead = lead
         self._lead_coeff = Fraction(sym_gen.flat[word, 0], sym_gen.den)
-        self._lead_counts = [(l, c) for l, c in enumerate(lead) if c]
-        # memos keyed by non-standard words w; each entry is (terms, den), the
-        # flat layout {(word, h power): integer numerator} over den in lowest terms
-        self._steps: dict[Word, tuple] = {}  # X^w - X^q g / lc, leading term dropped
-        self._forms: dict[Word, tuple] = {}  # NF(X^w)
+        # memos keyed by packed non-standard words w; each entry is (terms, den),
+        # the flat layout {(packed word, h power): integer numerator} over den
+        # in lowest terms
+        self._steps: dict[int, tuple] = {}  # X^w - X^q g / lc, leading term dropped
+        self._forms: dict[int, tuple] = {}  # NF(X^w)
 
-    def _term_key(self, word: Word, hpow: int):
+    def _word(self, code: int) -> Word:
+        """The tuple word of a packed word."""
+        return unpack_word(code, self.algebra.shift)
+
+    def _word_data(self, code: int) -> tuple:
+        """(exponent, standard flag, grevlex key) of a packed word, worked out
+        on first sight.  The word is standard when the leading monomial does
+        not divide it."""
+        data = self._word_table.get(code)
+        if data is None:
+            exp = exponent_of_word(self._word(code), self.basis.dim)
+            standard = any(exp[letter] < count for letter, count in self._lead_counts)
+            self._word_table[code] = data = (exp, standard, GREVLEX.key(exp))
+        return data
+
+    def _term_key(self, code: int, hpow: int):
         """Term order on h^p X^w: length plus h power, then grevlex."""
-        return (len(word) + hpow, GREVLEX.key(exponent_of_word(word, self.basis.dim)))
+        return (word_length(code, self.algebra.shift) + hpow, self._word_data(code)[2])
 
     def is_standard(self, word: Word) -> bool:
         """X^w is a standard monomial: the leading monomial does not divide it."""
         if self._lead is None:
             raise StructuralError("the reduction was not built")
-        for letter, count in self._lead_counts:
-            if word.count(letter) < count:
-                return True
-        return False
+        return self._word_data(pack_word(word, self.algebra.shift))[1]
 
-    def _step(self, word: Word) -> tuple:
-        """X^w - X^q g / lc for a non-standard word w, with q = exp(w) - lead,
+    def _step(self, word: int) -> tuple:
+        """X^w - X^q g / lc for a packed non-standard word w, with q = exp(w) - lead,
         certified: X^q g has the leading term lc X^w and nothing else at or above it."""
         step = self._steps.get(word)
         if step is not None:
             return step
-        exp = exponent_of_word(word, self.basis.dim)
-        q = word_of_exponent(tuple(e - l for e, l in zip(exp, self._lead)))
+        exp = self._word_data(word)[0]
+        q = pack_exponent([e - l for e, l in zip(exp, self._lead)], self.algebra.shift)
         generator = self.sym_generators[0]
         den = generator.den
         multiple = self.algebra._product({(q, 0): 1}, generator.flat)  # X^q g over den
@@ -239,21 +270,27 @@ class OrbitQuantization:
         for (v, p), value in multiple.items():
             if not value:
                 continue
-            if (v, p) == (word, 0):
+            if v == word and p == 0:
                 cancels = value * lc.denominator == lc.numerator * den
             elif self._term_key(v, p) >= top:
-                raise CertificationError(f"X^{q} g has h^{p} * {v} at or above X^{word}")
+                raise CertificationError(
+                    f"X^{self._word(q)} g has h^{p} * {self._word(v)} at or above "
+                    f"X^{self._word(word)}"
+                )
             else:
                 rest[v, p] = -value * lc.denominator
         if not cancels:
-            raise CertificationError(f"X^{q} g does not have the leading term {lc} * X^{word}")
+            raise CertificationError(
+                f"X^{self._word(q)} g does not have the leading term {lc} * X^{self._word(word)}"
+            )
         self._steps[word] = step = _lowest_terms(rest, den * lc.numerator)
         return step
 
-    def _normal_form(self, word: Word) -> tuple:
-        """NF(X^w) of a non-standard word, from a stack worked off in post-order:
-        a word is finished after every non-standard word its step leaves."""
-        forms = self._forms
+    def _normal_form(self, word: int) -> tuple:
+        """NF(X^w) of a packed non-standard word, from a stack worked off in
+        post-order: a word is finished after every non-standard word its step
+        leaves."""
+        forms, data = self._forms, self._word_data
         pending = [word]
         while pending:
             w = pending[-1]
@@ -261,7 +298,7 @@ class OrbitQuantization:
                 pending.pop()
                 continue
             step, den = self._step(w)
-            todo = [v for v, _ in step if v not in forms and not self.is_standard(v)]
+            todo = [v for v, _ in step if v not in forms and not data(v)[1]]
             if todo:
                 pending.extend(todo)
                 continue
@@ -279,49 +316,57 @@ class OrbitQuantization:
         """Normal form of flat-layout terms over ``den``, as (terms, denominator).
 
         Standard words keep their numerators; every other word is replaced
-        by its memoized normal form, shifted by its h power.  The result is
-        certified to lie on standard-monomial words.
+        by its memoized normal form, shifted by its h power.  Callers
+        certify that the result lies on standard-monomial words
+        (``_certify_standard``).
         """
         if self._lead is None:
             raise StructuralError("the reduction was not built")
-        forms, is_standard = self._forms, self.is_standard
-        kept: dict[tuple[Word, int], int] = {}
+        forms, table, data = self._forms, self._word_table, self._word_data
+        kept: dict[tuple[int, int], int] = {}
         divided = []
         for (w, p), c in flat.items():
             if not c:
                 continue
-            form = forms.get(w)
-            if form is None and not is_standard(w):
-                form = self._normal_form(w)
-            if form is None:
+            if (table.get(w) or data(w))[1]:
                 kept[w, p] = c
             else:
-                divided.append((form, p, c))
-        out, den = _substitute(kept, den, divided)
-        self._certify_standard({w for (w, _), c in out.items() if c}, "reduction")
-        return out, den
+                divided.append((forms.get(w) or self._normal_form(w), p, c))
+        return _substitute(kept, den, divided)
 
-    def _certify_standard(self, words, context: str):
-        """CertificationError unless every word is a standard monomial."""
-        for word in words:
-            if not self.is_standard(word):
-                raise CertificationError(f"{context}: word {word} is not a standard monomial")
+    def _certify_standard(self, flat: dict, context: str) -> dict:
+        """The nonzero terms of a flat layout keyed by (exponent, h power);
+        CertificationError unless every word is a standard monomial."""
+        table, data = self._word_table, self._word_data
+        out = {}
+        for (w, p), c in flat.items():
+            if c:
+                exp, standard, _ = table.get(w) or data(w)
+                if not standard:
+                    raise CertificationError(
+                        f"{context}: word {self._word(w)} is not a standard monomial"
+                    )
+                out[exp, p] = c
+        return out
 
     def _lift(self, f) -> tuple[dict, int]:
         """phi on the flat layout: the terms of a MultiPoly or QuotientElement
-        as ({(word, h power): numerator}, den).  An exponent that the leading
-        monomial divides raises StructuralError."""
+        as ({(packed word, h power): numerator}, den).  An exponent that the
+        leading monomial divides raises StructuralError."""
         if self._lead is None:
             raise StructuralError("the reduction was not built")
         if isinstance(f, QuotientElement):
-            flat, den = f.flat, f.den
-        else:
-            flat, den = _flatten((exp, (coeff,)) for exp, coeff in f.terms.items())
+            terms, den = f.flat.items(), f.den
+        else:  # Fraction coefficients, written over the lcm of their denominators
+            den = lcm(*(c.denominator for c in f.terms.values()))
+            terms = (((exp, 0), c.numerator * (den // c.denominator)) for exp, c in f.terms.items())
+        shift, table, data = self.algebra.shift, self._word_table, self._word_data
         out = {}
-        for (exp, p), c in flat.items():
-            if all(exp[l] >= k for l, k in self._lead_counts):
+        for (exp, p), c in terms:
+            code = pack_exponent(exp, shift)
+            if not (table.get(code) or data(code))[1]:
                 raise StructuralError(f"exponent {exp} is not a standard monomial")
-            out[word_of_exponent(exp), p] = c
+            out[code, p] = c
         return out, den
 
     @cached_property
@@ -346,7 +391,7 @@ class OrbitQuantization:
         dim, cap, top = self.basis.dim, self.deg_cap, sum(self._lead)
         rank = 0
         for q in monomials_up_to_degree(dim, cap - top):
-            self._step(word_of_exponent(tuple(a + b for a, b in zip(q, self._lead))))
+            self._step(pack_exponent([a + b for a, b in zip(q, self._lead)], self.algebra.shift))
             rank += cap - top - sum(q) + 1
         # degree d has comb(dim + d - 1, d) monomials; the multiples of the
         # leading monomial among them are those of degree d - top
@@ -376,21 +421,17 @@ class OrbitQuantization:
             raise CapacityError(
                 f"element degree {u.degree()} exceeds cap {self.deg_cap}"
             )
-        return NCPoly._trusted(self.algebra, *self._reduce_flat(u.flat, u.den))
+        flat, den = self._reduce_flat(u.flat, u.den)
+        self._certify_standard(flat, "reduction")
+        return NCPoly._trusted(self.algebra, flat, den)
 
     def phi(self, f: QuotientElement) -> NCPoly:
         """Ordered-monomial lift: x^a -> X^a as a PBW word."""
         return NCPoly._trusted(self.algebra, *self._lift(f))
 
     def phi_inverse(self, u: NCPoly) -> QuotientElement:
-        self._certify_standard({w for w, _ in u.flat}, "phi_inverse")
-        return self._quotient(u.flat, u.den)
-
-    def _quotient(self, flat: dict, den: int) -> QuotientElement:
-        """Word-keyed terms on standard words as the quotient element."""
-        dim = self.basis.dim
         return QuotientElement._trusted(
-            self.variables, {(exponent_of_word(w, dim), p): c for (w, p), c in flat.items()}, den
+            self.variables, self._certify_standard(u.flat, "phi_inverse"), u.den
         )
 
     def to_quotient(self, f: MultiPoly) -> QuotientElement:
@@ -421,7 +462,8 @@ class OrbitQuantization:
             )
         left, den1 = self._lift(f)
         right, den2 = self._lift(g)
-        return self._quotient(*self._reduce_flat(self.algebra._product(left, right), den1 * den2))
+        flat, den = self._reduce_flat(self.algebra._product(left, right), den1 * den2)
+        return QuotientElement._trusted(self.variables, self._certify_standard(flat, "reduction"), den)
 
     def poisson_reduced(self, f: MultiPoly, g: MultiPoly) -> QuotientElement:
         """{f, g} followed by commutative reduction onto the basis."""

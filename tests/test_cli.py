@@ -344,6 +344,21 @@ def test_inexact_or_undefined_rationals_are_input_errors(
     assert doc["error"]["type"] == "StructuralError"
 
 
+@pytest.mark.parametrize(
+    "word",
+    [[1.5, 0], [True, 0], ["1", 0], [2, 0], [-1, 0], "10", 1],
+    ids=["float", "json_true", "string", "out_of_range", "negative", "string_word", "int_word"],
+)
+def test_pbw_letters_must_be_ints_in_range(capsys, tmp_path, word):
+    # [1.5, 0] and [true, 0] were rewritten into the words [0, 1.5] and
+    # [0, true] with exit 0; ["1", 0] was a TypeError traceback with exit 1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"word": word}))
+    code, doc = run_json(capsys, "pbw", "--n", "1", "--input", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
 @pytest.mark.parametrize("lambdas", ["1/0", "x", "true"])
 def test_lambdas_must_be_exact_rationals(capsys, lambdas):
     code, doc = run_json(capsys, "orbit-ideal", "--n", "2", "--lambdas", lambdas)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from orbitquant.errors import CertificationError, StructuralError
 from orbitquant.hpoly import HPoly
 from orbitquant.lie import build_lie_basis
-from orbitquant.ncpoly import NCPoly, PBWAlgebra, _lowest_terms
+from orbitquant.ncpoly import NCPoly, PBWAlgebra, _lowest_terms, unpack_word, word_length
 from orbitquant.poly import MultiPoly, monomials_up_to_degree
 from orbitquant.quantize import OrbitQuantization, QuotientElement, commutator_weight
 
@@ -91,7 +91,9 @@ def test_ring_operations_match_hpoly_reference(data):
         assert got == expected, name
     for z in (x + y, x - y, -x, x.scale(s), x.shift_h(k)):
         assert canonical(z)
-    assert x.degree() == max((x._key_degree(key) + c.degree() for key, c in a.items()), default=-1)
+    # a word's degree is its length, an exponent's its sum
+    key_degree = len if isinstance(x, NCPoly) else sum
+    assert x.degree() == max((key_degree(key) + c.degree() for key, c in a.items()), default=-1)
     assert x.divisible_by_h_power(k) == all(
         c.coefficient(i) == 0 for c in a.values() for i in range(k)
     )
@@ -174,7 +176,12 @@ def test_commutator_weight_refuses_h_on_the_reference_word():
     # the commutator is divided by no longer is a scalar
     engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6, build_reduction=False)
     sym_gen = engine.sym_generators[0]
-    longest = max((w for w, _ in sym_gen.flat), key=lambda w: (len(w), w))
+    # the flat layout is keyed by packed words: the longest, then the
+    # lexicographically largest among those, as a tuple word
+    shift = engine.algebra.shift
+    code = max((w for w, _ in sym_gen.flat), key=lambda w: (word_length(w, shift), unpack_word(w, shift)))
+    longest = unpack_word(code, shift)
+    assert longest == max(sym_gen.terms, key=lambda w: (len(w), w))
     tilted = sym_gen + NCPoly(engine.algebra, {longest: HPoly.h(1)})
     weights = [commutator_weight(engine.algebra, sym_gen, e) for e in range(engine.basis.dim)]
     assert any(not w.is_zero() for w in weights)

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from orbitquant.errors import CapacityError, StructuralError
 from orbitquant.hpoly import HPoly
 from orbitquant.lie import StructureConstants, build_lie_basis
-from orbitquant.ncpoly import NCPoly, PBWAlgebra, symmetrize, word_of_exponent
+from orbitquant.ncpoly import (
+    NCPoly,
+    PBWAlgebra,
+    pack_word,
+    symmetrize,
+    unpack_word,
+    word_of_exponent,
+)
 from orbitquant.poly import MultiPoly, monomials_up_to_degree
 
 
@@ -316,10 +323,12 @@ def test_insert_matches_literal_rewriter(algebras, data):
     word = draw_word(data, alg.dim, 5)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     fast = {}
-    for v, c in alg._insert(letter, word):
+    # _insert takes and gives packed words
+    for code, c in alg._insert(letter, pack_word(word, alg.shift)):
         # integral structure constants give integer memo coefficients;
         # the h power follows from the word length alone
-        assert type(c) is int
+        assert type(code) is int and type(c) is int
+        v = unpack_word(code, alg.shift)
         fast[v] = HPoly.h(len(word) + 1 - len(v), c)
     assert fast == alg.reduce_word((letter,) + word, rng=rng)
 
@@ -393,3 +402,14 @@ def test_rational_structure_constants_stay_exact():
         for entry in memo.values()
         for _, c in entry
     )
+    # every memo entry, keyed and valued by packed words, is X_l X^w
+    shift = alg.shift
+    for l, memo in enumerate(alg._memo):
+        for w, entry in memo.items():
+            word = unpack_word(w, shift)
+            assert type(w) is int and word and l > word[0]
+            fast = {}
+            for code, c in entry:
+                v = unpack_word(code, shift)
+                fast[v] = HPoly.h(len(word) + 1 - len(v), c)
+            assert fast == alg.reduce_word((l,) + word)

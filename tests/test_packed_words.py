@@ -1,0 +1,141 @@
+"""Packed PBW words against the tuple words they encode, the ``terms`` view
+that gives tuple words back, and the letter checks at the edges."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitquant.errors import StructuralError
+from orbitquant.hpoly import HPoly
+from orbitquant.lie import build_lie_basis
+from orbitquant.ncpoly import (
+    NCPoly,
+    PBWAlgebra,
+    checked_word,
+    pack_exponent,
+    pack_word,
+    unpack_word,
+    word_length,
+    word_of_exponent,
+)
+
+PROPERTY = settings(max_examples=200, deadline=None)
+DIMS = (3, 7, 15, 26)
+
+
+@st.composite
+def dim_and_word(draw, max_len=20):
+    dim = draw(st.sampled_from(DIMS))
+    letters = draw(st.lists(st.integers(0, dim - 1), max_size=max_len))
+    return dim, tuple(sorted(letters))
+
+
+@PROPERTY
+@given(dim_and_word(), st.data())
+def test_packed_operations_match_tuple_operations(dim_word, data):
+    dim, word = dim_word
+    shift = dim.bit_length()
+    mask = (1 << shift) - 1
+    code = pack_word(word, shift)
+    assert type(code) is int
+    assert unpack_word(code, shift) == word
+    assert word_length(code, shift) == len(word)
+    assert (code == 0) == (word == ())
+    if word:
+        assert (code & mask) - 1 == word[0]  # first letter
+        assert unpack_word(code >> shift, shift) == word[1:]  # rest of the word
+    letter = data.draw(st.integers(0, word[0] if word else dim - 1))
+    prepended = (code << shift) | (letter + 1)
+    assert prepended == pack_word((letter,) + word, shift)
+    assert unpack_word(prepended, shift) == (letter,) + word
+
+
+@PROPERTY
+@given(st.data())
+def test_exponent_packing_matches_the_ordered_word(data):
+    dim = data.draw(st.sampled_from(DIMS))
+    exp = tuple(data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)))
+    assert pack_exponent(exp, dim.bit_length()) == pack_word(word_of_exponent(exp), dim.bit_length())
+
+
+def test_extreme_words_round_trip():
+    for dim in DIMS:
+        shift = dim.bit_length()
+        for word in ((), (0,), (dim - 1,), (0,) * 20, (dim - 1,) * 20, tuple(range(dim))):
+            assert unpack_word(pack_word(word, shift), shift) == word
+            assert word_length(pack_word(word, shift), shift) == len(word)
+    # the top letter at 26 letters fills its 5-bit digit: 20 of them exceed 64 bits
+    assert pack_word((25,) * 20, 5).bit_length() == 100
+
+
+# -- the terms view ---------------------------------------------------------------
+
+ALGEBRAS = {n: PBWAlgebra(*build_lie_basis(n)) for n in (1, 2, 3)}
+values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_terms_view_round_trips(data):
+    alg = ALGEBRAS[data.draw(st.sampled_from((1, 2, 3)))]
+    words = st.lists(st.integers(0, alg.dim - 1), max_size=5).map(lambda w: tuple(sorted(w)))
+    terms = {
+        w: HPoly(data.draw(st.lists(values, min_size=1, max_size=3)))
+        for w in data.draw(st.lists(words, max_size=4, unique=True))
+    }
+    u = NCPoly(alg, terms)
+    v = NCPoly(alg, {(0,): 1}) * u  # an element built by the kernel
+    for x in (u, v):
+        view = x.terms
+        assert all(type(w) is tuple and all(type(l) is int for l in w) for w in view)
+        assert NCPoly(alg, view) == x
+        assert NCPoly.from_json(alg, x.to_json()) == x
+        assert all(type(code) is int for code, _ in x.flat)
+
+
+# -- letters are checked where they enter -----------------------------------------
+
+
+def test_checked_word():
+    assert checked_word([0, 2, 1], 3) == (0, 2, 1)
+    assert checked_word((), 3) == ()
+    for bad in ((1.0,), (True,), ("1",), (3,), (-1,), (0, None)):
+        with pytest.raises(StructuralError):
+            checked_word(bad, 3)
+    for bad in ("01", 1, None):
+        with pytest.raises(StructuralError):
+            checked_word(bad, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda alg: NCPoly(alg, {(1.0,): 1}),
+        lambda alg: NCPoly(alg, {(True,): 1}),
+        lambda alg: NCPoly(alg, {(0, alg.dim): 1}),
+        lambda alg: NCPoly.letter(alg, 1.0),
+        lambda alg: NCPoly.letter(alg, alg.dim),
+        lambda alg: NCPoly.from_word(alg, (1, 0.0)),
+        lambda alg: NCPoly.from_json(alg, [{"word": [0, 1.5], "coefficient": ["1"]}]),
+        lambda alg: NCPoly.from_json(alg, [{"word": "01", "coefficient": ["1"]}]),
+        lambda alg: alg.reduce_word((False, 1)),
+        lambda alg: NCPoly.letter(alg, 0).commutator_with_letter(99),
+        lambda alg: NCPoly.letter(alg, 0).commutator_with_letter(-1),
+        lambda alg: NCPoly.letter(alg, 0).commutator_with_letter(True),
+    ],
+)
+def test_letters_are_checked_where_they_enter(build):
+    # each was accepted (NCPoly with 1.0 or True, commutators with 99 and -1
+    # giving 0) or died with a TypeError
+    with pytest.raises(StructuralError):
+        build(ALGEBRAS[2])
+
+
+def test_commutator_with_letter_at_the_range_ends():
+    alg = ALGEBRAS[2]
+    x = NCPoly.letter(alg, 0)
+    for e in (0, alg.dim - 1):
+        assert x.commutator_with_letter(e) == NCPoly.letter(alg, e) * x - x * NCPoly.letter(alg, e)
+    assert NCPoly(alg, {(): Fraction(1, 2)}).commutator_with_letter(0).is_zero()

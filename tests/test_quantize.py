@@ -443,3 +443,33 @@ def test_division_needs_exactly_one_generator(monkeypatch):
     monkeypatch.setattr(quantize, "orbit_ideal", doubled)
     with pytest.raises(StructuralError):
         OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+
+
+def test_symmetrized_generator_n3_matches_golden():
+    # the n = 3 symmetrizer of the degree-8 generator and the weight table,
+    # byte for byte against the file captured before words were packed
+    import json
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "golden" / "sym_gen_n3.json"
+    eng = OrbitQuantization(3, [1], deg_cap=8, build_reduction=False)
+    doc = {
+        "sym_generator": eng.sym_generators[0].to_json(),
+        "weight_table": [[f.to_json() for f in row] for row in eng.weight_table],
+    }
+    assert json.dumps(doc, indent=2) + "\n" == golden.read_text()
+
+
+def test_h_term_above_the_lead_fails_certification():
+    # h X^w with w as long as the lead and grevlex-lowest: the term order
+    # ranks length plus h power first, so it lies above X^lead and g no
+    # longer has the leading term X^lead
+    from orbitquant.poly import GREVLEX, monomials_up_to_degree
+
+    eng = OrbitQuantization(2, [Fraction(1)], deg_cap=6)
+    lead = eng.groebner[0].leading()[0]
+    same_degree = [e for e in monomials_up_to_degree(len(lead), sum(lead)) if sum(e) == sum(lead)]
+    lowest = word_of_exponent(min(same_degree, key=GREVLEX.key))
+    eng.sym_generators[0] = eng.sym_generators[0] + NCPoly(eng.algebra, {lowest: HPoly.h(1)})
+    with pytest.raises(CertificationError, match=r"leading term h\^1"):
+        eng._certify_lead()

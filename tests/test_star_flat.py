@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from orbitquant.errors import CapacityError, CertificationError, StructuralError
 from orbitquant.hpoly import HPoly
-from orbitquant.ncpoly import NCPoly, exponent_of_word, word_of_exponent
+from orbitquant.ncpoly import NCPoly, exponent_of_word, pack_word, unpack_word, word_of_exponent
 from orbitquant.poly import MultiPoly
 from orbitquant.quantize import OrbitQuantization, QuotientElement
 
@@ -58,9 +58,11 @@ def composed_reduce(engine, u: NCPoly) -> NCPoly:
             terms[word] = list(coeff.coeffs)
         else:
             divided.append((word, coeff.coeffs))
+    shift = engine.algebra.shift
     for word, coeffs in divided:
-        form, den = engine._normal_form(word)
-        for (v, p), d in form.items():
+        form, den = engine._normal_form(pack_word(word, shift))
+        for (code, p), d in form.items():
+            v = unpack_word(code, shift)
             acc = terms.setdefault(v, [])
             acc.extend([0] * (p + len(coeffs) - len(acc)))
             for k, a in enumerate(coeffs, p):
@@ -197,6 +199,29 @@ def test_star_builds_no_hpoly(engines, monkeypatch):
     assert [engine.star(a, b) for a, b in pairs] == expected
 
 
+def test_warm_star_unpacks_no_word(engines, monkeypatch):
+    # once the engine's table has seen a product's words, star reads their
+    # exponents and standard flags from it and rebuilds no tuple word
+    import orbitquant.ncpoly as ncpoly
+    import orbitquant.quantize as quantize
+
+    engine = engines[6]
+    lead = word_of_exponent(engine.groebner[0].leading()[0])
+    f, g = (
+        MultiPoly.monomial(engine.variables, exponent_of_word(part, engine.basis.dim))
+        for part in (lead[:2], lead[2:])
+    )
+    expected = engine.star(f, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star unpacked a word")
+
+    monkeypatch.setattr(quantize, "unpack_word", refuse)
+    monkeypatch.setattr(ncpoly, "unpack_word", refuse)
+    assert engine.star(f, g) == expected
+    assert engine.star(expected, MultiPoly.constant(engine.variables, 2)) == expected.scale(2)
+
+
 # -- planted faults ---------------------------------------------------------------
 
 
@@ -210,9 +235,11 @@ def test_corrupted_normal_form_fails_certification_in_star(monkeypatch):
         for part in (lead[:2], lead[2:])
     )
     honest = engine.star(f, g)
-    assert lead in engine._forms
-    terms, den = engine._forms[lead]
-    monkeypatch.setitem(engine._forms, lead, ({**terms, (lead, 0): 1}, den))
+    # the memo is keyed by packed words
+    code = pack_word(lead, engine.algebra.shift)
+    assert code in engine._forms
+    terms, den = engine._forms[code]
+    monkeypatch.setitem(engine._forms, code, ({**terms, (code, 0): 1}, den))
     with pytest.raises(CertificationError):
         engine.star(f, g)
     monkeypatch.undo()

@@ -45,3 +45,31 @@ def test_tracer_installs_traces_a_star_and_uninstalls(monkeypatch):
     assert tracer.count("setup", "ncpoly.sym_terms") == len(engine.sym_generators[0].terms)
     assert tracer.count("setup", "hpoly.init") > 0
     assert [cls.__dict__[attr] for cls, attr in patched] == originals
+
+
+def test_tracer_sees_the_symmetrizer_and_the_weights(monkeypatch):
+    # the per-layer hooks read the symmetrizer's terms view, whose keys stay
+    # tuple words of ints while the layout inside is keyed by packed words
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import orbitquant.ncpoly as ncpoly
+    import orbitquant.quantize as quantize
+    from tracing import Tracer
+
+    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6, build_reduction=False)
+    generator = engine.ideal.generators[0]
+    originals = (ncpoly.symmetrize, quantize.commutator_weight)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "stream"
+        sym = ncpoly.symmetrize(engine.algebra, generator)
+        weights = [quantize.commutator_weight(engine.algebra, sym, e) for e in range(engine.basis.dim)]
+    finally:
+        tracer.uninstall()
+
+    assert sym == engine.sym_generators[0] and weights == engine.weight_table[0]
+    assert tracer.count("stream", "ncpoly.symmetrize") == 1
+    assert tracer.count("stream", "quantize.weight") == engine.basis.dim
+    assert tracer.count("stream", "ncpoly.sym_terms") == len(sym.terms) > 0
+    assert all(type(w) is tuple and all(type(l) is int for l in w) for w in sym.terms)
+    assert (ncpoly.symmetrize, quantize.commutator_weight) == originals
