@@ -427,12 +427,21 @@ class OrbitQuantization:
 
     def phi(self, f: QuotientElement) -> NCPoly:
         """Ordered-monomial lift: x^a -> X^a as a PBW word."""
+        self._check_variables(f)
         return NCPoly._trusted(self.algebra, *self._lift(f))
 
     def phi_inverse(self, u: NCPoly) -> QuotientElement:
         return QuotientElement._trusted(
             self.variables, self._certify_standard(u.flat, "phi_inverse"), u.den
         )
+
+    def _check_variables(self, operand):
+        """StructuralError unless the operand lies over the engine's variables."""
+        if operand.variables != self.variables:
+            raise StructuralError(
+                f"operand variables {list(operand.variables)} are not the "
+                f"engine's {list(self.variables)}"
+            )
 
     def to_quotient(self, f: MultiPoly) -> QuotientElement:
         """Commutative normal form onto standard-monomial support."""
@@ -447,11 +456,7 @@ class OrbitQuantization:
         formed, reduced and read back on the flat layout.
         """
         for operand in (f, g):
-            if operand.variables != self.variables:
-                raise StructuralError(
-                    f"operand variables {list(operand.variables)} are not the "
-                    f"engine's {list(self.variables)}"
-                )
+            self._check_variables(operand)
         total = sum(
             max(p.total_degree() if isinstance(p, MultiPoly) else p.degree(), 0)
             for p in (f, g)

@@ -274,3 +274,12 @@ def test_foreign_variables_are_refused_by_star(engines):
     foreign = MultiPoly.variable(tuple("abcdefg"), 0)
     with pytest.raises(StructuralError):
         engine.star(foreign, MultiPoly.constant(engine.variables, 1))
+
+
+@pytest.mark.parametrize("variables", [tuple("abcdefg"), ("a", "b")])
+def test_foreign_variables_are_refused_by_phi(engines, variables):
+    # phi read any exponents as the engine's: seven foreign variables gave
+    # X_0, two gave an IndexError
+    engine = engines[6]
+    with pytest.raises(StructuralError):
+        engine.phi(QuotientElement(variables, {(1,) + (0,) * (len(variables) - 1): 1}))
