@@ -417,6 +417,7 @@ class OrbitQuantization:
         result is a combination of left multiples of the symmetrized
         generator, of degree at most that of u.
         """
+        self._check_algebra(u)
         if u.degree() > self.deg_cap:
             raise CapacityError(
                 f"element degree {u.degree()} exceeds cap {self.deg_cap}"
@@ -431,9 +432,16 @@ class OrbitQuantization:
         return NCPoly._trusted(self.algebra, *self._lift(f))
 
     def phi_inverse(self, u: NCPoly) -> QuotientElement:
+        self._check_algebra(u)
         return QuotientElement._trusted(
             self.variables, self._certify_standard(u.flat, "phi_inverse"), u.den
         )
+
+    def _check_algebra(self, u: NCPoly):
+        """StructuralError unless u lies in the engine's algebra: its packed
+        words are read with the engine's letters."""
+        if u.algebra is not self.algebra:
+            raise StructuralError("the element lies in another algebra context")
 
     def _check_variables(self, operand):
         """StructuralError unless the operand lies over the engine's variables."""

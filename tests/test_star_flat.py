@@ -276,6 +276,24 @@ def test_foreign_variables_are_refused_by_star(engines):
         engine.star(foreign, MultiPoly.constant(engine.variables, 1))
 
 
+@pytest.mark.parametrize("n,word", [(3, (14,)), (3, (0, 1)), (2, (0, 1))])
+def test_elements_of_another_algebra_are_refused(engines, n, word):
+    # reduce and phi_inverse read packed words with the engine's letters; an
+    # n = 3 letter 14 was an IndexError, an n = 3 word (0, 1) was read as the
+    # engine's X_0 X_1
+    from orbitquant.lie import build_lie_basis
+    from orbitquant.ncpoly import PBWAlgebra
+
+    engine = engines[6]
+    u = NCPoly(PBWAlgebra(*build_lie_basis(n)), {word: 1})
+    with pytest.raises(StructuralError, match="another algebra"):
+        engine.reduce(u)
+    with pytest.raises(StructuralError, match="another algebra"):
+        engine.phi_inverse(u)
+    mine = engine.reduce(NCPoly(engine.algebra, {(0, 1): 1}))
+    assert engine.phi(engine.phi_inverse(mine)) == mine
+
+
 @pytest.mark.parametrize("variables", [tuple("abcdefg"), ("a", "b")])
 def test_foreign_variables_are_refused_by_phi(engines, variables):
     # phi read any exponents as the engine's: seven foreign variables gave
