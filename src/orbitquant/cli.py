@@ -66,9 +66,13 @@ def _load_input(args) -> dict:
     if args.input is None:
         raise StructuralError("this verb requires --input FILE (or '-' for stdin)")
     if args.input == "-":
-        return json.load(sys.stdin)
-    with open(args.input) as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    else:
+        with open(args.input) as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise StructuralError(f"input must be a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _write_output(args, document: dict, pretty_text: str | None = None):
@@ -260,9 +264,9 @@ def cmd_sym(args) -> int:
     data = _load_input(args)
     algebra = _algebra(args.n)
     poly = MultiPoly.from_records(data["polynomial"])
-    if args.cap_terms is not None and len(poly.terms) > args.cap_terms:
+    if args.cap_terms is not None and len(poly.flat) > args.cap_terms:
         raise CapacityError(
-            f"input has {len(poly.terms)} terms, over --cap-terms {args.cap_terms}"
+            f"input has {len(poly.flat)} terms, over --cap-terms {args.cap_terms}"
         )
     result = symmetrize(algebra, poly)
     _write_output(args, {"terms": result.to_json()})

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 from .errors import CapacityError, StructuralError
 from .poly import (
@@ -17,6 +19,7 @@ from .poly import (
     Exponent,
     MonomialOrder,
     MultiPoly,
+    _lowest_terms,
     exponent_div,
     exponent_divides,
     exponent_lcm,
@@ -38,9 +41,9 @@ class Capacity:
             raise CapacityError(
                 f"{context}: degree {p.total_degree()} exceeds cap {self.max_degree}"
             )
-        if len(p.terms) > self.max_terms:
+        if len(p.flat) > self.max_terms:
             raise CapacityError(
-                f"{context}: {len(p.terms)} terms exceed cap {self.max_terms}"
+                f"{context}: {len(p.flat)} terms exceed cap {self.max_terms}"
             )
 
 
@@ -72,35 +75,44 @@ def divide(
     if not divisors:
         raise StructuralError("division requires at least one divisor")
     _check_same_variables([p] + divisors)
-    leads = [d.leading(order) for d in divisors]
-    remainder: dict[Exponent, Fraction] = {}
-    work = dict(p.terms)
+    leads = [d.leading(order)[0] for d in divisors]
+    # each divisor read once: -(its other terms) / (its leading coefficient)
+    # as integer numerators over a positive denominator t
+    tails = [
+        _lowest_terms({e: -c for e, c in d.flat.items() if e != lexp}, d.flat[lexp])
+        for d, lexp in zip(divisors, leads)
+    ]
+    # work holds integer numerators over den, which grows by the factor a
+    # quotient term needs; each remainder term keeps the den it was taken at
+    den = p.den
+    work = dict(p.flat)
+    remainder: dict[Exponent, tuple[int, int]] = {}
     while work:
         exp = max(work, key=order.key)
-        coeff = work.pop(exp)
-        candidates = [
-            i for i, (lexp, _) in enumerate(leads) if exponent_divides(lexp, exp)
-        ]
+        c = work.pop(exp)
+        candidates = [i for i, lexp in enumerate(leads) if exponent_divides(lexp, exp)]
         if not candidates:
-            remainder[exp] = remainder.get(exp, Fraction(0)) + coeff
-            if remainder[exp] == 0:
-                del remainder[exp]
+            remainder[exp] = (c, den)
             continue
         idx = candidates[0] if rng is None else rng.choice(candidates)
-        lexp, lcoeff = leads[idx]
-        factor_exp = exponent_div(exp, lexp)
-        factor_coeff = coeff / lcoeff
-        # the divisor's leading term cancels the popped term; subtract the rest
-        for dexp, dcoeff in divisors[idx].terms.items():
-            if dexp == lexp:
-                continue
-            target = exponent_mul(dexp, factor_exp)
-            new = work.get(target, Fraction(0)) - factor_coeff * dcoeff
-            if new == 0:
-                work.pop(target, None)
-            else:
+        tail, t = tails[idx]
+        # c/den times the tail over t: (c/g) * tail over den * (t/g)
+        g = gcd(c, t)
+        if g != t:
+            den *= t // g
+            work = {e: v * (t // g) for e, v in work.items()}
+        m = c // g
+        factor = exponent_div(exp, leads[idx])
+        get = work.get
+        for dexp, dc in tail.items():
+            target = tuple(map(add, dexp, factor))
+            new = get(target, 0) + m * dc
+            if new:
                 work[target] = new
-    return MultiPoly(p.variables, remainder)
+            else:
+                del work[target]
+    flat = {e: c * (den // d) for e, (c, d) in remainder.items()}
+    return MultiPoly._trusted(p.variables, flat, den)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg as la
 from .errors import CapacityError, DomainError, StructuralError
@@ -163,6 +164,24 @@ def symbolic_dual_matrices(coords: DualCoordinates):
     return c_mat, a_mat, adj_c, det_c
 
 
+def trace_of_even_power(variables, mat: la.Matrix, i: int) -> MultiPoly:
+    """tr(mat^(2i)) for a square matrix of polynomials, in one kernel call.
+
+    tr(m^(2i)) = sum_rs H_rs H_sr with H = m^i avoids one matrix product;
+    the terms (r, s) and (s, r) are equal, so each r < s enters once with
+    a doubled factor.
+    """
+    half = mat
+    for _ in range(i - 1):
+        half = la.mat_mul(half, mat)
+    size = len(mat)
+    pairs = [(half[r][r], half[r][r]) for r in range(size)]
+    pairs += [
+        (half[r][s] + half[r][s], half[s][r]) for r in range(size) for s in range(r + 1, size)
+    ]
+    return sum_of_products(variables, pairs)
+
+
 def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> SemiinvariantFamily:
     """Construct the semiinvariant generators for matrix size n >= 2.
 
@@ -185,23 +204,12 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
         la.mat_scale(la.transpose(a_mat), det_c),
     )
 
-    def trace_of_even_power(mat, i):
-        # tr(m^(2i)) = sum_jk (m^i)_jk (m^i)_kj avoids one matrix product
-        half = mat
-        for _ in range(i - 1):
-            half = la.mat_mul(half, mat)
-        size = len(mat)
-        return sum_of_products(
-            coords.variables,
-            ((half[r][s], half[s][r]) for r in range(size) for s in range(size)),
-        )
-
     generators: list[MultiPoly] = []
     kinds: list[str] = []
     weights: list[int] = []
     trace_count = k if n % 2 == 1 else k - 1
     for i in range(1, trace_count + 1):
-        generators.append(trace_of_even_power(t_mat, i))
+        generators.append(trace_of_even_power(coords.variables, t_mat, i))
         kinds.append("trace")
         weights.append(-4 * i)
 
@@ -433,8 +441,14 @@ def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint]) -> bool:
             value = g.evaluate(vec)
             if value != 0:
                 raise DomainError(f"point is not on the variety: generator value {value}")
-        rows = [[entry.evaluate(vec) for entry in row] for row in jac]
-        if la.rational_rank(rows) != ideal.k:
+        # rank(J) = rank(J^T): add the columns one at a time and stop at rank k
+        rref = la.SparseRREF()
+        for j in range(len(vec)):
+            column = ((r, row[j].evaluate(vec)) for r, row in enumerate(jac))
+            rref.add_row({r: v for r, v in column if v})
+            if rref.rank == ideal.k:
+                break
+        else:
             return False
     return True
 
@@ -512,7 +526,13 @@ def no_invariants_certificate(
         basis, _ = build_lie_basis(n)
         coords = DualCoordinates(basis)
     nvars = len(coords.variables)
-    fields = coadjoint_vector_fields(coords)
+    # each field row as (exponent, integer numerator) lists over one
+    # denominator: the rows of L_i below are integer multiples of the
+    # true ones, which keeps the rank
+    fields = []
+    for field_row in coadjoint_vector_fields(coords):
+        den = lcm(*(v.den for v in field_row))
+        fields.append([[(e, c * (den // v.den)) for e, c in v.flat.items()] for v in field_row])
     per_degree = [1]
     for delta in range(1, degree + 1):
         monos = [e for e in monomials_up_to_degree(nvars, delta) if sum(e) == delta]
@@ -521,7 +541,7 @@ def no_invariants_certificate(
                 f"degree {delta} needs {len(monos)} monomials, over cap"
             )
         col_index = {e: idx for idx, e in enumerate(monos)}
-        rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
+        rows: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
         for bidx, exp in enumerate(monos):
             for i, field_row in enumerate(fields):
                 # L_i(x^exp) = sum_j exp_j * v_ij * x^(exp - e_j)
@@ -530,16 +550,16 @@ def no_invariants_certificate(
                     if e == 0:
                         continue
                     v = field_row[j]
-                    if v.is_zero():
+                    if not v:
                         continue
                     lowered = list(exp)
                     lowered[j] -= 1
-                    for vexp, vcoeff in v.terms.items():
+                    for vexp, vcoeff in v:
                         target = tuple(x + y for x, y in zip(lowered, vexp))
                         row = rows.setdefault((i, target), {})
-                        row[bidx] = row.get(bidx, Fraction(0)) + vcoeff * e
+                        row[bidx] = row.get(bidx, 0) + vcoeff * e
         clean_rows = [
-            {c: v for c, v in row.items() if v != 0} for row in rows.values()
+            {c: Fraction(v) for c, v in row.items() if v} for row in rows.values()
         ]
         rank = la.sparse_rank(r for r in clean_rows if r)
         per_degree.append(len(monos) - rank)

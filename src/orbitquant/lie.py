@@ -367,12 +367,14 @@ def lie_poisson_bracket(
     pairs = []
     for i, j, k, value in sc.entries():
         for a, b, c in ((i, j, value), (j, i, -value)):
-            if c and df[a].terms and dg[b].terms:
-                # c x_k df/dx_a: shift each exponent by x_k, scale each coefficient by c
+            if c and df[a].flat and dg[b].flat:
+                # c x_k df/dx_a: shift each exponent by x_k, scale each numerator by c
+                num = c.numerator
                 shifted = {
-                    e[:k] + (e[k] + 1,) + e[k + 1 :]: v * c for e, v in df[a].terms.items()
+                    e[:k] + (e[k] + 1,) + e[k + 1 :]: v * num for e, v in df[a].flat.items()
                 }
-                pairs.append((MultiPoly._trusted(variables, shifted), dg[b]))
+                den = df[a].den * c.denominator
+                pairs.append((MultiPoly._trusted(variables, shifted, den), dg[b]))
     return sum_of_products(variables, pairs)
 
 

@@ -227,32 +227,36 @@ def adjugate(m: Matrix) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a Fraction matrix via Gauss-Jordan elimination."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination.
+
+    m is written as N / d with N an integer matrix (``_numerators``), and
+    elimination on [N | I] keeps every entry an integer: after each step
+    the rows are divided by the previous pivot, and the division is exact
+    (fraction-free elimination: Bareiss, Math. Comp. 22, 1968).  It ends at
+    [D I | D N^-1] with D = +-det(N), so m^-1 = d (D N^-1) / D and each
+    output entry is one Fraction.
+    """
     rows, cols = shape(m)
     if rows != cols:
         raise StructuralError("inverse of a non-square matrix")
-    n = rows
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = identity(n)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
+    if not is_exact(m):
+        m = [[Fraction(x) for x in row] for row in m]
+    nums, d = _numerators(m)
+    a = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(nums)]
+    prev = 1
+    for col in range(rows):
+        pivot = next((r for r in range(col, rows) if a[r][col]), None)
         if pivot is None:
             raise DomainError("matrix is singular")
         a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
+        top = a[col]
+        p = top[col]
+        for r in range(rows):
+            if r != col:
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return [[Fraction(d * x, prev) for x in row[rows:]] for row in a]
 
 
 SparseRow = dict[int, Fraction]

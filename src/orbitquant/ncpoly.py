@@ -63,12 +63,12 @@ verb and ``verify``'s confluence check use it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import CapacityError, StructuralError
 from .hpoly import HPoly
 from .lie import LieBasis, StructureConstants
-from .poly import MultiPoly, as_fraction, keyed_once
+from .poly import MultiPoly, _lowest_terms, as_fraction, keyed_once
 
 Word = tuple[int, ...]
 # Packed words with exact int (or Fraction) coefficients, all of one
@@ -302,25 +302,6 @@ def _flatten(items) -> tuple[dict, int]:
     return flat, den
 
 
-def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
-    """(flat, den) with integer numerators, zero ones dropped, den positive and
-    the common factor of den and the numerators divided out: equal values,
-    equal layouts."""
-    flat = {key: c for key, c in flat.items() if c}
-    try:
-        g = gcd(den, *flat.values())
-    except TypeError:  # Fraction numerators, from non-integral structure constants
-        scale = lcm(*(c.denominator for c in flat.values()))
-        flat = {key: int(c * scale) for key, c in flat.items()}
-        den *= scale
-        g = gcd(den, *flat.values())
-    if den < 0:
-        g = -g
-    if g != 1:
-        flat = {key: c // g for key, c in flat.items()}
-    return flat, den // g
-
-
 def _by_word(flat: dict) -> dict:
     """The flat layout grouped by word: word -> [(h power, numerator), ...]."""
     out: dict[int, list] = {}
@@ -418,11 +399,6 @@ class _FlatTerms:
 
     def divisible_by_h_power(self, k: int) -> bool:
         return all(p >= k for _, p in self.flat)
-
-    def _h_part(self, k: int) -> dict:
-        """The coefficient of h^k as {key: Fraction}."""
-        den = self.den
-        return {key: Fraction(c, den) for (key, p), c in self.flat.items() if p == k}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -541,8 +517,12 @@ class NCPoly(_FlatTerms):
         Returns exponent-keyed Fraction terms over the algebra's letters;
         sorted words have distinct exponents, so no two terms meet.
         """
-        n, shift = self.algebra.dim, self.algebra.shift
-        return {exponent_of_word(unpack_word(w, shift), n): c for w, c in self._h_part(0).items()}
+        n, shift, den = self.algebra.dim, self.algebra.shift, self.den
+        return {
+            exponent_of_word(unpack_word(w, shift), n): Fraction(c, den)
+            for (w, p), c in self.flat.items()
+            if p == 0
+        }
 
     def to_json(self) -> list[dict]:
         items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -605,7 +585,7 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
         raise StructuralError("symmetrize expects a commutative polynomial")
     if len(poly.variables) != algebra.dim:
         raise StructuralError("polynomial variables do not match the letters")
-    for exp in poly.terms:
+    for exp in poly.flat:
         if sum(exp) > cap:
             raise CapacityError(f"symmetrizer degree {sum(exp)} exceeds cap {cap}")
 
@@ -623,14 +603,18 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
         memo[exp] = acc = {v: c for v, c in acc.items() if c}
         return acc
 
-    def average(exp: tuple[int, ...], coeff) -> Fraction:
-        multinomial = factorial(sum(exp))
+    def multinomial(exp: tuple[int, ...]) -> int:
+        out = factorial(sum(exp))
         for count in exp:
-            multinomial //= factorial(count)
-        return Fraction(coeff) / multinomial
+            out //= factorial(count)
+        return out
 
-    scaled, den = _flatten((e, (average(e, c),)) for e, c in poly.terms.items())
+    # the numerator c of x^a over poly.den becomes c * scale / m(a) over
+    # poly.den * scale, with scale the lcm of the multinomials m(a)
+    counts = {exp: multinomial(exp) for exp in poly.flat}
+    scale = lcm(*counts.values())
     flat: dict[tuple[int, int], int] = {}
-    for (exp, p), a in scaled.items():
-        _add_scaled(flat, orderings(exp), sum(exp), ((p, a),), algebra.shift)
-    return NCPoly._trusted(algebra, flat, den)
+    for exp, c in poly.flat.items():
+        a = c * (scale // counts[exp])
+        _add_scaled(flat, orderings(exp), sum(exp), ((0, a),), algebra.shift)
+    return NCPoly._trusted(algebra, flat, poly.den * scale)

@@ -1,19 +1,22 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a mapping from exponent tuples to ``fractions.Fraction``
-coefficients, one exponent slot per variable.  No floating point is ever
-involved and zero coefficients are never stored, so equality of
-polynomials is literal dictionary equality.
+A polynomial stores its coefficients in one flat layout: ``flat`` maps
+each exponent tuple, one slot per variable, to a nonzero integer
+numerator over one positive denominator ``den``.  The pair is kept in
+lowest terms (``_lowest_terms``, shared with the noncommutative layer),
+so equal polynomials have equal layouts and equality is literal.  No
+floating point is ever involved.  ``terms`` is a view with one
+``fractions.Fraction`` per exponent, built on each access for the
+public edges; the operations of this layer read ``flat`` and ``den``.
 
 Exponents are tuples of nonnegative ints, checked where a polynomial is
 built from outside data.  Every product goes through one kernel,
-``sum_of_products``: it works on integer numerators over one denominator
-per operand and builds a single Fraction per output term, and it keys its
-accumulator by packed exponents, each monomial one Python int with a
-fixed-width slot per variable, so that multiplying two monomials is one
-integer addition.  ``MultiPoly.evaluate`` works the same way: the
-point's numerators over the lcm of its denominators, the coefficients'
-numerators over theirs, and one Fraction for the value.
+``sum_of_products``: it sums integer numerators and keys its accumulator
+by packed exponents, each monomial one Python int with a fixed-width
+slot per variable, so that multiplying two monomials is one integer
+addition.  ``MultiPoly.evaluate`` works the same way: the point's
+numerators over the lcm of its denominators, the stored numerators, and
+one Fraction for the value.
 
 Monomial orders are graded (degree first); the default is graded reverse
 lexicographic, which tends to give the smallest sets of standard
@@ -26,7 +29,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, StructuralError
@@ -132,34 +135,49 @@ class MultiPoly:
 
     Supports ring arithmetic, formal differentiation, evaluation and a
     lossless record-based serialization.  All operations require both
-    operands to carry the identical variable tuple.  ``_leads`` memoizes
-    the leading term per monomial order, set on first use.
+    operands to carry the identical variable tuple.  ``flat`` maps each
+    exponent to a nonzero integer numerator over the positive ``den``, in
+    lowest terms; ``terms`` is a view with one Fraction per exponent,
+    built on each access.  ``_leads`` memoizes the leading term per
+    monomial order, set on first use.
     """
 
-    __slots__ = ("variables", "terms", "_leads")
+    __slots__ = ("variables", "flat", "den", "_leads")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction] | None = None):
-        object.__setattr__(self, "variables", tuple(variables))
-        clean: dict[Exponent, Fraction] = {}
+        variables = tuple(variables)
+        items = []
         if terms:
-            nvars = len(self.variables)
+            nvars = len(variables)
             for exp, coeff in terms.items():
                 coeff = as_fraction(coeff)
-                exp = checked_exponent(exp, nvars)
-                if coeff != 0:
-                    clean[exp] = coeff
-        object.__setattr__(self, "terms", clean)
+                items.append((checked_exponent(exp, nvars), coeff))
+        den = lcm(*(c.denominator for _, c in items))
+        flat = {exp: c.numerator * (den // c.denominator) for exp, c in items}
+        self._set(variables, flat, den)
+
+    def _set(self, variables: tuple[str, ...], flat: dict, den: int):
+        flat, den = _lowest_terms(flat, den)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap a term dict built here: nonzero Fractions, valid exponents of the right length."""
+    def _trusted(cls, variables: tuple[str, ...], flat: dict[Exponent, int], den: int):
+        """The polynomial with integer numerators ``flat`` over ``den``, whose
+        exponents are valid tuples of the right length."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "terms", terms)
+        poly._set(variables, flat, den)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """{exponent: Fraction coefficient}, built on each access."""
+        den = self.den
+        return {exp: Fraction(c, den) for exp, c in self.flat.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -187,22 +205,22 @@ class MultiPoly:
     # -- predicates and views ----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.flat
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.flat)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), ZERO)
+        return self.coefficient((0,) * len(self.variables))
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
-        if not self.terms:
+        if not self.flat:
             return -1
-        return max(map(sum, self.terms))
+        return max(map(sum, self.flat))
 
     def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), ZERO)
+        return Fraction(self.flat.get(tuple(exponent), 0), self.den)
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponent, Fraction]:
         """The leading (exponent, coefficient) under ``order``, computed once per order."""
@@ -213,10 +231,10 @@ class MultiPoly:
             object.__setattr__(self, "_leads", leads)
         lead = leads.get(order)
         if lead is None:
-            if not self.terms:
+            if not self.flat:
                 raise StructuralError("zero polynomial has no leading term")
-            exp = max(self.terms, key=order.key)
-            leads[order] = lead = (exp, self.terms[exp])
+            exp = max(self.flat, key=order.key)
+            leads[order] = lead = (exp, Fraction(self.flat[exp], self.den))
         return lead
 
     def _check_compatible(self, other: "MultiPoly"):
@@ -227,30 +245,31 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other for a MultiPoly or exact scalar ``other``."""
         if not isinstance(other, MultiPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = MultiPoly.constant(self.variables, other)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            new = out.get(exp, ZERO) + coeff
-            if new == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = new
-        return MultiPoly._trusted(self.variables, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {e: c * a for e, c in self.flat.items()} if a != 1 else dict(self.flat)
+        get = out.get
+        for e, c in other.flat.items():
+            out[e] = get(e, 0) + c * b
+        return MultiPoly._trusted(self.variables, out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.flat.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (MultiPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -261,9 +280,10 @@ class MultiPoly:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if other == 0:
-            return MultiPoly._trusted(self.variables, {})
-        other = as_fraction(other)
-        return MultiPoly._trusted(self.variables, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly._trusted(self.variables, {}, 1)
+        num, den = as_fraction(other).as_integer_ratio()
+        scaled = {e: c * num for e, c in self.flat.items()}
+        return MultiPoly._trusted(self.variables, scaled, self.den * den)
 
     __rmul__ = __mul__
 
@@ -284,56 +304,43 @@ class MultiPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = MultiPoly.constant(self.variables, other)
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables, self.den, self.flat) == (other.variables, other.den, other.flat)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, frozenset(self.flat.items()), self.den))
 
     # -- calculus and evaluation --------------------------------------
 
     def diff(self, index: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable ``index``."""
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
+        # exponents stay distinct when their nonzero slot is lowered
+        out: dict[Exponent, int] = {}
+        for exp, c in self.flat.items():
             e = exp[index]
-            if e == 0:
-                continue
-            new_exp = list(exp)
-            new_exp[index] = e - 1
-            key = tuple(new_exp)
-            val = out.get(key, ZERO) + coeff * e
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-        return MultiPoly._trusted(self.variables, out)
+            if e:
+                out[exp[:index] + (e - 1,) + exp[index + 1 :]] = c * e
+        return MultiPoly._trusted(self.variables, out, self.den)
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Evaluate exactly at a point given as one exact rational per variable.
 
         The point is written as integer numerators over q, the lcm of its
-        denominators, and the coefficients as integer numerators over one
-        denominator (``_numerators``).  A term of degree d is scaled by
-        q^(D-d), D the total degree, so every term lies over den * q^D and
-        the value is one Fraction built at the end.
+        denominators.  A term of degree d is scaled by q^(D-d), D the total
+        degree, so every term lies over den * q^D and the value is one
+        Fraction built at the end.
         """
         if len(values) != len(self.variables):
             raise StructuralError("wrong number of values for evaluation")
         vals = [as_fraction(v) for v in values]
-        if not self.terms:
+        if not self.flat:
             return ZERO
-        q = 1
-        for v in vals:
-            d = v.denominator
-            if q % d:
-                q = q // gcd(q, d) * d
+        q = lcm(*(v.denominator for v in vals))
         nums = [v.numerator * (q // v.denominator) for v in vals]
-        scaled, den = _numerators(self)
         # integer sum of the terms of each degree
         by_degree: dict[int, int] = {}
         # cache powers per variable; exponents repeat heavily in practice
         powers: list[dict[int, int]] = [dict() for _ in nums]
-        for exp, prod in scaled:
+        for exp, prod in self.flat.items():
             degree = 0
             for i, e in enumerate(exp):
                 if e == 0:
@@ -348,17 +355,16 @@ class MultiPoly:
             by_degree[degree] = by_degree.get(degree, 0) + prod
         top = max(by_degree)
         total = sum(v * q ** (top - d) for d, v in by_degree.items())
-        return Fraction(total, den * q**top)
+        return Fraction(total, self.den * q**top)
 
     # -- serialization ------------------------------------------------
 
     def to_records(self) -> dict:
         """Lossless record form: coefficients as exact rational strings."""
-        items = sorted(self.terms.items(), key=lambda kv: kv[0])
         return {
             "variables": list(self.variables),
             "terms": [
-                {"coefficient": str(c), "exponents": list(e)} for e, c in items
+                {"coefficient": str(c), "exponents": list(e)} for e, c in sorted(self.terms.items())
             ],
         }
 
@@ -375,7 +381,7 @@ class MultiPoly:
         return cls(variables, terms)
 
     def __str__(self):
-        if not self.terms:
+        if not self.flat:
             return "0"
         parts = []
         for exp, coeff in sorted(self.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True):
@@ -392,16 +398,24 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def _numerators(p: MultiPoly) -> tuple[list[tuple[Exponent, int]], int]:
-    """p's terms as (exponent, integer numerator) over den, the lcm of p's denominators."""
-    den = 1
-    for c in p.terms.values():
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    if den == 1:
-        return [(e, c.numerator) for e, c in p.terms.items()], 1
-    return [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()], den
+def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
+    """(flat, den) with integer numerators, zero ones dropped, den positive and
+    the common factor of den and the numerators divided out: equal values,
+    equal layouts."""
+    if 0 in flat.values():
+        flat = {key: c for key, c in flat.items() if c}
+    try:
+        g = gcd(den, *flat.values())
+    except TypeError:  # Fraction numerators, from non-integral structure constants
+        scale = lcm(*(c.denominator for c in flat.values()))
+        flat = {key: int(c * scale) for key, c in flat.items()}
+        den *= scale
+        g = gcd(den, *flat.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        flat = {key: c // g for key, c in flat.items()}
+    return flat, den // g
 
 
 def _slot_code(top: int) -> tuple[str, int]:
@@ -418,12 +432,11 @@ def sum_of_products(
 ) -> MultiPoly:
     """The sum of f * g over ``pairs``, exactly, in integer arithmetic.
 
-    Each operand is written as integer numerators over one denominator,
-    the lcm of its own denominators.  The products accumulate as integers
-    per exponent over the lcm of the pairs' denominators, and each output
-    term becomes one Fraction at the end (sparse products over integer
-    numerators: Monagan & Pearce, CASC 2007).  ``MultiPoly.__mul__`` is
-    the one-pair case.
+    Each operand's integer numerators over its denominator are read as
+    stored.  The products accumulate as integers per exponent over the lcm
+    of the pairs' denominators, and the result keeps them: no Fraction is
+    built (sparse products over integer numerators: Monagan & Pearce,
+    CASC 2007).  ``MultiPoly.__mul__`` is the one-pair case.
 
     Exponents are packed: each operand term's exponent becomes one int,
     the bytes of an ``array`` with one slot per variable, so a product of
@@ -445,16 +458,14 @@ def sum_of_products(
             raise StructuralError(
                 f"variable lists differ: {f.variables} and {g.variables} vs {variables}"
             )
-        if f.terms and g.terms:
-            fs, fd = _numerators(f)
-            gs, gd = _numerators(g)
-            d = fd * gd
+        if f.flat and g.flat:
+            d = f.den * g.den
             if common % d:
                 common = common // gcd(common, d) * d
             top = max(top, f.total_degree() + g.total_degree())
-            scaled.append((fs, gs, d))
+            scaled.append((f.flat.items(), g.flat.items(), d))
     if not scaled:
-        return MultiPoly._trusted(variables, {})
+        return MultiPoly._trusted(variables, {}, 1)
     code, width = _slot_code(top)
     order = sys.byteorder
     size = width * len(variables)
@@ -469,19 +480,8 @@ def sum_of_products(
             for k2, c2 in gp:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-    if common == 1:
-        terms = {
-            tuple(array(code, k.to_bytes(size, order))): Fraction(v)
-            for k, v in acc.items()
-            if v
-        }
-    else:
-        terms = {
-            tuple(array(code, k.to_bytes(size, order))): Fraction(v, common)
-            for k, v in acc.items()
-            if v
-        }
-    return MultiPoly._trusted(variables, terms)
+    flat = {tuple(array(code, k.to_bytes(size, order))): v for k, v in acc.items() if v}
+    return MultiPoly._trusted(variables, flat, common)
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list[Exponent]:

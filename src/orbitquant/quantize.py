@@ -99,10 +99,11 @@ class QuotientElement(_FlatTerms):
 
     @classmethod
     def from_multipoly(cls, p: MultiPoly) -> "QuotientElement":
-        return cls._trusted(p.variables, *_flatten((e, (c,)) for e, c in p.terms.items()))
+        return cls._trusted(p.variables, {(e, 0): c for e, c in p.flat.items()}, p.den)
 
     def h_coefficient(self, k: int) -> MultiPoly:
-        return MultiPoly._trusted(self.variables, self._h_part(k))
+        flat = {e: c for (e, p), c in self.flat.items() if p == k}
+        return MultiPoly._trusted(self.variables, flat, self.den)
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -356,10 +357,10 @@ class OrbitQuantization:
         if self._lead is None:
             raise StructuralError("the reduction was not built")
         if isinstance(f, QuotientElement):
-            terms, den = f.flat.items(), f.den
-        else:  # Fraction coefficients, written over the lcm of their denominators
-            den = lcm(*(c.denominator for c in f.terms.values()))
-            terms = (((exp, 0), c.numerator * (den // c.denominator)) for exp, c in f.terms.items())
+            terms = f.flat.items()
+        else:
+            terms = (((exp, 0), c) for exp, c in f.flat.items())
+        den = f.den
         shift, table, data = self.algebra.shift, self._word_table, self._word_data
         out = {}
         for (exp, p), c in terms:

@@ -462,3 +462,22 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path, argv, golden):
     assert code == 0
     expected = (folder / golden).read_text()
     assert out == expected
+
+
+@pytest.mark.parametrize("document", ["[1, 0]", '"x"'])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pbw", "--n", "2", "--input", "-"),
+        ("sym", "--n", "2", "--input", "-"),
+        ("star", "--n", "2", "--lambdas", "1", "--deg", "4", "--input", "-"),
+    ],
+)
+def test_input_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, argv, document):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+    assert "JSON object" in doc["error"]["message"]

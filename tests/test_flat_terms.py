@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from orbitquant.errors import CertificationError, StructuralError
 from orbitquant.hpoly import HPoly
 from orbitquant.lie import build_lie_basis
-from orbitquant.ncpoly import NCPoly, PBWAlgebra, _lowest_terms, unpack_word, word_length
-from orbitquant.poly import MultiPoly, monomials_up_to_degree
+from orbitquant.ncpoly import NCPoly, PBWAlgebra, unpack_word, word_length
+from orbitquant.poly import MultiPoly, _lowest_terms, monomials_up_to_degree
 from orbitquant.quantize import OrbitQuantization, QuotientElement, commutator_weight
 
 DIFFERENTIAL = settings(max_examples=60, deadline=None)

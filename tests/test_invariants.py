@@ -8,6 +8,7 @@ import pytest
 from orbitquant import linalg as la
 from orbitquant.errors import DomainError
 from orbitquant.invariants import (
+    symbolic_dual_matrices,
     coadjoint_vector_fields,
     invariant_trace_power,
     measure_weight,
@@ -20,12 +21,13 @@ from orbitquant.invariants import (
     regular_lambdas,
     regularity_check,
     semiinvariant_family,
+    trace_of_even_power,
     trace_semiinvariant_value,
     verify_semiinvariance,
 )
 from orbitquant.lie import DualCoordinates, build_lie_basis, lie_poisson_bracket
 from orbitquant.orbits import DualPoint, coadjoint, lambda_block_matrix, normal_form
-from orbitquant.poly import MultiPoly
+from orbitquant.poly import MultiPoly, sum_of_products
 from orbitquant.sampling import (
     random_fraction,
     random_gplus_point,
@@ -344,3 +346,47 @@ def test_certificate_detects_planted_invariant():
     from orbitquant import linalg as lin
 
     assert lin.sparse_rank(iter([])) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_regularity_column_by_column_agrees_with_the_full_jacobian_rank(n):
+    # the points check_orbit_ideal samples: the normal form and its orbit
+    from orbitquant.verify import _regular_lambdas
+
+    rng = random.Random(7)
+    fam = semiinvariant_family(n)
+    ideal = orbit_ideal(_regular_lambdas(fam.k), fam)
+    base = ideal.normal_form_point()
+    pts = [base] + [random_orbit_sample(base, rng) for _ in range(4)]
+    jac = ideal.jacobian_polys()
+    for pt in pts:
+        vec = fam.coords.coords_of_point(pt.c, pt.a)
+        full = la.rational_rank([[entry.evaluate(vec) for entry in row] for row in jac])
+        assert regularity_check(ideal, [pt]) == (full == ideal.k)
+    assert regularity_check(ideal, pts)
+
+    # a Jacobian patched to a zero row has rank below k at every point
+    jac[0] = [MultiPoly.zero(fam.coords.variables)] * len(jac[0])
+    assert not regularity_check(ideal, [base])
+    vec = fam.coords.coords_of_point(base.c, base.a)
+    assert la.rational_rank([[entry.evaluate(vec) for entry in row] for row in jac]) < ideal.k
+
+
+@pytest.mark.parametrize("n, i", [(2, 1), (2, 2), (3, 1), (4, 1)])
+def test_symmetric_trace_pairing_equals_the_full_pair_sum(n, i):
+    basis, _ = build_lie_basis(n)
+    coords = DualCoordinates(basis)
+    c_mat, a_mat, adj_c, det_c = symbolic_dual_matrices(coords)
+    t_mat = la.mat_sub(
+        la.mat_mul(la.mat_mul(c_mat, a_mat), adj_c),
+        la.mat_scale(la.transpose(a_mat), det_c),
+    )
+    half = t_mat
+    for _ in range(i - 1):
+        half = la.mat_mul(half, t_mat)
+    every_pair = sum_of_products(
+        coords.variables, ((half[r][s], half[s][r]) for r in range(n) for s in range(n))
+    )
+    assert trace_of_even_power(coords.variables, t_mat, i) == every_pair
+    if i == 1 and n > 2:  # h_1 is the family's first generator
+        assert semiinvariant_family(n, coords).generators[0] == every_pair

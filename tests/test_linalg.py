@@ -113,6 +113,64 @@ def test_inverse_round_trip_and_singular_rejection():
         found += 1
 
 
+def dense_fraction_inverse(m):
+    """Gauss-Jordan in Fraction arithmetic: the routine la.inverse replaced."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    inv = la.identity(n)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise DomainError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_fraction_free_inverse_matches_the_dense_fraction_routine(n, kind):
+    rng = random.Random(100 * n + len(kind))
+    inverted = singular = 0
+    for _ in range(30):
+        if kind == "int":
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            m = random_matrix(rng, n, n, lo=-3, hi=3)
+        if n > 1 and rng.random() < 0.5:
+            # a zero leading entry forces a row swap at the first pivot
+            m[0][0] = 0
+        try:
+            expected = dense_fraction_inverse(m)
+        except DomainError:
+            singular += 1
+            with pytest.raises(DomainError):
+                la.inverse(m)
+            continue
+        inv = la.inverse(m)
+        assert inv == expected and all(type(x) is Fraction for row in inv for x in row)
+        inverted += 1
+    assert inverted >= 10
+
+
+def test_fraction_free_inverse_swaps_rows_and_rejects_singular_matrices():
+    m = [[0, 1, 2], [0, 3, 1], [4, 5, 6]]
+    assert la.inverse(m) == dense_fraction_inverse(m)
+    assert la.mat_mul(m, la.inverse(m)) == la.identity(3)
+    with pytest.raises(DomainError):
+        la.inverse([[Fraction(1, 2), 1], [1, 2]])
+    with pytest.raises(DomainError):
+        la.inverse([[0, 0], [0, 0]])
+
+
 def test_sparse_rref_respects_column_order():
     # with reversed column priority the pivot lands on the last column
     rref = la.SparseRREF(colkey=lambda c: -c)

@@ -73,3 +73,32 @@ def test_tracer_sees_the_symmetrizer_and_the_weights(monkeypatch):
     assert tracer.count("stream", "ncpoly.sym_terms") == len(sym.terms) > 0
     assert all(type(w) is tuple and all(type(l) is int for l in w) for w in sym.terms)
     assert (ncpoly.symmetrize, quantize.commutator_weight) == originals
+
+
+def test_tracer_sees_the_family_layers_and_reads_multipoly(monkeypatch):
+    # family-n4's per-layer hooks: the family span and its term count, the
+    # MultiPoly product wrapper, and the oracles' reading of MultiPoly terms
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import orbitquant.invariants as invariants
+    import oracles
+    from tracing import Tracer
+
+    originals = [MultiPoly.__dict__[attr] for attr in ("__mul__", "__rmul__")]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "stream"
+        family = invariants.semiinvariant_family(3)
+    finally:
+        tracer.uninstall()
+
+    assert family.generators == invariants.semiinvariant_family(3).generators
+    assert tracer.count("stream", "invariants.family") == 1
+    assert tracer.count("stream", "invariants.family_terms") == sum(
+        len(g.terms) for g in family.generators
+    )
+    assert tracer.count("stream", "poly.mul") > 0
+    assert [MultiPoly.__dict__[attr] for attr in ("__mul__", "__rmul__")] == originals
+    h1 = family.generators[0]
+    assert oracles.flat_of(h1) == {(e, 0): c for e, c in h1.terms.items()}
+    assert oracles.flat_of(h1) and all(type(c) is Fraction for c in oracles.flat_of(h1).values())
