@@ -27,7 +27,7 @@ from .jsonio import float_to_str, matrix_from_json, matrix_to_json
 from .lie import DualCoordinates, basis_to_json, build_lie_basis
 from .ncpoly import NCPoly, PBWAlgebra, symmetrize
 from .orbits import DualPoint, GroupElement, LieElement, adjoint, coadjoint, group_multiply, normal_form
-from .poly import MultiPoly, as_fraction
+from .poly import MultiPoly, as_fraction, polynomial_record
 from .quantize import OrbitQuantization, QuotientElement
 from .invariants import (
     invariant_trace_power,
@@ -281,10 +281,9 @@ def cmd_star(args) -> int:
     engine = OrbitQuantization(args.n, _lambdas(args), deg_cap=args.deg)
 
     def parse_operand(rec) -> QuotientElement:
-        if "terms" in rec and rec.get("variables"):
-            first = rec["terms"][0] if rec["terms"] else None
-            if first is not None and isinstance(first.get("coefficient"), list):
-                return QuotientElement.from_json(rec)
+        variables, terms = polynomial_record(rec)
+        if variables and terms and isinstance(terms[0].get("coefficient"), list):
+            return QuotientElement.from_json(rec)
         return QuotientElement.from_multipoly(MultiPoly.from_records(rec))
 
     result = engine.star(parse_operand(data["f"]), parse_operand(data["g"]))

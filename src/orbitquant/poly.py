@@ -25,8 +25,8 @@ monomials in quotient-ring computations.
 
 from __future__ import annotations
 
+import struct
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -68,6 +68,23 @@ def checked_exponent(exp, nvars: int) -> Exponent:
     if exp and (set(map(type, exp)) != {int} or min(exp) < 0):
         raise StructuralError(f"exponent {exp} is not a tuple of nonnegative ints")
     return exp
+
+
+def polynomial_record(data) -> tuple[tuple[str, ...], Sequence[Mapping]]:
+    """The variables and term records of a polynomial's JSON record.
+
+    StructuralError unless ``data`` is an object whose ``variables`` is a
+    list of names and whose ``terms`` is a list of objects; a missing key
+    raises KeyError.
+    """
+    if not isinstance(data, Mapping):
+        raise StructuralError(f"a polynomial must be a JSON object, not {type(data).__name__}")
+    variables, terms = data["variables"], data["terms"]
+    if not isinstance(variables, (list, tuple)) or not all(isinstance(v, str) for v in variables):
+        raise StructuralError("a polynomial's variables must be a list of names")
+    if not isinstance(terms, (list, tuple)) or not all(isinstance(t, Mapping) for t in terms):
+        raise StructuralError("a polynomial's terms must be a list of JSON objects")
+    return tuple(variables), terms
 
 
 def keyed_once(pairs: Iterable, what: str) -> dict:
@@ -370,11 +387,11 @@ class MultiPoly:
 
     @classmethod
     def from_records(cls, data: Mapping) -> "MultiPoly":
-        variables = data["variables"]
+        variables, records = polynomial_record(data)
         terms = keyed_once(
             (
                 (checked_exponent(rec["exponents"], len(variables)), rec["coefficient"])
-                for rec in data["terms"]
+                for rec in records
             ),
             "exponent",
         )
@@ -419,8 +436,8 @@ def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
 
 
 def _slot_code(top: int) -> tuple[str, int]:
-    """The smallest ``array`` typecode whose slot holds every value up to
-    ``top``, and its slot width in bytes."""
+    """The smallest native ``struct`` format character whose slot holds
+    every value up to ``top``, and its slot width in bytes."""
     for code, width in (("B", 1), ("H", 2), ("Q", 8)):
         if top < 1 << 8 * width:
             return code, width
@@ -439,7 +456,8 @@ def sum_of_products(
     CASC 2007).  ``MultiPoly.__mul__`` is the one-pair case.
 
     Exponents are packed: each operand term's exponent becomes one int,
-    the bytes of an ``array`` with one slot per variable, so a product of
+    the bytes of a record with one native unsigned slot per variable, packed
+    and unpacked by one ``struct.Struct`` per call, so a product of
     monomials is one integer addition (packed exponent vectors: Monagan &
     Pearce, CASC 2007; Bachmann & Schoenemann, ISSAC 1998).  The slot
     width comes from ``top``, the largest sum of the two operands' total
@@ -466,21 +484,22 @@ def sum_of_products(
             scaled.append((f.flat.items(), g.flat.items(), d))
     if not scaled:
         return MultiPoly._trusted(variables, {}, 1)
-    code, width = _slot_code(top)
+    code, _ = _slot_code(top)
+    slots = struct.Struct(f"{len(variables)}{code}")
+    pack, unpack, size = slots.pack, slots.unpack, slots.size
     order = sys.byteorder
-    size = width * len(variables)
     acc: dict[int, int] = {}
     get = acc.get
     for fs, gs, d in scaled:
         scale = common // d
-        gp = [(int.from_bytes(array(code, e2), order), c2) for e2, c2 in gs]
+        gp = [(int.from_bytes(pack(*e2), order), c2) for e2, c2 in gs]
         for e1, c1 in fs:
-            k1 = int.from_bytes(array(code, e1), order)
+            k1 = int.from_bytes(pack(*e1), order)
             c1 *= scale
             for k2, c2 in gp:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-    flat = {tuple(array(code, k.to_bytes(size, order))): v for k, v in acc.items() if v}
+    flat = {unpack(k.to_bytes(size, order)): v for k, v in acc.items() if v}
     return MultiPoly._trusted(variables, flat, common)
 
 

@@ -72,6 +72,7 @@ from .poly import (
     checked_exponent,
     keyed_once,
     monomials_up_to_degree,
+    polynomial_record,
 )
 
 
@@ -116,12 +117,12 @@ class QuotientElement(_FlatTerms):
 
     @classmethod
     def from_json(cls, data) -> "QuotientElement":
-        variables = tuple(data["variables"])
+        variables, records = polynomial_record(data)
         n = len(variables)
         terms = keyed_once(
             (
                 (checked_exponent(rec["exponents"], n), HPoly.from_json(rec["coefficient"]))
-                for rec in data["terms"]
+                for rec in records
             ),
             "exponent",
         )

@@ -4,13 +4,24 @@ Each check function returns a report entry with a neutral statement of
 the claim, a pass/fail status, witness data, and timing.  The functions
 are ordinary library code so tests exercise them directly; the CLI verb
 ``verify`` only assembles and serializes the result.
+
+``build_report`` runs its independent, separately seeded checks
+concurrently on forked worker processes, one per usable CPU, and lists
+the entries in report order, so the report and its content hash are
+those of a run in one process.  Each entry's ``elapsed_s`` is its
+worker's wall time, taken while other checks compete for the CPUs, so
+the values no longer add up to the run's time.  The run stays in one
+process when one CPU is usable, when the platform cannot fork, or when
+the calling process runs other threads.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 from . import linalg as la
@@ -488,27 +499,66 @@ def build_report(
     """Run the full verification battery and assemble the report."""
     ns_all = tuple(n for n in (1, 2, 3) if n <= n_max)
     ns_23 = tuple(n for n in (2, 3) if n <= n_max)
-    checks = [check_embedding(seed, ns=ns_all, samples=samples)]
+    calls = [partial(check_embedding, seed, ns=ns_all, samples=samples)]
     if ns_23:
-        checks.extend(
+        calls.extend(
             [
-                check_coadjoint(seed + 1, ns=ns_23, samples=samples),
-                check_normal_form(seed + 2, ns=ns_23, samples=samples),
-                check_orbit_dimension(ns=ns_23),
-                check_semiinvariants(seed + 3, ns=ns_23, samples=samples),
-                check_invariant_polynomials(
-                    tuple((n, d) for n, d in ((2, 4), (3, 2)) if n <= n_max)
+                partial(check_coadjoint, seed + 1, ns=ns_23, samples=samples),
+                partial(check_normal_form, seed + 2, ns=ns_23, samples=samples),
+                partial(check_orbit_dimension, ns=ns_23),
+                partial(check_semiinvariants, seed + 3, ns=ns_23, samples=samples),
+                partial(
+                    check_invariant_polynomials,
+                    tuple((n, d) for n, d in ((2, 4), (3, 2)) if n <= n_max),
                 ),
-                check_orbit_ideal(seed + 4, ns=ns_23, samples=samples),
-                check_pbw(seed + 5),
-                check_generator_commutators(ns=ns_23),
-                check_quotient_basis_torsion(seed + 7, deg_cap=deg_cap),
-                check_deformation(seed + 8, deg_cap=deg_cap),
+                partial(check_orbit_ideal, seed + 4, ns=ns_23, samples=samples),
+                partial(check_pbw, seed + 5),
+                partial(check_generator_commutators, ns=ns_23),
+                partial(check_quotient_basis_torsion, seed + 7, deg_cap=deg_cap),
+                partial(check_deformation, seed + 8, deg_cap=deg_cap),
             ]
         )
     if inject_failure:
-        checks.append(check_injected_failure(seed + 9))
-    return emit_report(checks, seed=seed, n_max=n_max, deg_cap=deg_cap)
+        calls.append(partial(check_injected_failure, seed + 9))
+    return emit_report(_run_checks(calls), seed=seed, n_max=n_max, deg_cap=deg_cap)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _call(check):
+    return check()
+
+
+def _run_checks(calls: list) -> list[dict]:
+    """The entry of each check call, in the order of ``calls``.
+
+    A forked worker starts as a copy of this process, so a check sees the
+    module state it would see in process.  A lock that another thread
+    holds at the fork stays held in the child, so a process with other
+    threads runs the calls itself.  A check that raises, or a worker that
+    dies, raises here, and the calls not yet started are cancelled.
+    """
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(calls), _usable_cpus())
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return list(map(_call, calls))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_call, calls))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def emit_report(checks: list[dict], **meta) -> dict:

@@ -481,3 +481,25 @@ def test_input_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, argv,
     assert code == 2
     assert doc["error"]["type"] == "StructuralError"
     assert "JSON object" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (("star", "--n", "2", "--lambdas", "1", "--deg", "4", "--input", "-"),
+         '{"f": [1, 0], "g": "x"}'),
+        (("star", "--n", "2", "--lambdas", "1", "--deg", "4", "--f", "[1,0]", "--g", "[2]"), ""),
+        (("sym", "--n", "2", "--input", "-"), '{"polynomial": [1]}'),
+    ],
+    ids=["star-stdin", "star-inline", "sym-stdin"],
+)
+def test_operand_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, argv, document):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"] == {
+        "type": "StructuralError",
+        "message": "a polynomial must be a JSON object, not list",
+    }

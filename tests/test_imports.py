@@ -1,5 +1,5 @@
 """Every name a package or test module imports is used in that module,
-and exact work does not load the float libraries."""
+and exact work does not load the float or worker-pool libraries."""
 
 import ast
 import json
@@ -78,8 +78,10 @@ def test_scanner_flags_an_unused_import():
 FLOAT_LIBRARY_PROBE = """
 import runpy, sys
 
+LAZY = ("concurrent.futures", "multiprocessing", "numpy", "scipy")
+
 def report():
-    print(sorted(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
+    print(sorted(m for m in LAZY if m in sys.modules), file=sys.stderr)
 
 import orbitquant
 report()
@@ -96,7 +98,9 @@ report()
 
 
 def test_import_and_exact_cli_run_do_not_load_numpy_or_scipy():
-    # numpy and scipy serve only the float normal form; they load on first use
+    # numpy and scipy serve only the float normal form, and multiprocessing
+    # and concurrent.futures only the verify battery's workers; they load on
+    # first use
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])

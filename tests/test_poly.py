@@ -1,7 +1,10 @@
 """Polynomial arithmetic against independent term-by-term oracles."""
 
 import random
+import sys
+from array import array
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,6 +19,7 @@ from orbitquant.poly import (
     sum_of_products,
 )
 from orbitquant.poly import _slot_code
+from orbitquant.quantize import QuotientElement
 
 VARS = ("x", "y", "z")
 
@@ -145,6 +149,49 @@ def test_product_kernel_refuses_exponents_beyond_64_bit_slots():
     assert big ** 0 == 1
     with pytest.raises(CapacityError):
         _ = big ** 1
+
+
+def array_path(variables, pairs):
+    """The kernel's result with exponents packed and unpacked by ``array``,
+    as before ``struct``: the same native slots, the same sums."""
+    common = lcm(*(f.den * g.den for f, g in pairs))
+    code, width = _slot_code(max(f.total_degree() + g.total_degree() for f, g in pairs))
+    order = sys.byteorder
+    acc = {}
+    for f, g in pairs:
+        scale = common // (f.den * g.den)
+        for e1, c1 in f.flat.items():
+            k1 = int.from_bytes(array(code, e1), order)
+            for e2, c2 in g.flat.items():
+                k = k1 + int.from_bytes(array(code, e2), order)
+                acc[k] = acc.get(k, 0) + c1 * c2 * scale
+    size = width * len(variables)
+    flat = {tuple(array(code, k.to_bytes(size, order))): v for k, v in acc.items() if v}
+    return MultiPoly._trusted(variables, flat, common)
+
+
+@pytest.mark.parametrize("big, width", [(100, 1), (30000, 2), (2**40, 8)])
+def test_product_kernel_matches_the_array_path(big, width):
+    rng = random.Random(53)
+    variables = tuple(f"v{i}" for i in range(20))
+
+    def operand():
+        terms = {}
+        for _ in range(8):
+            exp = tuple(rng.randint(0, 3) for _ in variables)
+            terms[exp] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        # one term of degree `big`, so that the product's slots are `width` bytes wide
+        exp = [0] * len(variables)
+        exp[rng.randrange(len(variables))] = big
+        terms[tuple(exp)] = Fraction(-1, 3)
+        return MultiPoly(variables, terms)
+
+    for _ in range(5):
+        pairs = [(operand(), operand()) for _ in range(3)]
+        top = max(f.total_degree() + g.total_degree() for f, g in pairs)
+        assert _slot_code(top)[1] == width
+        total, reference = sum_of_products(variables, pairs), array_path(variables, pairs)
+        assert (total.flat, total.den) == (reference.flat, reference.den)
 
 
 def test_product_kernel_with_no_variables():
@@ -405,6 +452,25 @@ def test_exponents_must_be_nonnegative_ints(exponent):
     }
     with pytest.raises(StructuralError):
         MultiPoly.from_records(record)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        [1, 0],
+        "x",
+        {"variables": 5, "terms": []},
+        {"variables": ["x", 1], "terms": []},
+        {"variables": ["x"], "terms": 5},
+        {"variables": ["x"], "terms": [[1]]},
+    ],
+    ids=["list", "string", "int-variables", "int-name", "int-terms", "list-term"],
+)
+def test_polynomial_records_must_be_objects_and_lists(record):
+    # each of these was a TypeError or AttributeError inside the parsers
+    for parse in (MultiPoly.from_records, QuotientElement.from_json):
+        with pytest.raises(StructuralError):
+            parse(record)
 
 
 def test_exponents_accept_large_ints():

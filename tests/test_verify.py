@@ -4,9 +4,19 @@ Each case runs one check on small inputs twice: as it is, where it must
 pass, and with one fault planted in a name the check relies on, where it
 must report "fail".  With the acceptance battery, which pins what each
 passing check measured, this is the evidence that a "pass" was earned.
+
+The battery runs its checks on forked workers: the last cases show that
+the pool gives the report of a run in one process, that it really runs
+on other processes, and that a check or worker that fails fails the run.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +25,8 @@ from orbitquant.hpoly import HPoly
 from orbitquant.ncpoly import NCPoly
 from orbitquant.orbits import GroupElement
 from orbitquant.quantize import OrbitQuantization
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def spurious_invariant(honest):
@@ -99,3 +111,74 @@ def test_pbw_check_compares_the_engine_product_with_rewriting(monkeypatch):
     details = verify.check_pbw(6, words=5, triples=3)["details"]
     assert details["confluent_words"] < details["words"]
     assert details["associative_triples"] == details["triples"]
+
+
+REFERENCE_N2 = "5d4e560fa9ff22f16cee45ab29618bf17c877c8ea651445128f3469b9429cb9d"
+FORK = "fork" in multiprocessing.get_all_start_methods()
+POOL = FORK and verify._usable_cpus() >= 2
+
+
+def without_times(report):
+    return {
+        **report,
+        "checks": [{k: v for k, v in c.items() if k != "elapsed_s"} for c in report["checks"]],
+    }
+
+
+def test_pool_and_in_process_runs_give_the_same_report(monkeypatch):
+    pooled = verify.build_report(seed=7, n_max=2, deg_cap=6)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    in_process = verify.build_report(seed=7, n_max=2, deg_cap=6)
+    assert without_times(pooled) == without_times(in_process)
+    assert pooled["content_hash"] == in_process["content_hash"] == REFERENCE_N2
+
+
+@pytest.mark.skipif(not POOL, reason="the pool needs fork and two usable CPUs")
+def test_checks_run_on_worker_processes(monkeypatch):
+    honest = verify._entry
+
+    def entry(*args, **kwargs):
+        # a check that takes a while keeps one worker from taking every call
+        time.sleep(0.05)
+        return {**honest(*args, **kwargs), "pid": os.getpid()}
+
+    monkeypatch.setattr(verify, "_entry", entry)
+    report = verify.build_report(seed=7, n_max=2, deg_cap=4)
+    pids = {c["pid"] for c in report["checks"]}
+    assert os.getpid() not in pids and len(pids) >= 2
+
+
+FAULTY_RUN = """
+import os, sys
+from orbitquant import verify
+
+def orbit_dimension(pt, basis):
+    if sys.argv[1] == "raise":
+        raise ValueError("planted fault")
+    os._exit(3)
+
+verify.orbit_dimension = orbit_dimension
+verify._usable_cpus = lambda: 2
+report = verify.build_report(seed=7, n_max=2, deg_cap=4)
+print("returned", report["overall"])
+"""
+
+
+@pytest.mark.skipif(not FORK, reason="the pool needs fork")
+@pytest.mark.parametrize(
+    "fault, error", [("raise", "ValueError: planted fault"), ("exit", "BrokenProcessPool")]
+)
+def test_a_failing_worker_fails_the_run(fault, error):
+    # in a child interpreter: a worker's os._exit must not take the test run
+    # with it, and the timeout bounds a hang
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", FAULTY_RUN, fault],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 1
+    assert "returned" not in result.stdout
+    assert error in result.stderr
