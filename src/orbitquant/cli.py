@@ -7,6 +7,13 @@ adapters over the library, and the exit code contract is
     0  success,
     1  a mathematical check failed,
     2  usage, input, or capacity error.
+
+``VERBS`` is the one table of verbs: each takes ``--output`` and only the
+options its handler reads, so any other option is a usage error.  JSON
+input is read through the checked readers of ``jsonio`` and the record
+parsers, which raise StructuralError for a missing key, a wrong shape or
+an inexact value; ``main`` reports package errors, file errors and
+malformed JSON, and lets anything else show as a traceback.
 """
 
 from __future__ import annotations
@@ -16,18 +23,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    CapacityError,
-    CertificationError,
-    DomainError,
-    StructuralError,
-)
+from .errors import CapacityError, CertificationError, DomainError, OrbitQuantError, StructuralError
 from .hpoly import HPoly
-from .jsonio import float_to_str, matrix_from_json, matrix_to_json
+from .jsonio import (
+    as_fraction, dual_point, dual_points, float_to_str, group_element, lie_element, matrix_to_json,
+    required,
+)
 from .lie import DualCoordinates, basis_to_json, build_lie_basis
 from .ncpoly import NCPoly, PBWAlgebra, symmetrize
-from .orbits import DualPoint, GroupElement, LieElement, adjoint, coadjoint, group_multiply, normal_form
-from .poly import MultiPoly, as_fraction, polynomial_record
+from .orbits import GroupElement, adjoint, coadjoint, group_multiply, normal_form
+from .poly import MultiPoly, polynomial_record
 from .quantize import OrbitQuantization, QuotientElement
 from .invariants import (
     invariant_trace_power,
@@ -44,39 +49,35 @@ from .verify import (
     render_pretty,
 )
 
-VERBS = (
-    "basis",
-    "group-mul",
-    "adjoint",
-    "coadjoint",
-    "normal-form",
-    "invariants",
-    "semi-check",
-    "no-invariants",
-    "orbit-ideal",
-    "regularity",
-    "pbw",
-    "sym",
-    "star",
-    "verify",
-)
+
+def _parse_json(load, source):
+    """``load(source)``; bytes that are not text, an integer over Python's
+    digit limit and nesting deeper than the recursion limit are input
+    errors (json.JSONDecodeError keeps its own type)."""
+    try:
+        return load(source)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise StructuralError(f"unreadable JSON input: {exc}") from None
 
 
 def _load_input(args) -> dict:
     if args.input is None:
         raise StructuralError("this verb requires --input FILE (or '-' for stdin)")
     if args.input == "-":
-        data = json.load(sys.stdin)
+        data = _parse_json(json.load, sys.stdin)
     else:
         with open(args.input) as fh:
-            data = json.load(fh)
+            data = _parse_json(json.load, fh)
     if not isinstance(data, dict):
         raise StructuralError(f"input must be a JSON object, not {type(data).__name__}")
     return data
 
 
 def _write_output(args, document: dict, pretty_text: str | None = None):
-    if getattr(args, "pretty", False) and pretty_text is not None:
+    # only the verbs that pass pretty_text take --pretty
+    if pretty_text is not None and args.pretty:
         payload = pretty_text + "\n"
     else:
         payload = json.dumps(document, indent=2) + "\n"
@@ -87,23 +88,8 @@ def _write_output(args, document: dict, pretty_text: str | None = None):
         sys.stdout.write(payload)
 
 
-def _group_element(data) -> GroupElement:
-    return GroupElement(matrix_from_json(data["x"]), matrix_from_json(data["g"]))
-
-
-def _dual_point(data, exact=True) -> DualPoint:
-    return DualPoint(
-        matrix_from_json(data["c"], exact=exact),
-        matrix_from_json(data["a"], exact=exact),
-    )
-
-
 def _group_element_json(p: GroupElement) -> dict:
     return {"x": matrix_to_json(p.x), "g": matrix_to_json(p.g)}
-
-
-def _dual_point_json(pt: DualPoint) -> dict:
-    return {"c": matrix_to_json(pt.c), "a": matrix_to_json(pt.a)}
 
 
 def _lambdas(args) -> list[Fraction]:
@@ -124,36 +110,35 @@ def cmd_basis(args) -> int:
 
 def cmd_group_mul(args) -> int:
     data = _load_input(args)
-    product = group_multiply(_group_element(data["p"]), _group_element(data["q"]))
+    p = group_element(required(data, "p"))
+    product = group_multiply(p, group_element(required(data, "q"), p.n))
     _write_output(args, {"product": _group_element_json(product)})
     return 0
 
 
 def cmd_adjoint(args) -> int:
     data = _load_input(args)
-    elt = LieElement(matrix_from_json(data["point"]["b"]), matrix_from_json(data["point"]["a"]))
-    image = adjoint(_group_element(data["element"]), elt)
+    p = group_element(required(data, "element"))
+    image = adjoint(p, lie_element(required(data, "point"), p.n))
     _write_output(args, {"b": matrix_to_json(image.b), "a": matrix_to_json(image.a)})
     return 0
 
 
 def cmd_coadjoint(args) -> int:
     data = _load_input(args)
-    image = coadjoint(_group_element(data["element"]), _dual_point(data["point"]))
-    _write_output(args, {"point": _dual_point_json(image)})
+    p = group_element(required(data, "element"))
+    image = coadjoint(p, dual_point(required(data, "point"), p.n))
+    _write_output(args, {"point": {"c": matrix_to_json(image.c), "a": matrix_to_json(image.a)}})
     return 0
 
 
 def cmd_normal_form(args) -> int:
     data = _load_input(args)
-    nf = normal_form(_dual_point(data["point"]), tol=args.tolerance)
+    nf = normal_form(dual_point(required(data, "point")), tol=args.tolerance)
     doc = {
         "lambdas": [float_to_str(l) for l in nf.lambdas],
         "H": matrix_to_json([list(row) for row in nf.H]),
-        "witness": {
-            "x": matrix_to_json(nf.witness.x),
-            "g": matrix_to_json(nf.witness.g),
-        },
+        "witness": _group_element_json(nf.witness),
         "residual": float_to_str(nf.residual),
         "regular": nf.regular,
     }
@@ -163,7 +148,7 @@ def cmd_normal_form(args) -> int:
 
 def cmd_invariants(args) -> int:
     data = _load_input(args)
-    pt = _dual_point(data["point"])
+    pt = dual_point(required(data, "point"))
     k = pt.n // 2
     doc = {
         "n": pt.n,
@@ -233,7 +218,7 @@ def cmd_regularity(args) -> int:
     rng = _random.Random(args.seed)
     if args.input:
         data = _load_input(args)
-        pts = [_dual_point(rec) for rec in data["points"]]
+        pts = dual_points(required(data, "points"), args.n)
     else:
         base = ideal.normal_form_point()
         pts = [base] + [random_orbit_sample(base, rng) for _ in range(args.samples)]
@@ -255,7 +240,7 @@ def cmd_pbw(args) -> int:
     data = _load_input(args)
     algebra = _algebra(args.n)
     coeff = HPoly.from_json(data.get("coefficient", ["1"]))
-    result = NCPoly.from_word(algebra, data["word"], coeff)
+    result = NCPoly.from_word(algebra, required(data, "word"), coeff)
     _write_output(args, {"terms": result.to_json()})
     return 0
 
@@ -263,7 +248,7 @@ def cmd_pbw(args) -> int:
 def cmd_sym(args) -> int:
     data = _load_input(args)
     algebra = _algebra(args.n)
-    poly = MultiPoly.from_records(data["polynomial"])
+    poly = MultiPoly.from_records(required(data, "polynomial"))
     if args.cap_terms is not None and len(poly.flat) > args.cap_terms:
         raise CapacityError(
             f"input has {len(poly.flat)} terms, over --cap-terms {args.cap_terms}"
@@ -273,20 +258,24 @@ def cmd_sym(args) -> int:
     return 0
 
 
+def _operand(rec) -> QuotientElement:
+    variables, terms = polynomial_record(rec)
+    if variables and terms and isinstance(terms[0].get("coefficient"), list):
+        return QuotientElement.from_json(rec)
+    return QuotientElement.from_multipoly(MultiPoly.from_records(rec))
+
+
 def cmd_star(args) -> int:
-    if args.f is not None and args.g is not None:
-        data = {"f": json.loads(args.f), "g": json.loads(args.g)}
-    else:
+    inline = (args.f, args.g)
+    if inline == (None, None):
         data = _load_input(args)
-    engine = OrbitQuantization(args.n, _lambdas(args), deg_cap=args.deg)
-
-    def parse_operand(rec) -> QuotientElement:
-        variables, terms = polynomial_record(rec)
-        if variables and terms and isinstance(terms[0].get("coefficient"), list):
-            return QuotientElement.from_json(rec)
-        return QuotientElement.from_multipoly(MultiPoly.from_records(rec))
-
-    result = engine.star(parse_operand(data["f"]), parse_operand(data["g"]))
+    elif None in inline or args.input is not None:
+        raise StructuralError("star takes its operands from --f and --g together, or from --input")
+    else:
+        data = {"f": _parse_json(json.loads, args.f), "g": _parse_json(json.loads, args.g)}
+    lambdas = _lambdas(args)
+    f, g = _operand(required(data, "f")), _operand(required(data, "g"))
+    result = OrbitQuantization(args.n, lambdas, deg_cap=args.deg).star(f, g)
     _write_output(args, result.to_json())
     return 0
 
@@ -303,21 +292,40 @@ def cmd_verify(args) -> int:
     return _exit_code(report)
 
 
-HANDLERS = {
-    "basis": cmd_basis,
-    "group-mul": cmd_group_mul,
-    "adjoint": cmd_adjoint,
-    "coadjoint": cmd_coadjoint,
-    "normal-form": cmd_normal_form,
-    "invariants": cmd_invariants,
-    "semi-check": cmd_semi_check,
-    "no-invariants": cmd_no_invariants,
-    "orbit-ideal": cmd_orbit_ideal,
-    "regularity": cmd_regularity,
-    "pbw": cmd_pbw,
-    "sym": cmd_sym,
-    "star": cmd_star,
-    "verify": cmd_verify,
+OPTIONS = {
+    "--n": dict(type=int, default=2, help="matrix size"),
+    "--deg": dict(type=int, default=6, help="degree cap"),
+    "--seed": dict(type=int, default=7, help="seed for sampled checks"),
+    "--samples": dict(type=int, default=20, help="sample count"),
+    "--lambdas": dict(type=str, default=None,
+                      help="comma-separated exact orbit parameters, e.g. '1' or '3,1'"),
+    "--input": dict(type=str, default=None, help="JSON input file or '-'"),
+    "--output": dict(type=str, default=None, help="output file (default stdout)"),
+    "--pretty": dict(action="store_true", help="human-readable report rendering"),
+    "--cap-terms": dict(type=int, default=None, help="term cap on the input polynomial"),
+    "--tolerance": dict(type=float, default=1e-9, help="numeric tolerance"),
+    "--perturb": dict(action="store_true",
+                      help="inject a deliberate failure (reporting self-test)"),
+    "--f": dict(type=str, default=None, help="inline JSON operand (with --g)"),
+    "--g": dict(type=str, default=None, help="inline JSON operand (with --f)"),
+}
+
+# verb -> (handler, the options it reads); every verb also takes --output
+VERBS = {
+    "basis": (cmd_basis, ("--n",)),
+    "group-mul": (cmd_group_mul, ("--input",)),
+    "adjoint": (cmd_adjoint, ("--input",)),
+    "coadjoint": (cmd_coadjoint, ("--input",)),
+    "normal-form": (cmd_normal_form, ("--input", "--tolerance")),
+    "invariants": (cmd_invariants, ("--input",)),
+    "semi-check": (cmd_semi_check, ("--n", "--seed", "--samples", "--perturb", "--pretty")),
+    "no-invariants": (cmd_no_invariants, ("--n", "--deg")),
+    "orbit-ideal": (cmd_orbit_ideal, ("--n", "--lambdas")),
+    "regularity": (cmd_regularity, ("--n", "--lambdas", "--seed", "--samples", "--input")),
+    "pbw": (cmd_pbw, ("--n", "--input")),
+    "sym": (cmd_sym, ("--n", "--input", "--cap-terms")),
+    "star": (cmd_star, ("--n", "--lambdas", "--deg", "--input", "--f", "--g")),
+    "verify": (cmd_verify, ("--n", "--deg", "--seed", "--samples", "--perturb", "--pretty")),
 }
 
 
@@ -327,24 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact coadjoint-orbit computations and their quantization.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
+    for verb, (handler, options) in VERBS.items():
         p = sub.add_parser(verb)
-        p.add_argument("--n", type=int, default=2, help="matrix size")
-        p.add_argument("--deg", type=int, default=6, help="degree cap")
-        p.add_argument("--seed", type=int, default=7, help="seed for sampled checks")
-        p.add_argument("--samples", type=int, default=20, help="sample count")
-        p.add_argument("--lambdas", type=str, default=None,
-                       help="comma-separated exact orbit parameters, e.g. '1' or '3,1'")
-        p.add_argument("--input", type=str, default=None, help="JSON input file or '-'")
-        p.add_argument("--output", type=str, default=None, help="output file (default stdout)")
-        p.add_argument("--pretty", action="store_true", help="human-readable report rendering")
-        p.add_argument("--cap-terms", type=int, default=None, help="term cap on sym's input polynomial")
-        p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
-        p.add_argument("--perturb", action="store_true",
-                       help="inject a deliberate failure (reporting self-test)")
-        if verb == "star":
-            p.add_argument("--f", type=str, default=None, help="inline JSON operand")
-            p.add_argument("--g", type=str, default=None, help="inline JSON operand")
+        p.set_defaults(handler=handler)
+        for option in options + ("--output",):
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 
@@ -355,19 +350,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return HANDLERS[args.verb](args)
-    except (StructuralError, CapacityError, DomainError) as exc:
-        _emit_error(args, exc)
-        return 2
+        return args.handler(args)
     except CertificationError as exc:
-        _emit_error(args, exc)
+        _emit_error(exc)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _emit_error(args, exc)
+    except (OrbitQuantError, OSError, json.JSONDecodeError) as exc:
+        _emit_error(exc)
         return 2
 
 
-def _emit_error(args, exc: Exception):
+def _emit_error(exc: Exception):
     document = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     sys.stdout.write(json.dumps(document, indent=2) + "\n")
 

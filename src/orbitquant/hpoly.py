@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import StructuralError
-from .poly import as_fraction
+from .jsonio import as_fraction
 
 
 class HPoly:

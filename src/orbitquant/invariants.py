@@ -90,7 +90,8 @@ def pfaffian_invariant(pt: DualPoint) -> float:
 
     The square root makes this irrational in general, so the value is
     numeric; its sign distinguishes the two real orbits sharing the same
-    trace invariants.
+    trace invariants.  DomainError when det(c) or the Pfaffian is out of
+    floating-point range.
     """
     import math
 
@@ -101,7 +102,13 @@ def pfaffian_invariant(pt: DualPoint) -> float:
         raise DomainError("c block must be positive definite")
     k = pt.n // 2
     p = pfaffian_semiinvariant_value(pt)
-    return float(p) / float(d) ** k * math.sqrt(float(d))
+    try:
+        value = float(p) / float(d) ** k * math.sqrt(float(d))
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("the Pfaffian invariant is out of floating-point range")
+    return value
 
 
 def _denominator_cleared_matrix(pt: DualPoint) -> la.Matrix:

@@ -1,9 +1,14 @@
-"""Shared JSON encoding conventions.
+"""Shared JSON encoding conventions and the checked readers of input.
 
 Rationals travel as exact strings ("p/q" or "p") and are read back by
-``poly.as_fraction``, the one rational parser; matrices travel as row-major
+``as_fraction``, the one rational parser; matrices travel as row-major
 nested lists, floats as decimal strings with 17 significant digits so
 that every value round-trips bit-exactly.
+
+Everything read from outside goes through the readers below: ``required``
+for a key, ``square_matrix`` for a matrix, and the orbit records built on
+them.  Each raises StructuralError naming what is wrong, so malformed
+input never reaches the mathematics.
 """
 
 from __future__ import annotations
@@ -11,8 +16,85 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from typing import Mapping
 
-from .poly import as_fraction
+from .errors import StructuralError
+
+
+def as_fraction(value) -> Fraction:
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction.
+
+    This is the one parser of exact rationals from input.  Anything else
+    raises StructuralError: floats, bools (a JSON ``true`` is not the
+    rational 1), strings that are not rationals, and zero denominators.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise StructuralError(f"not an exact rational value: {value!r}")
+
+
+def required(data, key: str):
+    """``data[key]``, or StructuralError unless ``data`` is an object holding ``key``."""
+    if not isinstance(data, Mapping):
+        raise StructuralError(
+            f"expected a JSON object with key {key!r}, not {type(data).__name__}"
+        )
+    if key not in data:
+        raise StructuralError(f"missing key {key!r}")
+    return data[key]
+
+
+def square_matrix(data, what: str, n: int | None = None) -> list[list[Fraction]]:
+    """``data`` as an n x n matrix of exact rationals, n >= 1.
+
+    With ``n`` None the size is the number of rows.  StructuralError
+    names ``what`` unless ``data`` is a list of n lists of n rationals.
+    """
+    if not isinstance(data, list) or not data:
+        raise StructuralError(f"{what} must be a nonempty list of rows")
+    size = len(data) if n is None else n
+    if len(data) != size or not all(isinstance(row, list) and len(row) == size for row in data):
+        raise StructuralError(f"{what} must be a {size}x{size} matrix")
+    return [[as_fraction(x) for x in row] for row in data]
+
+
+def _blocks(data, first: str, second: str, n: int | None):
+    """The two same-size square blocks of an orbit record."""
+    a = square_matrix(required(data, first), first, n)
+    return a, square_matrix(required(data, second), second, len(a))
+
+
+def group_element(data, n: int | None = None):
+    """A GroupElement from ``{"x": ..., "g": ...}``, both blocks n x n."""
+    from .orbits import GroupElement
+
+    return GroupElement(*_blocks(data, "x", "g", n))
+
+
+def dual_point(data, n: int | None = None):
+    """A DualPoint from ``{"c": ..., "a": ...}``, both blocks n x n."""
+    from .orbits import DualPoint
+
+    return DualPoint(*_blocks(data, "c", "a", n))
+
+
+def lie_element(data, n: int | None = None):
+    """A LieElement from ``{"b": ..., "a": ...}``, both blocks n x n."""
+    from .orbits import LieElement
+
+    return LieElement(*_blocks(data, "b", "a", n))
+
+
+def dual_points(data, n: int) -> list:
+    """A nonempty list of n x n dual points."""
+    if not isinstance(data, list) or not data:
+        raise StructuralError("points must be a nonempty list of dual points")
+    return [dual_point(rec, n) for rec in data]
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -31,12 +113,6 @@ def matrix_to_json(m) -> list:
             for x in row
         ])
     return out
-
-
-def matrix_from_json(data, exact: bool = True):
-    if exact:
-        return [[as_fraction(x) for x in row] for row in data]
-    return [[float(x) for x in row] for row in data]
 
 
 def canonical_dumps(obj) -> str:

@@ -68,7 +68,8 @@ from math import factorial, lcm
 from .errors import CapacityError, StructuralError
 from .hpoly import HPoly
 from .lie import LieBasis, StructureConstants
-from .poly import MultiPoly, _lowest_terms, as_fraction, keyed_once
+from .jsonio import as_fraction, required
+from .poly import MultiPoly, _lowest_terms, keyed_once
 
 Word = tuple[int, ...]
 # Packed words with exact int (or Fraction) coefficients, all of one
@@ -532,7 +533,10 @@ class NCPoly(_FlatTerms):
     def from_json(cls, algebra: PBWAlgebra, data) -> "NCPoly":
         terms = keyed_once(
             (
-                (checked_word(rec["word"], algebra.dim), HPoly.from_json(rec["coefficient"]))
+                (
+                    checked_word(required(rec, "word"), algebra.dim),
+                    HPoly.from_json(required(rec, "coefficient")),
+                )
                 for rec in data
             ),
             "word",

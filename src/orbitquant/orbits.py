@@ -312,27 +312,37 @@ def normal_form(pt: DualPoint, tol: float = 1e-9, gap: float = 1e-6) -> NormalFo
     Each step is a group element, so their composition is a witness
     carrying the input to its normal form; the residual of that transport
     is computed and stored.  Raises DomainError when c is not positive
-    definite.
+    definite, and when the point is out of floating-point range: an entry
+    or a move that is not finite, or a c whose float image has no Cholesky
+    factor.
     """
     import numpy as np
     import scipy.linalg
 
     n = pt.n
-    c = np.asarray([[float(v) for v in row] for row in pt.c])
-    a = np.asarray([[float(v) for v in row] for row in pt.a])
+    try:
+        c = np.asarray([[float(v) for v in row] for row in pt.c])
+        a = np.asarray([[float(v) for v in row] for row in pt.a])
+    except OverflowError:
+        raise DomainError("the point has an entry out of floating-point range") from None
     if not is_positive_definite(pt.c):
         raise DomainError("c block must be positive definite")
 
     # move 1: make c the identity
-    L = np.linalg.cholesky(c)  # c = L L^t
+    try:
+        L = np.linalg.cholesky(c)  # c = L L^t
+    except np.linalg.LinAlgError:
+        raise DomainError("c block has no float Cholesky factor") from None
     g1 = L.T  # then g1^t g1 = c
     p1 = GroupElement(np.zeros((n, n)).tolist(), g1.tolist())
     a1 = g1 @ a @ np.linalg.inv(g1)
 
     # move 2: remove the symmetric part
     x2 = -(a1 + a1.T) / 2.0
-    p2 = GroupElement(x2.tolist(), np.eye(n).tolist())
     s = (a1 - a1.T) / 2.0
+    if not (np.isfinite(x2).all() and np.isfinite(s).all()):
+        raise DomainError("the point's normal form is out of floating-point range")
+    p2 = GroupElement(x2.tolist(), np.eye(n).tolist())
 
     # move 3: special orthogonal block diagonalization of the skew part
     T, Z = scipy.linalg.schur(s, output="real")

@@ -33,28 +33,12 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, StructuralError
+from .jsonio import as_fraction, required
 
 Exponent = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction.
-
-    This is the one parser of exact rationals from input.  Anything else
-    raises StructuralError: floats, bools (a JSON ``true`` is not the
-    rational 1), strings that are not rationals, and zero denominators.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise StructuralError(f"not an exact rational value: {value!r}")
 
 
 def checked_exponent(exp, nvars: int) -> Exponent:
@@ -75,11 +59,11 @@ def polynomial_record(data) -> tuple[tuple[str, ...], Sequence[Mapping]]:
 
     StructuralError unless ``data`` is an object whose ``variables`` is a
     list of names and whose ``terms`` is a list of objects; a missing key
-    raises KeyError.
+    is a StructuralError that names it.
     """
     if not isinstance(data, Mapping):
         raise StructuralError(f"a polynomial must be a JSON object, not {type(data).__name__}")
-    variables, terms = data["variables"], data["terms"]
+    variables, terms = required(data, "variables"), required(data, "terms")
     if not isinstance(variables, (list, tuple)) or not all(isinstance(v, str) for v in variables):
         raise StructuralError("a polynomial's variables must be a list of names")
     if not isinstance(terms, (list, tuple)) or not all(isinstance(t, Mapping) for t in terms):
@@ -390,7 +374,10 @@ class MultiPoly:
         variables, records = polynomial_record(data)
         terms = keyed_once(
             (
-                (checked_exponent(rec["exponents"], len(variables)), rec["coefficient"])
+                (
+                    checked_exponent(required(rec, "exponents"), len(variables)),
+                    required(rec, "coefficient"),
+                )
                 for rec in records
             ),
             "exponent",

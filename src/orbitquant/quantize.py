@@ -48,6 +48,7 @@ from .errors import CapacityError, CertificationError, StructuralError
 from .groebner import divide, groebner_basis, standard_monomials
 from .hpoly import HPoly
 from .invariants import OrbitIdeal, orbit_ideal, semiinvariant_family
+from .jsonio import required
 from .lie import DualCoordinates, build_lie_basis, lie_poisson_bracket
 from .ncpoly import (
     NCPoly,
@@ -121,7 +122,10 @@ class QuotientElement(_FlatTerms):
         n = len(variables)
         terms = keyed_once(
             (
-                (checked_exponent(rec["exponents"], n), HPoly.from_json(rec["coefficient"]))
+                (
+                    checked_exponent(required(rec, "exponents"), n),
+                    HPoly.from_json(required(rec, "coefficient")),
+                )
                 for rec in records
             ),
             "exponent",

@@ -25,7 +25,7 @@ from functools import partial
 from math import prod
 
 from . import linalg as la
-from .errors import CapacityError, OrbitQuantError
+from .errors import CapacityError, OrbitQuantError, StructuralError
 from .hpoly import HPoly
 from .invariants import (
     measure_weight,
@@ -216,7 +216,11 @@ def check_semiinvariants(
 
     ``weight_offset`` is added to every expected weight; a nonzero offset
     is the self-test of ``semi-check --perturb``, whose laws must fail.
+    StructuralError unless every n is at least 2 and samples at least 1,
+    so that no law passes on zero samples.
     """
+    if not ns or min(ns) < 2 or samples < 1:
+        raise StructuralError("the semiinvariant laws need n >= 2 and samples >= 1")
 
     def run():
         rng = random.Random(seed)
@@ -496,7 +500,13 @@ def build_report(
     samples: int = 20,
     inject_failure: bool = False,
 ) -> dict:
-    """Run the full verification battery and assemble the report."""
+    """Run the full verification battery and assemble the report.
+
+    StructuralError unless n_max and samples are at least 1: a battery
+    over no sizes or no samples would pass without checking anything.
+    """
+    if n_max < 1 or samples < 1:
+        raise StructuralError("verify needs n_max >= 1 and samples >= 1")
     ns_all = tuple(n for n in (1, 2, 3) if n <= n_max)
     ns_23 = tuple(n for n in (2, 3) if n <= n_max)
     calls = [partial(check_embedding, seed, ns=ns_all, samples=samples)]
@@ -563,8 +573,6 @@ def _run_checks(calls: list) -> list[dict]:
 
 def emit_report(checks: list[dict], **meta) -> dict:
     """Assemble entries into the final document with a content hash."""
-    from .errors import StructuralError
-
     if not checks:
         raise StructuralError("no checks were executed")
     # a failing check fails the run; a capacity skip leaves it incomplete,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from orbitquant.cli import main
+from orbitquant.cli import OPTIONS, VERBS, main
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +319,7 @@ def test_star_rejects_malformed_quotient_operand(capsys, tmp_path, exponents, co
 @pytest.mark.parametrize(
     "argv,request_of",
     [
-        # a matrix entry, read by jsonio.matrix_from_json
+        # a matrix entry, read by jsonio.square_matrix
         (("group-mul",), lambda v: {"p": {"x": [["0"]], "g": [[v]]},
                                     "q": {"x": [["0"]], "g": [["1"]]}}),
         # a coefficient of an h polynomial, read by HPoly.from_json
@@ -503,3 +503,214 @@ def test_operand_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, arg
         "type": "StructuralError",
         "message": "a polynomial must be a JSON object, not list",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # embedding_soundness ran over an empty range of n and passed
+        ("verify", "--n", "0"),
+        # every sampled check passed on zero samples
+        ("verify", "--n", "2", "--deg", "4", "--samples", "0"),
+        # the refused size was reported as a failed law (exit 1)
+        ("semi-check", "--n", "1"),
+        ("semi-check", "--n", "2", "--samples", "0"),
+    ],
+    ids=["verify-n0", "verify-samples0", "semi-check-n1", "semi-check-samples0"],
+)
+def test_runs_that_would_check_nothing_are_usage_errors(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
+@pytest.mark.parametrize("entry", ["1e400", "1e-400"], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("verb", ["normal-form", "invariants"])
+def test_points_out_of_float_range_are_domain_errors(capsys, monkeypatch, verb, entry):
+    # "1e400" was an OverflowError traceback in float(); "1e-400" became a
+    # float zero, so the Cholesky factor or the Pfaffian division failed
+    import io
+
+    point = {"c": [[entry, "0"], ["0", "1"]], "a": [["0", "1"], ["-1", "0"]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"point": point})))
+    code, doc = run_json(capsys, verb, "--input", "-")
+    assert code == 2
+    assert doc["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        # n = 1 points at --n 2 were an IndexError traceback
+        (("regularity", "--n", "2", "--lambdas", "1"),
+         {"points": [{"c": [["1"]], "a": [["0"]]}]}),
+        # no points at all would pass vacuously
+        (("regularity", "--n", "2", "--lambdas", "1"), {"points": []}),
+        # 0x0 matrices were read as n = 0 points and elements
+        (("invariants",), {"point": {"c": [], "a": []}}),
+        (("group-mul",), {"p": {"x": [], "g": []}, "q": {"x": [], "g": []}}),
+        (("normal-form",), {"point": {"c": [], "a": []}}),
+        # blocks of two sizes, and a ragged matrix
+        (("coadjoint",), {"element": {"x": [["1"]], "g": [["1"]]},
+                          "point": {"c": [["1", "0"], ["0", "1"]], "a": [["0", "0"], ["0", "0"]]}}),
+        (("adjoint",), {"element": {"x": [["0", "0"], ["0"]], "g": [["1", "0"], ["0", "1"]]},
+                        "point": {"b": [["0"]], "a": [["0"]]}}),
+        # matrix-shaped input that is no matrix was a TypeError traceback
+        (("invariants",), {"point": [1]}),
+        (("normal-form",), {"point": {"c": 5, "a": [["1"]]}}),
+        (("group-mul",), {"p": [1], "q": 2}),
+    ],
+    ids=["regularity-n1-at-n2", "regularity-no-points", "invariants-0x0", "group-mul-0x0",
+         "normal-form-0x0", "coadjoint-sizes", "adjoint-ragged", "invariants-list",
+         "normal-form-int", "group-mul-lists"],
+)
+def test_matrix_inputs_are_checked_where_they_enter(capsys, monkeypatch, argv, document):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    code, doc = run_json(capsys, *argv, "--input", "-")
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
+def test_missing_key_is_named(capsys, monkeypatch):
+    # it was reported as {"type": "KeyError", "message": "'q'"}
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"p": {"x": [["1"]], "g": [["2"]]}}'))
+    code, doc = run_json(capsys, "group-mul", "--input", "-")
+    assert code == 2
+    assert doc["error"] == {"type": "StructuralError", "message": "missing key 'q'"}
+
+
+def test_input_that_is_not_text_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"word": "\xff"}')
+    code, doc = run_json(capsys, "pbw", "--n", "1", "--input", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+
+
+def test_star_takes_both_inline_operands_or_input(capsys, tmp_path):
+    # a lone --f or --g fell back to --input; --input was ignored when both
+    # inline operands were given
+    one = json.dumps({"variables": STAR_N2_VARIABLES,
+                      "terms": [{"exponents": [0] * 7, "coefficient": "1"}]})
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"f": json.loads(one), "g": json.loads(one)}))
+    star = ("star", "--n", "2", "--lambdas", "1", "--deg", "4")
+    for extra in (("--f", one), ("--g", one), ("--f", one, "--input", str(path)),
+                  ("--f", one, "--g", one, "--input", str(path))):
+        code, doc = run_json(capsys, *star, *extra)
+        assert code == 2
+        assert doc["error"]["type"] == "StructuralError"
+    assert run_json(capsys, *star, "--input", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_each_verb_refuses_the_options_it_does_not_read(capsys, verb):
+    # every verb takes --output; no other option it does not read parses
+    _, reads = VERBS[verb]
+    refused = [opt for opt in OPTIONS if opt not in reads + ("--output",)]
+    assert refused
+    for opt in refused:
+        value = () if OPTIONS[opt].get("action") == "store_true" else ("1",)
+        assert main([verb, opt, *value]) == 2, opt
+    capsys.readouterr()
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _verb_inputs():
+    """Each verb that takes --input, with its argv and a strategy for its
+    request: the verb's own keys over values that are matrices, records,
+    words and polynomials of the right shape or arbitrary JSON."""
+    from hypothesis import strategies as st
+
+    any_json = _json_values()
+    rational = st.integers(-3, 3) | st.sampled_from(
+        ["1/2", "-2/3", "0", "1e400", "1e-400", "1/0", "x"]
+    )
+
+    def square(n):
+        rows = st.lists(st.lists(rational, min_size=n, max_size=n), min_size=n, max_size=n)
+        mirrored = rows.map(lambda m: [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        return rows | mirrored
+
+    matrix = st.integers(1, 3).flatmap(square) | any_json
+
+    def record(*keys, matrix=matrix):
+        return st.fixed_dictionaries({k: matrix for k in keys}) | any_json
+
+    def polynomial(variables):
+        term = st.fixed_dictionaries({
+            "exponents": st.lists(st.integers(-1, 1), min_size=len(variables),
+                                  max_size=len(variables)) | any_json,
+            "coefficient": rational | st.lists(rational, max_size=2) | any_json,
+        })
+        return st.fixed_dictionaries({
+            "variables": st.just(list(variables)) | any_json,
+            "terms": st.lists(term | any_json, max_size=2) | any_json,
+        }) | any_json
+
+    group = record("x", "g")
+    return {
+        "group-mul": ((), st.fixed_dictionaries({"p": group, "q": group})),
+        "adjoint": ((), st.fixed_dictionaries({"element": group, "point": record("b", "a")})),
+        "coadjoint": ((), st.fixed_dictionaries({"element": group, "point": record("c", "a")})),
+        "normal-form": ((), st.fixed_dictionaries({"point": record("c", "a")})),
+        "invariants": ((), st.fixed_dictionaries({"point": record("c", "a")})),
+        "regularity": (("--n", "2", "--lambdas", "1"), st.fixed_dictionaries(
+            {"points": st.lists(record("c", "a", matrix=square(2) | matrix), max_size=2)
+             | any_json})),
+        "pbw": (("--n", "1"), st.fixed_dictionaries(
+            {"word": st.lists(st.integers(-1, 2), max_size=3) | any_json},
+            optional={"coefficient": st.lists(rational, max_size=2) | any_json})),
+        "sym": (("--n", "1"), st.fixed_dictionaries(
+            {"polynomial": polynomial(["xa11", "xb11"])})),
+        "star": (("--n", "2", "--lambdas", "1", "--deg", "4"), st.fixed_dictionaries(
+            {"f": polynomial(STAR_N2_VARIABLES), "g": polynomial(STAR_N2_VARIABLES)})),
+    }
+
+
+VERBS_WITH_INPUT = sorted(verb for verb, (_, reads) in VERBS.items() if "--input" in reads)
+
+
+@pytest.mark.parametrize("verb", VERBS_WITH_INPUT)
+def test_arbitrary_json_input_keeps_the_exit_code_contract(verb):
+    # every document gives exit 0, 1 or 2 and exactly one JSON document on
+    # stdout; an exception escaping main fails the example
+    import contextlib
+    import io
+    import warnings
+    from datetime import timedelta
+    from unittest import mock
+
+    from hypothesis import HealthCheck, given, settings
+
+    argv, requests = _verb_inputs()[verb]
+
+    @settings(max_examples=60, deadline=timedelta(seconds=5),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(requests | _json_values())
+    def run(request):
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(request))), \
+                contextlib.redirect_stdout(out), warnings.catch_warnings():
+            # numpy warns on overflow before the normal form refuses the point
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([verb, *argv, "--input", "-"])
+        assert code in (0, 1, 2)
+        json.loads(out.getvalue())
+
+    run()
