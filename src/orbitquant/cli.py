@@ -25,13 +25,10 @@ from fractions import Fraction
 
 from .errors import CapacityError, CertificationError, DomainError, OrbitQuantError, StructuralError
 from .hpoly import HPoly
-from .jsonio import (
-    as_fraction, dual_point, dual_points, float_to_str, group_element, lie_element, matrix_to_json,
-    required,
-)
+from .jsonio import as_fraction, float_to_str, frac_to_str, matrix_to_json, required
 from .lie import DualCoordinates, basis_to_json, build_lie_basis
 from .ncpoly import NCPoly, PBWAlgebra, symmetrize
-from .orbits import GroupElement, adjoint, coadjoint, group_multiply, normal_form
+from .orbits import DualPoint, GroupElement, LieElement, adjoint, coadjoint, group_multiply, normal_form
 from .poly import MultiPoly, polynomial_record
 from .quantize import OrbitQuantization, QuotientElement
 from .invariants import (
@@ -110,31 +107,31 @@ def cmd_basis(args) -> int:
 
 def cmd_group_mul(args) -> int:
     data = _load_input(args)
-    p = group_element(required(data, "p"))
-    product = group_multiply(p, group_element(required(data, "q"), p.n))
+    p, q = GroupElement.from_json(required(data, "p")), GroupElement.from_json(required(data, "q"))
+    product = group_multiply(p, q)
     _write_output(args, {"product": _group_element_json(product)})
     return 0
 
 
 def cmd_adjoint(args) -> int:
     data = _load_input(args)
-    p = group_element(required(data, "element"))
-    image = adjoint(p, lie_element(required(data, "point"), p.n))
+    p = GroupElement.from_json(required(data, "element"))
+    image = adjoint(p, LieElement.from_json(required(data, "point")))
     _write_output(args, {"b": matrix_to_json(image.b), "a": matrix_to_json(image.a)})
     return 0
 
 
 def cmd_coadjoint(args) -> int:
     data = _load_input(args)
-    p = group_element(required(data, "element"))
-    image = coadjoint(p, dual_point(required(data, "point"), p.n))
+    p = GroupElement.from_json(required(data, "element"))
+    image = coadjoint(p, DualPoint.from_json(required(data, "point")))
     _write_output(args, {"point": {"c": matrix_to_json(image.c), "a": matrix_to_json(image.a)}})
     return 0
 
 
 def cmd_normal_form(args) -> int:
     data = _load_input(args)
-    nf = normal_form(dual_point(required(data, "point")), tol=args.tolerance)
+    nf = normal_form(DualPoint.from_json(required(data, "point")))
     doc = {
         "lambdas": [float_to_str(l) for l in nf.lambdas],
         "H": matrix_to_json([list(row) for row in nf.H]),
@@ -148,11 +145,11 @@ def cmd_normal_form(args) -> int:
 
 def cmd_invariants(args) -> int:
     data = _load_input(args)
-    pt = dual_point(required(data, "point"))
+    pt = DualPoint.from_json(required(data, "point"))
     k = pt.n // 2
     doc = {
         "n": pt.n,
-        "trace_invariants": [str(invariant_trace_power(i, pt)) for i in range(1, k + 1)],
+        "trace_invariants": [frac_to_str(invariant_trace_power(i, pt)) for i in range(1, k + 1)],
     }
     if pt.n % 2 == 0:
         doc["pfaffian_invariant"] = float_to_str(pfaffian_invariant(pt))
@@ -196,8 +193,8 @@ def cmd_orbit_ideal(args) -> int:
     doc = {
         "n": ideal.n,
         "k": ideal.k,
-        "lambdas": [str(l) for l in ideal.lambdas],
-        "alphas": [str(a) for a in ideal.alphas],
+        "lambdas": [frac_to_str(l) for l in ideal.lambdas],
+        "alphas": [frac_to_str(a) for a in ideal.alphas],
         "det_exponents": list(ideal.det_exponents),
         "kinds": list(ideal.kinds),
         "weights": list(fam.weights),
@@ -218,7 +215,10 @@ def cmd_regularity(args) -> int:
     rng = _random.Random(args.seed)
     if args.input:
         data = _load_input(args)
-        pts = dual_points(required(data, "points"), args.n)
+        records = required(data, "points")
+        if not isinstance(records, list) or not records:
+            raise StructuralError("points must be a nonempty list of dual points")
+        pts = [DualPoint.from_json(rec, args.n) for rec in records]
     else:
         base = ideal.normal_form_point()
         pts = [base] + [random_orbit_sample(base, rng) for _ in range(args.samples)]
@@ -303,7 +303,6 @@ OPTIONS = {
     "--output": dict(type=str, default=None, help="output file (default stdout)"),
     "--pretty": dict(action="store_true", help="human-readable report rendering"),
     "--cap-terms": dict(type=int, default=None, help="term cap on the input polynomial"),
-    "--tolerance": dict(type=float, default=1e-9, help="numeric tolerance"),
     "--perturb": dict(action="store_true",
                       help="inject a deliberate failure (reporting self-test)"),
     "--f": dict(type=str, default=None, help="inline JSON operand (with --g)"),
@@ -316,7 +315,7 @@ VERBS = {
     "group-mul": (cmd_group_mul, ("--input",)),
     "adjoint": (cmd_adjoint, ("--input",)),
     "coadjoint": (cmd_coadjoint, ("--input",)),
-    "normal-form": (cmd_normal_form, ("--input", "--tolerance")),
+    "normal-form": (cmd_normal_form, ("--input",)),
     "invariants": (cmd_invariants, ("--input",)),
     "semi-check": (cmd_semi_check, ("--n", "--seed", "--samples", "--perturb", "--pretty")),
     "no-invariants": (cmd_no_invariants, ("--n", "--deg")),

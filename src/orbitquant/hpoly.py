@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import StructuralError
-from .jsonio import as_fraction
+from .jsonio import as_fraction, frac_to_str
 
 
 class HPoly:
@@ -111,7 +111,7 @@ class HPoly:
         return hash(self.coeffs)
 
     def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return [frac_to_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data) -> "HPoly":

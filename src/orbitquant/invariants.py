@@ -447,7 +447,7 @@ def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint]) -> bool:
         for g in ideal.generators:
             value = g.evaluate(vec)
             if value != 0:
-                raise DomainError(f"point is not on the variety: generator value {value}")
+                raise DomainError("point is not on the variety: a generator does not vanish there")
         # rank(J) = rank(J^T): add the columns one at a time and stop at rank k
         rref = la.SparseRREF()
         for j in range(len(vec)):

@@ -6,19 +6,29 @@ nested lists, floats as decimal strings with 17 significant digits so
 that every value round-trips bit-exactly.
 
 Everything read from outside goes through the readers below: ``required``
-for a key, ``square_matrix`` for a matrix, and the orbit records built on
-them.  Each raises StructuralError naming what is wrong, so malformed
-input never reaches the mathematics.
+for a key and ``square_matrix`` for a matrix; the record parsers of the
+package types (``GroupElement.from_json``, ``MultiPoly.from_records``, ...)
+are built on them.  Each raises StructuralError naming what is wrong, so
+malformed input never reaches the mathematics.  Every exact value written
+out goes through ``frac_to_str``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import StructuralError
+from .errors import CapacityError, StructuralError
+
+# Python's default limit on the digits of an int written as text: 10**e
+# with a larger exponent could never be written out, and "1e999999999"
+# would spend minutes building it
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 
 def as_fraction(value) -> Fraction:
@@ -27,9 +37,14 @@ def as_fraction(value) -> Fraction:
     This is the one parser of exact rationals from input.  Anything else
     raises StructuralError: floats, bools (a JSON ``true`` is not the
     rational 1), strings that are not rationals, and zero denominators.
+    A decimal exponent beyond ``MAX_EXPONENT`` is a CapacityError.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and (match := _EXPONENT.search(value)):
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise CapacityError(f"decimal exponent beyond {MAX_EXPONENT} in {value[:40]!r}")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
@@ -63,42 +78,18 @@ def square_matrix(data, what: str, n: int | None = None) -> list[list[Fraction]]
     return [[as_fraction(x) for x in row] for row in data]
 
 
-def _blocks(data, first: str, second: str, n: int | None):
-    """The two same-size square blocks of an orbit record."""
-    a = square_matrix(required(data, first), first, n)
-    return a, square_matrix(required(data, second), second, len(a))
+def frac_to_str(x) -> str:
+    """``x`` as an exact rational string, the one writer of exact values.
 
-
-def group_element(data, n: int | None = None):
-    """A GroupElement from ``{"x": ..., "g": ...}``, both blocks n x n."""
-    from .orbits import GroupElement
-
-    return GroupElement(*_blocks(data, "x", "g", n))
-
-
-def dual_point(data, n: int | None = None):
-    """A DualPoint from ``{"c": ..., "a": ...}``, both blocks n x n."""
-    from .orbits import DualPoint
-
-    return DualPoint(*_blocks(data, "c", "a", n))
-
-
-def lie_element(data, n: int | None = None):
-    """A LieElement from ``{"b": ..., "a": ...}``, both blocks n x n."""
-    from .orbits import LieElement
-
-    return LieElement(*_blocks(data, "b", "a", n))
-
-
-def dual_points(data, n: int) -> list:
-    """A nonempty list of n x n dual points."""
-    if not isinstance(data, list) or not data:
-        raise StructuralError("points must be a nonempty list of dual points")
-    return [dual_point(rec, n) for rec in data]
-
-
-def frac_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    CapacityError when its numerator or denominator has more digits than
+    Python writes as text (``sys.get_int_max_str_digits()``).
+    """
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise CapacityError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def float_to_str(x: float) -> str:

@@ -31,6 +31,7 @@ from functools import cached_property
 
 from . import linalg as la
 from .errors import DomainError, StructuralError
+from .jsonio import required, square_matrix
 from .lie import ZERO, LieBasis
 
 
@@ -84,7 +85,13 @@ class GroupElement:
             raise StructuralError("x and g must have the same size")
         d = _det(self.g)
         if not d > 0:
-            raise DomainError(f"det(g) = {d} must be positive")
+            # the value is left out: an exact det can have too many digits to write
+            raise DomainError("det(g) must be positive")
+
+    @classmethod
+    def from_json(cls, data) -> "GroupElement":
+        """From ``{"x": ..., "g": ...}``, two square blocks of exact rationals."""
+        return cls(square_matrix(required(data, "x"), "x"), square_matrix(required(data, "g"), "g"))
 
     @property
     def n(self) -> int:
@@ -115,6 +122,14 @@ class DualPoint:
         if la.shape(self.a) != la.shape(self.c):
             raise StructuralError("c and a must have the same size")
 
+    @classmethod
+    def from_json(cls, data, n: int | None = None) -> "DualPoint":
+        """From ``{"c": ..., "a": ...}``, two square blocks of exact rationals,
+        n x n when ``n`` is given."""
+        return cls(
+            square_matrix(required(data, "c"), "c", n), square_matrix(required(data, "a"), "a", n)
+        )
+
     @property
     def n(self) -> int:
         return len(self.c)
@@ -131,6 +146,11 @@ class LieElement:
         _check_symmetric(self.b, "b block")
         if la.shape(self.a) != la.shape(self.b):
             raise StructuralError("b and a must have the same size")
+
+    @classmethod
+    def from_json(cls, data) -> "LieElement":
+        """From ``{"b": ..., "a": ...}``, two square blocks of exact rationals."""
+        return cls(square_matrix(required(data, "b"), "b"), square_matrix(required(data, "a"), "a"))
 
 
 def group_identity(n: int) -> GroupElement:
@@ -300,7 +320,7 @@ def lambda_block_matrix(n: int, lambdas) -> list[list]:
     return H
 
 
-def normal_form(pt: DualPoint, tol: float = 1e-9, gap: float = 1e-6) -> NormalForm:
+def normal_form(pt: DualPoint, gap: float = 1e-6) -> NormalForm:
     """Reduce (c, a) to (I, H) by a composition of three coadjoint moves.
 
     1. (0, g) with g^t g = c (Cholesky) sends c to the identity.

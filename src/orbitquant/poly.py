@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, StructuralError
-from .jsonio import as_fraction, required
+from .jsonio import as_fraction, frac_to_str, required
 
 Exponent = tuple[int, ...]
 
@@ -365,7 +365,7 @@ class MultiPoly:
         return {
             "variables": list(self.variables),
             "terms": [
-                {"coefficient": str(c), "exponents": list(e)} for e, c in sorted(self.terms.items())
+                {"coefficient": frac_to_str(c), "exponents": list(e)} for e, c in sorted(self.terms.items())
             ],
         }
 

@@ -156,10 +156,10 @@ def check_normal_form(seed: int, ns=(2, 3), samples: int = 20, tol: float = 1e-9
             worst_drift = 0.0
             for _ in range(samples):
                 pt = random_gplus_point(n, rng)
-                nf = normal_form(pt, tol=tol)
+                nf = normal_form(pt)
                 worst_residual = max(worst_residual, nf.residual)
                 moved = random_orbit_sample(pt, rng)
-                nf2 = normal_form(moved, tol=tol)
+                nf2 = normal_form(moved)
                 drift = max(
                     (abs(x - y) for x, y in zip(nf.lambdas, nf2.lambdas)),
                     default=0.0,

@@ -573,6 +573,36 @@ def test_matrix_inputs_are_checked_where_they_enter(capsys, monkeypatch, argv, d
     assert doc["error"]["type"] == "StructuralError"
 
 
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        # a product of 10**6000 was a ValueError traceback in str()
+        (("group-mul",), {"p": {"x": [["0"]], "g": [["1e3000"]]},
+                          "q": {"x": [["0"]], "g": [["1e3000"]]}}),
+        (("invariants",), {"point": {"c": [["1e-3000", "0"], ["0", "1e-3000"]],
+                                     "a": [["0", "1e3000"], ["-1e3000", "0"]]}}),
+        (("orbit-ideal", "--n", "2", "--lambdas", "1e3000"), None),
+        # exponents that could never be written out are refused as read;
+        # "1e999999999" spent minutes building 10**999999999
+        (("orbit-ideal", "--n", "2", "--lambdas", "1e5000"), None),
+        (("orbit-ideal", "--n", "2", "--lambdas", "1e999999999"), None),
+        (("group-mul",), {"p": {"x": [["0"]], "g": [["1e-999999999"]]},
+                          "q": {"x": [["0"]], "g": [["1"]]}}),
+    ],
+    ids=["group-mul-product", "invariants-trace", "orbit-ideal-generators",
+         "orbit-ideal-exponent", "orbit-ideal-huge-exponent", "group-mul-huge-exponent"],
+)
+def test_values_past_the_digit_limit_are_capacity_errors(capsys, monkeypatch, argv, document):
+    import io
+
+    if document is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+        argv += ("--input", "-")
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "CapacityError"
+
+
 def test_missing_key_is_named(capsys, monkeypatch):
     # it was reported as {"type": "KeyError", "message": "'q'"}
     import io
@@ -639,7 +669,7 @@ def _verb_inputs():
 
     any_json = _json_values()
     rational = st.integers(-3, 3) | st.sampled_from(
-        ["1/2", "-2/3", "0", "1e400", "1e-400", "1/0", "x"]
+        ["1/2", "-2/3", "0", "1e400", "1e-400", "1e3000", "1e5000", "1/0", "x"]
     )
 
     def square(n):

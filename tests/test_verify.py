@@ -67,7 +67,7 @@ CASES = [
      GroupElement, "inverse", wrong_inverse),
     ("normal_form", lambda: verify.check_normal_form(3, ns=(2,), samples=2),
      verify, "normal_form",
-     lambda honest: lambda pt, tol: dataclasses.replace(honest(pt, tol=tol), residual=1.0)),
+     lambda honest: lambda pt: dataclasses.replace(honest(pt), residual=1.0)),
     ("orbit_dimension", lambda: verify.check_orbit_dimension(ns=(2,)),
      verify, "orbit_dimension", lambda honest: lambda pt, basis: honest(pt, basis) - 1),
     ("semiinvariant_weights", lambda: verify.check_semiinvariants(4, ns=(2,), samples=2),
