@@ -303,16 +303,16 @@ def _integer_log(value: Fraction, base: Fraction) -> int | None:
 
 def verify_semiinvariance(
     family: SemiinvariantFamily,
-    m: int,
+    poly: MultiPoly,
     weight: int,
     rng: random.Random,
     samples: int = 20,
 ) -> bool:
-    """Exact check of generator m's transformation law on random data."""
+    """Exact check that ``poly``, over the family's coordinates, rescales by
+    det(g)^weight under the coadjoint action, on random data."""
     from .orbits import coadjoint
     from .sampling import random_gplus_point, random_group_element
 
-    poly = family.generators[m]
     for _ in range(samples):
         pt = random_gplus_point(family.n, rng)
         elt = random_group_element(family.n, rng)
@@ -527,8 +527,11 @@ def no_invariants_certificate(
     all monomials, where L_i is the infinitesimal coadjoint action along
     basis letter i, and computes the exact kernel dimension.  Degree zero
     contributes the constants; the certificate passes when nothing else
-    does.
+    does.  StructuralError for a degree bound below 1, which would check
+    no positive degree.
     """
+    if degree < 1:
+        raise StructuralError(f"the invariant certificate needs a degree bound >= 1, not {degree}")
     if coords is None:
         basis, _ = build_lie_basis(n)
         coords = DualCoordinates(basis)

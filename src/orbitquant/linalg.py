@@ -153,9 +153,10 @@ def is_skew(m: Matrix) -> bool:
 def det(m: Matrix):
     """Determinant, generic over the entry ring.
 
-    Fraction matrices go through Gaussian elimination (exact, O(n^3));
-    symbolic entries fall back to cofactor expansion, which is only ever
-    used on the small matrices this package manipulates (n <= 6).
+    Exact matrices go through fraction-free elimination over integer
+    numerators (``_bareiss``); symbolic entries fall back to cofactor
+    expansion, which is only ever used on the small matrices this package
+    manipulates (n <= 6).
     """
     rows, cols = shape(m)
     if rows != cols:
@@ -167,7 +168,9 @@ def det(m: Matrix):
     if rows == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if is_exact(m):
-        return _det_fraction(m)
+        nums, d = _numerators(m)
+        pivot, sign = _bareiss(nums)
+        return Fraction(sign * pivot, d**rows)
     total = None
     for j in range(cols):
         entry = m[0][j]
@@ -179,28 +182,34 @@ def det(m: Matrix):
     return total
 
 
-def _det_fraction(m: Matrix) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination of the first n columns of the
+    n integer rows ``a``, in place.
+
+    After each step the rows are divided by the previous pivot, and the
+    division is exact (Bareiss, Math. Comp. 22, 1968), so every entry stays
+    an integer.  Returns (D, s): D is the last pivot, with D = s det(N) for
+    N the leading n x n block and s the sign of the row swaps, and the
+    block ends as D I; D is 0 when N is singular, and the rows are then
+    left part way.
+    """
+    n = len(a)
+    prev, sign = 1, 1
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0, sign
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return result
+            sign = -sign
+        top = a[col]
+        p = top[col]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return prev, sign
 
 
 def adjugate(m: Matrix) -> Matrix:
@@ -230,11 +239,8 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse by fraction-free Gauss-Jordan elimination.
 
     m is written as N / d with N an integer matrix (``_numerators``), and
-    elimination on [N | I] keeps every entry an integer: after each step
-    the rows are divided by the previous pivot, and the division is exact
-    (fraction-free elimination: Bareiss, Math. Comp. 22, 1968).  It ends at
-    [D I | D N^-1] with D = +-det(N), so m^-1 = d (D N^-1) / D and each
-    output entry is one Fraction.
+    ``_bareiss`` on [N | I] ends at [D I | D N^-1] with D = +-det(N), so
+    m^-1 = d (D N^-1) / D and each output entry is one Fraction.
     """
     rows, cols = shape(m)
     if rows != cols:
@@ -243,20 +249,10 @@ def inverse(m: Matrix) -> Matrix:
         m = [[Fraction(x) for x in row] for row in m]
     nums, d = _numerators(m)
     a = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(nums)]
-    prev = 1
-    for col in range(rows):
-        pivot = next((r for r in range(col, rows) if a[r][col]), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        p = top[col]
-        for r in range(rows):
-            if r != col:
-                f = a[r][col]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
-        prev = p
-    return [[Fraction(d * x, prev) for x in row[rows:]] for row in a]
+    pivot, _ = _bareiss(a)
+    if not pivot:
+        raise DomainError("matrix is singular")
+    return [[Fraction(d * x, pivot) for x in row[rows:]] for row in a]
 
 
 SparseRow = dict[int, Fraction]

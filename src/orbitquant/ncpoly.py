@@ -43,11 +43,11 @@ right to left; the symmetrizer, the letter commutator (through the
 derivation rule) and the quantization's left multiples are built on the
 same step.  They all work on one flat layout: integer numerators keyed
 by (packed word, h power) over one positive denominator.  ``NCPoly``
-stores its terms in that layout, in lowest terms (``_lowest_terms``), so
-equal elements have equal layouts; ``QuotientElement`` stores the same
-layout keyed by exponents, and both share their arithmetic
-(``_FlatTerms``).  ``_flatten`` writes exact coefficients in the layout
-and ``PBWAlgebra._product`` multiplies in it.  ``HPoly`` appears only at
+stores its terms in that layout and ``QuotientElement`` keys it by
+exponents.  Both are ``_HTerms``: the methods that read h powers, on top
+of the storage and sums they share with ``MultiPoly`` (``poly._FlatTerms``).
+``_flatten`` writes exact coefficients in the layout and
+``PBWAlgebra._product`` multiplies in it.  ``HPoly`` appears only at
 the edges: constructor input, the ``terms`` view (``_gather``, one
 ``HPoly`` per key on each access), JSON and printing.
 
@@ -69,7 +69,7 @@ from .errors import CapacityError, StructuralError
 from .hpoly import HPoly
 from .lie import LieBasis, StructureConstants
 from .jsonio import as_fraction, required
-from .poly import MultiPoly, _lowest_terms, keyed_once
+from .poly import MultiPoly, _FlatTerms, keyed_once
 
 Word = tuple[int, ...]
 # Packed words with exact int (or Fraction) coefficients, all of one
@@ -338,57 +338,20 @@ def _hvalues(coeff) -> tuple:
     return coeff.coeffs if isinstance(coeff, HPoly) else (as_fraction(coeff),)
 
 
-class _FlatTerms:
-    """Exact terms on the flat layout: the storage of NCPoly and QuotientElement.
+class _HTerms(_FlatTerms):
+    """Exact terms keyed by (key, h power): the layout of NCPoly and QuotientElement.
 
-    ``flat`` maps (key, h power) to a nonzero integer numerator over the
-    positive denominator ``den``, in lowest terms, so equal elements have
-    equal layouts.  Keys are packed PBW words or exponent tuples;
-    ``terms`` is a view with one HPoly per key, built on each access.  A
-    subclass names the slot of the context its operands share and gives
-    the degree of a key (``_key_degree``).
+    Keys are packed PBW words or exponent tuples; ``terms`` is a view with
+    one HPoly per key, built on each access.  A subclass gives the degree
+    of a key (``_key_degree``).
     """
 
-    __slots__ = ("flat", "den")
-    _context_slot: str
-    _mismatch: str
-
-    def _set(self, context, flat: dict, den: int):
-        flat, den = _lowest_terms(flat, den)
-        object.__setattr__(self, self._context_slot, context)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _trusted(cls, context, flat: dict, den: int):
-        """The element with ``flat`` over ``den``, whose keys are valid in ``context``."""
-        out = object.__new__(cls)
-        out._set(context, flat, den)
-        return out
-
-    @property
-    def _context(self):
-        return getattr(self, self._context_slot)
-
-    def _new(self, flat: dict, den: int):
-        return self._trusted(self._context, flat, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _check_context(self, other):
-        if not isinstance(other, type(self)) or other._context != self._context:
-            raise StructuralError(self._mismatch)
+    __slots__ = ()
 
     @property
     def terms(self) -> dict:
         """{key: HPoly coefficient}, built on each access."""
         return _gather(self.flat, self.den)
-
-    # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.flat
 
     def degree(self) -> int:
         """Filtration degree: key degree plus h power, maximized; -1 for zero."""
@@ -400,23 +363,6 @@ class _FlatTerms:
 
     def divisible_by_h_power(self, k: int) -> bool:
         return all(p >= k for _, p in self.flat)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        self._check_context(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {key: c * a for key, c in self.flat.items()}
-        for key, c in other.flat.items():
-            out[key] = out.get(key, 0) + c * b
-        return self._new(out, den)
-
-    def __neg__(self):
-        return self._new({key: -c for key, c in self.flat.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + -other
 
     def scale(self, coeff):
         """The product with an h polynomial (an HPoly) or an exact scalar."""
@@ -431,22 +377,15 @@ class _FlatTerms:
         """Multiply by h^k."""
         return self._new({(key, p + k): c for (key, p), c in self.flat.items()}, self.den)
 
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._context == other._context and self.den == other.den and self.flat == other.flat
 
-    def __hash__(self):
-        return hash((self.den, frozenset(self.flat.items())))
-
-
-class NCPoly(_FlatTerms):
+class NCPoly(_HTerms):
     """An element of the algebra in PBW normal form.
 
     Keys are non-decreasing words; the empty word is the unit.  The
     constructor takes {word: HPoly or exact scalar} with tuple words, and
-    ``terms`` gives them back; ``flat`` keys them by packed words.  All
-    arithmetic stays inside one PBWAlgebra context.
+    ``terms`` gives them back; ``flat`` keys them by (packed word, h power).
+    All arithmetic stays inside one PBWAlgebra context: an operand of
+    another algebra or type is a StructuralError.
     """
 
     __slots__ = ("algebra",)

@@ -3,11 +3,13 @@
 A polynomial stores its coefficients in one flat layout: ``flat`` maps
 each exponent tuple, one slot per variable, to a nonzero integer
 numerator over one positive denominator ``den``.  The pair is kept in
-lowest terms (``_lowest_terms``, shared with the noncommutative layer),
-so equal polynomials have equal layouts and equality is literal.  No
-floating point is ever involved.  ``terms`` is a view with one
-``fractions.Fraction`` per exponent, built on each access for the
-public edges; the operations of this layer read ``flat`` and ``den``.
+lowest terms (``_lowest_terms``), so equal polynomials have equal
+layouts and equality is literal.  No floating point is ever involved.
+``terms`` is a view with one ``fractions.Fraction`` per exponent, built
+on each access for the public edges; the operations of this layer read
+``flat`` and ``den``.  The layout's storage, sums, negation, equality
+and hashing read no key, so they are one class, ``_FlatTerms``, shared
+with ``NCPoly`` and ``QuotientElement``.
 
 Exponents are tuples of nonnegative ints, checked where a polynomial is
 built from outside data.  Every product goes through one kernel,
@@ -131,19 +133,105 @@ def exponent_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-class MultiPoly:
+class _FlatTerms:
+    """The flat layout of MultiPoly, NCPoly and QuotientElement.
+
+    ``flat`` maps each key to a nonzero integer numerator over the positive
+    ``den``, in lowest terms, so equal elements have equal layouts.  A
+    subclass names the slot of the context its operands share
+    (``_context_slot``) and the refusal of a foreign operand (``_mismatch``,
+    formatted with both contexts); ``_operand`` may coerce an operand, or
+    return NotImplemented to decline it.
+    """
+
+    __slots__ = ("flat", "den")
+    _context_slot: str
+    _mismatch: str
+
+    def _set(self, context, flat: dict, den: int):
+        flat, den = _lowest_terms(flat, den)
+        object.__setattr__(self, self._context_slot, context)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _trusted(cls, context, flat: dict, den: int):
+        """The element with ``flat`` over ``den``, whose keys are valid in ``context``."""
+        out = object.__new__(cls)
+        out._set(context, flat, den)
+        return out
+
+    @property
+    def _context(self):
+        return getattr(self, self._context_slot)
+
+    def _new(self, flat: dict, den: int):
+        return self._trusted(self._context, flat, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_context(self, other):
+        if not isinstance(other, type(self)) or other._context != self._context:
+            theirs = getattr(other, "_context", None)
+            raise StructuralError(self._mismatch.format(self._context, theirs))
+
+    def _operand(self, other):
+        """``other`` as an operand of ``+``, ``-`` and ``==``: as it is."""
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.flat
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, summed on the layout."""
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        self._check_context(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {key: c * a for key, c in self.flat.items()} if a != 1 else dict(self.flat)
+        get = out.get
+        for key, c in other.flat.items():
+            out[key] = get(key, 0) + c * b
+        return self._new(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.flat.items()}, self.den)
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self._context, self.den, self.flat) == (other._context, other.den, other.flat)
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.flat.items())))
+
+
+class MultiPoly(_FlatTerms):
     """An immutable exact multivariate polynomial.
 
     Supports ring arithmetic, formal differentiation, evaluation and a
     lossless record-based serialization.  All operations require both
-    operands to carry the identical variable tuple.  ``flat`` maps each
-    exponent to a nonzero integer numerator over the positive ``den``, in
-    lowest terms; ``terms`` is a view with one Fraction per exponent,
-    built on each access.  ``_leads`` memoizes the leading term per
-    monomial order, set on first use.
+    operands to carry the identical variable tuple; ``+``, ``-`` and
+    ``==`` read an exact scalar as a constant.  ``terms`` is a view with
+    one Fraction per exponent, built on each access.  ``_leads`` memoizes
+    the leading term per monomial order, set on first use.
     """
 
-    __slots__ = ("variables", "flat", "den", "_leads")
+    __slots__ = ("variables", "_leads")
+    _context_slot = "variables"
+    _mismatch = "variable lists differ: {} vs {}"
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction] | None = None):
         variables = tuple(variables)
@@ -156,23 +244,6 @@ class MultiPoly:
         den = lcm(*(c.denominator for _, c in items))
         flat = {exp: c.numerator * (den // c.denominator) for exp, c in items}
         self._set(variables, flat, den)
-
-    def _set(self, variables: tuple[str, ...], flat: dict, den: int):
-        flat, den = _lowest_terms(flat, den)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _trusted(cls, variables: tuple[str, ...], flat: dict[Exponent, int], den: int):
-        """The polynomial with integer numerators ``flat`` over ``den``, whose
-        exponents are valid tuples of the right length."""
-        poly = object.__new__(cls)
-        poly._set(variables, flat, den)
-        return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
@@ -205,12 +276,6 @@ class MultiPoly:
 
     # -- predicates and views ----------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.flat
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.flat)
-
     def constant_value(self) -> Fraction:
         return self.coefficient((0,) * len(self.variables))
 
@@ -238,39 +303,17 @@ class MultiPoly:
             leads[order] = lead = (exp, Fraction(self.flat[exp], self.den))
         return lead
 
-    def _check_compatible(self, other: "MultiPoly"):
-        if self.variables != other.variables:
-            raise StructuralError(
-                f"variable lists differ: {self.variables} vs {other.variables}"
-            )
-
     # -- arithmetic ---------------------------------------------------
 
-    def _combine(self, other, sign: int) -> "MultiPoly":
-        """self + sign * other for a MultiPoly or exact scalar ``other``."""
-        if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = MultiPoly.constant(self.variables, other)
-        self._check_compatible(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        out = {e: c * a for e, c in self.flat.items()} if a != 1 else dict(self.flat)
-        get = out.get
-        for e, c in other.flat.items():
-            out[e] = get(e, 0) + c * b
-        return MultiPoly._trusted(self.variables, out, den)
+    def _operand(self, other):
+        """An exact scalar as a constant; NotImplemented for any other non-MultiPoly."""
+        if isinstance(other, MultiPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly.constant(self.variables, other)
+        return NotImplemented
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.flat.items()}, self.den)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
+    __radd__ = _FlatTerms.__add__
 
     def __rsub__(self, other):
         return (-self) + other
@@ -299,16 +342,6 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = MultiPoly.constant(self.variables, other)
-        return (self.variables, self.den, self.flat) == (other.variables, other.den, other.flat)
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.flat.items()), self.den))
 
     # -- calculus and evaluation --------------------------------------
 

@@ -32,9 +32,10 @@ the words: what the engine needs to know of a packed word (its
 exponent, whether it is standard, its grevlex key) is worked out once,
 on first sight, into one table (``_word_data``).  The division steps
 and normal forms are memoized in the same layout, keyed by packed
-words, and both apply one substitution (``_substitute``).  ``reduce``,
-``phi``, ``phi_inverse`` and ``NCPoly`` products run on the same
-helpers.
+words, and both apply one substitution (``_substitute``) and
+``poly._lowest_terms``.  ``reduce``, ``phi``, ``phi_inverse`` and
+``NCPoly`` products run on the same helpers.  ``QuotientElement`` adds
+only its input checks and conversions to the shared ``ncpoly._HTerms``.
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ from .ncpoly import (
     PBWAlgebra,
     Word,
     _flatten,
-    _FlatTerms,
     _hvalues,
-    _lowest_terms,
+    _HTerms,
     exponent_of_word,
     pack_exponent,
     pack_word,
@@ -70,6 +70,7 @@ from .poly import (
     GREVLEX,
     Exponent,
     MultiPoly,
+    _lowest_terms,
     checked_exponent,
     keyed_once,
     monomials_up_to_degree,
@@ -77,7 +78,7 @@ from .poly import (
 )
 
 
-class QuotientElement(_FlatTerms):
+class QuotientElement(_HTerms):
     """A quotient-algebra element on standard-monomial support.
 
     Keys are exponent tuples (standard monomials) over ``variables``.  The

@@ -241,22 +241,13 @@ def check_semiinvariants(
                         "measured_weight": measured,
                         "trace_law_weight": -4 * (m + 1),
                     }
-                law["exact_law"] = verify_semiinvariance(fam, m, weight, rng, samples)
+                law["exact_law"] = verify_semiinvariance(fam, fam.generators[m], weight, rng, samples)
                 gen_report.append(law)
                 ok = ok and law["exact_law"]
             if n % 2 == 0 and fam.composite_even is not None:
                 # the determinant-cleared square follows the -4m law
                 weight = -4 * fam.k + weight_offset
-                composite_ok = True
-                for _ in range(samples):
-                    pt = random_gplus_point(n, rng)
-                    elt = random_group_element(n, rng)
-                    moved = coadjoint(elt, pt)
-                    vec = fam.coords.coords_of_point(pt.c, pt.a)
-                    mvec = fam.coords.coords_of_point(moved.c, moved.a)
-                    scale = la.det(elt.g) ** weight
-                    if fam.composite_even.evaluate(mvec) != scale * fam.composite_even.evaluate(vec):
-                        composite_ok = False
+                composite_ok = verify_semiinvariance(fam, fam.composite_even, weight, rng, samples)
                 gen_report.append(
                     {"kind": "det-cleared square", "weight": weight, "exact_law": composite_ok}
                 )

@@ -515,8 +515,18 @@ def test_operand_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, arg
         # the refused size was reported as a failed law (exit 1)
         ("semi-check", "--n", "1"),
         ("semi-check", "--n", "2", "--samples", "0"),
+        # the certificate checked no positive degree and passed
+        ("no-invariants", "--n", "2", "--deg", "0"),
+        ("no-invariants", "--n", "2", "--deg", "-1"),
     ],
-    ids=["verify-n0", "verify-samples0", "semi-check-n1", "semi-check-samples0"],
+    ids=[
+        "verify-n0",
+        "verify-samples0",
+        "semi-check-n1",
+        "semi-check-samples0",
+        "no-invariants-deg0",
+        "no-invariants-deg-1",
+    ],
 )
 def test_runs_that_would_check_nothing_are_usage_errors(capsys, argv):
     code, doc = run_json(capsys, *argv)

@@ -145,14 +145,36 @@ def test_lowest_terms_makes_the_denominator_positive():
 def test_containers_refuse_foreign_operands():
     other = PBWAlgebra(*build_lie_basis(2))
     u = NCPoly.letter(ALGEBRA, 0)
-    with pytest.raises(StructuralError):
-        u + NCPoly.letter(other, 0)
+    q = QuotientElement(VARIABLES, {(0,) * ALGEBRA.dim: 1})
+    p = MultiPoly.variable(VARIABLES, 0)
+    elsewhere = tuple("abcdefg")
+    # another context, or another container on the left of an h-layout element
+    for x, y in [
+        (u, NCPoly.letter(other, 0)),
+        (q, QuotientElement(elsewhere, {(0,) * 7: 1})),
+        (p, MultiPoly.variable(elsewhere, 0)),
+        (u, p),
+        (q, p),
+    ]:
+        with pytest.raises(StructuralError):
+            x + y
+        with pytest.raises(StructuralError):
+            x - y
     with pytest.raises(StructuralError):
         u * NCPoly.letter(other, 0)
-    q = QuotientElement(VARIABLES, {(0,) * ALGEBRA.dim: 1})
-    with pytest.raises(StructuralError):
-        q + QuotientElement(tuple("abcdefg"), {(0,) * 7: 1})
-    assert u != NCPoly.letter(other, 0) and u != q
+    with pytest.raises(StructuralError) as refused:
+        p + MultiPoly.variable(elsewhere, 0)
+    assert str(refused.value) == f"variable lists differ: {VARIABLES} vs {elsewhere}"
+    # a MultiPoly coerces exact scalars only and declines other containers
+    for y in (u, q):
+        with pytest.raises(TypeError):
+            p + y
+        with pytest.raises(TypeError):
+            p - y
+    assert u != NCPoly.letter(other, 0) and u != q and u != p and q != p
+    for x in (u, q, p):
+        with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+            x.den = 2
 
 
 @pytest.mark.parametrize(

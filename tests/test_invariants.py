@@ -183,7 +183,7 @@ def test_semiinvariant_weights_exact(n):
     for m, kind in enumerate(fam.kinds):
         measured = measure_weight(fam, m, rng)
         assert measured == fam.weights[m]
-        assert verify_semiinvariance(fam, m, measured, rng, samples=20)
+        assert verify_semiinvariance(fam, fam.generators[m], measured, rng, samples=20)
         if kind == "trace":
             assert measured == -4 * (m + 1)
 
