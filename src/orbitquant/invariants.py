@@ -15,9 +15,13 @@ the trace family in cutting out regular orbits:
     trace type:    p_i = h_i - alpha_i det(c)^(2i)
     Pfaffian type: p_k = P^2 - alpha_k det(c)^(2k-1)
 
-with alpha constants read off the orbit's normal form.  A degree-bounded
-certificate that invariant polynomials are constant is obtained from the
-exact kernel of the infinitesimal action on each graded piece.
+with alpha constants read off the orbit's normal form.  T and the skew
+matrix K of P are built by one helper, ``cleared_matrices``, over any
+entry ring: the symbolic family and the values at a point both call it.
+A degree-bounded certificate that invariant polynomials are constant is
+obtained from the exact kernel of the infinitesimal action on each
+graded piece, whose vector fields apply the numeric ad* formula
+(``orbits.ad_star_blocks``) to symbolic entries.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import linalg as la
 from .errors import CapacityError, DomainError, StructuralError
 from .groebner import Capacity, DEFAULT_CAPACITY
 from .lie import DualCoordinates, build_lie_basis
-from .orbits import DualPoint, NormalForm
+from .orbits import DualPoint, NormalForm, ad_star_blocks
 from .poly import MultiPoly, monomials_up_to_degree, sum_of_products
 
 
@@ -71,18 +75,15 @@ def invariant_trace_power(i: int, pt: DualPoint) -> Fraction:
     """The invariant f_i = tr((c a c^-1 - a^t)^(2i)) / 2^(2i), exactly.
 
     Constant along coadjoint orbits; at a normal form (I, H) it equals
-    tr(H^(2i)) = 2 (-1)^i sum_j l_j^(2i).  Requires invertible c.
+    tr(H^(2i)) = 2 (-1)^i sum_j l_j^(2i).  Requires invertible c.  Since
+    T = det(c) (c a c^-1 - a^t), f_i = h_i / (4^i det(c)^(2i)).
     """
     if i < 1:
         raise StructuralError("invariant index must be >= 1")
-    if la.det(pt.c) == 0:
+    d = la.det(pt.c)
+    if d == 0:
         raise DomainError("c block must be invertible")
-    cinv = la.inverse(pt.c)
-    s = la.mat_sub(la.mat_mul(la.mat_mul(pt.c, pt.a), cinv), la.transpose(pt.a))
-    power = la.identity(pt.n)
-    for _ in range(2 * i):
-        power = la.mat_mul(power, s)
-    return la.trace(power) / Fraction(4) ** i
+    return trace_semiinvariant_value(i, pt) / (Fraction(4) ** i * d ** (2 * i))
 
 
 def pfaffian_invariant(pt: DualPoint) -> float:
@@ -111,19 +112,21 @@ def pfaffian_invariant(pt: DualPoint) -> float:
     return value
 
 
-def _denominator_cleared_matrix(pt: DualPoint) -> la.Matrix:
-    """T = c a adj(c) - det(c) a^t; equals det(c) (c a c^-1 - a^t)."""
-    adj = la.adjugate(pt.c)
-    d = la.det(pt.c)
-    return la.mat_sub(
-        la.mat_mul(la.mat_mul(pt.c, pt.a), adj),
-        la.mat_scale(la.transpose(pt.a), d),
-    )
+def cleared_matrices(c: la.Matrix, a: la.Matrix) -> tuple[la.Matrix, la.Matrix]:
+    """(T, K) for the blocks (c, a), generic over the entry ring.
+
+    T = c a adj(c) - det(c) a^t, which equals det(c) (c a c^-1 - a^t),
+    and K = (a adj(c) - (a adj(c))^t) / 2, the skew matrix of the
+    Pfaffian semiinvariant.
+    """
+    aadj = la.mat_mul(a, la.adjugate(c))
+    t = la.mat_sub(la.mat_mul(c, aadj), la.mat_scale(la.transpose(a), la.det(c)))
+    return t, la.mat_scale(la.mat_sub(aadj, la.transpose(aadj)), Fraction(1, 2))
 
 
 def trace_semiinvariant_value(i: int, pt: DualPoint) -> Fraction:
     """h_i(pt) = tr(T^(2i)) by direct matrix arithmetic (fast path)."""
-    t = _denominator_cleared_matrix(pt)
+    t, _ = cleared_matrices(pt.c, pt.a)
     power = la.identity(pt.n)
     for _ in range(2 * i):
         power = la.mat_mul(power, t)
@@ -132,10 +135,7 @@ def trace_semiinvariant_value(i: int, pt: DualPoint) -> Fraction:
 
 def pfaffian_semiinvariant_value(pt: DualPoint) -> Fraction:
     """P(pt) = Pf((a adj(c) - adj(c) a^t) / 2) by direct arithmetic."""
-    adj = la.adjugate(pt.c)
-    aadj = la.mat_mul(pt.a, adj)
-    skew = la.mat_scale(la.mat_sub(aadj, la.transpose(aadj)), Fraction(1, 2))
-    return pfaffian(skew)
+    return pfaffian(cleared_matrices(pt.c, pt.a)[1])
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,10 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
     if coords is None:
         basis, _ = build_lie_basis(n)
         coords = DualCoordinates(basis)
-    c_mat, a_mat, adj_c, det_c = symbolic_dual_matrices(coords)
+    c_mat, a_mat = coords.entry_polynomials()
+    t_mat, skew = cleared_matrices(c_mat, a_mat)
+    det_c = la.det(c_mat)
     k = n // 2
-
-    t_mat = la.mat_sub(
-        la.mat_mul(la.mat_mul(c_mat, a_mat), adj_c),
-        la.mat_scale(la.transpose(a_mat), det_c),
-    )
 
     generators: list[MultiPoly] = []
     kinds: list[str] = []
@@ -222,8 +219,6 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
 
     composite = None
     if n % 2 == 0:
-        aadj = la.mat_mul(a_mat, adj_c)
-        skew = la.mat_scale(la.mat_sub(aadj, la.transpose(aadj)), Fraction(1, 2))
         p_poly = pfaffian(skew)
         generators.append(p_poly)
         kinds.append("pfaffian")
@@ -464,41 +459,18 @@ def coadjoint_vector_fields(coords: DualCoordinates) -> list[list[MultiPoly]]:
     """Infinitesimal coadjoint action in coordinates, symbolically.
 
     Row i is the vector field of basis letter X_i: entry j is the linear
-    polynomial x_j(ad*_{X_i} p) of the moving point p.  Derived from the
-    same ad* formula as the numeric action and cross-checked against it in
-    the tests.
+    polynomial x_j(ad*_{X_i} p) of the moving point p.  It is
+    ``orbits.ad_star_blocks``, the formula of the numeric action, applied
+    to the symbolic entries of p and read through ``coords_of_point``.
     """
     basis = coords.basis
     c_mat, a_mat = coords.entry_polynomials()
-    zero = MultiPoly.zero(coords.variables)
-    fields: list[list[MultiPoly]] = []
-    for i in range(basis.dim):
-        alpha = basis.gl_part(i)
-        beta = basis.sym_part(i)
-        alpha_sym = [[MultiPoly.constant(coords.variables, v) for v in row] for row in alpha]
-        beta_sym = [[MultiPoly.constant(coords.variables, v) for v in row] for row in beta]
-        c_dot = la.mat_neg(
-            la.mat_add(
-                la.mat_mul(la.transpose(alpha_sym), c_mat),
-                la.mat_mul(c_mat, alpha_sym),
-            )
+    return [
+        coords.coords_of_point(
+            *ad_star_blocks(basis.gl_part(i), basis.sym_part(i), c_mat, a_mat)
         )
-        a_dot = la.mat_add(
-            la.mat_sub(la.mat_mul(alpha_sym, a_mat), la.mat_mul(a_mat, alpha_sym)),
-            la.mat_mul(beta_sym, c_mat),
-        )
-        row = []
-        for j in range(basis.dim):
-            kind, r, s = basis.kinds[j]
-            # x_j = tr(p X_j): 2 a[s][r] for a-letters, c[r][r] or 2 c[r][s]
-            if kind == "a":
-                row.append(a_dot[s][r] * 2)
-            elif r == s:
-                row.append(c_dot[r][r])
-            else:
-                row.append(c_dot[r][s] * 2)
-        fields.append(row)
-    return fields
+        for i in range(basis.dim)
+    ]
 
 
 @dataclass(frozen=True)

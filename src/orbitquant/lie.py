@@ -10,9 +10,10 @@ The dual space is realized as the complementary block shape
 product of the two shapes.  Coordinate functions on the dual are the
 pairings against the basis itself: x_i(p) = tr(p X_i).  With that choice
 the Lie-Poisson bracket of two coordinates is literally the structure
-constant expansion, with no normalization factors; the conversion between
-coordinates and raw matrix entries of a dual point lives in exactly one
-place, ``DualCoordinates``.
+constant expansion, with no normalization factors.  The conversion
+between coordinates and raw matrix entries of a dual point lives in
+exactly one place, ``DualCoordinates``, for numbers and polynomials
+alike, and both block shapes are assembled by ``linalg.block``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .poly import MultiPoly, sum_of_products
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def _elementary(n: int, i: int, j: int) -> la.Matrix:
@@ -47,34 +49,17 @@ def _sym_basis_matrix(n: int, i: int, j: int) -> la.Matrix:
 
 def algebra_block(a: la.Matrix, b: la.Matrix) -> la.Matrix:
     """Embed (a, b) as the 2n x 2n block matrix (a  b; 0  -a^t)."""
-    n = len(a)
-    out = la.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a[i][j]
-            out[i][n + j] = b[i][j]
-            out[n + i][n + j] = -a[j][i]
-    return out
+    return la.block(a, b, la.zeros(len(a), len(a)), la.mat_neg(la.transpose(a)))
 
 
 def dual_block(c: la.Matrix, a: la.Matrix) -> la.Matrix:
     """Embed a dual point (c, a) as the block matrix (a  0; c  -a^t)."""
-    n = len(a)
-    out = la.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a[i][j]
-            out[n + i][j] = c[i][j]
-            out[n + i][n + j] = -a[j][i]
-    return out
+    return la.block(a, la.zeros(len(a), len(a)), c, la.mat_neg(la.transpose(a)))
 
 
 def standard_symplectic_form(n: int) -> la.Matrix:
-    j = la.zeros(2 * n, 2 * n)
-    for i in range(n):
-        j[i][n + i] = ONE
-        j[n + i][i] = -ONE
-    return j
+    """The block matrix (0  I; -I  0)."""
+    return la.block(la.zeros(n, n), la.identity(n), la.mat_neg(la.identity(n)), la.zeros(n, n))
 
 
 def trace_pairing(a: la.Matrix, b: la.Matrix) -> Fraction:
@@ -114,19 +99,12 @@ class LieBasis:
     def gl_part(self, i: int) -> la.Matrix:
         """The a-block of basis element i."""
         kind, r, s = self.kinds[i]
-        a = la.zeros(self.n, self.n)
-        if kind == "a":
-            a[r][s] = ONE
-        return a
+        return _elementary(self.n, r, s) if kind == "a" else la.zeros(self.n, self.n)
 
     def sym_part(self, i: int) -> la.Matrix:
         """The b-block of basis element i."""
         kind, r, s = self.kinds[i]
-        b = la.zeros(self.n, self.n)
-        if kind == "b":
-            b[r][s] = ONE
-            b[s][r] = ONE
-        return b
+        return _sym_basis_matrix(self.n, r, s) if kind == "b" else la.zeros(self.n, self.n)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -258,8 +236,12 @@ class DualCoordinates:
 
     Coordinate i of a dual point p is tr(p X_i).  In terms of the raw
     blocks (c, a) of p this evaluates to 2 a[s][r] for letter a{rs}, to
-    c[r][r] for letter b{rr} and to 2 c[r][s] for letter b{rs}, r < s;
-    those constant factors are fixed here once and nowhere else.
+    c[r][r] for letter b{rr} and to 2 c[r][s] for letter b{rs}, r < s.
+    ``coords_of_point`` reads those factors off the basis elements and
+    ``point_of_coords`` inverts them; both work over any entry ring, and
+    the symbolic entries (``entry_polynomials``) and the coordinates of
+    the vector fields go through them, so the factors are fixed here
+    once and nowhere else.
     """
 
     basis: LieBasis
@@ -279,53 +261,44 @@ class DualCoordinates:
             tuple(_sparse(self.basis.element(i)) for i in range(self.basis.dim)),
         )
 
-    def coords_of_point(self, c: la.Matrix, a: la.Matrix) -> list[Fraction]:
-        """tr(p X_i) for each letter, summed over X_i's nonzero entries only."""
+    def coords_of_point(self, c: la.Matrix, a: la.Matrix) -> list:
+        """tr(p X_i) for each letter, summed over X_i's nonzero entries only.
+
+        Generic over the entry ring: Fractions for a point, linear
+        polynomials for ``entry_polynomials`` moved by a vector field.
+        """
         p = dual_block(c, a)
         return [
             sum((p[col][row] * v for (row, col), v in entries.items()), ZERO)
             for entries in self.sparse_elements
         ]
 
-    def point_of_coords(self, coords: Sequence[Fraction]) -> tuple[la.Matrix, la.Matrix]:
+    def point_of_coords(self, coords: Sequence) -> tuple[la.Matrix, la.Matrix]:
+        """The blocks (c, a) of the dual point with the given coordinates.
+
+        Generic over the entry ring: int or Fraction coordinates give
+        Fraction entries, polynomial coordinates polynomial entries.
+        """
         n = self.basis.n
         if len(coords) != self.basis.dim:
             raise StructuralError("wrong coordinate vector length")
         c = la.zeros(n, n)
         a = la.zeros(n, n)
-        for idx, (kind, r, s) in enumerate(self.basis.kinds):
-            v = Fraction(coords[idx])
+        for v, (kind, r, s) in zip(coords, self.basis.kinds):
             if kind == "a":
-                a[s][r] = v / 2
+                a[s][r] = v * HALF
             elif r == s:
-                c[r][r] = v
+                c[r][r] = v * ONE
             else:
-                half = v / 2
-                c[r][s] = half
-                c[s][r] = half
+                c[r][s] = c[s][r] = v * HALF
         return c, a
 
     def entry_polynomials(self) -> tuple[list[list[MultiPoly]], list[list[MultiPoly]]]:
-        """The raw entries (c, a) of a dual point as linear polynomials.
-
-        Returns symbolic n x n matrices over the coordinate ring; every
-        semiinvariant construction goes through these, so the coordinate
-        normalization is applied in a single place.
-        """
-        n = self.basis.n
-        zero = MultiPoly.zero(self.variables)
-        c_mat = [[zero for _ in range(n)] for _ in range(n)]
-        a_mat = [[zero for _ in range(n)] for _ in range(n)]
-        for idx, (kind, r, s) in enumerate(self.basis.kinds):
-            var = MultiPoly.variable(self.variables, idx)
-            if kind == "a":
-                a_mat[s][r] = var * Fraction(1, 2)
-            elif r == s:
-                c_mat[r][r] = var
-            else:
-                c_mat[r][s] = var * Fraction(1, 2)
-                c_mat[s][r] = var * Fraction(1, 2)
-        return c_mat, a_mat
+        """The raw entries (c, a) of a dual point as linear polynomials:
+        ``point_of_coords`` of the coordinate variables."""
+        return self.point_of_coords(
+            [MultiPoly.variable(self.variables, i) for i in range(self.basis.dim)]
+        )
 
     def pairing_matrix(self) -> la.Matrix:
         """Pairing of the algebra basis against the mirrored dual basis.

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals (and other exact rings).
 
 Matrices are plain lists of lists.  Generic routines (multiplication,
-determinant, adjugate, Pfaffian-free helpers) work for any entries that
-support ring arithmetic, including MultiPoly; division-based routines
-(RREF, kernel, inverse) require Fraction entries.  Multiplication of
-int/Fraction factors runs over integer numerators: each factor is
-brought to integer rows over one denominator, and each output entry is
-one Fraction; MultiPoly and float entries keep the entrywise loop, so
-float products are bit-identical to it.
+determinant, adjugate, the 2x2 block assembler ``block``) work for any
+entries that support ring arithmetic, including MultiPoly;
+division-based routines (RREF, kernel, inverse) require Fraction
+entries.  Multiplication of int/Fraction factors runs over integer
+numerators: each factor is brought to integer rows over one
+denominator, and each output entry is one Fraction; MultiPoly and float
+entries keep the entrywise loop, so float products are bit-identical to it.
 
 The sparse RREF is the workhorse behind rank certificates, such as the
 rank of the invariance equations: rows are dictionaries column ->
@@ -67,6 +67,14 @@ def mat_neg(a: Matrix) -> Matrix:
 
 def mat_scale(a: Matrix, s) -> Matrix:
     return [[x * s for x in row] for row in a]
+
+
+def block(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
+    """The block matrix (tl  tr; bl  br), generic over the entry ring."""
+    (r1, c1), (r2, c2), (r3, c3), (r4, c4) = map(shape, (tl, tr, bl, br))
+    if r1 != r2 or r3 != r4 or c1 != c3 or c2 != c4:
+        raise StructuralError("block sizes do not fit together")
+    return [r + s for r, s in zip(tl, tr)] + [r + s for r, s in zip(bl, br)]
 
 
 _EXACT_TYPES = {int, Fraction}

@@ -9,7 +9,10 @@ embedding induces,
 
 which is associative and makes the embedding a homomorphism; the adjoint
 and coadjoint formulas below are its derivatives and are verified against
-block-matrix conjugation in the test suite.
+block-matrix conjugation in the test suite.  The infinitesimal coadjoint
+action is written once, in ``ad_star_blocks``, over any entry ring: the
+numeric ``ad_star`` and the symbolic vector fields of ``invariants`` both
+apply it.
 
 Everything is exact on Fraction inputs, and the matrix products run over
 integer numerators (``linalg.mat_mul``).  A group element computes g^{-1}
@@ -32,7 +35,7 @@ from functools import cached_property
 from . import linalg as la
 from .errors import DomainError, StructuralError
 from .jsonio import required, square_matrix
-from .lie import ZERO, LieBasis
+from .lie import ZERO, DualCoordinates, LieBasis
 
 
 def _det(m):
@@ -174,16 +177,8 @@ def group_inverse(p: GroupElement) -> GroupElement:
 
 def embed_sp(p: GroupElement) -> la.Matrix:
     """The symplectic block matrix (g  x*gcheck; 0  gcheck)."""
-    n = p.n
     gc = p.gcheck
-    xgc = la.mat_mul(p.x, gc)
-    out = la.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = p.g[i][j]
-            out[i][n + j] = xgc[i][j]
-            out[n + i][n + j] = gc[i][j]
-    return out
+    return la.block(p.g, la.mat_mul(p.x, gc), la.zeros(p.n, p.n), gc)
 
 
 def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
@@ -209,22 +204,24 @@ def coadjoint(p: GroupElement, pt: DualPoint) -> DualPoint:
     return DualPoint(c_new, a_new)
 
 
+def ad_star_blocks(alpha: la.Matrix, beta: la.Matrix, c: la.Matrix, a: la.Matrix):
+    """The blocks of ad*_(beta, alpha)(c, a), generic over the entry ring.
+
+    Differentiating Ad* along the curves (t*beta, I) and (0, I + t*alpha)
+    gives (c, a) -> (-alpha^t c - c alpha, alpha a - a alpha + beta c).
+    """
+    c_dot = la.mat_neg(la.mat_add(la.mat_mul(la.transpose(alpha), c), la.mat_mul(c, alpha)))
+    a_dot = la.mat_add(la.mat_sub(la.mat_mul(alpha, a), la.mat_mul(a, alpha)), la.mat_mul(beta, c))
+    return c_dot, a_dot
+
+
 def ad_star(elt: LieElement, pt: DualPoint) -> DualPoint:
     """Derivative of the coadjoint action along the algebra element (b, a).
 
-    Differentiating Ad* along the curves (t*b, I) and (0, I + t*a) gives
-    (c, a) -> (-a^t c - c a_dir, a_dir a - a a_dir + b c); the pairing
-    duality <ad*_X p, Y> = -<p, [X, Y]> is asserted exactly in tests.
+    The blocks are ``ad_star_blocks``; the pairing duality
+    <ad*_X p, Y> = -<p, [X, Y]> is asserted exactly in tests.
     """
-    alpha, beta = elt.a, elt.b
-    c_dot = la.mat_neg(
-        la.mat_add(la.mat_mul(la.transpose(alpha), pt.c), la.mat_mul(pt.c, alpha))
-    )
-    a_dot = la.mat_add(
-        la.mat_sub(la.mat_mul(alpha, pt.a), la.mat_mul(pt.a, alpha)),
-        la.mat_mul(beta, pt.c),
-    )
-    return DualPoint(c_dot, a_dot)
+    return DualPoint(*ad_star_blocks(elt.a, elt.b, pt.c, pt.a))
 
 
 def pair_dual_algebra(pt: DualPoint, elt: LieElement) -> Fraction:
@@ -251,16 +248,9 @@ def orbit_dimension(pt: DualPoint, basis: LieBasis) -> int:
     """
     if pt.n != basis.n:
         raise StructuralError("point size does not match the basis")
-    rows = []
-    for i in range(basis.dim):
-        image = ad_star(basis_lie_element(basis, i), pt)
-        rows.append(
-            [
-                pair_dual_algebra(image, basis_lie_element(basis, j))
-                for j in range(basis.dim)
-            ]
-        )
-    return la.rational_rank(rows)
+    coords = DualCoordinates(basis)
+    images = (ad_star(basis_lie_element(basis, i), pt) for i in range(basis.dim))
+    return la.rational_rank([coords.coords_of_point(im.c, im.a) for im in images])
 
 
 def is_positive_definite(c: la.Matrix) -> bool:

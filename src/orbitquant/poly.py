@@ -139,9 +139,11 @@ class _FlatTerms:
     ``flat`` maps each key to a nonzero integer numerator over the positive
     ``den``, in lowest terms, so equal elements have equal layouts.  A
     subclass names the slot of the context its operands share
-    (``_context_slot``) and the refusal of a foreign operand (``_mismatch``,
-    formatted with both contexts); ``_operand`` may coerce an operand, or
-    return NotImplemented to decline it.
+    (``_context_slot``) and the refusal of an operand of the same type from
+    another context (``_mismatch``, formatted with both contexts); an
+    operand of another type is refused by a message naming both types.
+    ``_operand`` may coerce an operand, or return NotImplemented to
+    decline it.
     """
 
     __slots__ = ("flat", "den")
@@ -172,9 +174,11 @@ class _FlatTerms:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check_context(self, other):
-        if not isinstance(other, type(self)) or other._context != self._context:
-            theirs = getattr(other, "_context", None)
-            raise StructuralError(self._mismatch.format(self._context, theirs))
+        if not isinstance(other, type(self)):
+            mine, theirs = type(self).__name__, type(other).__name__
+            raise StructuralError(f"cannot combine {mine} with {theirs}")
+        if other._context != self._context:
+            raise StructuralError(self._mismatch.format(self._context, other._context))
 
     def _operand(self, other):
         """``other`` as an operand of ``+``, ``-`` and ``==``: as it is."""

@@ -437,6 +437,10 @@ def test_entry_point_runs():
         (("adjoint", "--input", "-"), "adjoint_n3.json"),
         (("coadjoint", "--input", "-"), "coadjoint_n3.json"),
         (("normal-form", "--input", "-"), "normal_form_n3.json"),
+        # the basis elements through algebra_block, the pairing through dual_block
+        (("basis", "--n", "2"), "basis_n2.json"),
+        # two exact trace invariants and the float Pfaffian invariant at n = 4
+        (("invariants", "--input", "-"), "invariants_n4.json"),
     ],
 )
 def test_golden_outputs(capsys, monkeypatch, tmp_path, argv, golden):
@@ -455,6 +459,7 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path, argv, golden):
         "adjoint_n3.json": orbits_n3,
         "coadjoint_n3.json": orbits_n3,
         "normal_form_n3.json": orbits_n3,
+        "invariants_n4.json": lambda: (folder / "invariants_n4_input.json").read_text(),
     }
     if "--input" in argv:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin[golden]()))

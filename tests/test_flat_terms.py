@@ -165,6 +165,22 @@ def test_containers_refuse_foreign_operands():
     with pytest.raises(StructuralError) as refused:
         p + MultiPoly.variable(elsewhere, 0)
     assert str(refused.value) == f"variable lists differ: {VARIABLES} vs {elsewhere}"
+    # an operand of another type is named as such, not as another context
+    for x, y, message in [
+        (q, p, "cannot combine QuotientElement with MultiPoly"),
+        (u, p, "cannot combine NCPoly with MultiPoly"),
+        (u, 1, "cannot combine NCPoly with int"),
+        (u, q, "cannot combine NCPoly with QuotientElement"),
+    ]:
+        with pytest.raises(StructuralError) as refused:
+            x + y
+        assert str(refused.value) == message
+    with pytest.raises(StructuralError) as refused:
+        u + NCPoly.letter(other, 0)
+    assert str(refused.value) == "operands from different algebra contexts"
+    with pytest.raises(StructuralError) as refused:
+        q + QuotientElement(elsewhere, {(0,) * 7: 1})
+    assert str(refused.value) == "quotient elements over different variables"
     # a MultiPoly coerces exact scalars only and declines other containers
     for y in (u, q):
         with pytest.raises(TypeError):

@@ -297,10 +297,11 @@ def test_orbit_ideal_from_normal_form():
 # -------------------------------------------------------------- certificate
 
 
-def test_vector_fields_match_poisson_bracket():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vector_fields_match_poisson_bracket(n):
     # the infinitesimal action on a linear coordinate is minus its Poisson
     # bracket: x_j(ad*_{X_i} p) = -<p, [X_i, X_j]> = -{x_i, x_j}(p)
-    basis, sc = build_lie_basis(2)
+    basis, sc = build_lie_basis(n)
     coords = DualCoordinates(basis)
     fields = coadjoint_vector_fields(coords)
     for i in range(basis.dim):
