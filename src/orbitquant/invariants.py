@@ -9,16 +9,26 @@ polynomial semiinvariants
     h_i = tr(T^(2i)),   T = c a adj(c) - det(c) a^t,
 
 of weight -4i.  For even n there is additionally a Pfaffian semiinvariant
-P = Pf((a adj(c) - adj(c) a^t) / 2) of weight 1 - n, whose square joins
-the trace family in cutting out regular orbits:
+P = Pf(K), K = (a adj(c) - adj(c) a^t) / 2, of weight 1 - n, whose
+square joins the trace family in cutting out regular orbits:
 
     trace type:    p_i = h_i - alpha_i det(c)^(2i)
     Pfaffian type: p_k = P^2 - alpha_k det(c)^(2k-1)
 
-with alpha constants read off the orbit's normal form.  T and the skew
-matrix K of P are built by one helper, ``cleared_matrices``, over any
-entry ring: the symbolic family and the values at a point both call it.
-A degree-bounded certificate that invariant polynomials are constant is
+with alpha constants read off the orbit's normal form.  Neither T nor K
+is formed for h_1 or P.  Both come from the skew matrix
+N = c a - (c a)^t, whose entries have degree 2 where T's have degree
+n + 1, through three polynomial identities (c symmetric, n = 2k):
+
+    T   = N adj(c)                                         (c adj(c) = det(c) I)
+    h_1 = 2 det(c) (det(c) tr(a^2) - tr((c a) (adj(c) a^t)))
+    P   = det(c)^(k-1) Pf(N) / 2^k                (Pf(B M B^t) = det(B) Pf(M))
+
+``skew_numerator`` gives N, ``trace_square_semiinvariant`` h_1,
+``pfaffian_semiinvariant`` P and ``cleared_trace_matrix`` T, each once
+over any entry ring: the symbolic family and the values at a point call
+the same helpers, and T is formed only for h_i with i >= 2.  A
+degree-bounded certificate that invariant polynomials are constant is
 obtained from the exact kernel of the infinitesimal action on each
 graded piece, whose vector fields apply the numeric ad* formula
 (``orbits.ad_star_blocks``) to symbolic entries.
@@ -112,21 +122,67 @@ def pfaffian_invariant(pt: DualPoint) -> float:
     return value
 
 
-def cleared_matrices(c: la.Matrix, a: la.Matrix) -> tuple[la.Matrix, la.Matrix]:
-    """(T, K) for the blocks (c, a), generic over the entry ring.
+def skew_numerator(c: la.Matrix, a: la.Matrix) -> la.Matrix:
+    """N = c a - (c a)^t for the blocks (c, a), generic over the entry ring.
 
-    T = c a adj(c) - det(c) a^t, which equals det(c) (c a c^-1 - a^t),
-    and K = (a adj(c) - (a adj(c))^t) / 2, the skew matrix of the
-    Pfaffian semiinvariant.
+    For symmetric c, (c a)^t = a^t c, so N = (c a c^-1 - a^t) c: the skew
+    numerator of S = c a c^-1 - a^t = N c^-1.  Its entries have degree 2.
     """
-    aadj = la.mat_mul(a, la.adjugate(c))
-    t = la.mat_sub(la.mat_mul(c, aadj), la.mat_scale(la.transpose(a), la.det(c)))
-    return t, la.mat_scale(la.mat_sub(aadj, la.transpose(aadj)), Fraction(1, 2))
+    ca = la.mat_mul(c, a)
+    return la.mat_sub(ca, la.transpose(ca))
+
+
+def cleared_trace_matrix(c: la.Matrix, a: la.Matrix, adj_c: la.Matrix) -> la.Matrix:
+    """T = N adj(c), which is c a adj(c) - det(c) a^t since c adj(c) = det(c) I."""
+    return la.mat_mul(skew_numerator(c, a), adj_c)
+
+
+def _trace_of_product(x: la.Matrix, y: la.Matrix):
+    """tr(x y) = sum_rs x_rs y_sr, generic over the entry ring; polynomial
+    entries are summed in one ``sum_of_products`` call."""
+    pairs = [(x[r][s], y[s][r]) for r in range(len(x)) for s in range(len(y))]
+    if isinstance(pairs[0][0], MultiPoly):
+        return sum_of_products(pairs[0][0].variables, pairs)
+    return sum(u * v for u, v in pairs)
+
+
+def trace_square_semiinvariant(c: la.Matrix, a: la.Matrix, adj_c: la.Matrix, det_c):
+    """h_1 = tr(T^2) without forming T, generic over the entry ring.
+
+    With X = c a adj(c), T = X - det(c) a^t, and adj(c) c = det(c) I gives
+    X^2 = det(c) c a^2 adj(c), so tr(X^2) = det(c)^2 tr(a^2).  Expanding
+    tr(T^2) = tr(X^2) - 2 det(c) tr(X a^t) + det(c)^2 tr(a^2), with
+    tr(X a^t) = tr((c a) (adj(c) a^t)):
+
+        h_1 = 2 det(c) (det(c) tr(a^2) - tr((c a) (adj(c) a^t))).
+    """
+    cross = _trace_of_product(la.mat_mul(c, a), la.mat_mul(adj_c, la.transpose(a)))
+    return (det_c + det_c) * (det_c * _trace_of_product(a, a) - cross)
+
+
+def pfaffian_semiinvariant(c: la.Matrix, a: la.Matrix, det_c):
+    """P = Pf(K), K = (a adj(c) - (a adj(c))^t) / 2, without forming K.
+
+    For symmetric c, a adj(c) - adj(c) a^t = det(c) c^-1 N c^-1, so
+    K = (det(c)/2) c^-1 N c^-1, and Pf(B M B^t) = det(B) Pf(M) with
+    B = c^-1 gives, for n = 2k,
+
+        P = det(c)^(k-1) Pf(N) / 2^k,
+
+    a polynomial identity, so it holds at singular c too.  Generic over
+    the entry ring.
+    """
+    k = len(c) // 2
+    return det_c ** (k - 1) * pfaffian(skew_numerator(c, a)) * Fraction(1, 2**k)
 
 
 def trace_semiinvariant_value(i: int, pt: DualPoint) -> Fraction:
-    """h_i(pt) = tr(T^(2i)) by direct matrix arithmetic (fast path)."""
-    t, _ = cleared_matrices(pt.c, pt.a)
+    """h_i(pt) = tr(T^(2i)) by direct matrix arithmetic (fast path):
+    ``trace_square_semiinvariant`` for i = 1, powers of T = N adj(c) beyond."""
+    adj_c = la.adjugate(pt.c)
+    if i == 1:
+        return trace_square_semiinvariant(pt.c, pt.a, adj_c, la.det(pt.c))
+    t = cleared_trace_matrix(pt.c, pt.a, adj_c)
     power = la.identity(pt.n)
     for _ in range(2 * i):
         power = la.mat_mul(power, t)
@@ -134,8 +190,8 @@ def trace_semiinvariant_value(i: int, pt: DualPoint) -> Fraction:
 
 
 def pfaffian_semiinvariant_value(pt: DualPoint) -> Fraction:
-    """P(pt) = Pf((a adj(c) - adj(c) a^t) / 2) by direct arithmetic."""
-    return pfaffian(cleared_matrices(pt.c, pt.a)[1])
+    """P(pt) = Pf((a adj(c) - adj(c) a^t) / 2), by ``pfaffian_semiinvariant``."""
+    return pfaffian_semiinvariant(pt.c, pt.a, la.det(pt.c))
 
 
 @dataclass(frozen=True)
@@ -197,29 +253,33 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
     semiinvariance law; the Pfaffian generator's weight 1 - n follows
     from Pf(g K g^t) = det(g) Pf(K) and is measured empirically by the
     verification suite rather than assumed.
+
+    Every generator is built from (c, a, adj(c), det(c)) without forming
+    K: h_1 by ``trace_square_semiinvariant`` and P by
+    ``pfaffian_semiinvariant``.  Only h_i for i >= 2 (n >= 5) forms
+    T = N adj(c) and its even power traces.
     """
     if n < 2:
         raise StructuralError("semiinvariants need n >= 2")
     if coords is None:
         basis, _ = build_lie_basis(n)
         coords = DualCoordinates(basis)
-    c_mat, a_mat = coords.entry_polynomials()
-    t_mat, skew = cleared_matrices(c_mat, a_mat)
-    det_c = la.det(c_mat)
+    c_mat, a_mat, adj_c, det_c = symbolic_dual_matrices(coords)
     k = n // 2
 
-    generators: list[MultiPoly] = []
-    kinds: list[str] = []
-    weights: list[int] = []
     trace_count = k if n % 2 == 1 else k - 1
-    for i in range(1, trace_count + 1):
-        generators.append(trace_of_even_power(coords.variables, t_mat, i))
-        kinds.append("trace")
-        weights.append(-4 * i)
+    generators: list[MultiPoly] = []
+    if trace_count:
+        generators.append(trace_square_semiinvariant(c_mat, a_mat, adj_c, det_c))
+    if trace_count > 1:
+        t_mat = cleared_trace_matrix(c_mat, a_mat, adj_c)
+        generators += [trace_of_even_power(coords.variables, t_mat, i) for i in range(2, trace_count + 1)]
+    kinds = ["trace"] * trace_count
+    weights = [-4 * i for i in range(1, trace_count + 1)]
 
     composite = None
     if n % 2 == 0:
-        p_poly = pfaffian(skew)
+        p_poly = pfaffian_semiinvariant(c_mat, a_mat, det_c)
         generators.append(p_poly)
         kinds.append("pfaffian")
         weights.append(1 - n)

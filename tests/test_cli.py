@@ -413,11 +413,12 @@ def test_verify_injected_failure_exit_code(capsys):
     assert failing and "residuals" in failing[0]["details"]
 
 
-def test_entry_point_runs():
+def test_entry_point_runs(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "orbitquant.cli", "no-invariants", "--n", "2", "--deg", "1"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["only_constants"] is True

@@ -3,7 +3,6 @@ and exact work does not load the float or worker-pool libraries."""
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,16 +96,12 @@ report()
 """
 
 
-def test_import_and_exact_cli_run_do_not_load_numpy_or_scipy():
+def test_import_and_exact_cli_run_do_not_load_numpy_or_scipy(src_env):
     # numpy and scipy serve only the float normal form, and multiprocessing
     # and concurrent.futures only the verify battery's workers; they load on
     # first use
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     result = subprocess.run(
-        [sys.executable, "-c", FLOAT_LIBRARY_PROBE], capture_output=True, text=True, env=env
+        [sys.executable, "-c", FLOAT_LIBRARY_PROBE], capture_output=True, text=True, env=src_env
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["n"] == 1

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from orbitquant import invariants
 from orbitquant import linalg as la
 from orbitquant.errors import DomainError
 from orbitquant.invariants import (
     symbolic_dual_matrices,
+    cleared_trace_matrix,
     coadjoint_vector_fields,
     invariant_trace_power,
     measure_weight,
@@ -17,12 +19,14 @@ from orbitquant.invariants import (
     orbit_ideal,
     orbit_ideal_from_normal_form,
     pfaffian,
+    pfaffian_semiinvariant,
     pfaffian_semiinvariant_value,
     regular_lambdas,
     regularity_check,
     semiinvariant_family,
     trace_of_even_power,
     trace_semiinvariant_value,
+    trace_square_semiinvariant,
     verify_semiinvariance,
 )
 from orbitquant.lie import DualCoordinates, build_lie_basis, lie_poisson_bracket
@@ -38,6 +42,15 @@ from orbitquant.sampling import (
 
 def F(x):
     return Fraction(x)
+
+
+def defined_cleared_matrices(c, a):
+    """T = c a adj(c) - det(c) a^t and K = (a adj(c) - (a adj(c))^t) / 2,
+    formed as defined, over any entry ring: the oracles of the family's
+    h_1 = tr(T^2) and P = Pf(K)."""
+    aadj = la.mat_mul(a, la.adjugate(c))
+    t = la.mat_sub(la.mat_mul(c, aadj), la.mat_scale(la.transpose(a), la.det(c)))
+    return t, la.mat_scale(la.mat_sub(aadj, la.transpose(aadj)), Fraction(1, 2))
 
 
 # ---------------------------------------------------------------- pfaffian
@@ -119,7 +132,7 @@ def test_denominator_cleared_identity():
     # tr(T^(2i)) = det(c)^(2i) tr(S^(2i)) with S = c a c^-1 - a^t, checked
     # exactly at random invertible rational points
     rng = random.Random(33)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(20):
             pt = random_gplus_point(n, rng)
             d = la.det(pt.c)
@@ -169,11 +182,68 @@ def test_polynomial_matches_matrix_evaluation():
     rng = random.Random(34)
     fam3 = semiinvariant_family(3)
     fam2 = semiinvariant_family(2)
+    fam4 = semiinvariant_family(4)
     for _ in range(10):
         pt3 = random_gplus_point(3, rng)
         assert fam3.evaluate(0, pt3) == trace_semiinvariant_value(1, pt3)
         pt2 = random_gplus_point(2, rng)
         assert fam2.evaluate(0, pt2) == pfaffian_semiinvariant_value(pt2)
+        pt4 = random_gplus_point(4, rng)
+        assert fam4.evaluate(0, pt4) == trace_semiinvariant_value(1, pt4)
+        assert fam4.evaluate(1, pt4) == pfaffian_semiinvariant_value(pt4)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_family_pfaffian_equals_pf_of_the_defined_skew_matrix(n):
+    # the family builds P as det(c)^(k-1) Pf(N) / 2^k; here K is formed
+    # symbolically from its definition
+    family = semiinvariant_family(n)
+    _, skew = defined_cleared_matrices(*family.coords.entry_polynomials())
+    assert family.generators[family.kinds.index("pfaffian")] == pfaffian(skew)
+
+
+def random_singular_symmetric(n, rng):
+    """A symmetric matrix of rank n - 1, the sum of v v^t over n - 1 random
+    rational vectors v: singular, with an adjugate of rank 1."""
+    while True:
+        vs = [[random_fraction(rng) for _ in range(n)] for _ in range(n - 1)]
+        c = [[sum(v[r] * v[s] for v in vs) for s in range(n)] for r in range(n)]
+        if la.rational_rank(c) == n - 1:
+            return c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ring_generic_helpers_match_the_definitions_on_numbers(n):
+    # 20 G+ points, then singular c: the identities behind h_1, P and
+    # T = N adj(c) are polynomial, so they hold at det(c) = 0 as well
+    rng = random.Random(37)
+    blocks = [(pt.c, pt.a) for pt in (random_gplus_point(n, rng) for _ in range(20))]
+    blocks += [
+        (random_singular_symmetric(n, rng), [[random_fraction(rng) for _ in range(n)] for _ in range(n)])
+        for _ in range(5)
+    ]
+    for c, a in blocks:
+        t, skew = defined_cleared_matrices(c, a)
+        adj_c, det_c = la.adjugate(c), la.det(c)
+        assert cleared_trace_matrix(c, a, adj_c) == t
+        assert trace_square_semiinvariant(c, a, adj_c, det_c) == la.trace(la.mat_mul(t, t))
+        if n % 2 == 0:
+            assert pfaffian_semiinvariant(c, a, det_c) == pfaffian(skew)
+
+
+def test_family_up_to_n4_forms_no_power_of_t(monkeypatch):
+    # h_1 and P come from N, adj(c) and det(c): for n <= 4 no T is formed
+    # and no trace of its powers is taken
+    def refuse(*args):
+        raise AssertionError("T was formed")
+
+    monkeypatch.setattr(invariants, "trace_of_even_power", refuse)
+    monkeypatch.setattr(invariants, "cleared_trace_matrix", refuse)
+    for n in (2, 3, 4):
+        assert len(semiinvariant_family(n).generators) == n // 2
+    # the patch bites where T is needed: h_2 at a point
+    with pytest.raises(AssertionError, match="T was formed"):
+        trace_semiinvariant_value(2, random_gplus_point(4, random.Random(38)))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +24,6 @@ from orbitquant.hpoly import HPoly
 from orbitquant.ncpoly import NCPoly
 from orbitquant.orbits import GroupElement
 from orbitquant.quantize import OrbitQuantization
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def spurious_invariant(honest):
@@ -168,16 +165,12 @@ print("returned", report["overall"])
 @pytest.mark.parametrize(
     "fault, error", [("raise", "ValueError: planted fault"), ("exit", "BrokenProcessPool")]
 )
-def test_a_failing_worker_fails_the_run(fault, error):
+def test_a_failing_worker_fails_the_run(fault, error, src_env):
     # in a child interpreter: a worker's os._exit must not take the test run
     # with it, and the timeout bounds a hang
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     result = subprocess.run(
         [sys.executable, "-c", FAULTY_RUN, fault],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env, timeout=120,
     )
     assert result.returncode == 1
     assert "returned" not in result.stdout
