@@ -201,7 +201,7 @@ class SemiinvariantFamily:
     ``generators[m]`` transforms under the coadjoint action of (x, g) by
     the exact factor det(g)**weights[m].  ``kinds`` marks each generator
     as "trace" (h_i) or "pfaffian" (P); ``composite_even`` stores, for
-    even n, the determinant-cleared square det(c) * P**2 whose weight
+    n = 2, the determinant-cleared square det(c) * P**2 whose weight
     matches the -4m law of the trace family.
     """
 
@@ -213,10 +213,6 @@ class SemiinvariantFamily:
     weights: tuple[int, ...]
     det_poly: MultiPoly
     composite_even: MultiPoly | None = None
-
-    def evaluate(self, m: int, pt: DualPoint) -> Fraction:
-        vec = self.coords.coords_of_point(pt.c, pt.a)
-        return self.generators[m].evaluate(vec)
 
 
 def symbolic_dual_matrices(coords: DualCoordinates):
@@ -251,8 +247,8 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
     Odd n: trace generators h_1 .. h_k.  Even n: h_1 .. h_(k-1) plus the
     Pfaffian generator P.  Weights of the trace type are -4i by the
     semiinvariance law; the Pfaffian generator's weight 1 - n follows
-    from Pf(g K g^t) = det(g) Pf(K) and is measured empirically by the
-    verification suite rather than assumed.
+    from Pf(g K g^t) = det(g) Pf(K).  The verification suite checks every
+    generator's exact law at these stated weights.
 
     Every generator is built from (c, a, adj(c), det(c)) without forming
     K: h_1 by ``trace_square_semiinvariant`` and P by
@@ -298,62 +294,6 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
         det_poly=det_c,
         composite_even=composite,
     )
-
-
-def measure_weight(family: SemiinvariantFamily, m: int, rng: random.Random, samples: int = 6) -> int:
-    """Empirically determine the det(g)-exponent of generator m.
-
-    Uses group elements with determinant pinned to 2 to solve for the
-    exponent, then verifies the law on further samples with arbitrary
-    rational determinants.  Raises CertificationError when the values do
-    not follow a power law.
-    """
-    from .errors import CertificationError
-    from .sampling import random_gplus_point, random_group_element
-
-    n = family.n
-    poly = family.generators[m]
-    exponent: int | None = None
-    for _ in range(samples):
-        pt = random_gplus_point(n, rng)
-        vec = family.coords.coords_of_point(pt.c, pt.a)
-        base = poly.evaluate(vec)
-        if base == 0:
-            continue
-        elt = random_group_element(n, rng, det_numerator=2)
-        from .orbits import coadjoint
-
-        moved = coadjoint(elt, pt)
-        mvec = family.coords.coords_of_point(moved.c, moved.a)
-        ratio = poly.evaluate(mvec) / base
-        w = _integer_log(ratio, Fraction(2))
-        if w is None:
-            raise CertificationError(
-                f"generator {m} is not semiinvariant: ratio {ratio} is not a power of det"
-            )
-        if exponent is None:
-            exponent = w
-        elif exponent != w:
-            raise CertificationError(
-                f"generator {m} has unstable weight: {exponent} vs {w}"
-            )
-    if exponent is None:
-        raise CertificationError("could not find a nonvanishing sample point")
-    return exponent
-
-
-def _integer_log(value: Fraction, base: Fraction) -> int | None:
-    if value <= 0:
-        return None
-    w = 0
-    v = value
-    while v > 1:
-        v /= base
-        w += 1
-    while v < 1:
-        v *= base
-        w -= 1
-    return w if v == 1 else None
 
 
 def verify_semiinvariance(

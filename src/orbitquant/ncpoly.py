@@ -435,9 +435,6 @@ class NCPoly(_HTerms):
         self._check_context(other)
         return self._new(self.algebra._product(self.flat, other.flat), self.den * other.den)
 
-    def commutator(self, other: "NCPoly") -> "NCPoly":
-        return self * other - other * self
-
     def commutator_with_letter(self, e: int) -> "NCPoly":
         """[X_e, self] via the derivation expansion (exact, fast)."""
         algebra = self.algebra

@@ -17,6 +17,8 @@ support, and the star product f * g = phi^-1(reduce(phi(f) phi(g))),
 with phi the ordered-monomial identification.  No reduction table is
 built, so this reaches n = 3 as well as n = 2; n >= 4 has two generators
 and is refused.  Everything is exact; each premise of the division is checked.
+The module holds the engine only: the checks of the deformation axioms
+and of h-torsion that run it are criteria of ``verify``.
 
 The star product runs on one flat layout from start to finish: the
 operands' terms are lifted straight to integer numerators keyed by
@@ -40,7 +42,6 @@ only its input checks and conversions to the shared ``ncpoly._HTerms``.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
@@ -64,7 +65,6 @@ from .ncpoly import (
     symmetrize,
     unpack_word,
     word_length,
-    word_of_exponent,
 )
 from .poly import (
     GREVLEX,
@@ -505,144 +505,3 @@ def _substitute(kept: dict, den: int, divided) -> tuple[dict, int]:
         for (u, p2), d in terms.items():
             out[u, p + p2] = out.get((u, p + p2), 0) + c * d
     return out, den * scale
-
-
-# ---------------------------------------------------------------- checks
-
-
-def check_deformation_axioms(
-    engine: OrbitQuantization,
-    rng: random.Random,
-    monomial_degree: int = 2,
-    random_pairs: int = 50,
-    triples: int = 20,
-) -> dict:
-    """Executable form of the deformation axioms on sampled pairs.
-
-    (a) module freeness: the quotient-basis rank certificate;
-    (b) the product reduces mod h to the commutative product;
-    (c) the star commutator's first-order term is the Poisson bracket;
-    plus associativity on sampled triples.  Status is collected per axiom
-    with a witness for any failure.
-    """
-    from .sampling import random_polynomial
-
-    report: dict[str, dict] = {}
-    report["module_freeness"] = dict(engine.basis_report())
-
-    pair_degree = min(monomial_degree, engine.deg_cap // 2)
-    triple_degree = max(1, engine.deg_cap // 3)
-    monos = standard_monomials(engine.groebner, max_degree=pair_degree)
-    triple_monos = standard_monomials(engine.groebner, max_degree=triple_degree)
-    variables = engine.variables
-
-    pairs: list[tuple[MultiPoly, MultiPoly]] = []
-    for e1 in monos:
-        for e2 in monos:
-            pairs.append(
-                (MultiPoly.monomial(variables, e1), MultiPoly.monomial(variables, e2))
-            )
-    for _ in range(random_pairs):
-        pairs.append(
-            (
-                random_polynomial(variables, rng, monos),
-                random_polynomial(variables, rng, monos),
-            )
-        )
-
-    mod_h_failures = []
-    first_order_failures = []
-    for f, g in pairs:
-        star_fg = engine.star(f, g)
-        classical = divide(f * g, engine.groebner)
-        if star_fg.h_coefficient(0) != classical:
-            mod_h_failures.append((f.to_records(), g.to_records()))
-            continue
-        star_gf = engine.star(g, f)
-        commutator = star_fg - star_gf
-        bracket = engine.poisson_reduced(f, g)
-        delta = commutator - bracket.shift_h(1)
-        if not delta.divisible_by_h_power(2):
-            first_order_failures.append((f.to_records(), g.to_records()))
-    report["reduces_mod_h"] = {
-        "pairs": len(pairs),
-        "failures": len(mod_h_failures),
-        "witness": mod_h_failures[:1],
-        "passed": not mod_h_failures,
-    }
-    report["first_order_poisson"] = {
-        "pairs": len(pairs),
-        "failures": len(first_order_failures),
-        "witness": first_order_failures[:1],
-        "passed": not first_order_failures,
-    }
-
-    assoc_failures = 0
-    for _ in range(triples):
-        f, g, w = (
-            random_polynomial(variables, rng, triple_monos, max_terms=3)
-            for _ in range(3)
-        )
-        left = engine.star(engine.star(f, g), w)
-        right = engine.star(f, engine.star(g, w))
-        if left != right:
-            assoc_failures += 1
-    report["associativity"] = {
-        "triples": triples,
-        "failures": assoc_failures,
-        "passed": assoc_failures == 0,
-    }
-
-    unit = MultiPoly.constant(variables, 1)
-    sample = random_polynomial(variables, rng, monos)
-    report["unit"] = {
-        "passed": engine.star(unit, sample)
-        == QuotientElement.from_multipoly(divide(sample, engine.groebner))
-    }
-
-    report["passed"] = all(
-        entry.get("passed", entry.get("independent_and_spanning", False))
-        for entry in report.values()
-        if isinstance(entry, dict)
-    )
-    return report
-
-
-def torsion_check(
-    engine: OrbitQuantization,
-    rng: random.Random,
-    samples: int = 50,
-    max_degree: int | None = None,
-) -> dict:
-    """reduce(h*u) = h*reduce(u) on random elements: no h-torsion."""
-    cap = engine.deg_cap - 1 if max_degree is None else max_degree
-    dim = engine.basis.dim
-    monos = monomials_up_to_degree(dim, cap)
-    failures = 0
-    for index in range(samples):
-        terms: dict[Word, HPoly] = {}
-        for _ in range(rng.randint(1, 4)):
-            exp = rng.choice(monos)
-            room = cap - sum(exp)
-            coeffs = [
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(rng.randint(1, room + 1))
-            ]
-            word = word_of_exponent(exp)
-            prev = terms.get(word, HPoly.zero())
-            terms[word] = prev + HPoly(tuple(coeffs))
-        u = NCPoly(engine.algebra, {w: c for w, c in terms.items() if not c.is_zero()})
-        if engine.reduce(u.shift_h(1)) != engine.reduce(u).shift_h(1):
-            failures += 1
-    # h^k g for every k that keeps it inside the cap
-    generator_checks = all(
-        engine.reduce(sym_gen.shift_h(k)).is_zero()
-        for sym_gen in engine.sym_generators
-        for k in range(engine.deg_cap - sym_gen.degree() + 1)
-    )
-    return {
-        "samples": samples,
-        "failures": failures,
-        "generators_reduce_to_zero": generator_checks,
-        "passed": failures == 0 and generator_checks,
-    }

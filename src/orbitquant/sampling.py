@@ -29,13 +29,12 @@ def random_sym_matrix(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> 
     return m
 
 
-def random_glplus(n: int, rng: random.Random, det_numerator: int | None = None) -> la.Matrix:
+def random_glplus(n: int, rng: random.Random) -> la.Matrix:
     """Random element of GL+(n) as L*U with controlled determinant.
 
     L is unit lower triangular, U upper triangular with positive diagonal;
-    the determinant is the diagonal product, exactly.  Passing
-    ``det_numerator`` pins the determinant to that positive integer, which
-    weight-measuring checks use to solve for character exponents.
+    the determinant is the diagonal product, exactly: one of 1, 2, 3, 1/2
+    and 3/2.
     """
     L = la.identity(n)
     U = la.zeros(n, n)
@@ -45,15 +44,12 @@ def random_glplus(n: int, rng: random.Random, det_numerator: int | None = None) 
             U[i][j] = random_fraction(rng, -2, 2)
     for i in range(n):
         U[i][i] = Fraction(1)
-    if det_numerator is None:
-        U[0][0] = Fraction(rng.randint(1, 3), rng.choice([1, 1, 2]))
-    else:
-        U[0][0] = Fraction(det_numerator)
+    U[0][0] = Fraction(rng.randint(1, 3), rng.choice([1, 1, 2]))
     return la.mat_mul(L, U)
 
 
-def random_group_element(n: int, rng: random.Random, det_numerator: int | None = None) -> GroupElement:
-    return GroupElement(random_sym_matrix(n, rng, -2, 2), random_glplus(n, rng, det_numerator))
+def random_group_element(n: int, rng: random.Random) -> GroupElement:
+    return GroupElement(random_sym_matrix(n, rng, -2, 2), random_glplus(n, rng))
 
 
 def random_gplus_point(n: int, rng: random.Random) -> DualPoint:

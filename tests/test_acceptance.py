@@ -71,13 +71,13 @@ def test_criterion_04_orbit_dimension(battery):
 
 
 def test_criterion_05_semiinvariance(battery):
-    # each law is checked on SAMPLES points; the entry does not report the count
+    # each law at the family's stated weight, on SAMPLES points
     accept(battery, "semiinvariant_weights", 60, {
         "n=2": [
-            {"kind": "pfaffian", "measured_weight": -1, "exact_law": True},
-            {"kind": "det-cleared square", "weight": -4, "exact_law": True},
+            {"kind": "pfaffian", "weight": -1, "samples": SAMPLES, "exact_law": True},
+            {"kind": "det-cleared square", "weight": -4, "samples": SAMPLES, "exact_law": True},
         ],
-        "n=3": [{"kind": "trace", "weight": -4, "exact_law": True}],
+        "n=3": [{"kind": "trace", "weight": -4, "samples": SAMPLES, "exact_law": True}],
     })
 
 

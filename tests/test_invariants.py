@@ -13,7 +13,6 @@ from orbitquant.invariants import (
     cleared_trace_matrix,
     coadjoint_vector_fields,
     invariant_trace_power,
-    measure_weight,
     membership_residual,
     no_invariants_certificate,
     orbit_ideal,
@@ -159,13 +158,18 @@ def test_family_shapes():
     assert fam4.kinds == ("trace", "pfaffian")
 
 
+def generator_value(fam, m, pt):
+    """The family's generator m at the dual point pt."""
+    return fam.generators[m].evaluate(fam.coords.coords_of_point(pt.c, pt.a))
+
+
 def test_pfaffian_generator_at_reference_point():
     # n = 2 at (I, (0 1; -1 0)): adjugate of I is I, the skew part is H
     # itself, so P evaluates to Pf(H) = 1
     fam = semiinvariant_family(2)
     H = lambda_block_matrix(2, [F(1)])
     pt = DualPoint(la.identity(2), H)
-    assert fam.evaluate(0, pt) == 1
+    assert generator_value(fam, 0, pt) == 1
     assert pfaffian_semiinvariant_value(pt) == 1
 
 
@@ -175,7 +179,7 @@ def test_trace_generator_at_reference_point():
     for lam in (F(1), F(2), Fraction(1, 2)):
         H = lambda_block_matrix(3, [lam])
         pt = DualPoint(la.identity(3), H)
-        assert fam.evaluate(0, pt) == -8 * lam * lam
+        assert generator_value(fam, 0, pt) == -8 * lam * lam
 
 
 def test_polynomial_matches_matrix_evaluation():
@@ -185,12 +189,12 @@ def test_polynomial_matches_matrix_evaluation():
     fam4 = semiinvariant_family(4)
     for _ in range(10):
         pt3 = random_gplus_point(3, rng)
-        assert fam3.evaluate(0, pt3) == trace_semiinvariant_value(1, pt3)
+        assert generator_value(fam3, 0, pt3) == trace_semiinvariant_value(1, pt3)
         pt2 = random_gplus_point(2, rng)
-        assert fam2.evaluate(0, pt2) == pfaffian_semiinvariant_value(pt2)
+        assert generator_value(fam2, 0, pt2) == pfaffian_semiinvariant_value(pt2)
         pt4 = random_gplus_point(4, rng)
-        assert fam4.evaluate(0, pt4) == trace_semiinvariant_value(1, pt4)
-        assert fam4.evaluate(1, pt4) == pfaffian_semiinvariant_value(pt4)
+        assert generator_value(fam4, 0, pt4) == trace_semiinvariant_value(1, pt4)
+        assert generator_value(fam4, 1, pt4) == pfaffian_semiinvariant_value(pt4)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -248,14 +252,14 @@ def test_family_up_to_n4_forms_no_power_of_t(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_semiinvariant_weights_exact(n):
+    # each law holds at the stated weight and fails one off it on either side
     rng = random.Random(35)
     fam = semiinvariant_family(n)
-    for m, kind in enumerate(fam.kinds):
-        measured = measure_weight(fam, m, rng)
-        assert measured == fam.weights[m]
-        assert verify_semiinvariance(fam, fam.generators[m], measured, rng, samples=20)
-        if kind == "trace":
-            assert measured == -4 * (m + 1)
+    assert fam.weights == {2: (-1,), 3: (-4,)}[n]
+    for poly, weight in zip(fam.generators, fam.weights):
+        assert verify_semiinvariance(fam, poly, weight, rng, samples=20)
+        for off in (weight - 1, weight + 1):
+            assert not verify_semiinvariance(fam, poly, off, rng, samples=20)
 
 
 def test_even_composite_weight_is_minus_four():

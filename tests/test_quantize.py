@@ -12,12 +12,8 @@ from orbitquant.hpoly import HPoly
 from orbitquant.lie import lie_poisson_bracket
 from orbitquant.ncpoly import NCPoly, exponent_of_word, word_of_exponent
 from orbitquant.poly import MultiPoly
-from orbitquant.quantize import (
-    OrbitQuantization,
-    QuotientElement,
-    check_deformation_axioms,
-    torsion_check,
-)
+from orbitquant.quantize import OrbitQuantization, QuotientElement
+from orbitquant.verify import deformation_axioms, quotient_basis_torsion
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +82,7 @@ def test_weight_table_matches_classical_eigenvalue(engine):
 
 def test_quantum_scalar_ties_three_routes_together(engine):
     # one number, three derivations: the det(g)-exponent of the ideal
-    # generator measured by sampling the group action, the eigenvalue of
+    # generator under the group action on a sample, the eigenvalue of
     # the generator under the Poisson bracket with a diagonal letter, and
     # the quantum commutator scalar; they must satisfy F = -w h exactly
     from orbitquant.orbits import coadjoint
@@ -97,12 +93,14 @@ def test_quantum_scalar_ties_three_routes_together(engine):
     gen = engine.ideal.generators[0]
     pt = random_gplus_point(2, rng)
     vec = engine.coords.coords_of_point(pt.c, pt.a)
-    elt = random_group_element(2, rng, det_numerator=2)
+    elt = random_group_element(2, rng)
+    detg = la.det(elt.g)
+    assert detg != 1  # so that the ratio pins the exponent
     moved = coadjoint(elt, pt)
     mvec = engine.coords.coords_of_point(moved.c, moved.a)
     ratio = gen.evaluate(mvec) / gen.evaluate(vec)
-    assert ratio == Fraction(1, 4)  # det(g)^w with det = 2: weight w = -2
     w = -2
+    assert ratio == detg**w
     for e, name in enumerate(engine.basis.names):
         if name in ("a11", "a22"):
             assert engine.weight_table[0][e] == HPoly.h(1, -w)
@@ -204,17 +202,18 @@ def test_star_degree_cap(engine):
 
 
 def test_deformation_axioms_report(engine):
-    rep = check_deformation_axioms(engine, random.Random(64), random_pairs=20, triples=10)
-    assert rep["passed"]
-    assert rep["module_freeness"]["independent_and_spanning"]
+    status, rep = deformation_axioms(engine, random.Random(64), random_pairs=20, triples=10)
+    assert status == "pass"
+    assert engine.basis_report()["independent_and_spanning"]
     assert rep["reduces_mod_h"]["failures"] == 0
     assert rep["first_order_poisson"]["failures"] == 0
     assert rep["associativity"]["failures"] == 0
 
 
 def test_torsion_report(engine):
-    rep = torsion_check(engine, random.Random(65), samples=25)
-    assert rep["passed"]
+    status, rep = quotient_basis_torsion(engine, random.Random(65), samples=25)
+    assert status == "pass"
+    assert rep["torsion"] == {"samples": 25, "failures": 0, "generators_reduce_to_zero": True}
 
 
 def test_perturbed_generator_fails_certification():
@@ -304,8 +303,8 @@ def test_different_orbit_different_constant():
 @pytest.mark.parametrize("lam", [Fraction(2), Fraction(3, 2)])
 def test_axioms_hold_on_other_orbits(lam):
     eng = OrbitQuantization(2, [lam], deg_cap=6)
-    rep = check_deformation_axioms(eng, random.Random(68), random_pairs=8, triples=4)
-    assert rep["passed"]
+    assert deformation_axioms(eng, random.Random(68), random_pairs=8, triples=4)[0] == "pass"
+    assert eng.basis_report()["independent_and_spanning"]
 
 
 def test_degree_eight_cap():
@@ -315,7 +314,7 @@ def test_degree_eight_cap():
     basis_report = eng.basis_report()
     assert basis_report["reduction_rank"] == 495
     assert basis_report["independent_and_spanning"]
-    assert torsion_check(eng, random.Random(69), samples=10)["passed"]
+    assert quotient_basis_torsion(eng, random.Random(69), samples=10)[0] == "pass"
 
 
 def _table_reduction(engine):

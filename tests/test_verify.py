@@ -45,6 +45,14 @@ def reversed_product(honest):
     return lambda self, other: honest(other, self)
 
 
+def weights_off_by_one(honest):
+    def family(n):
+        fam = honest(n)
+        return dataclasses.replace(fam, weights=tuple(w + 1 for w in fam.weights))
+
+    return family
+
+
 def vanished_scalar(honest):
     def build(*args, **kwargs):
         engine = honest(*args, **kwargs)
@@ -68,7 +76,7 @@ CASES = [
     ("orbit_dimension", lambda: verify.check_orbit_dimension(ns=(2,)),
      verify, "orbit_dimension", lambda honest: lambda pt, basis: honest(pt, basis) - 1),
     ("semiinvariant_weights", lambda: verify.check_semiinvariants(4, ns=(2,), samples=2),
-     verify, "measure_weight", lambda honest: lambda fam, m, rng: honest(fam, m, rng) + 1),
+     verify, "semiinvariant_family", weights_off_by_one),
     ("invariant_polynomials_certificate", lambda: verify.check_invariant_polynomials(((2, 2),)),
      verify, "no_invariants_certificate", spurious_invariant),
     ("orbit_ideal", lambda: verify.check_orbit_ideal(5, ns=(2,), samples=2),
@@ -101,6 +109,11 @@ def test_planted_fault_fails_the_check(monkeypatch, name, run, target, attr, fau
     assert run()["status"] == "fail"
 
 
+def test_every_criterion_has_a_planted_fault():
+    report = verify.build_report(seed=7, n_max=3, deg_cap=6)
+    assert {case[0] for case in CASES} == {check["name"] for check in report["checks"]}
+
+
 def test_pbw_check_compares_the_engine_product_with_rewriting(monkeypatch):
     # a reversed product is still associative; only the comparison of the
     # product of a word's letters with its rewritten form catches it
@@ -110,7 +123,7 @@ def test_pbw_check_compares_the_engine_product_with_rewriting(monkeypatch):
     assert details["associative_triples"] == details["triples"]
 
 
-REFERENCE_N2 = "5d4e560fa9ff22f16cee45ab29618bf17c877c8ea651445128f3469b9429cb9d"
+REFERENCE_N2 = "2bdc3a26dd057c50dfb8de9db258232ce2db4df33ebf892dd576cfe132240909"
 FORK = "fork" in multiprocessing.get_all_start_methods()
 POOL = FORK and verify._usable_cpus() >= 2
 
