@@ -325,8 +325,8 @@ class SparseRREF:
         return col
 
 
-def sparse_rank(rows, colkey=None) -> int:
-    rref = SparseRREF(colkey)
+def sparse_rank(rows) -> int:
+    rref = SparseRREF()
     for row in rows:
         rref.add_row(row)
     return rref.rank

@@ -107,10 +107,6 @@ class MonomialOrder:
             return (degree, tuple(reordered))
         raise StructuralError(f"unknown monomial order kind {self.kind!r}")
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
 
 GREVLEX = MonomialOrder("grevlex")
 
@@ -279,9 +275,6 @@ class MultiPoly(_FlatTerms):
         return cls(variables, {tuple(exponent): as_fraction(coeff)})
 
     # -- predicates and views ----------------------------------------
-
-    def constant_value(self) -> Fraction:
-        return self.coefficient((0,) * len(self.variables))
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""

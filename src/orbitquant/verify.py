@@ -9,6 +9,12 @@ rng (``quotient_basis_torsion``, ``deformation_axioms``) that return the
 entry's status and details, so they run on any engine; their entries
 run them on the n = 2, lambda = 1 engine.
 
+A check over sizes runs one function of n and an rng per size through
+``_over_sizes``: the sizes share one seeded rng in order, each record is
+stored under ``"n=<n>"``, and the entry passes when every size passes.
+The one skip rule is ``_entry``'s: a CapacityError anywhere in a check
+skips the whole entry, with its reason, and leaves the run incomplete.
+
 ``build_report`` runs its independent, separately seeded checks
 concurrently on forked worker processes, one per usable CPU, and lists
 the entries in report order, so the report and its content hash are
@@ -90,127 +96,116 @@ def _regular_lambdas(k: int) -> list[Fraction]:
     return [Fraction(k - j) for j in range(k)]
 
 
+def _over_sizes(seed, ns, one) -> tuple[str, dict]:
+    """The module's per-size rule for ``one(n, rng) -> (record, passed)``; a
+    check that draws nothing passes seed None."""
+    rng = random.Random(seed)
+    details = {}
+    ok = True
+    for n in ns:
+        details[f"n={n}"], passed = one(n, rng)
+        ok = ok and passed
+    return ("pass" if ok else "fail"), details
+
+
 def check_embedding(seed: int, ns=(1, 2, 3), samples: int = 20) -> dict:
-    def run():
-        rng = random.Random(seed)
-        details = {}
-        ok = True
-        for n in ns:
-            J = standard_symplectic_form(n)
-            hom, sympl = 0, 0
-            for _ in range(samples):
-                p = random_group_element(n, rng)
-                q = random_group_element(n, rng)
-                mp = embed_sp(p)
-                if la.mat_mul(mp, embed_sp(q)) == embed_sp(group_multiply(p, q)):
-                    hom += 1
-                if la.mat_mul(la.mat_mul(la.transpose(mp), J), mp) == J:
-                    sympl += 1
-            details[f"n={n}"] = {"homomorphism": hom, "symplectic": sympl, "samples": samples}
-            ok = ok and hom == samples and sympl == samples
-        return ("pass" if ok else "fail"), details
+    def one(n, rng):
+        J = standard_symplectic_form(n)
+        hom, sympl = 0, 0
+        for _ in range(samples):
+            p = random_group_element(n, rng)
+            q = random_group_element(n, rng)
+            mp = embed_sp(p)
+            if la.mat_mul(mp, embed_sp(q)) == embed_sp(group_multiply(p, q)):
+                hom += 1
+            if la.mat_mul(la.mat_mul(la.transpose(mp), J), mp) == J:
+                sympl += 1
+        record = {"homomorphism": hom, "symplectic": sympl, "samples": samples}
+        return record, hom == samples and sympl == samples
 
     return _entry(
         "embedding_soundness",
         "group multiplication agrees with block-matrix multiplication in Sp(n), exactly",
-        run,
+        partial(_over_sizes, seed, ns, one),
         budget_s=5.0,
     )
 
 
 def check_coadjoint(seed: int, ns=(2, 3), samples: int = 20) -> dict:
-    def run():
-        rng = random.Random(seed)
-        details = {}
-        ok = True
-        for n in ns:
-            basis, _ = build_lie_basis(n)
-            functorial, dual = 0, 0
-            for _ in range(samples):
-                p = random_group_element(n, rng)
-                q = random_group_element(n, rng)
-                pt = random_gplus_point(n, rng)
-                if coadjoint(group_multiply(p, q), pt) == coadjoint(p, coadjoint(q, pt)):
-                    functorial += 1
-                pinv = group_inverse(p)
-                image = coadjoint(p, pt)
-                good = all(
-                    pair_dual_algebra(image, basis_lie_element(basis, i))
-                    == pair_dual_algebra(pt, adjoint(pinv, basis_lie_element(basis, i)))
-                    for i in range(basis.dim)
-                )
-                dual += int(good)
-            details[f"n={n}"] = {"functorial": functorial, "dual": dual, "samples": samples}
-            ok = ok and functorial == samples and dual == samples
-        return ("pass" if ok else "fail"), details
+    def one(n, rng):
+        basis, _ = build_lie_basis(n)
+        functorial, dual = 0, 0
+        for _ in range(samples):
+            p = random_group_element(n, rng)
+            q = random_group_element(n, rng)
+            pt = random_gplus_point(n, rng)
+            if coadjoint(group_multiply(p, q), pt) == coadjoint(p, coadjoint(q, pt)):
+                functorial += 1
+            pinv = group_inverse(p)
+            image = coadjoint(p, pt)
+            good = all(
+                pair_dual_algebra(image, basis_lie_element(basis, i))
+                == pair_dual_algebra(pt, adjoint(pinv, basis_lie_element(basis, i)))
+                for i in range(basis.dim)
+            )
+            dual += int(good)
+        record = {"functorial": functorial, "dual": dual, "samples": samples}
+        return record, functorial == samples and dual == samples
 
     return _entry(
         "coadjoint_functoriality_duality",
         "the coadjoint action composes functorially and is trace-dual to the adjoint action",
-        run,
+        partial(_over_sizes, seed, ns, one),
         budget_s=10.0,
     )
 
 
 def check_normal_form(seed: int, ns=(2, 3), samples: int = 20, tol: float = 1e-9) -> dict:
-    def run():
-        rng = random.Random(seed)
-        details = {}
-        ok = True
-        for n in ns:
-            worst_residual = 0.0
-            worst_drift = 0.0
-            for _ in range(samples):
-                pt = random_gplus_point(n, rng)
-                nf = normal_form(pt)
-                worst_residual = max(worst_residual, nf.residual)
-                moved = random_orbit_sample(pt, rng)
-                nf2 = normal_form(moved)
-                drift = max(
-                    (abs(x - y) for x, y in zip(nf.lambdas, nf2.lambdas)),
-                    default=0.0,
-                )
-                worst_drift = max(worst_drift, drift)
-            details[f"n={n}"] = {
-                "worst_residual": worst_residual,
-                "worst_lambda_drift": worst_drift,
-                "samples": samples,
-            }
-            ok = ok and worst_residual < tol and worst_drift < tol
-        return ("pass" if ok else "fail"), details
+    def one(n, rng):
+        worst_residual = 0.0
+        worst_drift = 0.0
+        for _ in range(samples):
+            pt = random_gplus_point(n, rng)
+            nf = normal_form(pt)
+            worst_residual = max(worst_residual, nf.residual)
+            moved = random_orbit_sample(pt, rng)
+            nf2 = normal_form(moved)
+            drift = max(
+                (abs(x - y) for x, y in zip(nf.lambdas, nf2.lambdas)),
+                default=0.0,
+            )
+            worst_drift = max(worst_drift, drift)
+        record = {
+            "worst_residual": worst_residual,
+            "worst_lambda_drift": worst_drift,
+            "samples": samples,
+        }
+        return record, worst_residual < tol and worst_drift < tol
 
     return _entry(
         "normal_form",
         "a witness group element carries every positive-definite point to (I, H); "
         "block parameters are orbit invariants",
-        run,
+        partial(_over_sizes, seed, ns, one),
         budget_s=30.0,
     )
 
 
 def check_orbit_dimension(ns=(2, 3)) -> dict:
-    def run():
-        details = {}
-        ok = True
-        for n in ns:
-            basis, _ = build_lie_basis(n)
-            k = n // 2
-            pt = DualPoint(la.identity(n), lambda_block_matrix(n, _regular_lambdas(k)))
-            rank = orbit_dimension(pt, basis)
-            expected = basis.dim - k
-            details[f"n={n}"] = {
-                "rank": rank,
-                "dim_group_minus_k": expected,
-                "n_squared_minus_k": n * n - k,
-            }
-            ok = ok and rank == expected
-        return ("pass" if ok else "fail"), details
+    def one(n, rng):
+        basis, _ = build_lie_basis(n)
+        k = n // 2
+        pt = DualPoint(la.identity(n), lambda_block_matrix(n, _regular_lambdas(k)))
+        rank = orbit_dimension(pt, basis)
+        expected = basis.dim - k
+        record = {"rank": rank, "dim_group_minus_k": expected, "n_squared_minus_k": n * n - k}
+        return record, rank == expected
 
     return _entry(
         "orbit_dimension",
         "the infinitesimal coadjoint action at a regular point has exact rank "
         "dim G - k (the value n^2 - k is reported alongside for comparison)",
-        run,
+        partial(_over_sizes, None, ns, one),
         budget_s=10.0,
     )
 
@@ -229,28 +224,26 @@ def check_semiinvariants(
     if not ns or min(ns) < 2 or samples < 1:
         raise StructuralError("the semiinvariant laws need n >= 2 and samples >= 1")
 
+    def one(n, rng):
+        fam = semiinvariant_family(n)
+        laws = list(zip(fam.kinds, fam.generators, fam.weights))
+        if fam.composite_even is not None:
+            # the determinant-cleared square follows the -4k law of the traces
+            laws.append(("det-cleared square", fam.composite_even, -4 * fam.k))
+        records = []
+        for kind, poly, weight in laws:
+            weight += weight_offset
+            exact = verify_semiinvariance(fam, poly, weight, rng, samples)
+            records.append(
+                {"kind": kind, "weight": weight, "samples": samples, "exact_law": exact}
+            )
+        return records, all(r["exact_law"] for r in records)
+
     def run():
-        rng = random.Random(seed)
-        details = {}
-        ok = True
-        for n in ns:
-            fam = semiinvariant_family(n)
-            laws = list(zip(fam.kinds, fam.generators, fam.weights))
-            if fam.composite_even is not None:
-                # the determinant-cleared square follows the -4k law of the traces
-                laws.append(("det-cleared square", fam.composite_even, -4 * fam.k))
-            records = []
-            for kind, poly, weight in laws:
-                weight += weight_offset
-                exact = verify_semiinvariance(fam, poly, weight, rng, samples)
-                records.append(
-                    {"kind": kind, "weight": weight, "samples": samples, "exact_law": exact}
-                )
-                ok = ok and exact
-            details[f"n={n}"] = records
+        status, details = _over_sizes(seed, ns, one)
         if weight_offset:
             details["weight_offset"] = weight_offset
-        return ("pass" if ok else "fail"), details
+        return status, details
 
     return _entry(
         "semiinvariant_weights",
@@ -262,56 +255,47 @@ def check_semiinvariants(
 
 
 def check_invariant_polynomials(degree_by_n=((2, 4), (3, 2))) -> dict:
-    def run():
-        details = {}
-        ok = True
-        for n, degree in degree_by_n:
-            cert = no_invariants_certificate(n, degree)
-            details[f"n={n}"] = {
-                "degree_bound": degree,
-                "kernel_dimension": cert.kernel_dimension,
-                "per_degree": list(cert.per_degree),
-            }
-            ok = ok and cert.only_constants
-        return ("pass" if ok else "fail"), details
+    degree = dict(degree_by_n)
+
+    def one(n, rng):
+        cert = no_invariants_certificate(n, degree[n])
+        record = {
+            "degree_bound": degree[n],
+            "kernel_dimension": cert.kernel_dimension,
+            "per_degree": list(cert.per_degree),
+        }
+        return record, cert.only_constants
 
     return _entry(
         "invariant_polynomials_certificate",
         "the only polynomial solutions of the infinitesimal invariance equations "
         "up to the degree bound are the constants",
-        run,
+        partial(_over_sizes, None, degree, one),
         budget_s=300.0,
     )
 
 
 def check_orbit_ideal(seed: int, ns=(2, 3), samples: int = 20) -> dict:
-    def run():
-        rng = random.Random(seed)
-        details = {}
-        ok = True
-        for n in ns:
-            fam = semiinvariant_family(n)
-            ideal = orbit_ideal(_regular_lambdas(fam.k), fam)
-            base = ideal.normal_form_point()
-            pts = [base] + [random_orbit_sample(base, rng) for _ in range(samples)]
-            vanish = all(
-                all(v == 0 for v in membership_residual(ideal, pt)) for pt in pts
-            )
-            full_rank = regularity_check(ideal, pts)
-            details[f"n={n}"] = {
-                "samples": len(pts),
-                "vanishing_exact": vanish,
-                "jacobian_full_rank": full_rank,
-                "alphas": [str(a) for a in ideal.alphas],
-            }
-            ok = ok and vanish and full_rank
-        return ("pass" if ok else "fail"), details
+    def one(n, rng):
+        fam = semiinvariant_family(n)
+        ideal = orbit_ideal(_regular_lambdas(fam.k), fam)
+        base = ideal.normal_form_point()
+        pts = [base] + [random_orbit_sample(base, rng) for _ in range(samples)]
+        vanish = all(all(v == 0 for v in membership_residual(ideal, pt)) for pt in pts)
+        full_rank = regularity_check(ideal, pts)
+        record = {
+            "samples": len(pts),
+            "vanishing_exact": vanish,
+            "jacobian_full_rank": full_rank,
+            "alphas": [str(a) for a in ideal.alphas],
+        }
+        return record, vanish and full_rank
 
     return _entry(
         "orbit_ideal",
         "orbit ideal generators vanish exactly on orbit samples and their "
         "differentials have full rank k there",
-        run,
+        partial(_over_sizes, seed, ns, one),
         budget_s=60.0,
     )
 
@@ -329,16 +313,17 @@ def check_pbw(seed: int, n: int = 2, words: int = 30, triples: int = 50) -> dict
             product = prod((letters[i] for i in word), start=NCPoly.unit(algebra)).terms
             if algebra.reduce_word(word) == algebra.reduce_word(word, rng=rng) == product:
                 confluent += 1
+
+        def rand_nc():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                length = rng.randint(0, 3)
+                word = tuple(sorted(rng.randrange(basis.dim) for _ in range(length)))
+                terms[word] = HPoly.of(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
+            return NCPoly(algebra, terms)
+
         associative = 0
         for _ in range(triples):
-            def rand_nc():
-                terms = {}
-                for _ in range(rng.randint(1, 3)):
-                    length = rng.randint(0, 3)
-                    word = tuple(sorted(rng.randrange(basis.dim) for _ in range(length)))
-                    terms[word] = HPoly.of(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
-                return NCPoly(algebra, terms)
-
             u, v, w = rand_nc(), rand_nc(), rand_nc()
             if (u * v) * w == u * (v * w):
                 associative += 1
@@ -361,49 +346,32 @@ def check_pbw(seed: int, n: int = 2, words: int = 30, triples: int = 50) -> dict
 
 
 def check_generator_commutators(ns=(2, 3)) -> dict:
-    def run():
-        details = {}
-        ok = True
-        skipped = False
-        for n in ns:
-            try:
-                engine = OrbitQuantization(
-                    n, _regular_lambdas(n // 2), deg_cap=8, build_reduction=False
-                )
-            except CapacityError as exc:
-                details[f"n={n}"] = {"status": "skipped", "reason": str(exc)}
-                skipped = True
-                continue
-            table = engine.weight_table
-            letter_report = []
-            pattern_ok = True
-            for j, row in enumerate(table):
-                for e, scalar in enumerate(row):
-                    kind, r, s = engine.basis.kinds[e]
-                    # zero exactly off the diagonal gl letters
-                    if scalar.is_zero() != (kind == "b" or r != s):
-                        pattern_ok = False
-                letter_report.append(
-                    {
-                        "generator": j,
-                        "scalars": {engine.basis.names[e]: str(s) for e, s in enumerate(row)},
-                    }
-                )
-            details[f"n={n}"] = {
-                "proportionality": "certified",
-                "vanishing_pattern": pattern_ok,
-                "table": letter_report,
-            }
-            ok = ok and pattern_ok
-        if not ok:
-            return "fail", details
-        return ("skipped" if skipped else "pass"), details
+    def one(n, rng):
+        engine = OrbitQuantization(
+            n, _regular_lambdas(n // 2), deg_cap=8, build_reduction=False
+        )
+        letter_report = []
+        pattern_ok = True
+        for j, row in enumerate(engine.weight_table):
+            for e, scalar in enumerate(row):
+                kind, r, s = engine.basis.kinds[e]
+                # zero exactly off the diagonal gl letters
+                if scalar.is_zero() != (kind == "b" or r != s):
+                    pattern_ok = False
+            scalars = {engine.basis.names[e]: str(s) for e, s in enumerate(row)}
+            letter_report.append({"generator": j, "scalars": scalars})
+        record = {
+            "proportionality": "certified",
+            "vanishing_pattern": pattern_ok,
+            "table": letter_report,
+        }
+        return record, pattern_ok
 
     return _entry(
         "symmetrized_generator_commutators",
         "commuting any basis letter past a symmetrized generator costs an exact "
         "scalar, zero except along the determinant character",
-        run,
+        partial(_over_sizes, None, ns, one),
         budget_s=300.0,
     )
 
@@ -609,11 +577,12 @@ def build_report(
 ) -> dict:
     """Run the full verification battery and assemble the report.
 
-    StructuralError unless n_max and samples are at least 1: a battery
-    over no sizes or no samples would pass without checking anything.
+    StructuralError unless n_max is 1, 2 or 3 and samples is at least 1:
+    a battery over no sizes or no samples would pass without checking
+    anything, and one with n_max above 3 would report sizes it never checked.
     """
-    if n_max < 1 or samples < 1:
-        raise StructuralError("verify needs n_max >= 1 and samples >= 1")
+    if not 1 <= n_max <= 3 or samples < 1:
+        raise StructuralError("verify needs 1 <= n_max <= 3 and samples >= 1")
     ns_all = tuple(n for n in (1, 2, 3) if n <= n_max)
     ns_23 = tuple(n for n in (2, 3) if n <= n_max)
     calls = [partial(check_embedding, seed, ns=ns_all, samples=samples)]

@@ -23,10 +23,22 @@ def per_n(ns, pinned):
     return {f"n={n}": pinned for n in ns}
 
 
+# the content hash of that report, as ``orbitquant verify`` prints it
+REFERENCE_N3 = "29ee7f662375e84a792001d345a13d3a0777fb1fb17e5f2cdc0a7804cf50feca"
+
+
 @pytest.fixture(scope="module")
-def battery():
-    report = build_report(seed=SEED, n_max=3, deg_cap=6, samples=SAMPLES)
+def report():
+    return build_report(seed=SEED, n_max=3, deg_cap=6, samples=SAMPLES)
+
+
+@pytest.fixture(scope="module")
+def battery(report):
     return {check["name"]: check for check in report["checks"]}
+
+
+def test_reference_report_hash(report):
+    assert report["content_hash"] == REFERENCE_N3
 
 
 def pinned_part(actual, pinned):

@@ -262,6 +262,7 @@ def test_generator_commutators_skip_marks_entry(monkeypatch):
     monkeypatch.setattr(verify, "OrbitQuantization", over_capacity)
     entry = verify.check_generator_commutators(ns=(2,))
     assert entry["status"] == "skipped"
+    assert entry["details"] == {"reason": "capacity: test capacity"}
     assert verify.emit_report([entry])["overall"] == "incomplete"
 
 
@@ -516,6 +517,8 @@ def test_operand_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, arg
     [
         # embedding_soundness ran over an empty range of n and passed
         ("verify", "--n", "0"),
+        # the report said n_max 4 and passed, yet checked no size above 3
+        ("verify", "--n", "4"),
         # every sampled check passed on zero samples
         ("verify", "--n", "2", "--deg", "4", "--samples", "0"),
         # the refused size was reported as a failed law (exit 1)
@@ -527,6 +530,7 @@ def test_operand_that_is_not_an_object_is_a_usage_error(capsys, monkeypatch, arg
     ],
     ids=[
         "verify-n0",
+        "verify-n4",
         "verify-samples0",
         "semi-check-n1",
         "semi-check-samples0",

@@ -124,7 +124,7 @@ def test_calculus_evaluation_and_leading_terms_match_the_fraction_oracle(case, d
             assert f.leading(order) == (lead, p[lead])
             assert type(f.leading(order)[1]) is Fraction
     zero = (0,) * len(names)
-    assert f.constant_value() == p.get(zero, 0) and type(f.constant_value()) is Fraction
+    assert f.coefficient(zero) == p.get(zero, 0) and type(f.coefficient(zero)) is Fraction
     assert f.total_degree() == max(map(sum, p), default=-1)
 
 

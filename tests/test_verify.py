@@ -75,6 +75,10 @@ CASES = [
      lambda honest: lambda pt: dataclasses.replace(honest(pt), residual=1.0)),
     ("orbit_dimension", lambda: verify.check_orbit_dimension(ns=(2,)),
      verify, "orbit_dimension", lambda honest: lambda pt, basis: honest(pt, basis) - 1),
+    # a fault at the first of two sizes fails the entry
+    ("orbit_dimension", lambda: verify.check_orbit_dimension(ns=(2, 3)),
+     verify, "orbit_dimension",
+     lambda honest: lambda pt, basis: honest(pt, basis) - (pt.n == 2)),
     ("semiinvariant_weights", lambda: verify.check_semiinvariants(4, ns=(2,), samples=2),
      verify, "semiinvariant_family", weights_off_by_one),
     ("invariant_polynomials_certificate", lambda: verify.check_invariant_polynomials(((2, 2),)),
