@@ -216,10 +216,15 @@ class SemiinvariantFamily:
 
 
 def symbolic_dual_matrices(coords: DualCoordinates):
-    """(c, a, adj(c), det(c)) as exact symbolic matrices/polynomials."""
+    """(c, a, adj(c), det(c)) as exact symbolic matrices/polynomials.
+
+    adj(c) comes from ``la.adjugate``'s shared minors, and det(c) is read
+    off it as the first row of c times the first column of adj(c) (the
+    (0, 0) entry of c adj(c) = det(c) I), with no second expansion.
+    """
     c_mat, a_mat = coords.entry_polynomials()
     adj_c = la.adjugate(c_mat)
-    det_c = la.det(c_mat)
+    det_c = sum_of_products(coords.variables, zip(c_mat[0], (row[0] for row in adj_c)))
     return c_mat, a_mat, adj_c, det_c
 
 

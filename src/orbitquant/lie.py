@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg as la
@@ -109,6 +110,15 @@ class LieBasis:
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
+    @cached_property
+    def letter_at(self) -> dict[tuple[int, int], int]:
+        """Block position -> letter index: a{rs} reads entry (r, s), b{rs}
+        entry (r, n + s)."""
+        return {
+            (r, s if kind == "a" else self.n + s): idx
+            for idx, (kind, r, s) in enumerate(self.kinds)
+        }
+
 
 class StructureConstants:
     """Sparse structure constants c_ij^k with [X_i, X_j] = sum c_ij^k X_k."""
@@ -151,13 +161,14 @@ def _sparse(m: la.Matrix) -> SparseMatrix:
 
 
 def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    """XY - YX on sparse matrices, without zero entries."""
+    """XY - YX on sparse matrices, without zero entries; int entries stay ints."""
     out: SparseMatrix = {}
-    for left, right, sign in ((x, y, 1), (y, x, -1)):
-        for (r, k), v in left.items():
-            for (k2, c), w in right.items():
-                if k == k2:
-                    out[(r, c)] = out.get((r, c), ZERO) + sign * v * w
+    for (r, k), v in x.items():
+        for (k2, c), w in y.items():
+            if k == k2:  # X_rk Y_kc enters XY at (r, c)
+                out[r, c] = out.get((r, c), 0) + v * w
+            if c == r:  # Y_k2,r X_rk enters YX at (k2, k)
+                out[k2, k] = out.get((k2, k), 0) - w * v
     return _nonzero(out)
 
 
@@ -168,21 +179,19 @@ def _decompose_in_basis(
 
     The block structure makes the solve a direct entry read-off: the
     a-block entry (r, s) is the coefficient of letter a{rs}, and the
-    b-block entry (r, s), r <= s, the coefficient of letter b{rs}.  The
-    sparse reconstruction from ``sparse_elements`` (the basis elements as
-    returned by ``_sparse``) is compared entry for entry, so a non-member
-    input cannot slip through.
+    b-block entry (r, s), r <= s, the coefficient of letter b{rs}; each
+    nonzero entry of ``m`` finds its letter in ``basis.letter_at``.  The
+    sparse reconstruction from ``sparse_elements`` (the basis elements'
+    nonzero entries, as ``_sparse`` gives them) is compared entry for
+    entry, so a non-member input cannot slip through.  Generic over int
+    and Fraction entries; the coefficients come in letter order.
     """
-    n = basis.n
-    coeffs: dict[int, Fraction] = {}
-    for idx, (kind, r, s) in enumerate(basis.kinds):
-        v = m.get((r, s) if kind == "a" else (r, n + s), ZERO)
-        if v != 0:
-            coeffs[idx] = v
+    letter_at = basis.letter_at
+    coeffs = dict(sorted((letter_at[rc], v) for rc, v in m.items() if rc in letter_at and v != 0))
     recon: SparseMatrix = {}
     for idx, v in coeffs.items():
         for rc, w in sparse_elements[idx].items():
-            recon[rc] = recon.get(rc, ZERO) + v * w
+            recon[rc] = recon.get(rc, 0) + v * w
     if _nonzero(recon) != _nonzero(m):
         raise StructuralError("matrix does not lie in the spanned subalgebra")
     return coeffs
@@ -191,10 +200,11 @@ def _decompose_in_basis(
 def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
     """Construct the block basis and its exact structure constants.
 
-    Structure constants come from exact commutators of the basis elements,
-    computed on their sparse forms (every element has at most two nonzero
-    entries) and decomposed back in the basis; closure of the block shape
-    is verified on every commutator.
+    Every basis element has at most two nonzero entries, each +-1, so
+    the commutators of all pairs, their read-off in the basis and the
+    closure check run on sparse int matrices; only the stored constants
+    are Fractions.  Closure of the block shape is verified on every
+    commutator.
     """
     if n < 1:
         raise StructuralError("n must be at least 1")
@@ -219,14 +229,14 @@ def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
     )
     assert basis.dim == n * n + n * (n + 1) // 2
 
-    sparse = [_sparse(m) for m in elements]
+    sparse = [{rc: int(v) for rc, v in _sparse(m).items()} for m in elements]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(basis.dim):
         for j in range(i + 1, basis.dim):
             comm = _sparse_commutator(sparse[i], sparse[j])
             coeffs = _decompose_in_basis(basis, sparse, comm)
             if coeffs:
-                table[(i, j)] = coeffs
+                table[(i, j)] = {k: Fraction(v) for k, v in coeffs.items()}
     return basis, StructureConstants(basis.dim, table)
 
 

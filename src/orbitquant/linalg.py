@@ -161,33 +161,52 @@ def is_skew(m: Matrix) -> bool:
 def det(m: Matrix):
     """Determinant, generic over the entry ring.
 
-    Exact matrices go through fraction-free elimination over integer
-    numerators (``_bareiss``); symbolic entries fall back to cofactor
-    expansion, which is only ever used on the small matrices this package
-    manipulates (n <= 6).
+    Exact matrices larger than 2 x 2 go through fraction-free elimination
+    over integer numerators (``_bareiss``); every other matrix, symbolic
+    entries included, through Laplace expansion along the first row with
+    each minor computed once (``_shared_minors``), which is only ever used
+    on the small matrices this package manipulates (n <= 6).
     """
     rows, cols = shape(m)
     if rows != cols:
         raise StructuralError("determinant of a non-square matrix")
     if rows == 0:
         return Fraction(1)
-    if rows == 1:
-        return m[0][0]
-    if rows == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if is_exact(m):
+    if rows > 2 and is_exact(m):
         nums, d = _numerators(m)
         pivot, sign = _bareiss(nums)
         return Fraction(sign * pivot, d**rows)
-    total = None
-    for j in range(cols):
-        entry = m[0][j]
-        minor = [[row[k] for k in range(cols) if k != j] for row in m[1:]]
-        term = entry * det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    full = tuple(range(rows))
+    return _shared_minors(m)(full, full)
+
+
+def _shared_minors(m: Matrix) -> Callable[[tuple, tuple], object]:
+    """minor(rows, cols): the determinant of m on the given row and column
+    index tuples, generic over the entry ring.
+
+    Each minor is expanded along its first row into minors on the
+    remaining rows and memoized by its (rows, cols) pair, so the cofactors
+    of one ``adjugate`` share their sub-minors instead of expanding them
+    again.  Odd terms are subtracted, so the sum is the plain cofactor
+    expansion's, term for term.
+    """
+    memo: dict[tuple[tuple, tuple], object] = {}
+
+    def minor(rows: tuple, cols: tuple):
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
+        top, rest = m[rows[0]], rows[1:]
+        total = top[cols[0]] * minor(rest, cols[1:])
+        for pos in range(1, len(cols)):
+            term = top[cols[pos]] * minor(rest, cols[:pos] + cols[pos + 1 :])
+            total = total - term if pos % 2 else total + term
+        memo[key] = total
+        return total
+
+    return minor
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int]:
@@ -221,25 +240,36 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
 
 
 def adjugate(m: Matrix) -> Matrix:
-    """Adjugate (transposed cofactor matrix): m * adj(m) = det(m) * I."""
+    """Adjugate (transposed cofactor matrix): m * adj(m) = det(m) * I.
+
+    Exact entries take one ``det`` (Bareiss) per cofactor; symbolic
+    entries expand all cofactors through one ``_shared_minors``, so each
+    minor is computed once.  A symmetric m has a symmetric adjugate, so
+    only the cofactors on and above the diagonal are computed and
+    mirrored: n(n+1)/2 of the n^2.
+    """
     rows, cols = shape(m)
     if rows != cols:
         raise StructuralError("adjugate of a non-square matrix")
     if rows == 1:
         one = m[0][0] ** 0 if hasattr(m[0][0], "__pow__") else Fraction(1)
         return [[one]]
+    full = tuple(range(rows))
+    if is_exact(m):
+        def minor(keep_rows, keep_cols):
+            return det([[m[r][c] for c in keep_cols] for r in keep_rows])
+    else:
+        minor = _shared_minors(m)
+    symmetric = is_symmetric(m)
     out = zeros(rows, cols)
     for i in range(rows):
-        for j in range(cols):
-            minor = [
-                [m[r][c] for c in range(cols) if c != j]
-                for r in range(rows)
-                if r != i
-            ]
-            cof = det(minor)
+        for j in range(i if symmetric else 0, cols):
+            cof = minor(full[:i] + full[i + 1 :], full[:j] + full[j + 1 :])
             if (i + j) % 2 == 1:
                 cof = -cof
             out[j][i] = cof
+            if symmetric:
+                out[i][j] = cof
     return out
 
 

@@ -1,5 +1,7 @@
 """Invariants, semiinvariants, orbit ideals, certificates."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -465,3 +467,21 @@ def test_symmetric_trace_pairing_equals_the_full_pair_sum(n, i):
     assert trace_of_even_power(coords.variables, t_mat, i) == every_pair
     if i == 1 and n > 2:  # h_1 is the family's first generator
         assert semiinvariant_family(n, coords).generators[0] == every_pair
+
+
+# sha256 of the records of every generator of semiinvariant_family(n) and
+# of its det_poly, canonical JSON, taken before adj(c) and det(c) moved to
+# shared minors
+FAMILY_PINS = {
+    2: "56b496a173986b2605bcae11f1a14a6401ed09f1f1016f95d2fa2e9b420444d9",
+    3: "dc183579c969652f857616a9910f0a2bf9590b564049cc7e80c129b8ce7564a6",
+    4: "758b30c40916355a9766333f5de2be65af7cd5d29dbbe99fdd4889521c103938",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FAMILY_PINS))
+def test_family_records_are_pinned(n):
+    family = semiinvariant_family(n)
+    records = [g.to_records() for g in family.generators] + [family.det_poly.to_records()]
+    doc = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == FAMILY_PINS[n]

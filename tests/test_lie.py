@@ -1,16 +1,20 @@
 """Lie basis, structure constants, trace pairing, Lie-Poisson bracket."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from orbitquant import lie
 from orbitquant import linalg as la
 from orbitquant.errors import StructuralError
 from orbitquant.lie import (
     DualCoordinates,
     _decompose_in_basis,
     _sparse,
+    basis_to_json,
     build_lie_basis,
     dual_block,
     lie_poisson_bracket,
@@ -169,6 +173,40 @@ def test_closure_check_rejects_non_members():
     # the mirror entry missing altogether
     with pytest.raises(StructuralError):
         _decompose_in_basis(basis, sparse, {(0, 1): Fraction(1)})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_checks_every_commutator(n, monkeypatch):
+    # a planted fault: the sym(n) letters lose their mirror entry, so b{rs}
+    # is E_rs alone and some commutator leaves the block shape; the
+    # integer closure check must catch it
+    original = lie._sym_basis_matrix
+
+    def one_sided(size, i, j):
+        m = original(size, i, j)
+        if i != j:
+            m[j][i] = Fraction(0)
+        return m
+
+    monkeypatch.setattr(lie, "_sym_basis_matrix", one_sided)
+    with pytest.raises(StructuralError):
+        build_lie_basis(n)
+
+
+# sha256 of basis_to_json(*build_lie_basis(n)), canonical JSON, taken
+# before the structure constants moved to integer commutators
+BASIS_PINS = {
+    1: "8dd57c7d31472d66b684b80f6f587cfbeaa03d66e1971be11dcf1e8b612f9730",
+    2: "13e173c2d8e0312455cbb1813c98199aa90d0037595cbbf684362b5f40ba152f",
+    3: "df6e91cff4106d62b69b7b49d32ee6a62a727ff10063a8d09621e023a0b60dd9",
+    4: "d30e8844f5ef884afc2bbde31d41a950c1ffb92366b0f235db6cbbfc21f4a021",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BASIS_PINS))
+def test_basis_export_is_pinned(n):
+    doc = json.dumps(basis_to_json(*build_lie_basis(n)), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == BASIS_PINS[n]
 
 
 def test_trace_pairing_examples():

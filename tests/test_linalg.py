@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from orbitquant.errors import DomainError
 from orbitquant import linalg as la
+from orbitquant.invariants import symbolic_dual_matrices
+from orbitquant.lie import DualCoordinates, build_lie_basis
 
 
 def frac_matrix(rows):
@@ -95,6 +98,62 @@ def test_adjugate_identity():
         product = la.mat_mul(m, adj)
         expected = la.mat_scale(la.identity(n), d)
         assert product == expected
+
+
+def permutation_det(m, one):
+    """The Leibniz sum over permutations, literally; 1 for a 0 x 0 matrix."""
+    total = one - one
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        prod = one
+        for row, col in enumerate(perm):
+            prod = prod * m[row][col]
+        total = total - prod if inversions % 2 else total + prod
+    return total
+
+
+def cofactor_oracle(m, one):
+    """adj(m)[j][i] = (-1)^(i+j) det(m without row i and column j)."""
+    n = len(m)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
+            cof = permutation_det(minor, one)
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symbolic_adjugate_matches_the_cofactor_oracle(n):
+    # the symmetric c (mirrored cofactors) and the non-symmetric a block of
+    # a dual point, as linear polynomials in the dual coordinates
+    coords = DualCoordinates(build_lie_basis(n)[0])
+    c, a = coords.entry_polynomials()
+    one = c[0][0] ** 0
+    zero = one - one
+    for m in (c, a):
+        adj = la.adjugate(m)
+        assert adj == cofactor_oracle(m, one)
+        d = la.det(m)
+        assert d == permutation_det(m, one)
+        scaled = [[d if i == j else zero for j in range(n)] for i in range(n)]
+        assert la.mat_mul(m, adj) == scaled == la.mat_mul(adj, m)
+    _, _, adj_c, det_c = symbolic_dual_matrices(coords)
+    assert adj_c == la.adjugate(c) and det_c == la.det(c)
+
+
+def test_exact_adjugate_matches_the_cofactor_oracle_and_keeps_fractions():
+    rng = random.Random(31)
+    for trial in range(24):
+        n = 1 + trial % 4
+        m = random_matrix(rng, n, n)
+        if trial % 2:
+            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        adj = la.adjugate(m)
+        assert adj == cofactor_oracle(m, Fraction(1))
+        assert all(type(x) is Fraction for row in adj for x in row)
+        assert type(la.det(m)) is Fraction
 
 
 def test_inverse_round_trip_and_singular_rejection():

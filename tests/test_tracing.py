@@ -102,3 +102,33 @@ def test_tracer_sees_the_family_layers_and_reads_multipoly(monkeypatch):
     h1 = family.generators[0]
     assert oracles.flat_of(h1) == {(e, 0): c for e, c in h1.terms.items()}
     assert oracles.flat_of(h1) and all(type(c) is Fraction for c in oracles.flat_of(h1).values())
+
+
+def test_tracer_sees_the_lie_build_and_the_adjugate_of_a_family_build(monkeypatch):
+    # lie.build_s and linalg.adjugate_s are read off wrappers around the
+    # module-level names build_lie_basis, adjugate and det: the n = 3
+    # family enters the Lie build once and the symbolic adjugate of c once,
+    # and det(c) is read off that adjugate, so no symbolic det runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import orbitquant.invariants as invariants
+    import orbitquant.lie as lie
+    import orbitquant.linalg as linalg
+    from tracing import Tracer
+
+    names = ((lie, "build_lie_basis"), (linalg, "adjugate"), (linalg, "det"))
+    originals = [getattr(mod, name) for mod, name in names]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(mod, name) is not f for (mod, name), f in zip(names, originals))
+        tracer.phase = "stream"
+        family = invariants.semiinvariant_family(3)
+    finally:
+        tracer.uninstall()
+
+    assert family.generators == invariants.semiinvariant_family(3).generators
+    assert tracer.count("stream", "lie.build") == 1
+    assert tracer.count("stream", "linalg.adjugate") == 1
+    assert tracer.count("stream", "linalg.det") == 0
+    assert tracer.total("stream", "linalg.adjugate") > 0
+    assert [getattr(mod, name) for mod, name in names] == originals
