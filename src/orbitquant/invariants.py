@@ -37,8 +37,9 @@ graded piece, whose vector fields apply the numeric ad* formula
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import linalg as la
@@ -301,6 +302,10 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
     )
 
 
+# draws per sample before verify_semiinvariance gives up on an informative one
+SEMIINVARIANCE_REDRAWS = 100
+
+
 def verify_semiinvariance(
     family: SemiinvariantFamily,
     poly: MultiPoly,
@@ -309,18 +314,34 @@ def verify_semiinvariance(
     samples: int = 20,
 ) -> bool:
     """Exact check that ``poly``, over the family's coordinates, rescales by
-    det(g)^weight under the coadjoint action, on random data."""
+    det(g)^weight under the coadjoint action, on random data.
+
+    Only informative samples count: a point where ``poly`` vanishes, or a
+    g with det(g) = 1, satisfies the law at every weight, so each is
+    redrawn, at most ``SEMIINVARIANCE_REDRAWS`` times per sample
+    (CapacityError beyond).  The zero polynomial is a StructuralError.
+    """
     from .orbits import coadjoint
     from .sampling import random_gplus_point, random_group_element
 
+    if poly.is_zero():
+        raise StructuralError("the zero polynomial satisfies every weight law")
+
+    def value(pt):
+        return poly.evaluate(family.coords.coords_of_point(pt.c, pt.a))
+
+    def informative(draw, measure, useless):
+        for _ in range(SEMIINVARIANCE_REDRAWS):
+            x = draw(family.n, rng)
+            m = measure(x)
+            if m != useless:
+                return x, m
+        raise CapacityError(f"no informative sample in {SEMIINVARIANCE_REDRAWS} draws")
+
     for _ in range(samples):
-        pt = random_gplus_point(family.n, rng)
-        elt = random_group_element(family.n, rng)
-        detg = la.det(elt.g)
-        vec = family.coords.coords_of_point(pt.c, pt.a)
-        moved = coadjoint(elt, pt)
-        mvec = family.coords.coords_of_point(moved.c, moved.a)
-        if poly.evaluate(mvec) != detg**weight * poly.evaluate(vec):
+        pt, at_pt = informative(random_gplus_point, value, 0)
+        elt, detg = informative(random_group_element, lambda e: la.det(e.g), 1)
+        if value(coadjoint(elt, pt)) != detg**weight * at_pt:
             return False
     return True
 
@@ -343,15 +364,12 @@ class OrbitIdeal:
     kinds: tuple[str, ...]
     generators: tuple[MultiPoly, ...]
     family: SemiinvariantFamily
-    _jacobian: list = field(default_factory=list, compare=False, repr=False)
 
+    @cached_property
     def jacobian_polys(self) -> list[list[MultiPoly]]:
-        """Rows of partial derivatives of the generators (cached)."""
-        if not self._jacobian:
-            nvars = len(self.family.coords.variables)
-            for g in self.generators:
-                self._jacobian.append([g.diff(j) for j in range(nvars)])
-        return self._jacobian
+        """Rows of partial derivatives of the generators, built once."""
+        nvars = len(self.family.coords.variables)
+        return [[g.diff(j) for j in range(nvars)] for g in self.generators]
 
     def normal_form_point(self) -> DualPoint:
         from .orbits import lambda_block_matrix
@@ -440,7 +458,7 @@ def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint]) -> bool:
     Points must be exact and lie on the variety: a nonzero generator value
     is an input error.
     """
-    jac = ideal.jacobian_polys()
+    jac = ideal.jacobian_polys
     coords = ideal.family.coords
     for pt in pts:
         vec = coords.coords_of_point(pt.c, pt.a)

@@ -2,8 +2,11 @@
 
 The algebra is spanned by block matrices (a  b; 0  -a^t) with a running
 over the elementary gl(n) matrices and b over an unnormalized basis of
-sym(n) (E_ii on the diagonal, E_ij + E_ji off it), so all structure
-constants are integers.
+sym(n) (E_ii on the diagonal, E_ij + E_ji off it), so every basis entry
+is 0 or +-1 and all structure constants are integers.
+``LieBasis.sparse_elements`` keeps the nonzero entries as ints: the one
+sparse copy of the basis, read by the structure constants and by the
+dual coordinates.
 
 The dual space is realized as the complementary block shape
 (a  0; c  -a^t) via the trace form tr(AB), which is nondegenerate on the
@@ -18,7 +21,7 @@ alike, and both block shapes are assembled by ``linalg.block``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -30,6 +33,9 @@ from .poly import MultiPoly, sum_of_products
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+# a sparse matrix: its nonzero entries keyed by (row, col)
+SparseMatrix = dict[tuple[int, int], int]
 
 
 def _elementary(n: int, i: int, j: int) -> la.Matrix:
@@ -111,6 +117,15 @@ class LieBasis:
         return self.names.index(name)
 
     @cached_property
+    def sparse_elements(self) -> tuple[SparseMatrix, ...]:
+        """The nonzero entries of each basis element, keyed by (row, col),
+        as ints: every entry is 0 or +-1."""
+        return tuple(
+            {(r, c): int(v) for r, row in enumerate(m) for c, v in enumerate(row) if v}
+            for m in self.elements
+        )
+
+    @cached_property
     def letter_at(self) -> dict[tuple[int, int], int]:
         """Block position -> letter index: a{rs} reads entry (r, s), b{rs}
         entry (r, n + s)."""
@@ -148,16 +163,8 @@ class StructureConstants:
         return out
 
 
-SparseMatrix = dict[tuple[int, int], Fraction]
-
-
 def _nonzero(m: SparseMatrix) -> SparseMatrix:
     return {rc: v for rc, v in m.items() if v != 0}
-
-
-def _sparse(m: la.Matrix) -> SparseMatrix:
-    """The nonzero entries of a dense matrix, keyed by (row, col)."""
-    return _nonzero({(r, c): v for r, row in enumerate(m) for c, v in enumerate(row)})
 
 
 def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
@@ -172,21 +179,18 @@ def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     return _nonzero(out)
 
 
-def _decompose_in_basis(
-    basis: LieBasis, sparse_elements: Sequence[SparseMatrix], m: SparseMatrix
-) -> dict[int, Fraction]:
+def _decompose_in_basis(basis: LieBasis, m: SparseMatrix) -> dict[int, int]:
     """Write a sparse block matrix of the algebra shape in the basis, exactly.
 
     The block structure makes the solve a direct entry read-off: the
     a-block entry (r, s) is the coefficient of letter a{rs}, and the
     b-block entry (r, s), r <= s, the coefficient of letter b{rs}; each
     nonzero entry of ``m`` finds its letter in ``basis.letter_at``.  The
-    sparse reconstruction from ``sparse_elements`` (the basis elements'
-    nonzero entries, as ``_sparse`` gives them) is compared entry for
-    entry, so a non-member input cannot slip through.  Generic over int
-    and Fraction entries; the coefficients come in letter order.
+    sparse reconstruction from ``basis.sparse_elements`` is compared entry
+    for entry, so a non-member input cannot slip through.  Generic over
+    int and Fraction entries; the coefficients come in letter order.
     """
-    letter_at = basis.letter_at
+    letter_at, sparse_elements = basis.letter_at, basis.sparse_elements
     coeffs = dict(sorted((letter_at[rc], v) for rc, v in m.items() if rc in letter_at and v != 0))
     recon: SparseMatrix = {}
     for idx, v in coeffs.items():
@@ -202,9 +206,9 @@ def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
 
     Every basis element has at most two nonzero entries, each +-1, so
     the commutators of all pairs, their read-off in the basis and the
-    closure check run on sparse int matrices; only the stored constants
-    are Fractions.  Closure of the block shape is verified on every
-    commutator.
+    closure check run on the int entries of ``LieBasis.sparse_elements``;
+    only the stored constants are Fractions.  Closure of the block shape
+    is verified on every commutator.
     """
     if n < 1:
         raise StructuralError("n must be at least 1")
@@ -229,12 +233,12 @@ def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
     )
     assert basis.dim == n * n + n * (n + 1) // 2
 
-    sparse = [{rc: int(v) for rc, v in _sparse(m).items()} for m in elements]
+    sparse = basis.sparse_elements
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(basis.dim):
         for j in range(i + 1, basis.dim):
             comm = _sparse_commutator(sparse[i], sparse[j])
-            coeffs = _decompose_in_basis(basis, sparse, comm)
+            coeffs = _decompose_in_basis(basis, comm)
             if coeffs:
                 table[(i, j)] = {k: Fraction(v) for k, v in coeffs.items()}
     return basis, StructureConstants(basis.dim, table)
@@ -247,29 +251,19 @@ class DualCoordinates:
     Coordinate i of a dual point p is tr(p X_i).  In terms of the raw
     blocks (c, a) of p this evaluates to 2 a[s][r] for letter a{rs}, to
     c[r][r] for letter b{rr} and to 2 c[r][s] for letter b{rs}, r < s.
-    ``coords_of_point`` reads those factors off the basis elements and
-    ``point_of_coords`` inverts them; both work over any entry ring, and
-    the symbolic entries (``entry_polynomials``) and the coordinates of
-    the vector fields go through them, so the factors are fixed here
-    once and nowhere else.
+    ``coords_of_point`` reads those factors off the basis's sparse entries
+    (``LieBasis.sparse_elements``) and ``point_of_coords`` inverts them;
+    both work over any entry ring, and the symbolic entries
+    (``entry_polynomials``) and the coordinates of the vector fields go
+    through them, so the factors are fixed here once and nowhere else.
     """
 
     basis: LieBasis
-    variables: tuple[str, ...] = field(init=False, default=())
-    # the nonzero entries of each basis element, for coords_of_point
-    sparse_elements: tuple[SparseMatrix, ...] = field(
-        init=False, default=(), compare=False, repr=False
-    )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "variables", tuple("x" + s for s in self.basis.names)
-        )
-        object.__setattr__(
-            self,
-            "sparse_elements",
-            tuple(_sparse(self.basis.element(i)) for i in range(self.basis.dim)),
-        )
+    @cached_property
+    def variables(self) -> tuple[str, ...]:
+        """The coordinate names: x followed by each letter's name."""
+        return tuple("x" + s for s in self.basis.names)
 
     def coords_of_point(self, c: la.Matrix, a: la.Matrix) -> list:
         """tr(p X_i) for each letter, summed over X_i's nonzero entries only.
@@ -280,7 +274,7 @@ class DualCoordinates:
         p = dual_block(c, a)
         return [
             sum((p[col][row] * v for (row, col), v in entries.items()), ZERO)
-            for entries in self.sparse_elements
+            for entries in self.basis.sparse_elements
         ]
 
     def point_of_coords(self, coords: Sequence) -> tuple[la.Matrix, la.Matrix]:
@@ -314,20 +308,15 @@ class DualCoordinates:
         """Pairing of the algebra basis against the mirrored dual basis.
 
         The dual-shape basis uses the same letter scheme with the c block
-        in place of b.  Nondegeneracy of the trace form on the two shapes
-        is the invertibility of this matrix.
+        in place of b: dual letter j has the blocks (c, a) = (sym_part(j),
+        gl_part(j)), and its column holds its coordinates.  Nondegeneracy
+        of the trace form on the two shapes is the invertibility of this
+        matrix.
         """
-        n = self.basis.n
-        dual_elems = []
-        for kind, r, s in self.basis.kinds:
-            if kind == "a":
-                dual_elems.append(dual_block(la.zeros(n, n), _elementary(n, r, s)))
-            else:
-                dual_elems.append(dual_block(_sym_basis_matrix(n, r, s), la.zeros(n, n)))
-        return [
-            [trace_pairing(self.basis.element(i), d) for d in dual_elems]
-            for i in range(self.basis.dim)
-        ]
+        basis = self.basis
+        return la.transpose(
+            [self.coords_of_point(basis.sym_part(j), basis.gl_part(j)) for j in range(basis.dim)]
+        )
 
 
 def lie_poisson_bracket(

@@ -33,10 +33,9 @@ measure.  Results are memoized per algebra and letter, keyed by the
 packed word: an int hashes as itself, so a memo hit builds no key.
 Because the relation is homogeneous, a term h^p X^v of X_l X^w has
 p = len(w) + 1 - len(v), so a memo entry is a tuple of (packed word,
-coefficient) pairs.  Structure constants with denominator 1 are stored
-as ``int``, which makes every memo coefficient an ``int`` for the
-integral structure constants of this package; other constants keep
-working as ``Fraction``.
+coefficient) pairs.  The structure constants of ``lie`` are integers, and
+``PBWAlgebra`` takes integral constants only and stores them as ``int``,
+so every memo coefficient is an ``int``.
 
 Products fold the letters of the left word into the right word from
 right to left; the symmetrizer, the letter commutator (through the
@@ -72,9 +71,9 @@ from .jsonio import as_fraction, required
 from .poly import MultiPoly, _FlatTerms, keyed_once
 
 Word = tuple[int, ...]
-# Packed words with exact int (or Fraction) coefficients, all of one
-# degree d: the term of word v carries h^(d - len(v)).
-WordTerms = dict[int, "int | Fraction"]
+# Packed words with int coefficients, all of one degree d: the term of
+# word v carries h^(d - len(v)).
+WordTerms = dict[int, int]
 _ZERO = Fraction(0)
 
 
@@ -126,26 +125,24 @@ def pack_exponent(exp, shift: int) -> int:
 
 
 class PBWAlgebra:
-    """Rewriting context: the letters, their bracket table and the insertion memo."""
+    """Rewriting context: the letters, their bracket table and the insertion
+    memo, for integral structure constants only (StructuralError otherwise)."""
 
     def __init__(self, basis: LieBasis, sc: StructureConstants):
         if basis.dim != sc.dim:
             raise StructuralError("basis and structure constants disagree")
+        if any(v.denominator != 1 for _, _, _, v in sc.entries()):
+            raise StructuralError("structure constants must be integers")
         self.basis = basis
         self.sc = sc
         self.dim = basis.dim
         # the width in bits of one letter digit of a packed word
         self.shift = self.dim.bit_length()
         self._mask = (1 << self.shift) - 1
-        # _bracket[i][j]: [X_i, X_j] = sum_k c X_k as ((k, c), ...), with c an
-        # int when its denominator is 1
+        # _bracket[i][j]: [X_i, X_j] = sum_k c X_k as ((k, int c), ...)
         self._bracket: list[list[tuple]] = [
             [
-                tuple(
-                    (k, v.numerator if v.denominator == 1 else v)
-                    for k, v in sc.bracket_coeffs(i, j).items()
-                    if v
-                )
+                tuple((k, int(v)) for k, v in sc.bracket_coeffs(i, j).items() if v)
                 for j in range(self.dim)
             ]
             for i in range(self.dim)
@@ -262,7 +259,7 @@ class PBWAlgebra:
         The result has degree len(w) + 1, h included.
         """
         insert, shift, mask, brackets = self._insert, self.shift, self._mask, self._bracket[e]
-        acc: dict[int, int | Fraction] = {}
+        acc: WordTerms = {}
         for cut in range(shift * (word_length(w, shift) - 1), -1, -shift):
             letter = ((w >> cut) & mask) - 1
             if acc:
@@ -425,8 +422,8 @@ class NCPoly(_HTerms):
         return cls(algebra, {(index,): 1})
 
     @classmethod
-    def from_word(cls, algebra: PBWAlgebra, word: Word, coeff: HPoly | None = None, rng=None) -> "NCPoly":
-        reduced = algebra.reduce_word(word, coeff or HPoly.one(), rng=rng)
+    def from_word(cls, algebra: PBWAlgebra, word: Word, coeff: HPoly | None = None) -> "NCPoly":
+        reduced = algebra.reduce_word(word, coeff or HPoly.one())
         return cls(algebra, reduced)
 
     # -- arithmetic --------------------------------------------------------
@@ -511,7 +508,7 @@ def exponent_of_word(word: Word, dim: int) -> tuple[int, ...]:
 SYMMETRIZER_DEGREE_CAP = 8
 
 
-def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> NCPoly:
+def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
     """The symmetrizer: average of all letter orderings, PBW-reduced.
 
     The sum U(a) of X^v over the distinct orderings v of the letters of
@@ -519,15 +516,16 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
     recursion memoized over sub-exponents that avoids the factorial
     blowup of a literal permutation sum; Sym(x^a) is U(a) divided by the
     multinomial |a|! / prod a_l!.  Degree is capped: a monomial of degree
-    more than ``cap`` raises CapacityError before any work is done.
+    more than ``SYMMETRIZER_DEGREE_CAP`` raises CapacityError before any
+    work is done.
     """
     if not isinstance(poly, MultiPoly):
         raise StructuralError("symmetrize expects a commutative polynomial")
     if len(poly.variables) != algebra.dim:
         raise StructuralError("polynomial variables do not match the letters")
     for exp in poly.flat:
-        if sum(exp) > cap:
-            raise CapacityError(f"symmetrizer degree {sum(exp)} exceeds cap {cap}")
+        if sum(exp) > SYMMETRIZER_DEGREE_CAP:
+            raise CapacityError(f"symmetrizer degree {sum(exp)} exceeds cap {SYMMETRIZER_DEGREE_CAP}")
 
     memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {0: 1}}
 
@@ -535,7 +533,7 @@ def symmetrize(algebra: PBWAlgebra, poly, cap: int = SYMMETRIZER_DEGREE_CAP) -> 
         cached = memo.get(exp)
         if cached is not None:
             return cached
-        acc: dict[int, int | Fraction] = {}
+        acc: WordTerms = {}
         for letter, count in enumerate(exp):
             if count:
                 sub = exp[:letter] + (count - 1,) + exp[letter + 1 :]

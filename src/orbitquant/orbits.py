@@ -54,7 +54,13 @@ def _inv(m):
     return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
 
 
-def _check_symmetric(m, what: str, tol: float = 1e-9):
+# the relative asymmetry a float block may carry and still count as symmetric
+SYMMETRY_TOL = 1e-9
+# the relative gap between block parameters, and from zero, of a regular point
+REGULARITY_GAP = 1e-6
+
+
+def _check_symmetric(m, what: str):
     rows, cols = la.shape(m)
     if rows != cols:
         raise StructuralError(f"{what} must be square")
@@ -66,7 +72,7 @@ def _check_symmetric(m, what: str, tol: float = 1e-9):
 
         arr = np.asarray(m, dtype=float)
         scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > tol * scale:
+        if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * scale:
             raise DomainError(f"{what} must be symmetric")
 
 
@@ -310,7 +316,7 @@ def lambda_block_matrix(n: int, lambdas) -> list[list]:
     return H
 
 
-def normal_form(pt: DualPoint, gap: float = 1e-6) -> NormalForm:
+def normal_form(pt: DualPoint) -> NormalForm:
     """Reduce (c, a) to (I, H) by a composition of three coadjoint moves.
 
     1. (0, g) with g^t g = c (Cholesky) sends c to the identity.
@@ -413,9 +419,9 @@ def normal_form(pt: DualPoint, gap: float = 1e-6) -> NormalForm:
     )
 
     abs_sorted = [abs(l) for l in lambdas]
-    regular = bool(lambdas) and min(abs_sorted) > gap * scale
+    regular = bool(lambdas) and min(abs_sorted) > REGULARITY_GAP * scale
     for u, v in zip(abs_sorted, abs_sorted[1:]):
-        if u - v <= gap * scale:
+        if u - v <= REGULARITY_GAP * scale:
             regular = False
     if n == 1:
         regular = True

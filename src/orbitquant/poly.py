@@ -438,13 +438,7 @@ def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
     equal layouts."""
     if 0 in flat.values():
         flat = {key: c for key, c in flat.items() if c}
-    try:
-        g = gcd(den, *flat.values())
-    except TypeError:  # Fraction numerators, from non-integral structure constants
-        scale = lcm(*(c.denominator for c in flat.values()))
-        flat = {key: int(c * scale) for key, c in flat.items()}
-        den *= scale
-        g = gcd(den, *flat.values())
+    g = gcd(den, *flat.values())
     if den < 0:
         g = -g
     if g != 1:

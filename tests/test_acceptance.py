@@ -24,7 +24,7 @@ def per_n(ns, pinned):
 
 
 # the content hash of that report, as ``orbitquant verify`` prints it
-REFERENCE_N3 = "29ee7f662375e84a792001d345a13d3a0777fb1fb17e5f2cdc0a7804cf50feca"
+REFERENCE_N3 = "bb49b2f3ab05f6b76609cb1ff6c21a84d17495467f7ed6f83b0d8868ed1ef14a"
 
 
 @pytest.fixture(scope="module")

@@ -189,6 +189,17 @@ def test_semi_check_perturbed_fails(capsys):
     assert laws and all(rec["exact_law"] is False for rec in laws)
 
 
+@pytest.mark.parametrize("n, seeds", [(2, range(60)), (3, range(30))])
+def test_semi_check_perturbed_fails_on_one_sample(capsys, n, seeds):
+    # one sample must tell the weights apart: a point where the polynomial
+    # vanishes or a g with det(g) = 1 would satisfy the offset law too
+    for seed in seeds:
+        code, doc = run_json(
+            capsys, "semi-check", "--n", str(n), "--seed", str(seed), "--samples", "1", "--perturb"
+        )
+        assert (code, doc["overall"]) == (1, "fail"), seed
+
+
 def test_semi_check_passes(capsys):
     code, doc = run_json(capsys, "semi-check", "--n", "2", "--seed", "3", "--samples", "5")
     assert code == 0

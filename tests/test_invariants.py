@@ -1,5 +1,6 @@
 """Invariants, semiinvariants, orbit ideals, certificates."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbitquant import invariants
+from orbitquant import invariants, sampling
 from orbitquant import linalg as la
-from orbitquant.errors import DomainError
+from orbitquant.errors import CapacityError, DomainError, StructuralError
 from orbitquant.invariants import (
     symbolic_dual_matrices,
     cleared_trace_matrix,
@@ -31,7 +32,7 @@ from orbitquant.invariants import (
     verify_semiinvariance,
 )
 from orbitquant.lie import DualCoordinates, build_lie_basis, lie_poisson_bracket
-from orbitquant.orbits import DualPoint, coadjoint, lambda_block_matrix, normal_form
+from orbitquant.orbits import DualPoint, GroupElement, coadjoint, lambda_block_matrix, normal_form
 from orbitquant.poly import MultiPoly, sum_of_products
 from orbitquant.sampling import (
     random_fraction,
@@ -264,6 +265,21 @@ def test_semiinvariant_weights_exact(n):
             assert not verify_semiinvariance(fam, poly, off, rng, samples=20)
 
 
+def test_semiinvariance_refuses_uninformative_data(monkeypatch):
+    fam = semiinvariant_family(2)
+    zero = MultiPoly.zero(fam.coords.variables)
+    with pytest.raises(StructuralError, match="zero polynomial"):
+        verify_semiinvariance(fam, zero, -1, random.Random(0), samples=1)
+
+    # a g of det 1 at every draw holds every law: redrawn, then refused
+    def unimodular(n, rng):
+        return GroupElement(la.zeros(n, n), la.identity(n))
+
+    monkeypatch.setattr(sampling, "random_group_element", unimodular)
+    with pytest.raises(CapacityError, match="no informative sample"):
+        verify_semiinvariance(fam, fam.generators[0], 0, random.Random(0), samples=1)
+
+
 def test_even_composite_weight_is_minus_four():
     # det(c) * P^2 restores the -4m law for the even-case bottom generator
     rng = random.Random(36)
@@ -435,7 +451,7 @@ def test_regularity_column_by_column_agrees_with_the_full_jacobian_rank(n):
     ideal = orbit_ideal(_regular_lambdas(fam.k), fam)
     base = ideal.normal_form_point()
     pts = [base] + [random_orbit_sample(base, rng) for _ in range(4)]
-    jac = ideal.jacobian_polys()
+    jac = ideal.jacobian_polys
     for pt in pts:
         vec = fam.coords.coords_of_point(pt.c, pt.a)
         full = la.rational_rank([[entry.evaluate(vec) for entry in row] for row in jac])
@@ -447,6 +463,14 @@ def test_regularity_column_by_column_agrees_with_the_full_jacobian_rank(n):
     assert not regularity_check(ideal, [base])
     vec = fam.coords.coords_of_point(base.c, base.a)
     assert la.rational_rank([[entry.evaluate(vec) for entry in row] for row in jac]) < ideal.k
+
+
+def test_replaced_ideal_builds_its_own_jacobian():
+    fam = semiinvariant_family(2)
+    ideal = orbit_ideal([Fraction(1)], fam)
+    assert len(ideal.jacobian_polys) == 1
+    doubled = dataclasses.replace(ideal, generators=ideal.generators * 2)
+    assert doubled.jacobian_polys == ideal.jacobian_polys * 2
 
 
 @pytest.mark.parametrize("n, i", [(2, 1), (2, 2), (3, 1), (4, 1)])

@@ -13,7 +13,6 @@ from orbitquant.errors import StructuralError
 from orbitquant.lie import (
     DualCoordinates,
     _decompose_in_basis,
-    _sparse,
     basis_to_json,
     build_lie_basis,
     dual_block,
@@ -157,22 +156,22 @@ def test_sparse_structure_constants_match_dense_oracle(n):
 def test_closure_check_rejects_non_members():
     n = 2
     basis, _ = build_lie_basis(n)
-    sparse = [_sparse(basis.element(k)) for k in range(basis.dim)]
+    sparse = basis.sparse_elements
     a12 = basis.index_of("a12")
     # a member: the a12 element itself decomposes to one coefficient
-    assert _decompose_in_basis(basis, sparse, sparse[a12]) == {a12: Fraction(1)}
+    assert _decompose_in_basis(basis, sparse[a12]) == {a12: Fraction(1)}
     # a nonzero lower-left (c-block) entry is outside the algebra
     lower_left = dict(sparse[a12])
     lower_left[(n, 0)] = Fraction(3)
     with pytest.raises(StructuralError):
-        _decompose_in_basis(basis, sparse, lower_left)
+        _decompose_in_basis(basis, lower_left)
     # a lower-right block that is not -a^t: a12 with its mirror entry flipped
     wrong_mirror = {(0, 1): Fraction(1), (n + 1, n): Fraction(1)}
     with pytest.raises(StructuralError):
-        _decompose_in_basis(basis, sparse, wrong_mirror)
+        _decompose_in_basis(basis, wrong_mirror)
     # the mirror entry missing altogether
     with pytest.raises(StructuralError):
-        _decompose_in_basis(basis, sparse, {(0, 1): Fraction(1)})
+        _decompose_in_basis(basis, {(0, 1): Fraction(1)})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -235,6 +234,19 @@ def test_coords_point_round_trip():
         vec = coords.coords_of_point(c, a)
         c2, a2 = coords.point_of_coords(vec)
         assert c2 == c and a2 == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sparse_elements_are_the_int_entries_of_the_basis(n):
+    basis, _ = build_lie_basis(n)
+    sparse = basis.sparse_elements
+    assert sparse is basis.sparse_elements  # built once per basis
+    for i, entries in enumerate(sparse):
+        element = basis.element(i)
+        assert entries == {
+            (r, c): v for r, row in enumerate(element) for c, v in enumerate(row) if v
+        }
+        assert all(type(v) is int and v in (1, -1) for v in entries.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -382,26 +382,28 @@ def test_symmetrize_matches_literal_permutation_sum(algebras, data):
     assert symmetrize(alg, poly) == slow
 
 
-def test_rational_structure_constants_stay_exact():
-    # halving every structure constant keeps the Jacobi identity; the
-    # insertion routine then carries Fraction coefficients
+def test_halved_structure_constants_are_refused():
+    # halving every structure constant keeps the Jacobi identity, but the
+    # rewriting context takes integral constants only
     basis, sc = build_lie_basis(2)
     table = {}
     for i, j, k, v in sc.entries():
         table.setdefault((i, j), {})[k] = v / 2
-    alg = PBWAlgebra(basis, StructureConstants(sc.dim, table))
-    rng = random.Random(59)
+    with pytest.raises(StructuralError, match="integers"):
+        PBWAlgebra(basis, StructureConstants(sc.dim, table))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_memo_entries_are_integral_insertions(n):
+    alg, basis = make_algebra(n)
+    rng = random.Random(59 + n)
     for _ in range(30):
         w1 = tuple(sorted(rng.randrange(basis.dim) for _ in range(3)))
         w2 = tuple(sorted(rng.randrange(basis.dim) for _ in range(3)))
         fast = NCPoly(alg, {w1: HPoly.one()}) * NCPoly(alg, {w2: HPoly.one()})
         assert fast == NCPoly(alg, alg.reduce_word(w1 + w2, rng=rng))
-    assert any(
-        type(c) is Fraction
-        for memo in alg._memo
-        for entry in memo.values()
-        for _, c in entry
-    )
+    entries = [entry for memo in alg._memo for entry in memo.values()]
+    assert entries and all(type(c) is int for entry in entries for _, c in entry)
     # every memo entry, keyed and valued by packed words, is X_l X^w
     shift = alg.shift
     for l, memo in enumerate(alg._memo):

@@ -127,7 +127,7 @@ def test_pbw_check_compares_the_engine_product_with_rewriting(monkeypatch):
     assert details["associative_triples"] == details["triples"]
 
 
-REFERENCE_N2 = "2bdc3a26dd057c50dfb8de9db258232ce2db4df33ebf892dd576cfe132240909"
+REFERENCE_N2 = "aa7c6fb057e34042e2b8c63f3bef1cb8118bf1990621b7ff78312519ee36fbc5"
 FORK = "fork" in multiprocessing.get_all_start_methods()
 POOL = FORK and verify._usable_cpus() >= 2
 
