@@ -50,6 +50,21 @@ of the storage and sums they share with ``MultiPoly`` (``poly._FlatTerms``).
 the edges: constructor input, the ``terms`` view (``_gather``, one
 ``HPoly`` per key on each access), JSON and printing.
 
+The letter commutator skips rewriting for a Cartan letter, one that
+scales every letter ([X_e, X_j] = c_j X_j for every j): then
+[X_e, X^w] = h (sum_i c_(w[i])) X^w.
+
+The symmetrizer follows S. Gutt's left-multiplication formula (An
+explicit *-product on the cotangent bundle of a Lie group, Lett. Math.
+Phys. 7, 1983).  For a = b + e_l, l the smallest letter of x^a, d = |a|,
+
+    Sym(x^a) = X_l Sym(x^b) - sum_{k=1}^{d-1} (B_k / k!) h^k Sym(Q_k),
+
+with Bernoulli numbers B_k and Q_k the commutative polynomials of
+iterated brackets that ``symmetrize`` states.  It runs in integers on
+W(a) = d! Sym(x^a), memoized over monomials, so each monomial costs one
+letter prepend plus its lower-degree correction monomials.
+
 Letters are checked where they enter (``checked_word``): each is an int,
 not a bool, in range.
 
@@ -62,11 +77,11 @@ verb and ``verify``'s confluence check use it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
-from .errors import CapacityError, StructuralError
+from .errors import CapacityError, CertificationError, StructuralError
 from .hpoly import HPoly
-from .lie import LieBasis, StructureConstants
+from .lie import DualCoordinates, LieBasis, StructureConstants
 from .jsonio import as_fraction, required
 from .poly import MultiPoly, _FlatTerms, keyed_once
 
@@ -147,8 +162,20 @@ class PBWAlgebra:
             ]
             for i in range(self.dim)
         ]
+        # _diagonal[e] = (c_0, ..., c_(dim-1)) when [X_e, X_j] = c_j X_j for
+        # every j (a Cartan letter: X_e acts on every letter by a scalar),
+        # else None
+        self._diagonal: list[tuple | None] = [
+            tuple(row[j][0][1] if row[j] else 0 for j in range(self.dim))
+            if all(not b or (len(b) == 1 and b[0][0] == j) for j, b in enumerate(row))
+            else None
+            for row in self._bracket
+        ]
         # _memo[l][w] = X_l * X^w for a packed word w with first letter below l
         self._memo: list[dict[int, tuple]] = [{} for _ in range(self.dim)]
+        # the commutative coordinates, in letter order, of the polynomials
+        # that ``symmetrize`` takes
+        self.variables = DualCoordinates(basis).variables
 
     # -- the insertion primitive ------------------------------------------
 
@@ -256,9 +283,16 @@ class PBWAlgebra:
         the sum over positions i of X^w[:i] * h[X_e, X_w[i]] * X^w[i+1:],
         much cheaper than two full products.  It is summed Horner-wise from
         the last letter: C_i = X_w[i] C_(i+1) + h[X_e, X_w[i]] X^w[i+1:].
-        The result has degree len(w) + 1, h included.
+        The result has degree len(w) + 1, h included.  For a Cartan letter,
+        [X_e, X_j] = c_j X_j for every j, each term of the sum is
+        h c_(w[i]) X^w, so [X_e, X^w] = h (sum_i c_(w[i])) X^w with no
+        rewriting.
         """
         insert, shift, mask, brackets = self._insert, self.shift, self._mask, self._bracket[e]
+        weights = self._diagonal[e]
+        if weights is not None:
+            total = sum(weights[((w >> cut) & mask) - 1] for cut in range(0, w.bit_length(), shift))
+            return {w: total} if total else {}
         acc: WordTerms = {}
         for cut in range(shift * (word_length(w, shift) - 1), -1, -shift):
             letter = ((w >> cut) & mask) - 1
@@ -508,51 +542,119 @@ def exponent_of_word(word: Word, dim: int) -> tuple[int, ...]:
 SYMMETRIZER_DEGREE_CAP = 8
 
 
+def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_m with B_1 = -1/2, from sum_{j <= k} C(k + 1, j) B_j = 0 (k >= 1)."""
+    out = [Fraction(1)]
+    for k in range(1, m + 1):
+        out.append(-sum(comb(k + 1, j) * b for j, b in enumerate(out)) / (k + 1))
+    return tuple(out)
+
+
+# B_0 .. B_(cap - 1): a monomial of degree d reads B_1 .. B_(d - 1)
+_BERNOULLI = bernoulli_numbers(SYMMETRIZER_DEGREE_CAP - 1)
+
+
+def _ad_gradient(grad: dict, brackets: list) -> dict:
+    """sum_i (ad_{e_i} (x) d/dx_i) G for a g-valued polynomial G given as
+    {(letter j, exponent m): int} (the term e_j (x) x^m), over the bracket
+    table of ``PBWAlgebra``; may hold zero coefficients."""
+    out: dict = {}
+    for (j, m), c in grad.items():
+        for i, mi in enumerate(m):
+            if mi and brackets[i][j]:
+                lower, scale = m[:i] + (mi - 1,) + m[i + 1 :], c * mi
+                for t, v in brackets[i][j]:
+                    key = (t, lower)
+                    out[key] = out.get(key, 0) + scale * v
+    return out
+
+
 def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
     """The symmetrizer: average of all letter orderings, PBW-reduced.
 
-    The sum U(a) of X^v over the distinct orderings v of the letters of
-    x^a satisfies U(a) = sum_{l : a_l > 0} X_l U(a - e_l), an integer
-    recursion memoized over sub-exponents that avoids the factorial
-    blowup of a literal permutation sum; Sym(x^a) is U(a) divided by the
-    multinomial |a|! / prod a_l!.  Degree is capped: a monomial of degree
-    more than ``SYMMETRIZER_DEGREE_CAP`` raises CapacityError before any
-    work is done.
+    Built by Gutt's left-multiplication formula (S. Gutt, An explicit
+    *-product on the cotangent bundle of a Lie group, Lett. Math. Phys. 7,
+    1983).  Let l be the smallest letter of x^a, a = b + e_l, d = |a|:
+
+        Sym(x^a) = X_l Sym(x^b) - sum_{k=1}^{d-1} (B_k / k!) h^k Sym(Q_k),
+
+    with Bernoulli numbers B_k (B_1 = -1/2), Q_k = sum_j x_j G_k[j], and
+    g-valued polynomials G_0 = e_l (x) x^b, G_k = sum_i (ad_{e_i} (x) d/dx_i)
+    G_(k-1) over the bracket table.  Odd B_k from B_3 on vanish, but G_k
+    is still stepped through them.  In integers, W(a) = d! Sym(x^a)
+    satisfies
+
+        W(a) = d X_l W(b) - sum_k C(d, k) B_k h^k sum_e q_e W(e),
+
+    summed times L, the lcm of the Bernoulli denominators, and divided by
+    L exactly; a remainder raises CertificationError naming x^a.  W is
+    memoized per call over monomials, so each monomial costs one letter
+    prepend onto W(b) plus its correction monomials.  The polynomial must
+    lie over the algebra's coordinates (``PBWAlgebra.variables``, in
+    letter order; StructuralError otherwise).  Degree is capped: a
+    monomial of degree more than ``SYMMETRIZER_DEGREE_CAP`` raises
+    CapacityError before any work is done.
     """
     if not isinstance(poly, MultiPoly):
         raise StructuralError("symmetrize expects a commutative polynomial")
-    if len(poly.variables) != algebra.dim:
-        raise StructuralError("polynomial variables do not match the letters")
+    if poly.variables != algebra.variables:
+        raise StructuralError(
+            f"polynomial variables {list(poly.variables)} are not the "
+            f"algebra's {list(algebra.variables)}"
+        )
     for exp in poly.flat:
         if sum(exp) > SYMMETRIZER_DEGREE_CAP:
             raise CapacityError(f"symmetrizer degree {sum(exp)} exceeds cap {SYMMETRIZER_DEGREE_CAP}")
 
+    big_l = lcm(*(b.denominator for b in _BERNOULLI))
+    # L B_k as ints, 0 where B_k vanishes
+    scaled = [b.numerator * (big_l // b.denominator) for b in _BERNOULLI]
+    brackets = algebra._bracket
     memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {0: 1}}
 
-    def orderings(exp: tuple[int, ...]) -> WordTerms:
+    def factorial_sym(exp: tuple[int, ...]) -> WordTerms:
+        """W(exp) = |exp|! Sym(x^exp), words of degree |exp|."""
         cached = memo.get(exp)
         if cached is not None:
             return cached
-        acc: WordTerms = {}
-        for letter, count in enumerate(exp):
-            if count:
-                sub = exp[:letter] + (count - 1,) + exp[letter + 1 :]
-                algebra._prepend(letter, orderings(sub).items(), acc)
+        d = sum(exp)
+        l = next(i for i, count in enumerate(exp) if count)
+        b = exp[:l] + (exp[l] - 1,) + exp[l + 1 :]
+        # L times the correction sum_k C(d, k) B_k h^k sum_e q_e W(e)
+        correction: WordTerms = {}
+        grad = {(l, b): 1}  # G_0
+        for k in range(1, d):
+            grad = _ad_gradient(grad, brackets)
+            if not scaled[k]:
+                continue
+            q: dict = {}
+            for (j, m), c in grad.items():
+                if c:
+                    e = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                    q[e] = q.get(e, 0) + c
+            factor = comb(d, k) * scaled[k]
+            for e, c in q.items():
+                if c:
+                    c *= factor
+                    for v, w in factorial_sym(e).items():
+                        correction[v] = correction.get(v, 0) + c * w
+        acc = algebra._prepend(l, factorial_sym(b).items())
+        for v, c in acc.items():
+            acc[v] = d * c
+        for v, c in correction.items():
+            whole, rest = divmod(c, big_l)
+            if rest:
+                witness = MultiPoly.monomial(algebra.variables, exp)
+                raise CertificationError(f"{d}! Sym({witness}) is not integral")
+            acc[v] = acc.get(v, 0) - whole
         memo[exp] = acc = {v: c for v, c in acc.items() if c}
         return acc
 
-    def multinomial(exp: tuple[int, ...]) -> int:
-        out = factorial(sum(exp))
-        for count in exp:
-            out //= factorial(count)
-        return out
-
-    # the numerator c of x^a over poly.den becomes c * scale / m(a) over
-    # poly.den * scale, with scale the lcm of the multinomials m(a)
-    counts = {exp: multinomial(exp) for exp in poly.flat}
-    scale = lcm(*counts.values())
+    # the numerator c of x^a over poly.den becomes c * scale / |a|! over
+    # poly.den * scale, with scale the lcm of the factorials |a|!
+    scale = lcm(*(factorial(sum(exp)) for exp in poly.flat))
     flat: dict[tuple[int, int], int] = {}
     for exp, c in poly.flat.items():
-        a = c * (scale // counts[exp])
-        _add_scaled(flat, orderings(exp), sum(exp), ((0, a),), algebra.shift)
+        d = sum(exp)
+        _add_scaled(flat, factorial_sym(exp), d, ((0, c * (scale // factorial(d))),), algebra.shift)
     return NCPoly._trusted(algebra, flat, poly.den * scale)

@@ -293,6 +293,19 @@ def test_star_rejects_foreign_variables(capsys, tmp_path):
     assert doc["error"]["type"] == "StructuralError"
 
 
+@pytest.mark.parametrize("variables", [["xb11", "xa11"], ["q", "p"]])
+def test_sym_rejects_foreign_variables(capsys, tmp_path, variables):
+    # exponents are read by position, so swapped names would symmetrize
+    # xa11 as the letter b11
+    poly = {"variables": variables, "terms": [{"coefficient": "1", "exponents": [0, 1]}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"polynomial": poly}))
+    code, doc = run_json(capsys, "sym", "--n", "1", "--input", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "StructuralError"
+    assert "xa11" in doc["error"]["message"]
+
+
 STAR_N2_VARIABLES = ["xa11", "xa12", "xa21", "xa22", "xb11", "xb12", "xb22"]
 
 

@@ -268,6 +268,19 @@ def test_ncpoly_json_round_trip():
         assert NCPoly.from_json(alg, u.to_json()) == u
 
 
+@pytest.mark.parametrize(
+    "variables",
+    [("xb11", "xa11"), ("q", "p"), ("xa11",), ("xa11", "xb11", "xa12")],
+    ids=["swapped", "foreign", "short", "long"],
+)
+def test_symmetrize_refuses_other_variables(variables):
+    # only the algebra's coordinates, in letter order, name its letters
+    alg, _ = make_algebra(1)
+    assert alg.variables == ("xa11", "xb11")
+    with pytest.raises(StructuralError, match="not the algebra's"):
+        symmetrize(alg, MultiPoly.variable(variables, 0))
+
+
 def test_symmetrize_degree_cap():
     alg, basis = make_algebra(1)
     variables = tuple("x" + s for s in basis.names)
@@ -358,6 +371,24 @@ def test_letter_commutator_matches_literal_rewriter(algebras, data):
     for w, c in s.terms.items():
         slow = slow + literal(alg, (e,) + w, c, rng) - literal(alg, w + (e,), c, rng)
     assert s.commutator_with_letter(e) == slow
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cartan_letter_commutators_match_literal_rewriter(n):
+    # the Cartan letters a_ii take the no-rewriting path: [X_e, X^w] is
+    # h (sum of the letters' weights) X^w
+    alg, basis = make_algebra(n)
+    cartan = [e for e in range(basis.dim) if alg._diagonal[e] is not None]
+    assert [basis.names[e] for e in cartan] == [f"a{i}{i}" for i in range(1, n + 1)]
+    rng = random.Random(60 + n)
+    words = [()] + [
+        tuple(sorted(rng.randrange(basis.dim) for _ in range(rng.randint(1, 5)))) for _ in range(12)
+    ]
+    for e in cartan:
+        for w in words:
+            fast = NCPoly.unit(alg) if not w else NCPoly(alg, {w: 1})
+            slow = NCPoly(alg, alg.reduce_word((e,) + w)) - NCPoly(alg, alg.reduce_word(w + (e,)))
+            assert fast.commutator_with_letter(e) == slow
 
 
 @DIFFERENTIAL
