@@ -44,7 +44,7 @@ from math import lcm
 
 from . import linalg as la
 from .errors import CapacityError, DomainError, StructuralError
-from .groebner import Capacity, DEFAULT_CAPACITY
+from .groebner import DEFAULT_CAPACITY
 from .lie import DualCoordinates, build_lie_basis
 from .orbits import DualPoint, NormalForm, ad_star_blocks
 from .poly import MultiPoly, monomials_up_to_degree, sum_of_products
@@ -319,13 +319,16 @@ def verify_semiinvariance(
     Only informative samples count: a point where ``poly`` vanishes, or a
     g with det(g) = 1, satisfies the law at every weight, so each is
     redrawn, at most ``SEMIINVARIANCE_REDRAWS`` times per sample
-    (CapacityError beyond).  The zero polynomial is a StructuralError.
+    (CapacityError beyond).  The zero polynomial and fewer than one
+    sample are each a StructuralError.
     """
     from .orbits import coadjoint
     from .sampling import random_gplus_point, random_group_element
 
     if poly.is_zero():
         raise StructuralError("the zero polynomial satisfies every weight law")
+    if samples < 1:
+        raise StructuralError(f"a weight law needs at least one sample, not {samples}")
 
     def value(pt):
         return poly.evaluate(family.coords.coords_of_point(pt.c, pt.a))
@@ -456,8 +459,10 @@ def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint]) -> bool:
     """True iff the generator Jacobian has full rank k at every point.
 
     Points must be exact and lie on the variety: a nonzero generator value
-    is an input error.
+    is an input error, and so is an empty point list.
     """
+    if not pts:
+        raise StructuralError("the regularity check needs at least one point")
     jac = ideal.jacobian_polys
     coords = ideal.family.coords
     for pt in pts:
@@ -510,12 +515,7 @@ class InvariantCertificate:
         return self.kernel_dimension == 1
 
 
-def no_invariants_certificate(
-    n: int,
-    degree: int,
-    coords: DualCoordinates | None = None,
-    capacity: Capacity = DEFAULT_CAPACITY,
-) -> InvariantCertificate:
+def no_invariants_certificate(n: int, degree: int) -> InvariantCertificate:
     """Exact dimension of degree-bounded invariant polynomials.
 
     Assembles, per homogeneous degree, the linear system L_i F = 0 over
@@ -527,9 +527,7 @@ def no_invariants_certificate(
     """
     if degree < 1:
         raise StructuralError(f"the invariant certificate needs a degree bound >= 1, not {degree}")
-    if coords is None:
-        basis, _ = build_lie_basis(n)
-        coords = DualCoordinates(basis)
+    coords = DualCoordinates(build_lie_basis(n)[0])
     nvars = len(coords.variables)
     # each field row as (exponent, integer numerator) lists over one
     # denominator: the rows of L_i below are integer multiples of the
@@ -541,7 +539,7 @@ def no_invariants_certificate(
     per_degree = [1]
     for delta in range(1, degree + 1):
         monos = [e for e in monomials_up_to_degree(nvars, delta) if sum(e) == delta]
-        if len(monos) > capacity.max_terms:
+        if len(monos) > DEFAULT_CAPACITY.max_terms:
             raise CapacityError(
                 f"degree {delta} needs {len(monos)} monomials, over cap"
             )

@@ -4,6 +4,8 @@ The algebra is spanned by block matrices (a  b; 0  -a^t) with a running
 over the elementary gl(n) matrices and b over an unnormalized basis of
 sym(n) (E_ii on the diagonal, E_ij + E_ji off it), so every basis entry
 is 0 or +-1 and all structure constants are integers.
+``StructureConstants`` holds them as ints in the one bracket table that
+PBW rewriting, the symmetrizer and the Lie-Poisson bracket read.
 ``LieBasis.sparse_elements`` keeps the nonzero entries as ints: the one
 sparse copy of the basis, read by the structure constants and by the
 dual coordinates.
@@ -113,9 +115,6 @@ class LieBasis:
         kind, r, s = self.kinds[i]
         return _sym_basis_matrix(self.n, r, s) if kind == "b" else la.zeros(self.n, self.n)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     @cached_property
     def sparse_elements(self) -> tuple[SparseMatrix, ...]:
         """The nonzero entries of each basis element, keyed by (row, col),
@@ -136,31 +135,48 @@ class LieBasis:
 
 
 class StructureConstants:
-    """Sparse structure constants c_ij^k with [X_i, X_j] = sum c_ij^k X_k."""
+    """Structure constants c_ij^k with [X_i, X_j] = sum c_ij^k X_k, all ints.
 
-    def __init__(self, dim: int, table: dict[tuple[int, int], dict[int, Fraction]]):
+    Built from {(i, j): {k: c_ij^k}} over letters i < j; a value that is
+    not an int (a float, Fraction or bool), or a letter outside range(dim),
+    is a StructuralError.  The one bracket table is ``brackets[i][j]``,
+    [X_i, X_j] as ((k, c), ...) for every ordered pair; ``cartan_rows[e]``
+    is (c_0, ..., c_(dim-1)) when [X_e, X_j] = c_j X_j for every j (a
+    Cartan letter), else None.
+    """
+
+    def __init__(self, dim: int, table: dict[tuple[int, int], dict[int, int]]):
+        if any(type(v) is not int for coeffs in table.values() for v in coeffs.values()):
+            raise StructuralError("structure constants must be integers")
+        if not all(0 <= i < j < dim and all(0 <= k < dim for k in c) for (i, j), c in table.items()):
+            raise StructuralError(f"structure constants need letters i < j and k in range({dim})")
         self.dim = dim
-        self._table = table  # keys (i, j) with i < j only
+        self.brackets: list[list[tuple]] = [[()] * dim for _ in range(dim)]
+        for (i, j), coeffs in table.items():
+            self.brackets[i][j] = tuple((k, v) for k, v in coeffs.items() if v)
+            self.brackets[j][i] = tuple((k, -v) for k, v in self.brackets[i][j])
+        self.cartan_rows: list[tuple | None] = [
+            tuple(row[j][0][1] if row[j] else 0 for j in range(dim))
+            if all(not b or (len(b) == 1 and b[0][0] == j) for j, b in enumerate(row))
+            else None
+            for row in self.brackets
+        ]
 
-    def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        flipped = self._table.get((j, i), {})
-        return {k: -v for k, v in flipped.items()}
+    def bracket_coeffs(self, i: int, j: int) -> dict[int, int]:
+        """[X_i, X_j] as {k: c_ij^k}; StructuralError for a letter outside range(dim)."""
+        if not all(type(x) is int and 0 <= x < self.dim for x in (i, j)):
+            raise StructuralError(f"letters {i}, {j} are not both ints in range({self.dim})")
+        return dict(self.brackets[i][j])
 
     def entries(self):
-        """Iterate (i, j, k, value) over stored i < j entries."""
-        for (i, j), coeffs in self._table.items():
-            for k, v in coeffs.items():
-                yield i, j, k, v
+        """Iterate (i, j, k, value) over the nonzero entries with i < j."""
+        for i, row in enumerate(self.brackets):
+            for j in range(i + 1, self.dim):
+                for k, v in row[j]:
+                    yield i, j, k, v
 
     def to_json(self) -> list[dict]:
-        out = []
-        for i, j, k, v in sorted(self.entries()):
-            out.append({"i": i, "j": j, "k": k, "value": str(v)})
-        return out
+        return [{"i": i, "j": j, "k": k, "value": str(v)} for i, j, k, v in sorted(self.entries())]
 
 
 def _nonzero(m: SparseMatrix) -> SparseMatrix:
@@ -206,9 +222,8 @@ def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
 
     Every basis element has at most two nonzero entries, each +-1, so
     the commutators of all pairs, their read-off in the basis and the
-    closure check run on the int entries of ``LieBasis.sparse_elements``;
-    only the stored constants are Fractions.  Closure of the block shape
-    is verified on every commutator.
+    closure check run on the int entries of ``LieBasis.sparse_elements``.
+    Closure of the block shape is verified on every commutator.
     """
     if n < 1:
         raise StructuralError("n must be at least 1")
@@ -234,13 +249,11 @@ def build_lie_basis(n: int) -> tuple[LieBasis, StructureConstants]:
     assert basis.dim == n * n + n * (n + 1) // 2
 
     sparse = basis.sparse_elements
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(basis.dim):
-        for j in range(i + 1, basis.dim):
-            comm = _sparse_commutator(sparse[i], sparse[j])
-            coeffs = _decompose_in_basis(basis, comm)
-            if coeffs:
-                table[(i, j)] = {k: Fraction(v) for k, v in coeffs.items()}
+    table = {
+        (i, j): _decompose_in_basis(basis, _sparse_commutator(sparse[i], sparse[j]))
+        for i in range(basis.dim)
+        for j in range(i + 1, basis.dim)
+    }
     return basis, StructureConstants(basis.dim, table)
 
 
@@ -337,16 +350,15 @@ def lie_poisson_bracket(
     df = [f.diff(i) for i in range(sc.dim)]
     dg = [g.diff(j) for j in range(sc.dim)]
     pairs = []
-    for i, j, k, value in sc.entries():
-        for a, b, c in ((i, j, value), (j, i, -value)):
-            if c and df[a].flat and dg[b].flat:
-                # c x_k df/dx_a: shift each exponent by x_k, scale each numerator by c
-                num = c.numerator
-                shifted = {
-                    e[:k] + (e[k] + 1,) + e[k + 1 :]: v * num for e, v in df[a].flat.items()
-                }
-                den = df[a].den * c.denominator
-                pairs.append((MultiPoly._trusted(variables, shifted, den), dg[b]))
+    for i, row in enumerate(sc.brackets):
+        for j, bracket in enumerate(row):
+            if df[i].flat and dg[j].flat:
+                for k, c in bracket:
+                    # c x_k df/dx_i: shift each exponent by x_k, scale each numerator by c
+                    shifted = {
+                        e[:k] + (e[k] + 1,) + e[k + 1 :]: v * c for e, v in df[i].flat.items()
+                    }
+                    pairs.append((MultiPoly._trusted(variables, shifted, df[i].den), dg[j]))
     return sum_of_products(variables, pairs)
 
 

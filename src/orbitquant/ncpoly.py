@@ -33,9 +33,8 @@ measure.  Results are memoized per algebra and letter, keyed by the
 packed word: an int hashes as itself, so a memo hit builds no key.
 Because the relation is homogeneous, a term h^p X^v of X_l X^w has
 p = len(w) + 1 - len(v), so a memo entry is a tuple of (packed word,
-coefficient) pairs.  The structure constants of ``lie`` are integers, and
-``PBWAlgebra`` takes integral constants only and stores them as ``int``,
-so every memo coefficient is an ``int``.
+coefficient) pairs.  The bracket table is the one int table of ``lie``,
+``StructureConstants.brackets``, so every memo coefficient is an ``int``.
 
 Products fold the letters of the left word into the right word from
 right to left; the symmetrizer, the letter commutator (through the
@@ -51,8 +50,8 @@ the edges: constructor input, the ``terms`` view (``_gather``, one
 ``HPoly`` per key on each access), JSON and printing.
 
 The letter commutator skips rewriting for a Cartan letter, one that
-scales every letter ([X_e, X_j] = c_j X_j for every j): then
-[X_e, X^w] = h (sum_i c_(w[i])) X^w.
+scales every letter ([X_e, X_j] = c_j X_j for every j, the rows
+``StructureConstants.cartan_rows``): then [X_e, X^w] = h (sum_i c_(w[i])) X^w.
 
 The symmetrizer follows S. Gutt's left-multiplication formula (An
 explicit *-product on the cotangent bundle of a Lie group, Lett. Math.
@@ -140,37 +139,18 @@ def pack_exponent(exp, shift: int) -> int:
 
 
 class PBWAlgebra:
-    """Rewriting context: the letters, their bracket table and the insertion
-    memo, for integral structure constants only (StructuralError otherwise)."""
+    """Rewriting context: the letters, their structure constants and the
+    insertion memo."""
 
     def __init__(self, basis: LieBasis, sc: StructureConstants):
         if basis.dim != sc.dim:
             raise StructuralError("basis and structure constants disagree")
-        if any(v.denominator != 1 for _, _, _, v in sc.entries()):
-            raise StructuralError("structure constants must be integers")
         self.basis = basis
         self.sc = sc
         self.dim = basis.dim
         # the width in bits of one letter digit of a packed word
         self.shift = self.dim.bit_length()
         self._mask = (1 << self.shift) - 1
-        # _bracket[i][j]: [X_i, X_j] = sum_k c X_k as ((k, int c), ...)
-        self._bracket: list[list[tuple]] = [
-            [
-                tuple((k, int(v)) for k, v in sc.bracket_coeffs(i, j).items() if v)
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
-        # _diagonal[e] = (c_0, ..., c_(dim-1)) when [X_e, X_j] = c_j X_j for
-        # every j (a Cartan letter: X_e acts on every letter by a scalar),
-        # else None
-        self._diagonal: list[tuple | None] = [
-            tuple(row[j][0][1] if row[j] else 0 for j in range(self.dim))
-            if all(not b or (len(b) == 1 and b[0][0] == j) for j, b in enumerate(row))
-            else None
-            for row in self._bracket
-        ]
         # _memo[l][w] = X_l * X^w for a packed word w with first letter below l
         self._memo: list[dict[int, tuple]] = [{} for _ in range(self.dim)]
         # the commutative coordinates, in letter order, of the polynomials
@@ -194,7 +174,7 @@ class PBWAlgebra:
         prepend = self._prepend
         w0, rest = first - 1, w >> self.shift
         acc = prepend(w0, self._insert(l, rest))
-        for k, ck in self._bracket[l][w0]:
+        for k, ck in self.sc.brackets[l][w0]:
             prepend(k, ((rest, ck),), acc)
         memo[w] = result = tuple((v, c) for v, c in acc.items() if c)
         return result
@@ -250,16 +230,15 @@ class PBWAlgebra:
 
     # -- word reduction --------------------------------------------------
 
-    def reduce_word(self, word: Word, coeff: HPoly = None, rng=None) -> dict[Word, HPoly]:
-        """PBW normal form of a single word with coefficient.
+    def reduce_word(self, word: Word, coeff=1, rng=None) -> dict[Word, HPoly]:
+        """PBW normal form of a single word with an HPoly or exact scalar
+        coefficient.
 
         Deterministically rewrites the leftmost inversion; an rng picks
         random inversions instead, exercising confluence.
         """
-        if coeff is None:
-            coeff = HPoly.one()
         result: dict[Word, HPoly] = {}
-        stack: list[tuple[Word, HPoly]] = [(checked_word(word, self.dim), coeff)]
+        stack: list[tuple[Word, HPoly]] = [(checked_word(word, self.dim), HPoly(_hvalues(coeff)))]
         while stack:
             w, c = stack.pop()
             if c.is_zero():
@@ -288,8 +267,8 @@ class PBWAlgebra:
         h c_(w[i]) X^w, so [X_e, X^w] = h (sum_i c_(w[i])) X^w with no
         rewriting.
         """
-        insert, shift, mask, brackets = self._insert, self.shift, self._mask, self._bracket[e]
-        weights = self._diagonal[e]
+        insert, shift, mask, brackets = self._insert, self.shift, self._mask, self.sc.brackets[e]
+        weights = self.sc.cartan_rows[e]
         if weights is not None:
             total = sum(weights[((w >> cut) & mask) - 1] for cut in range(0, w.bit_length(), shift))
             return {w: total} if total else {}
@@ -389,9 +368,6 @@ class _HTerms(_FlatTerms):
         key_degree = self._key_degree
         return max((key_degree(key) + p for key, p in self.flat), default=-1)
 
-    def max_h_degree(self) -> int:
-        return max((p for _, p in self.flat), default=-1)
-
     def divisible_by_h_power(self, k: int) -> bool:
         return all(p >= k for _, p in self.flat)
 
@@ -456,9 +432,9 @@ class NCPoly(_HTerms):
         return cls(algebra, {(index,): 1})
 
     @classmethod
-    def from_word(cls, algebra: PBWAlgebra, word: Word, coeff: HPoly | None = None) -> "NCPoly":
-        reduced = algebra.reduce_word(word, coeff or HPoly.one())
-        return cls(algebra, reduced)
+    def from_word(cls, algebra: PBWAlgebra, word: Word, coeff=1) -> "NCPoly":
+        """coeff X^w in normal form, for an HPoly or exact scalar coeff."""
+        return cls(algebra, algebra.reduce_word(word, coeff))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -478,19 +454,6 @@ class NCPoly(_HTerms):
         return self._new(out, self.den)
 
     # -- views ---------------------------------------------------------------
-
-    def commutative_image(self):
-        """Set h = 0 and abelianize: the symbol in the polynomial ring.
-
-        Returns exponent-keyed Fraction terms over the algebra's letters;
-        sorted words have distinct exponents, so no two terms meet.
-        """
-        n, shift, den = self.algebra.dim, self.algebra.shift, self.den
-        return {
-            exponent_of_word(unpack_word(w, shift), n): Fraction(c, den)
-            for (w, p), c in self.flat.items()
-            if p == 0
-        }
 
     def to_json(self) -> list[dict]:
         items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -557,7 +520,7 @@ _BERNOULLI = bernoulli_numbers(SYMMETRIZER_DEGREE_CAP - 1)
 def _ad_gradient(grad: dict, brackets: list) -> dict:
     """sum_i (ad_{e_i} (x) d/dx_i) G for a g-valued polynomial G given as
     {(letter j, exponent m): int} (the term e_j (x) x^m), over the bracket
-    table of ``PBWAlgebra``; may hold zero coefficients."""
+    table ``StructureConstants.brackets``; may hold zero coefficients."""
     out: dict = {}
     for (j, m), c in grad.items():
         for i, mi in enumerate(m):
@@ -609,7 +572,7 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
     big_l = lcm(*(b.denominator for b in _BERNOULLI))
     # L B_k as ints, 0 where B_k vanishes
     scaled = [b.numerator * (big_l // b.denominator) for b in _BERNOULLI]
-    brackets = algebra._bracket
+    brackets = algebra.sc.brackets
     memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {0: 1}}
 
     def factorial_sym(exp: tuple[int, ...]) -> WordTerms:

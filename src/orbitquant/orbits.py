@@ -162,10 +162,6 @@ class LieElement:
         return cls(square_matrix(required(data, "b"), "b"), square_matrix(required(data, "a"), "a"))
 
 
-def group_identity(n: int) -> GroupElement:
-    return GroupElement(la.zeros(n, n), la.identity(n))
-
-
 def group_multiply(p: GroupElement, q: GroupElement) -> GroupElement:
     """(x1, g1)(x2, g2) = (x1 + g1 x2 g1^t, g1 g2)."""
     if p.n != q.n:

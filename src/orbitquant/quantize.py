@@ -32,22 +32,21 @@ which also certifies standard support of the result).  No ``NCPoly``
 and no ``HPoly`` is built, and no tuple word once the engine has seen
 the words: what the engine needs to know of a packed word (its
 exponent, whether it is standard, its grevlex key) is worked out once,
-on first sight, into one table (``_word_data``).  The division steps
-and normal forms are memoized in the same layout, keyed by packed
-words, and both apply one substitution (``_substitute``) and
-``poly._lowest_terms``.  ``reduce``, ``phi``, ``phi_inverse`` and
-``NCPoly`` products run on the same helpers.  ``QuotientElement`` adds
+on first sight, into one table (``_word_data``).  The normal forms are
+memoized in the same layout, keyed by packed words; the division step
+of each is run once and not kept.  Both apply one substitution
+(``_substitute``) and ``poly._lowest_terms``.  ``reduce``, ``phi``,
+``phi_inverse`` and ``NCPoly`` products run on the same helpers.  ``QuotientElement`` adds
 only its input checks and conversions to the shared ``ncpoly._HTerms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
 
 from .errors import CapacityError, CertificationError, StructuralError
-from .groebner import divide, groebner_basis, standard_monomials
+from .groebner import divide, groebner_basis
 from .hpoly import HPoly
 from .invariants import OrbitIdeal, orbit_ideal, semiinvariant_family
 from .jsonio import required
@@ -230,11 +229,9 @@ class OrbitQuantization:
             )
         self._lead = lead
         self._lead_coeff = Fraction(sym_gen.flat[word, 0], sym_gen.den)
-        # memos keyed by packed non-standard words w; each entry is (terms, den),
-        # the flat layout {(packed word, h power): integer numerator} over den
-        # in lowest terms
-        self._steps: dict[int, tuple] = {}  # X^w - X^q g / lc, leading term dropped
-        self._forms: dict[int, tuple] = {}  # NF(X^w)
+        # NF(X^w) for packed non-standard words w, as (terms, den): the flat
+        # layout {(packed word, h power): integer numerator} over den in lowest terms
+        self._forms: dict[int, tuple] = {}
 
     def _word(self, code: int) -> Word:
         """The tuple word of a packed word."""
@@ -263,10 +260,8 @@ class OrbitQuantization:
 
     def _step(self, word: int) -> tuple:
         """X^w - X^q g / lc for a packed non-standard word w, with q = exp(w) - lead,
-        certified: X^q g has the leading term lc X^w and nothing else at or above it."""
-        step = self._steps.get(word)
-        if step is not None:
-            return step
+        certified: X^q g has the leading term lc X^w and nothing else at or above it.
+        Not memoized: ``_normal_form`` runs each word's step once."""
         exp = self._word_data(word)[0]
         q = pack_exponent([e - l for e, l in zip(exp, self._lead)], self.algebra.shift)
         generator = self.sym_generators[0]
@@ -290,22 +285,26 @@ class OrbitQuantization:
             raise CertificationError(
                 f"X^{self._word(q)} g does not have the leading term {lc} * X^{self._word(word)}"
             )
-        self._steps[word] = step = _lowest_terms(rest, den * lc.numerator)
-        return step
+        return _lowest_terms(rest, den * lc.numerator)
 
     def _normal_form(self, word: int) -> tuple:
         """NF(X^w) of a packed non-standard word, from a stack worked off in
         post-order: a word is finished after every non-standard word its step
-        leaves."""
+        leaves.  Each frame is [word, step], the step run when the frame first
+        comes on top; the words above it are lower in the term order, so no
+        word's step runs twice."""
         forms, data = self._forms, self._word_data
-        pending = [word]
+        pending = [[word, None]]
         while pending:
-            w = pending[-1]
+            frame = pending[-1]
+            w = frame[0]
             if w in forms:
                 pending.pop()
                 continue
-            step, den = self._step(w)
-            todo = [v for v, _ in step if v not in forms and not data(v)[1]]
+            if frame[1] is None:
+                frame[1] = self._step(w)
+            step, den = frame[1]
+            todo = [[v, None] for v, _ in step if v not in forms and not data(v)[1]]
             if todo:
                 pending.extend(todo)
                 continue
@@ -316,7 +315,8 @@ class OrbitQuantization:
                     divided.append((forms[v], p, c))
                 else:
                     kept[v, p] = c
-            forms[pending.pop()] = _lowest_terms(*_substitute(kept, den, divided))
+            pending.pop()
+            forms[w] = _lowest_terms(*_substitute(kept, den, divided))
         return forms[word]
 
     def _reduce_flat(self, flat: dict, den: int) -> tuple[dict, int]:
@@ -375,11 +375,6 @@ class OrbitQuantization:
                 raise StructuralError(f"exponent {exp} is not a standard monomial")
             out[code, p] = c
         return out, den
-
-    @cached_property
-    def standard_exponents(self) -> list[Exponent]:
-        """The standard monomials up to the cap, listed on first use."""
-        return standard_monomials(self.groebner, max_degree=self.deg_cap)
 
     def basis_report(self) -> dict:
         """Rank bookkeeping behind the quotient-basis certificate.

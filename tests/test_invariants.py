@@ -275,6 +275,10 @@ def test_semiinvariance_refuses_uninformative_data(monkeypatch):
     def unimodular(n, rng):
         return GroupElement(la.zeros(n, n), la.identity(n))
 
+    # no sample is no evidence, at any weight
+    with pytest.raises(StructuralError, match="at least one sample"):
+        verify_semiinvariance(fam, fam.generators[0], 12345, random.Random(0), samples=0)
+
     monkeypatch.setattr(sampling, "random_group_element", unimodular)
     with pytest.raises(CapacityError, match="no informative sample"):
         verify_semiinvariance(fam, fam.generators[0], 0, random.Random(0), samples=1)
@@ -365,6 +369,9 @@ def test_regularity_rejects_off_variety_point():
     off = DualPoint(la.identity(2), la.zeros(2, 2))  # P^2 - det = -1 there
     with pytest.raises(DomainError):
         regularity_check(ideal, [off])
+    # no point is no evidence of full rank
+    with pytest.raises(StructuralError, match="at least one point"):
+        regularity_check(ideal, [])
 
 
 def test_orbit_ideal_rejects_degenerate():

@@ -12,6 +12,7 @@ from orbitquant import linalg as la
 from orbitquant.errors import StructuralError
 from orbitquant.lie import (
     DualCoordinates,
+    StructureConstants,
     _decompose_in_basis,
     basis_to_json,
     build_lie_basis,
@@ -55,14 +56,14 @@ def test_n1_bracket_by_hand():
     # A = diag(1, -1) (letter a11) and B = E_12 (letter b11): [A, B] = 2B,
     # verified here against the raw 2x2 commutator
     basis, sc = build_lie_basis(1)
-    A = basis.element(basis.index_of("a11"))
-    B = basis.element(basis.index_of("b11"))
+    A = basis.element(basis.names.index("a11"))
+    B = basis.element(basis.names.index("b11"))
     assert A == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
     assert B == [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
     comm = la.mat_sub(la.mat_mul(A, B), la.mat_mul(B, A))
     assert comm == la.mat_scale(B, Fraction(2))
-    coeffs = sc.bracket_coeffs(basis.index_of("a11"), basis.index_of("b11"))
-    assert coeffs == {basis.index_of("b11"): Fraction(2)}
+    coeffs = sc.bracket_coeffs(basis.names.index("a11"), basis.names.index("b11"))
+    assert coeffs == {basis.names.index("b11"): Fraction(2)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -150,14 +151,36 @@ def test_sparse_structure_constants_match_dense_oracle(n):
     basis, sc = build_lie_basis(n)
     entries = list(sc.entries())
     assert entries == dense_structure_constants(basis)
-    assert all(type(v) is Fraction for _, _, _, v in entries)
+    assert all(type(v) is int for _, _, _, v in entries)
+
+
+@pytest.mark.parametrize("value", [1.0, Fraction(1), True], ids=["float", "fraction", "bool"])
+def test_structure_constants_take_ints_only(value):
+    with pytest.raises(StructuralError, match="integers"):
+        StructureConstants(2, {(0, 1): {1: value}})
+
+
+@pytest.mark.parametrize(
+    "table",
+    [{(1, 0): {0: 1}}, {(0, 2): {0: 1}}, {(-1, 1): {0: 1}}, {(0, 1): {2: 1}}, {(0, 1): {-1: 1}}],
+)
+def test_structure_constants_refuse_letters_out_of_range(table):
+    with pytest.raises(StructuralError, match="range"):
+        StructureConstants(2, table)
+
+
+def test_bracket_coeffs_refuses_letters_out_of_range():
+    _, sc = build_lie_basis(2)
+    for i, j in ((0, 99), (0, sc.dim), (-1, 0), (True, 1), (0.0, 1)):
+        with pytest.raises(StructuralError, match="range"):
+            sc.bracket_coeffs(i, j)
 
 
 def test_closure_check_rejects_non_members():
     n = 2
     basis, _ = build_lie_basis(n)
     sparse = basis.sparse_elements
-    a12 = basis.index_of("a12")
+    a12 = basis.names.index("a12")
     # a member: the a12 element itself decomposes to one coefficient
     assert _decompose_in_basis(basis, sparse[a12]) == {a12: Fraction(1)}
     # a nonzero lower-left (c-block) entry is outside the algebra
@@ -303,8 +326,8 @@ def test_poisson_on_coordinates_is_constant_expansion():
 def test_poisson_n1_example():
     basis, sc = build_lie_basis(1)
     coords = DualCoordinates(basis)
-    xa = MultiPoly.variable(coords.variables, basis.index_of("a11"))
-    xb = MultiPoly.variable(coords.variables, basis.index_of("b11"))
+    xa = MultiPoly.variable(coords.variables, basis.names.index("a11"))
+    xb = MultiPoly.variable(coords.variables, basis.names.index("b11"))
     assert lie_poisson_bracket(xa, xb, sc) == xb * 2
 
 

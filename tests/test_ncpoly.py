@@ -14,6 +14,7 @@ from orbitquant.lie import StructureConstants, build_lie_basis
 from orbitquant.ncpoly import (
     NCPoly,
     PBWAlgebra,
+    exponent_of_word,
     pack_word,
     symmetrize,
     unpack_word,
@@ -25,6 +26,15 @@ from orbitquant.poly import MultiPoly, monomials_up_to_degree
 def make_algebra(n):
     basis, sc = build_lie_basis(n)
     return PBWAlgebra(basis, sc), basis
+
+
+def symbol(u):
+    """Set h = 0 and abelianize: the exponent-keyed terms of u's h-free part."""
+    return {
+        exponent_of_word(w, u.algebra.dim): c.coefficient(0)
+        for w, c in u.terms.items()
+        if c.coefficient(0)
+    }
 
 
 # ------------------------------------------------------------------ HPoly
@@ -92,7 +102,7 @@ def test_sorted_word_is_fixed():
 def test_pbw_scalar_example():
     # letters A < B at n = 1 with [A, B] = 2B: B A = A B - 2 h B
     alg, basis = make_algebra(1)
-    a, b = basis.index_of("a11"), basis.index_of("b11")
+    a, b = basis.names.index("a11"), basis.names.index("b11")
     reduced = alg.reduce_word((b, a))
     assert reduced == {(a, b): HPoly.one(), (b,): HPoly.h(1, -2)}
 
@@ -200,7 +210,7 @@ def test_symmetrize_scalar_pair_example():
     # n = 1: Sym(x_A x_B) = (AB + BA)/2 = AB - h B
     alg, basis = make_algebra(1)
     variables = tuple("x" + s for s in basis.names)
-    a, b = basis.index_of("a11"), basis.index_of("b11")
+    a, b = basis.names.index("a11"), basis.names.index("b11")
     exp = [0, 0]
     exp[a] += 1
     exp[b] += 1
@@ -242,7 +252,7 @@ def test_symmetrize_is_section_of_mod_h():
         for _ in range(4):
             terms[rng.choice(monos)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         p = MultiPoly(variables, terms)
-        image = symmetrize(alg, p).commutative_image()
+        image = symbol(symmetrize(alg, p))
         assert image == p.terms
 
 
@@ -254,9 +264,22 @@ def test_symmetrize_multiplicative_mod_h():
     for _ in range(10):
         p = MultiPoly.monomial(variables, rng.choice(monos), Fraction(rng.randint(1, 3)))
         q = MultiPoly.monomial(variables, rng.choice(monos), Fraction(rng.randint(1, 3)))
-        lhs = (symmetrize(alg, p) * symmetrize(alg, q)).commutative_image()
-        rhs = symmetrize(alg, p * q).commutative_image()
+        lhs = symbol(symmetrize(alg, p) * symmetrize(alg, q))
+        rhs = symbol(symmetrize(alg, p * q))
         assert lhs == rhs
+
+
+def test_from_word_takes_exact_scalar_coefficients():
+    # 0 gives zero, an exact scalar scales, a float is refused
+    alg, _ = make_algebra(2)
+    once = NCPoly.from_word(alg, (4, 0))
+    assert len(once.terms) == 2
+    assert NCPoly.from_word(alg, (4, 0), 0).is_zero()
+    assert NCPoly.from_word(alg, (4, 0), 2) == once.scale(2)
+    assert NCPoly.from_word(alg, (4, 0), "1/3") == once.scale(Fraction(1, 3))
+    with pytest.raises(StructuralError):
+        NCPoly.from_word(alg, (4, 0), 0.5)
+    assert alg.reduce_word((4, 0), 2) == NCPoly.from_word(alg, (4, 0), 2).terms
 
 
 def test_ncpoly_json_round_trip():
@@ -378,7 +401,7 @@ def test_cartan_letter_commutators_match_literal_rewriter(n):
     # the Cartan letters a_ii take the no-rewriting path: [X_e, X^w] is
     # h (sum of the letters' weights) X^w
     alg, basis = make_algebra(n)
-    cartan = [e for e in range(basis.dim) if alg._diagonal[e] is not None]
+    cartan = [e for e in range(basis.dim) if alg.sc.cartan_rows[e] is not None]
     assert [basis.names[e] for e in cartan] == [f"a{i}{i}" for i in range(1, n + 1)]
     rng = random.Random(60 + n)
     words = [()] + [
@@ -415,13 +438,13 @@ def test_symmetrize_matches_literal_permutation_sum(algebras, data):
 
 def test_halved_structure_constants_are_refused():
     # halving every structure constant keeps the Jacobi identity, but the
-    # rewriting context takes integral constants only
-    basis, sc = build_lie_basis(2)
+    # bracket table takes integral constants only
+    _, sc = build_lie_basis(2)
     table = {}
     for i, j, k, v in sc.entries():
-        table.setdefault((i, j), {})[k] = v / 2
+        table.setdefault((i, j), {})[k] = Fraction(v, 2)
     with pytest.raises(StructuralError, match="integers"):
-        PBWAlgebra(basis, StructureConstants(sc.dim, table))
+        StructureConstants(sc.dim, table)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

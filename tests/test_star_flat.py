@@ -3,6 +3,7 @@ composition they replace: phi, an NCPoly product, reduce and phi_inverse
 over HPoly coefficients.  Planted faults show that every certificate
 still surfaces from ``star``."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitquant.errors import CapacityError, CertificationError, StructuralError
+from orbitquant.groebner import standard_monomials
 from orbitquant.hpoly import HPoly
 from orbitquant.ncpoly import NCPoly, exponent_of_word, pack_word, unpack_word, word_of_exponent
 from orbitquant.poly import MultiPoly
@@ -89,7 +91,7 @@ coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter
 
 def draw_operand(data, engine, degree: int, max_terms: int = 3) -> MultiPoly:
     """A MultiPoly on standard monomials of degree at most ``degree``."""
-    monos = [e for e in engine.standard_exponents if sum(e) <= degree]
+    monos = standard_monomials(engine.groebner, max_degree=degree)
     exps = data.draw(st.lists(st.sampled_from(monos), max_size=max_terms, unique=True))
     return MultiPoly(engine.variables, {e: data.draw(coefficients) for e in exps})
 
@@ -98,7 +100,7 @@ def draw_split(data, engine):
     """Standard monomials x^a, x^b whose product is a multiple of the
     leading monomial, of degree at most the cap: X^a X^b needs division."""
     lead = engine.groebner[0].leading()[0]
-    monos = [e for e in engine.standard_exponents if sum(e) <= engine.deg_cap - sum(lead)]
+    monos = standard_monomials(engine.groebner, max_degree=engine.deg_cap - sum(lead))
     total = tuple(x + y for x, y in zip(lead, data.draw(st.sampled_from(monos))))
     a = tuple(data.draw(st.integers(0, t)) for t in total)
     b = tuple(t - x for t, x in zip(total, a))
@@ -159,6 +161,30 @@ def test_reduce_matches_its_composed_body(engines, data):
     assert engine.reduce(u) == composed_reduce(engine, u)
 
 
+def test_each_division_step_runs_once_per_normal_form(monkeypatch):
+    # the steps are not memoized: over a seeded stream of products that
+    # need division, fed back into later products, each new normal form
+    # runs its word's step exactly once and nothing else runs a step
+    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=8)
+    rng = random.Random(8)
+    lead = engine.groebner[0].leading()[0]
+    monos = standard_monomials(engine.groebner, max_degree=engine.deg_cap - sum(lead))
+    calls = []
+    step = engine._step
+    monkeypatch.setattr(engine, "_step", lambda word: calls.append(word) or step(word))
+    for _ in range(30):
+        total = [x + y for x, y in zip(lead, rng.choice(monos))]
+        a = tuple(rng.randint(0, t) for t in total)
+        b = tuple(t - x for t, x in zip(total, a))
+        if engine.is_standard(word_of_exponent(a)) and engine.is_standard(word_of_exponent(b)):
+            f, g = (MultiPoly.monomial(engine.variables, e, rng.randint(1, 3)) for e in (a, b))
+            product = engine.star(f, g)
+            if product.degree() < engine.deg_cap:
+                engine.star(MultiPoly.variable(engine.variables, rng.randrange(7)), product)
+    assert len(engine._forms) > 10
+    assert sorted(calls) == sorted(engine._forms)
+
+
 def test_star_builds_no_ncpoly(engines, monkeypatch):
     # the product is lifted, multiplied, reduced and read back on the flat
     # layout: no NCPoly is built on the way
@@ -187,7 +213,7 @@ def test_star_builds_no_hpoly(engines, monkeypatch):
         for part in (lead[:2], lead[2:])
     )
     fed = engine.star(g, f)
-    assert fed.max_h_degree() > 0
+    assert max(c.degree() for c in fed.terms.values()) > 0
     x0 = MultiPoly.variable(engine.variables, 0)
     pairs = [(f, g), (fed, x0), (x0, fed), (f, fed)]
     expected = [composed_star(engine, a, b) for a, b in pairs]
