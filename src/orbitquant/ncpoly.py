@@ -49,9 +49,20 @@ of the storage and sums they share with ``MultiPoly`` (``poly._FlatTerms``).
 the edges: constructor input, the ``terms`` view (``_gather``, one
 ``HPoly`` per key on each access), JSON and printing.
 
-The letter commutator skips rewriting for a Cartan letter, one that
-scales every letter ([X_e, X_j] = c_j X_j for every j, the rows
-``StructureConstants.cartan_rows``): then [X_e, X^w] = h (sum_i c_(w[i])) X^w.
+The letter commutator D = [X_e, -] is a derivation of the product, so
+for a word X_a X^rest
+
+    D(X_a X^rest) = X_a D(rest) + h [X_e, X_a] X^rest,      D(1) = 0.
+
+``PBWAlgebra._commutator`` tables D once per call for each distinct
+proper suffix of the element's words, shortest first, at one prepend
+each: the words of a symmetrized generator share most of their
+suffixes.  The words are then grouped by degree and first letter a; each
+group's sum of c D(rest) takes X_a in one prepend, and each degree's
+total is merged into the output once.  A Cartan letter, one that scales
+every letter ([X_e, X_j] = c_j X_j for every j, the rows
+``StructureConstants.cartan_rows``), skips rewriting:
+[X_e, X^w] = h (sum_i c_(w[i])) X^w.
 
 The symmetrizer follows S. Gutt's left-multiplication formula (An
 explicit *-product on the cotangent bundle of a Lie group, Lett. Math.
@@ -254,34 +265,68 @@ class PBWAlgebra:
                 stack.append((w[:i] + (k,) + w[i + 2 :], c * HPoly.h(1, v)))
         return result
 
-    def letter_commutator_words(self, e: int, w: int) -> WordTerms:
-        """[X_e, X^w] for a packed sorted word w, expanded through the
-        derivation rule.
+    def _commutator(self, e: int, flat: dict) -> dict:
+        """[X_e, element] on the flat layout, over the element's denominator.
 
-        The bracket with a single letter is a derivation of the product:
-        the sum over positions i of X^w[:i] * h[X_e, X_w[i]] * X^w[i+1:],
-        much cheaper than two full products.  It is summed Horner-wise from
-        the last letter: C_i = X_w[i] C_(i+1) + h[X_e, X_w[i]] X^w[i+1:].
-        The result has degree len(w) + 1, h included.  For a Cartan letter,
-        [X_e, X_j] = c_j X_j for every j, each term of the sum is
-        h c_(w[i]) X^w, so [X_e, X^w] = h (sum_i c_(w[i])) X^w with no
-        rewriting.
+        The bracket with a letter is a derivation of the product, so for a
+        word X_a X^rest
+
+            D(X_a X^rest) = X_a D(rest) + h [X_e, X_a] X^rest,
+
+        with D(u) = [X_e, X^u] of degree len(u) + 1 and D(empty) = 0.  D is
+        tabled once per call for every distinct proper suffix of the
+        words, shortest first, each at one prepend onto the D of its rest.
+        The words themselves are grouped by degree (length plus h power)
+        and first letter a: the group's sum of c D(rest) takes X_a in one
+        prepend, and each degree's total is merged into the output once.
+        A constant term commutes.  For a Cartan letter, [X_e, X_j] = c_j X_j
+        for every j, so [X_e, X^w] = h (sum_i c_(w[i])) X^w with no rewriting.
         """
-        insert, shift, mask, brackets = self._insert, self.shift, self._mask, self.sc.brackets[e]
+        shift, mask = self.shift, self._mask
+        out: dict[tuple[int, int], int] = {}
         weights = self.sc.cartan_rows[e]
         if weights is not None:
-            total = sum(weights[((w >> cut) & mask) - 1] for cut in range(0, w.bit_length(), shift))
-            return {w: total} if total else {}
-        acc: WordTerms = {}
-        for cut in range(shift * (word_length(w, shift) - 1), -1, -shift):
-            letter = ((w >> cut) & mask) - 1
-            if acc:
-                acc = self._prepend(letter, acc.items())
-            rest = w >> (cut + shift)
-            for k, ck in brackets[letter]:
-                for v, d in insert(k, rest):
-                    acc[v] = acc.get(v, 0) + ck * d
-        return {v: c for v, c in acc.items() if c}
+            for (w, p), c in flat.items():
+                cuts = range(0, w.bit_length(), shift)
+                total = sum(weights[((w >> cut) & mask) - 1] for cut in cuts)
+                if total:
+                    out[w, p + 1] = c * total
+            return out
+        prepend, insert, brackets = self._prepend, self._insert, self.sc.brackets[e]
+        # table[u] = D(u) for the proper suffixes u met so far; may hold zeros
+        table: dict[int, WordTerms] = {0: {}}
+        # (degree, first letter) -> (sum of c D(rest), [(rest, c), ...])
+        groups: dict[tuple[int, int], tuple[WordTerms, list]] = {}
+        for (w, p), c in flat.items():
+            if not w:
+                continue
+            rest = w >> shift
+            # the suffixes of rest not yet tabled, longest first
+            chain = []
+            u = rest
+            while u not in table:
+                chain.append(u)
+                u >>= shift
+            for u in reversed(chain):
+                a, r = (u & mask) - 1, u >> shift
+                inner = table[r]
+                table[u] = d_u = prepend(a, inner.items()) if inner else {}
+                for k, ck in brackets[a]:
+                    for v, d in insert(k, r):
+                        d_u[v] = d_u.get(v, 0) + ck * d
+            inner, rests = groups.setdefault((word_length(w, shift) + p, (w & mask) - 1), ({}, []))
+            for v, d in table[rest].items():
+                inner[v] = inner.get(v, 0) + c * d
+            rests.append((rest, c))
+        by_degree: dict[int, WordTerms] = {}
+        for (degree, a), (inner, rests) in groups.items():
+            total = by_degree.setdefault(degree + 1, {})
+            prepend(a, inner.items(), total)
+            for k, ck in brackets[a]:
+                prepend(k, [(rest, c * ck) for rest, c in rests], total)
+        for degree, words in by_degree.items():
+            _add_scaled(out, words, degree, ((0, 1),), shift)
+        return out
 
 
 def _accumulate(store: dict[Word, HPoly], word: Word, coeff: HPoly):
@@ -443,15 +488,10 @@ class NCPoly(_HTerms):
         return self._new(self.algebra._product(self.flat, other.flat), self.den * other.den)
 
     def commutator_with_letter(self, e: int) -> "NCPoly":
-        """[X_e, self] via the derivation expansion (exact, fast)."""
-        algebra = self.algebra
-        checked_word((e,), algebra.dim)
-        shift = algebra.shift
-        out: dict[tuple[int, int], int] = {}
-        for w, coeffs in _by_word(self.flat).items():
-            words = algebra.letter_commutator_words(e, w)
-            _add_scaled(out, words, word_length(w, shift) + 1, coeffs, shift)
-        return self._new(out, self.den)
+        """[X_e, self] by the derivation rule, each distinct suffix of the
+        words rewritten once (``PBWAlgebra._commutator``)."""
+        checked_word((e,), self.algebra.dim)
+        return self._new(self.algebra._commutator(e, self.flat), self.den)
 
     # -- views ---------------------------------------------------------------
 

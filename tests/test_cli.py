@@ -134,6 +134,26 @@ def test_star_matches_library(capsys, tmp_path):
     assert doc == expected
 
 
+def test_star_n3_matches_library(capsys):
+    # the n = 3 engine certifies its 15-letter weight table on every call;
+    # xb11 * xa11 is out of PBW order, so the product carries -2 h xb11
+    from fractions import Fraction
+
+    from orbitquant.poly import MultiPoly
+    from orbitquant.quantize import OrbitQuantization
+
+    engine = OrbitQuantization(3, [Fraction(1)], deg_cap=8)
+    variables = engine.variables
+    f, g = (MultiPoly.variable(variables, variables.index(x)) for x in ("xb11", "xa11"))
+    code, doc = run_json(
+        capsys, "star", "--n", "3", "--lambdas", "1", "--deg", "8",
+        "--f", json.dumps(f.to_records()), "--g", json.dumps(g.to_records()),
+    )
+    assert code == 0
+    assert doc == engine.star(f, g).to_json()
+    assert {"exponents": [0] * 9 + [1] + [0] * 5, "coefficient": ["0", "-2"]} in doc["terms"]
+
+
 def test_pbw_verb(capsys, tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"word": [1, 0]}))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from orbitquant.errors import CapacityError, StructuralError
 from orbitquant.hpoly import HPoly
+from orbitquant.invariants import orbit_ideal, semiinvariant_family
 from orbitquant.lie import StructureConstants, build_lie_basis
 from orbitquant.ncpoly import (
     NCPoly,
@@ -18,6 +19,7 @@ from orbitquant.ncpoly import (
     pack_word,
     symmetrize,
     unpack_word,
+    word_length,
     word_of_exponent,
 )
 from orbitquant.poly import MultiPoly, monomials_up_to_degree
@@ -412,6 +414,43 @@ def test_cartan_letter_commutators_match_literal_rewriter(n):
             fast = NCPoly.unit(alg) if not w else NCPoly(alg, {w: 1})
             slow = NCPoly(alg, alg.reduce_word((e,) + w)) - NCPoly(alg, alg.reduce_word(w + (e,)))
             assert fast.commutator_with_letter(e) == slow
+
+
+def symmetrized_generator(alg, n):
+    return symmetrize(alg, orbit_ideal([1], semiinvariant_family(n)).generators[0])
+
+
+def product_commutator(alg, s, e):
+    letter = NCPoly.letter(alg, e)
+    return letter * s - s * letter
+
+
+@pytest.mark.parametrize(
+    "n, degrees, names",
+    [(2, {2, 4}, None), (3, {6, 8}, ("a11", "a22", "a12", "a31", "b11", "b23"))],
+    ids=["n2-every-letter", "n3-cartan-gl-sym"],
+)
+def test_letter_commutator_of_the_generator_matches_products(algebras, n, degrees, names):
+    # the generator's 14 (n=2) and 500 (n=3) words share suffixes and first
+    # letters, and its words of the lower degree carry h
+    alg = algebras[n]
+    g = symmetrized_generator(alg, n)
+    assert {word_length(w, alg.shift) + p for w, p in g.flat} == degrees
+    letters = range(alg.dim) if names is None else map(alg.basis.names.index, names)
+    for e in letters:
+        assert g.commutator_with_letter(e) == product_commutator(alg, g, e)
+
+
+def test_letter_commutator_with_a_constant_term_and_h_at_two_degrees(algebras):
+    # a constant term, one word at h and h^2, and the generator's words again
+    # at h and h^2: each word and first letter meets several degrees
+    alg = algebras[3]
+    g = symmetrized_generator(alg, 3)
+    extra = NCPoly(alg, {(): Fraction(7, 3), (0, 9, 12): HPoly((0, 2, Fraction(-1, 2)))})
+    s = g + g.shift_h(1).scale(Fraction(1, 5)) - g.shift_h(2) + extra
+    assert s.terms[()] == Fraction(7, 3)
+    for e in range(alg.dim):
+        assert s.commutator_with_letter(e) == product_commutator(alg, s, e)
 
 
 @DIFFERENTIAL

@@ -29,6 +29,7 @@ from orbitquant.ncpoly import (
     symmetrize,
 )
 from orbitquant.poly import MultiPoly
+from orbitquant.quantize import commutator_weight
 
 
 def lattice_symmetrize(algebra: PBWAlgebra, poly: MultiPoly) -> NCPoly:
@@ -153,20 +154,44 @@ def test_a_corrupted_bernoulli_value_fails_the_exact_division(monkeypatch):
         symmetrize(alg, MultiPoly.monomial(alg.variables, exp))
 
 
-def test_prepend_count_on_the_n3_generator(monkeypatch):
-    # one prepend per monomial met: 1,246 calls on a fresh algebra, where
-    # the sub-exponent lattice made 103,921; the count repeats exactly
-    generator = orbit_ideal([1], semiinvariant_family(3)).generators[0]
-    assert (len(generator.flat), generator.total_degree()) == (444, 8)
-    alg = PBWAlgebra(*build_lie_basis(3))
-    calls = 0
+def counted_prepends(monkeypatch) -> list[int]:
+    """Count the ``PBWAlgebra._prepend`` calls from here on, in the returned
+    one-element list."""
+    calls = [0]
     prepend = PBWAlgebra._prepend
 
     def counted(self, *args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return prepend(self, *args)
 
     monkeypatch.setattr(PBWAlgebra, "_prepend", counted)
+    return calls
+
+
+def n3_generator():
+    generator = orbit_ideal([1], semiinvariant_family(3)).generators[0]
+    assert (len(generator.flat), generator.total_degree()) == (444, 8)
+    return generator
+
+
+def test_prepend_count_on_the_n3_generator(monkeypatch):
+    # one prepend per monomial met: 1,246 calls on a fresh algebra, where
+    # the sub-exponent lattice made 103,921; the count repeats exactly
+    generator = n3_generator()
+    alg = PBWAlgebra(*build_lie_basis(3))
+    calls = counted_prepends(monkeypatch)
     symmetrize(alg, generator)
-    assert 1_000 <= calls <= 1_500
+    assert 1_000 <= calls[0] <= 1_500
+
+
+def test_prepend_count_of_the_n3_weight_table(monkeypatch):
+    # the letter commutators prepend once per distinct suffix and once per
+    # letter of each (degree, first letter) group, besides the insertion
+    # memo's own prepends: 9,694 calls for the 15 letters on a fresh algebra,
+    # where rewriting each word on its own made 23,044; the count repeats
+    alg = PBWAlgebra(*build_lie_basis(3))
+    sym_gen = symmetrize(alg, n3_generator())
+    calls = counted_prepends(monkeypatch)
+    for e in range(alg.dim):
+        commutator_weight(alg, sym_gen, e)
+    assert 8_500 <= calls[0] <= 11_000
