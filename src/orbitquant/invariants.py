@@ -24,10 +24,11 @@ n + 1, through three polynomial identities (c symmetric, n = 2k):
     h_1 = 2 det(c) (det(c) tr(a^2) - tr((c a) (adj(c) a^t)))
     P   = det(c)^(k-1) Pf(N) / 2^k                (Pf(B M B^t) = det(B) Pf(M))
 
-``skew_numerator`` gives N, ``trace_square_semiinvariant`` h_1,
-``pfaffian_semiinvariant`` P and ``cleared_trace_matrix`` T, each once
-over any entry ring: the symbolic family and the values at a point call
-the same helpers, and T is formed only for h_i with i >= 2.  A
+``skew_numerator`` gives N, ``cleared_trace_matrix`` T,
+``trace_semiinvariant`` each h_i (h_1 by ``trace_square_semiinvariant``)
+and ``pfaffian_semiinvariant`` P, each once over any entry ring: the
+symbolic family and the values at a point call the same helpers, and T
+is formed only for h_i with i >= 2.  A
 degree-bounded certificate that invariant polynomials are constant is
 obtained from the exact kernel of the infinitesimal action on each
 graded piece, whose vector fields apply the numeric ad* formula
@@ -138,13 +139,17 @@ def cleared_trace_matrix(c: la.Matrix, a: la.Matrix, adj_c: la.Matrix) -> la.Mat
     return la.mat_mul(skew_numerator(c, a), adj_c)
 
 
-def _trace_of_product(x: la.Matrix, y: la.Matrix):
-    """tr(x y) = sum_rs x_rs y_sr, generic over the entry ring; polynomial
+def _sum_of_pairs(pairs: list):
+    """sum u v over the (u, v) pairs, generic over the entry ring; polynomial
     entries are summed in one ``sum_of_products`` call."""
-    pairs = [(x[r][s], y[s][r]) for r in range(len(x)) for s in range(len(y))]
     if isinstance(pairs[0][0], MultiPoly):
         return sum_of_products(pairs[0][0].variables, pairs)
     return sum(u * v for u, v in pairs)
+
+
+def _trace_of_product(x: la.Matrix, y: la.Matrix):
+    """tr(x y) = sum_rs x_rs y_sr, generic over the entry ring."""
+    return _sum_of_pairs([(x[r][s], y[s][r]) for r in range(len(x)) for s in range(len(y))])
 
 
 def trace_square_semiinvariant(c: la.Matrix, a: la.Matrix, adj_c: la.Matrix, det_c):
@@ -177,17 +182,28 @@ def pfaffian_semiinvariant(c: la.Matrix, a: la.Matrix, det_c):
     return det_c ** (k - 1) * pfaffian(skew_numerator(c, a)) * Fraction(1, 2**k)
 
 
-def trace_semiinvariant_value(i: int, pt: DualPoint) -> Fraction:
-    """h_i(pt) = tr(T^(2i)) by direct matrix arithmetic (fast path):
-    ``trace_square_semiinvariant`` for i = 1, powers of T = N adj(c) beyond."""
-    adj_c = la.adjugate(pt.c)
+def trace_semiinvariant(i: int, c: la.Matrix, a: la.Matrix, adj_c: la.Matrix, det_c):
+    """h_i = tr(T^(2i)), generic over the entry ring: h_1 by
+    ``trace_square_semiinvariant``; beyond, with T = N adj(c) and H = T^i,
+    tr(T^(2i)) = sum_rs H_rs H_sr, where the terms (r, s) and (s, r) are
+    equal, so each r < s enters once with a doubled factor."""
     if i == 1:
-        return trace_square_semiinvariant(pt.c, pt.a, adj_c, la.det(pt.c))
-    t = cleared_trace_matrix(pt.c, pt.a, adj_c)
-    power = la.identity(pt.n)
-    for _ in range(2 * i):
-        power = la.mat_mul(power, t)
-    return la.trace(power)
+        return trace_square_semiinvariant(c, a, adj_c, det_c)
+    t = cleared_trace_matrix(c, a, adj_c)
+    half, size = t, len(t)
+    for _ in range(i - 1):
+        half = la.mat_mul(half, t)
+    pairs = [
+        (half[r][s] + half[r][s] if r < s else half[r][r], half[s][r])
+        for r in range(size)
+        for s in range(r, size)
+    ]
+    return _sum_of_pairs(pairs)
+
+
+def trace_semiinvariant_value(i: int, pt: DualPoint) -> Fraction:
+    """h_i(pt), by ``trace_semiinvariant`` on the point's blocks."""
+    return trace_semiinvariant(i, pt.c, pt.a, la.adjugate(pt.c), la.det(pt.c))
 
 
 def pfaffian_semiinvariant_value(pt: DualPoint) -> Fraction:
@@ -229,24 +245,6 @@ def symbolic_dual_matrices(coords: DualCoordinates):
     return c_mat, a_mat, adj_c, det_c
 
 
-def trace_of_even_power(variables, mat: la.Matrix, i: int) -> MultiPoly:
-    """tr(mat^(2i)) for a square matrix of polynomials, in one kernel call.
-
-    tr(m^(2i)) = sum_rs H_rs H_sr with H = m^i avoids one matrix product;
-    the terms (r, s) and (s, r) are equal, so each r < s enters once with
-    a doubled factor.
-    """
-    half = mat
-    for _ in range(i - 1):
-        half = la.mat_mul(half, mat)
-    size = len(mat)
-    pairs = [(half[r][r], half[r][r]) for r in range(size)]
-    pairs += [
-        (half[r][s] + half[r][s], half[s][r]) for r in range(size) for s in range(r + 1, size)
-    ]
-    return sum_of_products(variables, pairs)
-
-
 def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> SemiinvariantFamily:
     """Construct the semiinvariant generators for matrix size n >= 2.
 
@@ -257,7 +255,7 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
     generator's exact law at these stated weights.
 
     Every generator is built from (c, a, adj(c), det(c)) without forming
-    K: h_1 by ``trace_square_semiinvariant`` and P by
+    K: each h_i by ``trace_semiinvariant`` and P by
     ``pfaffian_semiinvariant``.  Only h_i for i >= 2 (n >= 5) forms
     T = N adj(c) and its even power traces.
     """
@@ -270,12 +268,9 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
     k = n // 2
 
     trace_count = k if n % 2 == 1 else k - 1
-    generators: list[MultiPoly] = []
-    if trace_count:
-        generators.append(trace_square_semiinvariant(c_mat, a_mat, adj_c, det_c))
-    if trace_count > 1:
-        t_mat = cleared_trace_matrix(c_mat, a_mat, adj_c)
-        generators += [trace_of_even_power(coords.variables, t_mat, i) for i in range(2, trace_count + 1)]
+    generators = [
+        trace_semiinvariant(i, c_mat, a_mat, adj_c, det_c) for i in range(1, trace_count + 1)
+    ]
     kinds = ["trace"] * trace_count
     weights = [-4 * i for i in range(1, trace_count + 1)]
 

@@ -242,11 +242,10 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
 def adjugate(m: Matrix) -> Matrix:
     """Adjugate (transposed cofactor matrix): m * adj(m) = det(m) * I.
 
-    Exact entries take one ``det`` (Bareiss) per cofactor; symbolic
-    entries expand all cofactors through one ``_shared_minors``, so each
-    minor is computed once.  A symmetric m has a symmetric adjugate, so
-    only the cofactors on and above the diagonal are computed and
-    mirrored: n(n+1)/2 of the n^2.
+    Every entry ring expands all cofactors through one ``_shared_minors``,
+    so each minor is computed once.  A symmetric m has a symmetric
+    adjugate, so only the cofactors on and above the diagonal are
+    computed and mirrored: n(n+1)/2 of the n^2.
     """
     rows, cols = shape(m)
     if rows != cols:
@@ -255,11 +254,7 @@ def adjugate(m: Matrix) -> Matrix:
         one = m[0][0] ** 0 if hasattr(m[0][0], "__pow__") else Fraction(1)
         return [[one]]
     full = tuple(range(rows))
-    if is_exact(m):
-        def minor(keep_rows, keep_cols):
-            return det([[m[r][c] for c in keep_cols] for r in keep_rows])
-    else:
-        minor = _shared_minors(m)
+    minor = _shared_minors(m)
     symmetric = is_symmetric(m)
     out = zeros(rows, cols)
     for i in range(rows):

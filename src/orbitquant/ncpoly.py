@@ -16,9 +16,13 @@ shift s = dim.bit_length() (``pack_word``).  Each letter is a digit from
 digit: the first letter is (w & mask) - 1, prepending l is
 (w << s) | (l + 1), the rest of the word is w >> s and the length is
 ``word_length``.  Digits never carry and ints are unbounded, so packing
-sets no limit.  Tuple words appear only at the public edges: the
-``NCPoly`` constructor, its ``terms`` view, JSON and printing,
-``word_of_exponent``/``exponent_of_word`` and ``reduce_word``.
+sets no limit.  Codes of one length compare their last letters first,
+so among sorted words of one length the grevlex order of the exponents
+is the reverse order of the codes: ``PBWAlgebra.term_key`` reads the
+term order on h^p X^w (length plus h power, then length, then grevlex)
+off the code and the length alone.  Tuple words appear only at the
+public edges: the ``NCPoly`` constructor, its ``terms`` view, JSON and
+printing, ``word_of_exponent``/``exponent_of_word`` and ``reduce_word``.
 
 Every product is built on one primitive, ``PBWAlgebra._insert``, which
 puts a single letter in front of a sorted word:
@@ -202,6 +206,15 @@ class PBWAlgebra:
         for cut in range(shift * (word_length(left, shift) - 1), -1, -shift):
             terms = self._prepend(((left >> cut) & mask) - 1, terms.items())
         return terms
+
+    def term_key(self, term: tuple[int, int]) -> tuple[int, int, int]:
+        """The term order on h^p X^w, for a (packed word, h power) pair:
+        length plus h power, then length, then grevlex, which among sorted
+        words of one length is the reverse order of their packed codes.
+        max(terms, key=term_key) is the leading term."""
+        w, p = term
+        length = word_length(w, self.shift)
+        return (length + p, length, -w)
 
     def _prepend(self, l: int, terms, out: WordTerms | None = None) -> WordTerms:
         """X_l * terms for (packed sorted word, coefficient) pairs, added into

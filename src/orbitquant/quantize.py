@@ -7,8 +7,9 @@ semiinvariance), so the two-sided ideal is the left ideal of g.  In a
 PBW algebra, a domain of solvable type, one element is a left Groebner
 basis of the left ideal it generates (Kandri-Rody and Weispfenning,
 J. Symbolic Comput. 9, 1990; Levandovskyy, PhD thesis, Kaiserslautern,
-2005).  With terms h^p X^w ordered by length plus h power, then grevlex,
-the leading term of g is the commutative leading monomial X^lead, and
+2005).  With terms h^p X^w ordered by length plus h power, then length,
+then grevlex (``PBWAlgebra.term_key``, read off the packed word), the
+leading term of g is the commutative leading monomial X^lead, and
 normal forms come from left division, memoized per word:
 NF(X^w) = NF(X^w - X^q g / lc) with q = exp(w) - lead when lead divides
 exp(w), else X^w; and NF(h^p X^w) = h^p NF(X^w).  This gives the
@@ -31,8 +32,10 @@ QuotientElement, which stores the same layout (``_certify_standard``,
 which also certifies standard support of the result).  No ``NCPoly``
 and no ``HPoly`` is built, and no tuple word once the engine has seen
 the words: what the engine needs to know of a packed word (its
-exponent, whether it is standard, its grevlex key) is worked out once,
-on first sight, into one table (``_word_data``).  The normal forms are
+exponent and whether it is standard) is worked out once, on first
+sight, into one table (``_word_data``), and its place in the term order
+is read off the code itself (``PBWAlgebra.term_key``), so a division
+step (``_step``) enters only the word it divides.  The normal forms are
 memoized in the same layout, keyed by packed words; the division step
 of each is run once and not kept.  Both apply one substitution
 (``_substitute``) and ``poly._lowest_terms``.  ``reduce``, ``phi``,
@@ -63,10 +66,8 @@ from .ncpoly import (
     pack_word,
     symmetrize,
     unpack_word,
-    word_length,
 )
 from .poly import (
-    GREVLEX,
     Exponent,
     MultiPoly,
     _lowest_terms,
@@ -136,8 +137,9 @@ class QuotientElement(_HTerms):
 def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPoly:
     """The scalar F with [X_letter, sym_gen] = F * sym_gen, certified.
 
-    F is the commutator's coefficient on a longest word of the generator,
-    divided by the generator's coefficient there, which must be h-free.
+    F is the commutator's coefficient on the word of the generator's
+    leading term (``PBWAlgebra.term_key``), divided by the generator's
+    coefficient there, which must be h-free.
     The identity itself is then checked term for term; any failure of
     exact proportionality raises CertificationError, which is the primary
     diagnostic for a wrong generator.
@@ -147,14 +149,11 @@ def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPol
     comm = sym_gen.commutator_with_letter(letter)
     if comm.is_zero():
         return HPoly.zero()
-    # the longest word, the lexicographically largest among those
-    shift = algebra.shift
-    words = {w for w, _ in sym_gen.flat}
-    longest = max(word_length(w, shift) for w in words)
-    ref_word = max(unpack_word(w, shift) for w in words if word_length(w, shift) == longest)
-    ref_code = pack_word(ref_word, shift)
-    if any(w == ref_code and p for w, p in sym_gen.flat):
-        raise CertificationError(f"the generator's coefficient of the word {ref_word} carries h")
+    # the word of g's leading term; a leading term free of h leaves no h on its word
+    ref_code, hpow = max(sym_gen.flat, key=algebra.term_key)
+    if hpow:
+        word = unpack_word(ref_code, algebra.shift)
+        raise CertificationError(f"the generator's coefficient of the word {word} carries h")
     ref = Fraction(sym_gen.flat[ref_code, 0], sym_gen.den)
     num = {p: Fraction(c, comm.den) for (w, p), c in comm.flat.items() if w == ref_code}
     if not num:
@@ -220,9 +219,9 @@ class OrbitQuantization:
         sym_gen = self.sym_generators[0]
         lead = self.groebner[0].leading()[0]
         self._lead_counts = [(l, c) for l, c in enumerate(lead) if c]
-        # packed word -> (exponent, standard flag, grevlex key), filled on first sight
+        # packed word -> (exponent, standard flag), filled on first sight
         self._word_table: dict[int, tuple] = {}
-        word, hpow = max(sym_gen.flat, key=lambda term: self._term_key(*term))
+        word, hpow = max(sym_gen.flat, key=self.algebra.term_key)
         if hpow != 0 or word != pack_exponent(lead, self.algebra.shift):
             raise CertificationError(
                 f"leading term h^{hpow} * {self._word(word)} of g is not X^{lead}"
@@ -238,19 +237,15 @@ class OrbitQuantization:
         return unpack_word(code, self.algebra.shift)
 
     def _word_data(self, code: int) -> tuple:
-        """(exponent, standard flag, grevlex key) of a packed word, worked out
-        on first sight.  The word is standard when the leading monomial does
-        not divide it."""
+        """(exponent, standard flag) of a packed word, worked out on first
+        sight.  The word is standard when the leading monomial does not
+        divide it."""
         data = self._word_table.get(code)
         if data is None:
             exp = exponent_of_word(self._word(code), self.basis.dim)
             standard = any(exp[letter] < count for letter, count in self._lead_counts)
-            self._word_table[code] = data = (exp, standard, GREVLEX.key(exp))
+            self._word_table[code] = data = (exp, standard)
         return data
-
-    def _term_key(self, code: int, hpow: int):
-        """Term order on h^p X^w: length plus h power, then grevlex."""
-        return (word_length(code, self.algebra.shift) + hpow, self._word_data(code)[2])
 
     def is_standard(self, word: Word) -> bool:
         """X^w is a standard monomial: the leading monomial does not divide it."""
@@ -267,14 +262,15 @@ class OrbitQuantization:
         generator = self.sym_generators[0]
         den = generator.den
         multiple = self.algebra._product({(q, 0): 1}, generator.flat)  # X^q g over den
-        top, lc = self._term_key(word, 0), self._lead_coeff
+        key, lc = self.algebra.term_key, self._lead_coeff
+        top = key((word, 0))
         cancels, rest = False, {}
         for (v, p), value in multiple.items():
             if not value:
                 continue
             if v == word and p == 0:
                 cancels = value * lc.denominator == lc.numerator * den
-            elif self._term_key(v, p) >= top:
+            elif key((v, p)) >= top:
                 raise CertificationError(
                     f"X^{self._word(q)} g has h^{p} * {self._word(v)} at or above "
                     f"X^{self._word(word)}"
@@ -348,7 +344,7 @@ class OrbitQuantization:
         out = {}
         for (w, p), c in flat.items():
             if c:
-                exp, standard, _ = table.get(w) or data(w)
+                exp, standard = table.get(w) or data(w)
                 if not standard:
                     raise CertificationError(
                         f"{context}: word {self._word(w)} is not a standard monomial"

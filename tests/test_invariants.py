@@ -26,7 +26,7 @@ from orbitquant.invariants import (
     regular_lambdas,
     regularity_check,
     semiinvariant_family,
-    trace_of_even_power,
+    trace_semiinvariant,
     trace_semiinvariant_value,
     trace_square_semiinvariant,
     verify_semiinvariance,
@@ -244,7 +244,6 @@ def test_family_up_to_n4_forms_no_power_of_t(monkeypatch):
     def refuse(*args):
         raise AssertionError("T was formed")
 
-    monkeypatch.setattr(invariants, "trace_of_even_power", refuse)
     monkeypatch.setattr(invariants, "cleared_trace_matrix", refuse)
     for n in (2, 3, 4):
         assert len(semiinvariant_family(n).generators) == n // 2
@@ -495,7 +494,7 @@ def test_symmetric_trace_pairing_equals_the_full_pair_sum(n, i):
     every_pair = sum_of_products(
         coords.variables, ((half[r][s], half[s][r]) for r in range(n) for s in range(n))
     )
-    assert trace_of_even_power(coords.variables, t_mat, i) == every_pair
+    assert trace_semiinvariant(i, c_mat, a_mat, adj_c, det_c) == every_pair
     if i == 1 and n > 2:  # h_1 is the family's first generator
         assert semiinvariant_family(n, coords).generators[0] == every_pair
 

@@ -14,12 +14,15 @@ from orbitquant.ncpoly import (
     NCPoly,
     PBWAlgebra,
     checked_word,
+    exponent_of_word,
     pack_exponent,
     pack_word,
     unpack_word,
     word_length,
     word_of_exponent,
 )
+from orbitquant.poly import GREVLEX, monomials_up_to_degree
+from orbitquant.quantize import OrbitQuantization
 
 PROPERTY = settings(max_examples=200, deadline=None)
 DIMS = (3, 7, 15, 26)
@@ -93,6 +96,38 @@ def test_terms_view_round_trips(data):
         assert NCPoly(alg, view) == x
         assert NCPoly.from_json(alg, x.to_json()) == x
         assert all(type(code) is int for code, _ in x.flat)
+
+
+# -- the term order ---------------------------------------------------------------
+
+
+def grevlex_key(alg, term):
+    """The term order on h^p X^w stated on exponents: length plus h power,
+    then the commutative grevlex key (degree first)."""
+    w, p = term
+    exp = exponent_of_word(unpack_word(w, alg.shift), alg.dim)
+    return (sum(exp) + p, GREVLEX.key(exp))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_term_key_is_length_plus_h_then_grevlex(n):
+    # dims 2, 7 and 15: every term h^p X^w with p <= 2 and len(w) + p <= 4
+    alg = ALGEBRAS[n]
+    terms = [
+        (pack_exponent(exp, alg.shift), p)
+        for exp in monomials_up_to_degree(alg.dim, 4)
+        for p in range(min(2, 4 - sum(exp)) + 1)
+    ]
+    assert sorted(terms, key=alg.term_key) == sorted(terms, key=lambda t: grevlex_key(alg, t))
+
+
+@pytest.mark.parametrize("n, cap", [(2, 6), (3, 8)])
+def test_symmetrized_generator_leads_with_the_groebner_lead(n, cap):
+    eng = OrbitQuantization(n, [1], deg_cap=cap, build_reduction=False)
+    alg, flat = eng.algebra, eng.sym_generators[0].flat
+    lead = (pack_exponent(eng.groebner[0].leading()[0], alg.shift), 0)
+    assert max(flat, key=alg.term_key) == lead
+    assert max(flat, key=lambda t: grevlex_key(alg, t)) == lead
 
 
 # -- letters are checked where they enter -----------------------------------------

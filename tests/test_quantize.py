@@ -317,6 +317,24 @@ def test_degree_eight_cap():
     assert quotient_basis_torsion(eng, random.Random(69), samples=10)[0] == "pass"
 
 
+def test_certificate_enters_only_the_divided_words(monkeypatch):
+    # a division step reads the term order off the packed words, so the
+    # n=2 cap-8 certificate runs one step per left multiple X^q g and
+    # enters only the 330 words it divides in the word table, not every
+    # term of every multiple
+    eng = OrbitQuantization(2, [Fraction(1)], deg_cap=8)
+    real, steps = OrbitQuantization._step, []
+
+    def counted(self, word):
+        steps.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(OrbitQuantization, "_step", counted)
+    eng.basis_report()
+    assert len(steps) == 330
+    assert len(eng._word_table) == 330
+
+
 def _table_reduction(engine):
     """The dense reduction table that left division replaced, as an oracle.
 
