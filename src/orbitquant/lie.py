@@ -30,7 +30,7 @@ from typing import Sequence
 
 from . import linalg as la
 from .errors import StructuralError
-from .poly import MultiPoly, sum_of_products
+from .poly import MultiPoly, _exponent_slots
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -341,25 +341,64 @@ def lie_poisson_bracket(
     Jacobi identity because the structure constants do.  On coordinate
     functions it returns the bracket's structure constant expansion, which
     pins the sign convention used by the star product's first-order term.
+
+    One loop over the term pairs of f and g, with no derivative formed:
+    for terms c1 x^e1 of f and c2 x^e2 of g, each letter i with e1[i] > 0,
+    each j with e2[j] > 0 and each (k, c) in [X_i, X_j] =
+    ``sc.brackets[i][j]`` add c1 c2 e1[i] e2[j] c at the exponent
+    e1 + e2 - e_i - e_j + e_k.  Exponents are packed ints, as in the
+    product kernel (``poly.sum_of_products``), so that exponent is one
+    integer sum; the integer numerators accumulate over f.den * g.den and
+    make one MultiPoly.
     """
     if f.variables != g.variables:
         raise StructuralError("bracket operands live in different variable lists")
     if len(f.variables) != sc.dim:
         raise StructuralError("variable count does not match the algebra dimension")
     variables = f.variables
-    df = [f.diff(i) for i in range(sc.dim)]
-    dg = [g.diff(j) for j in range(sc.dim)]
-    pairs = []
-    for i, row in enumerate(sc.brackets):
-        for j, bracket in enumerate(row):
-            if df[i].flat and dg[j].flat:
-                for k, c in bracket:
-                    # c x_k df/dx_i: shift each exponent by x_k, scale each numerator by c
-                    shifted = {
-                        e[:k] + (e[k] + 1,) + e[k + 1 :]: v * c for e, v in df[i].flat.items()
-                    }
-                    pairs.append((MultiPoly._trusted(variables, shifted, df[i].den), dg[j]))
-    return sum_of_products(variables, pairs)
+    if not (f.flat and g.flat):
+        return MultiPoly._trusted(variables, {}, 1)
+    slots = _exponent_slots(sc.dim, f.total_degree() + g.total_degree())
+
+    def packed(exp):
+        return int.from_bytes(slots.pack(*exp), "little")
+
+    # the packed exponent of each letter, e_i
+    bits = 8 * slots.size // sc.dim
+    unit = [1 << bits * i for i in range(sc.dim)]
+    # for each letter j of g: (packed e2 - e_j, c2 e2[j]) over the terms of g
+    g_parts: dict[int, list] = {}
+    for e2, c2 in g.flat.items():
+        k2 = packed(e2)
+        for j, m in enumerate(e2):
+            if m:
+                g_parts.setdefault(j, []).append((k2 - unit[j], c2 * m))
+    # for each letter i: the letters j of g and [X_i, X_j] as (e_k, c)
+    rows = {}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for e1, c1 in f.flat.items():
+        k1 = packed(e1)
+        for i, m in enumerate(e1):
+            if not m:
+                continue
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = [
+                    (g_parts[j], [(unit[k], c) for k, c in bracket])
+                    for j, bracket in enumerate(sc.brackets[i])
+                    if bracket and j in g_parts
+                ]
+            p1, a = k1 - unit[i], c1 * m
+            for parts, bracket in row:
+                for p2, b in parts:
+                    base, ab = p1 + p2, a * b
+                    for uk, c in bracket:
+                        key = base + uk
+                        acc[key] = get(key, 0) + ab * c
+    size = slots.size
+    flat = {slots.unpack(k.to_bytes(size, "little")): v for k, v in acc.items() if v}
+    return MultiPoly._trusted(variables, flat, f.den * g.den)
 
 
 def basis_to_json(basis: LieBasis, sc: StructureConstants) -> dict:

@@ -28,7 +28,6 @@ monomials in quotient-ring computations.
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -447,12 +446,25 @@ def _lowest_terms(flat: dict, den: int) -> tuple[dict, int]:
 
 
 def _slot_code(top: int) -> tuple[str, int]:
-    """The smallest native ``struct`` format character whose slot holds
+    """The smallest unsigned ``struct`` format character whose slot holds
     every value up to ``top``, and its slot width in bytes."""
     for code, width in (("B", 1), ("H", 2), ("Q", 8)):
         if top < 1 << 8 * width:
             return code, width
     raise CapacityError(f"product exponents up to {top} exceed 64-bit packed slots")
+
+
+def _exponent_slots(nvars: int, top: int) -> struct.Struct:
+    """The little-endian record of ``nvars`` unsigned slots, each wide
+    enough for every value up to ``top``.
+
+    ``int.from_bytes(pack(*e), "little")`` is the packed int of an exponent
+    tuple: slot i holds e[i] from bit i * 8 * size // nvars on.  No slot
+    exceeds ``top``, so adding packed ints adds exponents with no carry
+    between slots.
+    """
+    code, _ = _slot_code(top)
+    return struct.Struct(f"<{nvars}{code}")
 
 
 def sum_of_products(
@@ -467,7 +479,7 @@ def sum_of_products(
     CASC 2007).  ``MultiPoly.__mul__`` is the one-pair case.
 
     Exponents are packed: each operand term's exponent becomes one int,
-    the bytes of a record with one native unsigned slot per variable, packed
+    the bytes of a record with one unsigned slot per variable, packed
     and unpacked by one ``struct.Struct`` per call, so a product of
     monomials is one integer addition (packed exponent vectors: Monagan &
     Pearce, CASC 2007; Bachmann & Schoenemann, ISSAC 1998).  The slot
@@ -495,10 +507,9 @@ def sum_of_products(
             scaled.append((f.flat.items(), g.flat.items(), d))
     if not scaled:
         return MultiPoly._trusted(variables, {}, 1)
-    code, _ = _slot_code(top)
-    slots = struct.Struct(f"{len(variables)}{code}")
+    slots = _exponent_slots(len(variables), top)
     pack, unpack, size = slots.pack, slots.unpack, slots.size
-    order = sys.byteorder
+    order = "little"
     acc: dict[int, int] = {}
     get = acc.get
     for fs, gs, d in scaled:

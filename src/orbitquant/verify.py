@@ -16,13 +16,17 @@ The one skip rule is ``_entry``'s: a CapacityError anywhere in a check
 skips the whole entry, with its reason, and leaves the run incomplete.
 
 ``build_report`` runs its independent, separately seeded checks
-concurrently on forked worker processes, one per usable CPU, and lists
-the entries in report order, so the report and its content hash are
-those of a run in one process.  Each entry's ``elapsed_s`` is its
-worker's wall time, taken while other checks compete for the CPUs, so
-the values no longer add up to the run's time.  The run stays in one
-process when one CPU is usable, when the platform cannot fork, or when
-the calling process runs other threads.
+concurrently on forked worker processes, one per usable CPU.  Each call
+carries its check's measured CPU seconds, and the pool takes the calls
+in descending seconds (the longest-processing-time rule: R. L. Graham,
+SIAM J. Appl. Math. 17, 1969), so the longest checks start first and no
+long check runs alone at the end.  The entries are still listed in
+report order, so the report and its content hash are those of a run in
+one process.  Each entry's ``elapsed_s`` is its worker's wall time,
+taken while other checks compete for the CPUs, so the values no longer
+add up to the run's time.  The run stays in one process when one CPU is
+usable, when the platform cannot fork, or when the calling process runs
+other threads.
 """
 
 from __future__ import annotations
@@ -134,6 +138,7 @@ def check_embedding(seed: int, ns=(1, 2, 3), samples: int = 20) -> dict:
 def check_coadjoint(seed: int, ns=(2, 3), samples: int = 20) -> dict:
     def one(n, rng):
         basis, _ = build_lie_basis(n)
+        elements = [basis_lie_element(basis, i) for i in range(basis.dim)]
         functorial, dual = 0, 0
         for _ in range(samples):
             p = random_group_element(n, rng)
@@ -144,9 +149,8 @@ def check_coadjoint(seed: int, ns=(2, 3), samples: int = 20) -> dict:
             pinv = group_inverse(p)
             image = coadjoint(p, pt)
             good = all(
-                pair_dual_algebra(image, basis_lie_element(basis, i))
-                == pair_dual_algebra(pt, adjoint(pinv, basis_lie_element(basis, i)))
-                for i in range(basis.dim)
+                pair_dual_algebra(image, x) == pair_dual_algebra(pt, adjoint(pinv, x))
+                for x in elements
             )
             dual += int(good)
         record = {"functorial": functorial, "dual": dual, "samples": samples}
@@ -465,11 +469,8 @@ def deformation_axioms(
     triple_monos = standard_monomials(engine.groebner, max_degree=triple_degree)
     variables = engine.variables
 
-    pairs = [
-        (MultiPoly.monomial(variables, e1), MultiPoly.monomial(variables, e2))
-        for e1 in monos
-        for e2 in monos
-    ]
+    grid = [MultiPoly.monomial(variables, e) for e in monos]
+    pairs = [(f, g) for f in grid for g in grid]
     for _ in range(random_pairs):
         pairs.append(
             (
@@ -590,27 +591,29 @@ def build_report(
         raise StructuralError("verify needs 1 <= n_max <= 3 and samples >= 1")
     ns_all = tuple(n for n in (1, 2, 3) if n <= n_max)
     ns_23 = tuple(n for n in (2, 3) if n <= n_max)
-    calls = [partial(check_embedding, seed, ns=ns_all, samples=samples)]
+    degree_bounds = tuple((n, d) for n, d in ((2, 4), (3, 2)) if n <= n_max)
+    # (seconds, call) in report order; the seconds, which only order the
+    # submission, are the check's CPU time in a forked worker at n_max 3,
+    # deg 6, seed 7 on a 2-vCPU VM (normal_form's include importing numpy
+    # and scipy)
+    calls = [(0.04, partial(check_embedding, seed, ns=ns_all, samples=samples))]
     if ns_23:
         calls.extend(
             [
-                partial(check_coadjoint, seed + 1, ns=ns_23, samples=samples),
-                partial(check_normal_form, seed + 2, ns=ns_23, samples=samples),
-                partial(check_orbit_dimension, ns=ns_23),
-                partial(check_semiinvariants, seed + 3, ns=ns_23, samples=samples),
-                partial(
-                    check_invariant_polynomials,
-                    tuple((n, d) for n, d in ((2, 4), (3, 2)) if n <= n_max),
-                ),
-                partial(check_orbit_ideal, seed + 4, ns=ns_23, samples=samples),
-                partial(check_pbw, seed + 5),
-                partial(check_generator_commutators, ns=ns_23),
-                partial(check_quotient_basis_torsion, seed + 7, deg_cap=deg_cap),
-                partial(check_deformation, seed + 8, deg_cap=deg_cap),
+                (0.16, partial(check_coadjoint, seed + 1, ns=ns_23, samples=samples)),
+                (0.58, partial(check_normal_form, seed + 2, ns=ns_23, samples=samples)),
+                (0.02, partial(check_orbit_dimension, ns=ns_23)),
+                (0.10, partial(check_semiinvariants, seed + 3, ns=ns_23, samples=samples)),
+                (0.11, partial(check_invariant_polynomials, degree_bounds)),
+                (0.08, partial(check_orbit_ideal, seed + 4, ns=ns_23, samples=samples)),
+                (0.03, partial(check_pbw, seed + 5)),
+                (0.08, partial(check_generator_commutators, ns=ns_23)),
+                (0.02, partial(check_quotient_basis_torsion, seed + 7, deg_cap=deg_cap)),
+                (0.24, partial(check_deformation, seed + 8, deg_cap=deg_cap)),
             ]
         )
     if inject_failure:
-        calls.append(partial(check_injected_failure, seed + 9))
+        calls.append((0.01, partial(check_injected_failure, seed + 9)))
     return emit_report(_run_checks(calls), seed=seed, n_max=n_max, deg_cap=deg_cap)
 
 
@@ -621,17 +624,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _call(check):
-    return check()
-
-
 def _run_checks(calls: list) -> list[dict]:
-    """The entry of each check call, in the order of ``calls``.
+    """The entry of each (seconds, call) pair's call, in the order of ``calls``.
 
-    A forked worker starts as a copy of this process, so a check sees the
-    module state it would see in process.  A lock that another thread
-    holds at the fork stays held in the child, so a process with other
-    threads runs the calls itself.  A check that raises, or a worker that
+    The pool takes the calls longest first, by their stated seconds
+    (Graham's longest-processing-time rule), so no long check starts last
+    and runs alone; the entries are read back in list order.  A forked
+    worker starts as a copy of this process, so a check sees the module
+    state it would see in process.  A lock that another thread holds at
+    the fork stays held in the child, so a process with other threads runs
+    the calls itself, in list order.  A check that raises, or a worker that
     dies, raises here, and the calls not yet started are cancelled.
     """
     import multiprocessing
@@ -644,10 +646,12 @@ def _run_checks(calls: list) -> list[dict]:
         or "fork" not in multiprocessing.get_all_start_methods()
         or threading.active_count() > 1
     ):
-        return list(map(_call, calls))
+        return [call() for _, call in calls]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_call, calls))
+        longest_first = sorted(range(len(calls)), key=lambda i: -calls[i][0])
+        futures = {i: pool.submit(calls[i][1]) for i in longest_first}
+        return [futures[i].result() for i in range(len(calls))]
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -21,7 +21,7 @@ from orbitquant.lie import (
     standard_symplectic_form,
     trace_pairing,
 )
-from orbitquant.poly import MultiPoly
+from orbitquant.poly import MultiPoly, sum_of_products
 
 
 def random_poly(rng, variables, max_deg=2, terms=4):
@@ -393,3 +393,71 @@ def test_poisson_matches_entrywise_oracle(n):
         bracket = lie_poisson_bracket(f, g, sc)
         assert bracket == oracle_bracket(f, g, sc)
         assert all(type(c) is Fraction and c != 0 for c in bracket.terms.values())
+
+
+def partial_products_bracket(f, g, sc):
+    # the bracket as the product kernel's sum: for each letter pair (i, j)
+    # and each (k, c) in [X_i, X_j], the pair (c x_k df/dx_i, dg/dx_j)
+    variables = f.variables
+    df = [f.diff(i) for i in range(sc.dim)]
+    dg = [g.diff(j) for j in range(sc.dim)]
+    pairs = [
+        (MultiPoly.variable(variables, k) * df[i] * c, dg[j])
+        for i, row in enumerate(sc.brackets)
+        for j, bracket in enumerate(row)
+        for k, c in bracket
+    ]
+    return sum_of_products(variables, pairs)
+
+
+def bracket_operands(rng, variables):
+    # zero operands and constants, then rational polynomials up to degree 4
+    yield MultiPoly.zero(variables), random_poly(rng, variables)
+    yield random_poly(rng, variables), MultiPoly.zero(variables)
+    yield MultiPoly.constant(variables, Fraction(-3, 7)), random_poly(rng, variables)
+    yield random_poly(rng, variables), MultiPoly.constant(variables, 5)
+    for _ in range(6):
+        yield (
+            random_poly(rng, variables, max_deg=4, terms=rng.randint(1, 6)),
+            random_poly(rng, variables, max_deg=4, terms=rng.randint(1, 6)),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poisson_matches_the_per_partial_product_sum(n):
+    rng = random.Random(60 + n)
+    basis, sc = build_lie_basis(n)
+    variables = DualCoordinates(basis).variables
+    for f, g in bracket_operands(rng, variables):
+        bracket = lie_poisson_bracket(f, g, sc)
+        assert bracket == partial_products_bracket(f, g, sc)
+        if n <= 2:
+            assert bracket == oracle_bracket(f, g, sc)
+
+
+def test_poisson_refuses_mismatched_variables():
+    basis, sc = build_lie_basis(2)
+    variables = DualCoordinates(basis).variables
+    f = MultiPoly.variable(variables, 0)
+    renamed = MultiPoly.variable(("y",) + variables[1:], 0)
+    with pytest.raises(StructuralError):
+        lie_poisson_bracket(f, renamed, sc)
+    with pytest.raises(StructuralError):
+        lie_poisson_bracket(renamed, f, sc)
+    _, sc3 = build_lie_basis(3)
+    with pytest.raises(StructuralError):
+        lie_poisson_bracket(f, f, sc3)
+
+
+def test_poisson_forms_no_derivative(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError("the bracket formed a partial derivative")
+
+    rng = random.Random(5)
+    basis, sc = build_lie_basis(2)
+    variables = DualCoordinates(basis).variables
+    f = random_poly(rng, variables, max_deg=3, terms=5)
+    g = random_poly(rng, variables, max_deg=3, terms=5)
+    expected = partial_products_bracket(f, g, sc)
+    monkeypatch.setattr(MultiPoly, "diff", refuse)
+    assert lie_poisson_bracket(f, g, sc) == expected

@@ -7,14 +7,18 @@ passing check measured, this is the evidence that a "pass" was earned.
 
 The battery runs its checks on forked workers: the last cases show that
 the pool gives the report of a run in one process, that it really runs
-on other processes, and that a check or worker that fails fails the run.
+on other processes, that it takes the longest checks first and still
+lists the entries in report order, and that a check or worker that fails
+fails the run.
 """
 
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -160,6 +164,58 @@ def test_checks_run_on_worker_processes(monkeypatch):
     report = verify.build_report(seed=7, n_max=2, deg_cap=4)
     pids = {c["pid"] for c in report["checks"]}
     assert os.getpid() not in pids and len(pids) >= 2
+
+
+REPORT_ORDER = [
+    "check_embedding",
+    "check_coadjoint",
+    "check_normal_form",
+    "check_orbit_dimension",
+    "check_semiinvariants",
+    "check_invariant_polynomials",
+    "check_orbit_ideal",
+    "check_pbw",
+    "check_generator_commutators",
+    "check_quotient_basis_torsion",
+    "check_deformation",
+]
+
+
+@pytest.mark.skipif(not FORK, reason="the pool needs fork")
+def test_the_pool_takes_the_longest_checks_first(monkeypatch):
+    stated, submitted = [], []
+
+    class RecordingExecutor:
+        # records the submission order and answers each call at once with a
+        # passing entry named after its check function
+        def __init__(self, workers, mp_context):
+            pass
+
+        def submit(self, call):
+            submitted.append(call)
+            future = concurrent.futures.Future()
+            future.set_result({"name": call.func.__name__, "status": "pass"})
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    honest = verify._run_checks
+
+    def run_checks(calls):
+        stated.extend(calls)
+        return honest(calls)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(verify, "_run_checks", run_checks)
+    report = verify.build_report(seed=7, n_max=3, deg_cap=6)
+    assert submitted == [call for _, call in sorted(stated, key=lambda pair: -pair[0])]
+    assert [call.func.__name__ for call in submitted[:2]] == ["check_normal_form", "check_deformation"]
+    # the entries come back in report order, whatever the submission order
+    assert [call.func.__name__ for _, call in stated] == REPORT_ORDER
+    assert [c["name"] for c in report["checks"]] == REPORT_ORDER
 
 
 FAULTY_RUN = """
