@@ -31,8 +31,9 @@ symbolic family and the values at a point call the same helpers, and T
 is formed only for h_i with i >= 2.  A
 degree-bounded certificate that invariant polynomials are constant is
 obtained from the exact kernel of the infinitesimal action on each
-graded piece, whose vector fields apply the numeric ad* formula
-(``orbits.ad_star_blocks``) to symbolic entries.
+graded piece; its equations are Lie-Poisson brackets {x_i, x^e} with the
+coordinate functions, read from the one bracket table
+(``StructureConstants.brackets``).
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import comb
 
 from . import linalg as la
 from .errors import CapacityError, DomainError, StructuralError
 from .groebner import DEFAULT_CAPACITY
 from .lie import DualCoordinates, build_lie_basis
-from .orbits import DualPoint, NormalForm, ad_star_blocks
+from .orbits import DualPoint, NormalForm
 from .poly import MultiPoly, monomials_up_to_degree, sum_of_products
 
 
@@ -478,24 +479,6 @@ def regularity_check(ideal: OrbitIdeal, pts: list[DualPoint]) -> bool:
     return True
 
 
-def coadjoint_vector_fields(coords: DualCoordinates) -> list[list[MultiPoly]]:
-    """Infinitesimal coadjoint action in coordinates, symbolically.
-
-    Row i is the vector field of basis letter X_i: entry j is the linear
-    polynomial x_j(ad*_{X_i} p) of the moving point p.  It is
-    ``orbits.ad_star_blocks``, the formula of the numeric action, applied
-    to the symbolic entries of p and read through ``coords_of_point``.
-    """
-    basis = coords.basis
-    c_mat, a_mat = coords.entry_polynomials()
-    return [
-        coords.coords_of_point(
-            *ad_star_blocks(basis.gl_part(i), basis.sym_part(i), c_mat, a_mat)
-        )
-        for i in range(basis.dim)
-    ]
-
-
 @dataclass(frozen=True)
 class InvariantCertificate:
     """Kernel dimensions of the invariance equations up to a degree."""
@@ -513,49 +496,49 @@ class InvariantCertificate:
 def no_invariants_certificate(n: int, degree: int) -> InvariantCertificate:
     """Exact dimension of degree-bounded invariant polynomials.
 
-    Assembles, per homogeneous degree, the linear system L_i F = 0 over
-    all monomials, where L_i is the infinitesimal coadjoint action along
-    basis letter i, and computes the exact kernel dimension.  Degree zero
-    contributes the constants; the certificate passes when nothing else
-    does.  StructuralError for a degree bound below 1, which would check
-    no positive degree.
+    Assembles, per homogeneous degree, the linear system {x_i, F} = 0 over
+    all monomials, one equation set per basis letter i, and computes the
+    exact kernel dimension.  {x_i, .} is minus L_i, the infinitesimal
+    coadjoint action along letter i, so the kernel is that of the action.
+    The rows are read from the one bracket table: the row of letter i
+    and monomial x^e is
+
+        {x_i, x^e} = sum_j e_j sum_k c_ij^k x^(e - e_j + e_k),
+
+    integers throughout.  Degree zero contributes the constants; the
+    certificate passes when nothing else does.  StructuralError for a
+    degree bound below 1, which would check no positive degree;
+    CapacityError, before any monomial is built, when some degree up to
+    the bound has more monomials than ``DEFAULT_CAPACITY.max_terms``.
     """
     if degree < 1:
         raise StructuralError(f"the invariant certificate needs a degree bound >= 1, not {degree}")
-    coords = DualCoordinates(build_lie_basis(n)[0])
-    nvars = len(coords.variables)
-    # each field row as (exponent, integer numerator) lists over one
-    # denominator: the rows of L_i below are integer multiples of the
-    # true ones, which keeps the rank
-    fields = []
-    for field_row in coadjoint_vector_fields(coords):
-        den = lcm(*(v.den for v in field_row))
-        fields.append([[(e, c * (den // v.den)) for e, c in v.flat.items()] for v in field_row])
-    per_degree = [1]
+    brackets = build_lie_basis(n)[1].brackets
+    nvars = len(brackets)
     for delta in range(1, degree + 1):
-        monos = [e for e in monomials_up_to_degree(nvars, delta) if sum(e) == delta]
-        if len(monos) > DEFAULT_CAPACITY.max_terms:
-            raise CapacityError(
-                f"degree {delta} needs {len(monos)} monomials, over cap"
-            )
-        col_index = {e: idx for idx, e in enumerate(monos)}
+        count = comb(nvars + delta - 1, delta)
+        if count > DEFAULT_CAPACITY.max_terms:
+            raise CapacityError(f"degree {delta} needs {count} monomials, over cap")
+    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(degree + 1)]
+    for e in monomials_up_to_degree(nvars, degree):
+        by_degree[sum(e)].append(e)
+    per_degree = [1]
+    for monos in by_degree[1:]:
         rows: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
         for bidx, exp in enumerate(monos):
-            for i, field_row in enumerate(fields):
-                # L_i(x^exp) = sum_j exp_j * v_ij * x^(exp - e_j)
-                for j in range(nvars):
-                    e = exp[j]
-                    if e == 0:
-                        continue
-                    v = field_row[j]
-                    if not v:
+            support = [(j, e) for j, e in enumerate(exp) if e]
+            for i, bracket_row in enumerate(brackets):
+                for j, e in support:
+                    bracket = bracket_row[j]
+                    if not bracket:
                         continue
                     lowered = list(exp)
                     lowered[j] -= 1
-                    for vexp, vcoeff in v:
-                        target = tuple(x + y for x, y in zip(lowered, vexp))
-                        row = rows.setdefault((i, target), {})
-                        row[bidx] = row.get(bidx, 0) + vcoeff * e
+                    for k, c in bracket:
+                        lowered[k] += 1
+                        row = rows.setdefault((i, tuple(lowered)), {})
+                        lowered[k] -= 1
+                        row[bidx] = row.get(bidx, 0) + c * e
         clean_rows = [
             {c: Fraction(v) for c, v in row.items() if v} for row in rows.values()
         ]

@@ -267,8 +267,8 @@ class DualCoordinates:
     ``coords_of_point`` reads those factors off the basis's sparse entries
     (``LieBasis.sparse_elements``) and ``point_of_coords`` inverts them;
     both work over any entry ring, and the symbolic entries
-    (``entry_polynomials``) and the coordinates of the vector fields go
-    through them, so the factors are fixed here once and nowhere else.
+    (``entry_polynomials``) and the orbit-dimension images go through
+    them, so the factors are fixed here once and nowhere else.
     """
 
     basis: LieBasis
@@ -281,8 +281,8 @@ class DualCoordinates:
     def coords_of_point(self, c: la.Matrix, a: la.Matrix) -> list:
         """tr(p X_i) for each letter, summed over X_i's nonzero entries only.
 
-        Generic over the entry ring: Fractions for a point, linear
-        polynomials for ``entry_polynomials`` moved by a vector field.
+        Generic over the entry ring: Fractions for a point, polynomials
+        for symbolic entries such as ``entry_polynomials``.
         """
         p = dual_block(c, a)
         return [

@@ -11,8 +11,9 @@ which is associative and makes the embedding a homomorphism; the adjoint
 and coadjoint formulas below are its derivatives and are verified against
 block-matrix conjugation in the test suite.  The infinitesimal coadjoint
 action is written once, in ``ad_star_blocks``, over any entry ring: the
-numeric ``ad_star`` and the symbolic vector fields of ``invariants`` both
-apply it.
+numeric ``ad_star`` applies it to numbers, and the tests apply it to
+symbolic entries to check the Lie-Poisson bracket that the invariant
+certificate of ``invariants`` reads.
 
 Everything is exact on Fraction inputs, and the matrix products run over
 integer numerators (``linalg.mat_mul``).  A group element computes g^{-1}
@@ -211,6 +212,8 @@ def ad_star_blocks(alpha: la.Matrix, beta: la.Matrix, c: la.Matrix, a: la.Matrix
 
     Differentiating Ad* along the curves (t*beta, I) and (0, I + t*alpha)
     gives (c, a) -> (-alpha^t c - c alpha, alpha a - a alpha + beta c).
+    On the symbolic entries of ``DualCoordinates.entry_polynomials`` it
+    gives the vector field of letter X_i, with coordinates -{x_i, x_j}.
     """
     c_dot = la.mat_neg(la.mat_add(la.mat_mul(la.transpose(alpha), c), la.mat_mul(c, alpha)))
     a_dot = la.mat_add(la.mat_sub(la.mat_mul(alpha, a), la.mat_mul(a, alpha)), la.mat_mul(beta, c))

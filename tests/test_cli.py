@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -168,6 +169,32 @@ def test_no_invariants_verb(capsys):
     code, doc = run_json(capsys, "no-invariants", "--n", "2", "--deg", "2")
     assert code == 0
     assert doc["only_constants"] is True
+
+
+def test_no_invariants_at_n4(capsys):
+    code, doc = run_json(capsys, "no-invariants", "--n", "4", "--deg", "2")
+    assert code == 0
+    assert doc["per_degree"] == [1, 0, 0]
+    assert doc["only_constants"] is True
+
+
+def test_no_invariants_over_cap_is_refused_at_once(capsys, monkeypatch):
+    # n = 4, degree 6 needs 736,281 monomials; enumerating them first ran
+    # for minutes and could end in a MemoryError traceback
+    from orbitquant import invariants
+
+    def no_enumeration(*args):
+        raise AssertionError("monomials enumerated before the capacity check")
+
+    monkeypatch.setattr(invariants, "monomials_up_to_degree", no_enumeration)
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "no-invariants", "--n", "4", "--deg", "6")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert doc["error"] == {
+        "type": "CapacityError",
+        "message": "degree 6 needs 736281 monomials, over cap",
+    }
 
 
 def test_orbit_ideal_requires_lambdas(capsys):

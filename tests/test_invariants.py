@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,7 +15,6 @@ from orbitquant.errors import CapacityError, DomainError, StructuralError
 from orbitquant.invariants import (
     symbolic_dual_matrices,
     cleared_trace_matrix,
-    coadjoint_vector_fields,
     invariant_trace_power,
     membership_residual,
     no_invariants_certificate,
@@ -32,7 +32,14 @@ from orbitquant.invariants import (
     verify_semiinvariance,
 )
 from orbitquant.lie import DualCoordinates, build_lie_basis, lie_poisson_bracket
-from orbitquant.orbits import DualPoint, GroupElement, coadjoint, lambda_block_matrix, normal_form
+from orbitquant.orbits import (
+    DualPoint,
+    GroupElement,
+    ad_star_blocks,
+    coadjoint,
+    lambda_block_matrix,
+    normal_form,
+)
 from orbitquant.poly import MultiPoly, sum_of_products
 from orbitquant.sampling import (
     random_fraction,
@@ -395,13 +402,85 @@ def test_orbit_ideal_from_normal_form():
 # -------------------------------------------------------------- certificate
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def oracle_vector_fields(coords):
+    """Row i is the vector field of letter X_i: entry j is the linear
+    polynomial x_j(ad*_{X_i} p) of the moving point p, from the matrix
+    formula ``ad_star_blocks`` on the symbolic entries of p, read back
+    through ``coords_of_point``."""
+    basis = coords.basis
+    c_mat, a_mat = coords.entry_polynomials()
+    return [
+        coords.coords_of_point(
+            *ad_star_blocks(basis.gl_part(i), basis.sym_part(i), c_mat, a_mat)
+        )
+        for i in range(basis.dim)
+    ]
+
+
+def oracle_kernel_dimensions(n, degree, letters):
+    """Per-degree kernel dimensions of L_i F = 0 over the given letters,
+    each L_i the oracle field of letter i applied as a derivation,
+    sum_j (dF/dx_j) x_j(ad*_{X_i} p), on monomials listed here."""
+    coords = DualCoordinates(build_lie_basis(n)[0])
+    fields = oracle_vector_fields(coords)
+    variables = coords.variables
+    dims = [1]
+    for delta in range(1, degree + 1):
+        monos = []
+        for letters_of_mono in itertools.combinations_with_replacement(range(len(variables)), delta):
+            exponent = [0] * len(variables)
+            for j in letters_of_mono:
+                exponent[j] += 1
+            monos.append(MultiPoly.monomial(variables, exponent))
+        rows = {}
+        for col, mono in enumerate(monos):
+            for i in letters:
+                image = sum(
+                    (mono.diff(j) * fields[i][j] for j in range(len(variables))),
+                    MultiPoly.zero(variables),
+                )
+                for exp, v in image.terms.items():
+                    rows.setdefault((i, exp), {})[col] = v
+        dims.append(len(monos) - la.sparse_rank(rows.values()))
+    return tuple(dims)
+
+
+# letter subsets whose equations the certificate keeps, by letter name:
+# leaving letters out plants invariants; the one Cartan letter a11 alone
+# tells a derivation from a map that drops the exponent factor e_j
+KEPT = {
+    "all": lambda name: True,
+    "gl-only": lambda name: name[0] == "a",
+    "sym-only": lambda name: name[0] == "b",
+    "a11-only": lambda name: name == "a11",
+}
+
+
+def keep_letters(monkeypatch, kept, n):
+    """Patch the certificate's basis so only the letters named by ``kept``
+    keep their rows of the bracket table: the equations of the others are
+    left out.  Returns the letters kept at n."""
+    build = invariants.build_lie_basis
+
+    def patched(m):
+        basis, sc = build(m)
+        sc.brackets = [
+            row if kept(basis.names[i]) else [()] * sc.dim
+            for i, row in enumerate(sc.brackets)
+        ]
+        return basis, sc
+
+    monkeypatch.setattr(invariants, "build_lie_basis", patched)
+    return [i for i, name in enumerate(build(n)[0].names) if kept(name)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_vector_fields_match_poisson_bracket(n):
     # the infinitesimal action on a linear coordinate is minus its Poisson
     # bracket: x_j(ad*_{X_i} p) = -<p, [X_i, X_j]> = -{x_i, x_j}(p)
     basis, sc = build_lie_basis(n)
     coords = DualCoordinates(basis)
-    fields = coadjoint_vector_fields(coords)
+    fields = oracle_vector_fields(coords)
     for i in range(basis.dim):
         for j in range(basis.dim):
             xi = MultiPoly.variable(coords.variables, i)
@@ -415,7 +494,7 @@ def test_vector_fields_match_numeric_ad_star():
     rng = random.Random(40)
     basis, _ = build_lie_basis(2)
     coords = DualCoordinates(basis)
-    fields = coadjoint_vector_fields(coords)
+    fields = oracle_vector_fields(coords)
     for _ in range(5):
         pt = random_gplus_point(2, rng)
         vec = coords.coords_of_point(pt.c, pt.a)
@@ -425,6 +504,17 @@ def test_vector_fields_match_numeric_ad_star():
                 assert fields[i][j].evaluate(vec) == pair_dual_algebra(
                     image, basis_lie_element(basis, j)
                 )
+
+
+@pytest.mark.parametrize("kept", KEPT)
+@pytest.mark.parametrize("n, degree", [(1, 4), (2, 3), (3, 2)])
+def test_certificate_matches_the_oracle_fields(monkeypatch, n, degree, kept):
+    # the bracket-table rows against the system built from the symbolic
+    # ad* fields; the subsets leave letters out, where kernels are nonzero
+    letters = keep_letters(monkeypatch, KEPT[kept], n)
+    cert = no_invariants_certificate(n, degree)
+    assert cert.per_degree == oracle_kernel_dimensions(n, degree, letters)
+    assert cert.only_constants is (kept == "all")
 
 
 def test_certificate_degree_zero_and_one():
@@ -438,13 +528,14 @@ def test_certificate_n2_degree_two():
     assert cert.only_constants
 
 
-def test_certificate_detects_planted_invariant():
-    # sanity for the oracle itself: for the trivial algebra direction set
-    # (no fields), everything is invariant; emulate by checking that the
-    # kernel of an empty system is the full monomial space
-    from orbitquant import linalg as lin
-
-    assert lin.sparse_rank(iter([])) == 0
+def test_certificate_detects_planted_invariant(monkeypatch):
+    # without the sym(n) letters' equations only gl(n) acts, and tr(a)
+    # (degree 1) with tr(a)^2 and tr(a^2) (degree 2) become invariant
+    keep_letters(monkeypatch, KEPT["gl-only"], 2)
+    for n in (2, 3):
+        cert = no_invariants_certificate(n, 2)
+        assert cert.per_degree == (1, 1, 2)
+        assert cert.only_constants is False
 
 
 @pytest.mark.parametrize("n", [2, 3])
