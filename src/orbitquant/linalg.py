@@ -91,7 +91,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise StructuralError(f"matrix size mismatch: {ra}x{ca} times {rb}x{cb}")
-    types = {type(x) for row in a for x in row} | {type(x) for row in b for x in row}
+    types = _entry_types(a, b)
     if types <= _EXACT_TYPES:
         return _mat_mul_exact(a, b, ints_only=Fraction not in types)
     out = []
@@ -105,6 +105,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(row)
     return out
+
+
+def _entry_types(*ms: Matrix) -> set:
+    """The types of the entries of the matrices."""
+    return {type(x) for m in ms for row in m for x in row}
+
+
+def _exact_by_type(*ms: Matrix) -> bool:
+    """Whether every entry of the matrices is of type int or Fraction: the
+    entries that multiply over integer numerators (bools and floats do not)."""
+    return _entry_types(*ms) <= _EXACT_TYPES
 
 
 def is_exact(m: Matrix) -> bool:
@@ -129,11 +140,17 @@ def _mat_mul_exact(a: Matrix, b: Matrix, ints_only: bool) -> Matrix:
     """
     na, da = _numerators(a)
     nb, db = _numerators(b)
-    cols = list(zip(*nb))
+    product = _int_mat_mul(na, nb)
     if ints_only:
-        return [[sum(map(mul, row, col)) for col in cols] for row in na]
+        return product
     den = da * db
-    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in na]
+    return [[Fraction(x, den) for x in row] for row in product]
+
+
+def _int_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product of two matrices of ints, whose sizes fit."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def trace(m: Matrix):

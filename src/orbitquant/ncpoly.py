@@ -43,7 +43,11 @@ coefficient) pairs.  The bracket table is the one int table of ``lie``,
 Products fold the letters of the left word into the right word from
 right to left; the symmetrizer, the letter commutator (through the
 derivation rule) and the quantization's left multiples are built on the
-same step.  They all work on one flat layout: integer numerators keyed
+same step.  A pair of words u, v with last(u) <= first(v) is already
+sorted, X^u X^v = X^(u v), so ``PBWAlgebra._product`` writes it as the
+one code v << (s len(u)) | u and folds only the other right words;
+``NCPoly`` products, the star product and the division steps all take
+that path.  They all work on one flat layout: integer numerators keyed
 by (packed word, h power) over one positive denominator.  ``NCPoly``
 stores its terms in that layout and ``QuotientElement`` keys it by
 exponents.  Both are ``_HTerms``: the methods that read h powers, on top
@@ -238,18 +242,35 @@ class PBWAlgebra:
         operands' denominators.  The right operand is grouped by degree
         (word length plus h power), which determines the h power of each
         of its words, so each left word is folded into one homogeneous
-        sum per degree.
+        sum per degree.  A right word v whose first letter is at least the
+        last letter of the left word u needs no rewriting: X^u X^v is the
+        sorted word u v, packed as v << (shift len(u)) | u, and only the
+        other right words of the group are folded.
         """
-        shift = self.shift
-        by_degree: dict[int, dict[int, int]] = {}
+        shift, mask = self.shift, self._mask
+        # degree -> [(packed word, h power, numerator), ...]
+        by_degree: dict[int, list] = {}
         for (w, p), b in right.items():
-            by_degree.setdefault(word_length(w, shift) + p, {})[w] = b
+            by_degree.setdefault(word_length(w, shift) + p, []).append((w, p, b))
         fold = self._fold
         out: dict[tuple[int, int], int] = {}
         for w, coeffs in _by_word(left).items():
             length = word_length(w, shift)
+            cut = shift * length
+            # the last letter of w plus one; 0 for the empty word
+            last = w >> (cut - shift) if w else 0
             for degree, terms in by_degree.items():
-                _add_scaled(out, fold(w, terms), degree + length, coeffs, shift)
+                rest: WordTerms = {}
+                for v, p, b in terms:
+                    if v and v & mask < last:
+                        rest[v] = b
+                        continue
+                    v = (v << cut) | w  # X^w X^v, already sorted
+                    for q, a in coeffs:
+                        key = (v, p + q)
+                        out[key] = out.get(key, 0) + a * b
+                if rest:
+                    _add_scaled(out, fold(w, rest), degree + length, coeffs, shift)
         return out
 
     # -- word reduction --------------------------------------------------

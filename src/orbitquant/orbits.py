@@ -16,7 +16,11 @@ symbolic entries to check the Lie-Poisson bracket that the invariant
 certificate of ``invariants`` reads.
 
 Everything is exact on Fraction inputs, and the matrix products run over
-integer numerators (``linalg.mat_mul``).  A group element computes g^{-1}
+integer numerators (``linalg.mat_mul``).  On int/Fraction entries the
+adjoint and coadjoint actions and the trace pairing go further: every
+product and sum of one output runs over integer numerators, with one
+Fraction per output entry; float and mixed inputs keep the generic
+matrix operations.  A group element computes g^{-1}
 and gcheck once, on first use, and keeps them (``GroupElement.inverse``
 and ``.gcheck``); the actions, the group inverse and the embedding read
 them, so acting on many points or basis elements inverts g once.  The
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from math import lcm
 
 from . import linalg as la
 from .errors import DomainError, StructuralError
@@ -185,8 +190,30 @@ def embed_sp(p: GroupElement) -> la.Matrix:
 
 
 def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
-    """Ad(x,g)(b,a) = (g b g^t - {g a g^-1 x + (g a g^-1 x)^t}, g a g^-1)."""
+    """Ad(x,g)(b,a) = (g b g^t - {g a g^-1 x + (g a g^-1 x)^t}, g a g^-1).
+
+    On int/Fraction entries every product and sum runs over integer
+    numerators, with one Fraction per output entry; any other entries go
+    through the generic matrix operations.
+    """
+    _check_sizes(p, elt.a)
     g, x, ginv = p.g, p.x, p.inverse
+    if la._exact_by_type(g, x, elt.a, elt.b):
+        (gn, dg), (gi, dgi), (an, da), (bn, db), (xn, dx) = map(
+            la._numerators, (g, ginv, elt.a, elt.b, x)
+        )
+        # a' = a_num / d_a, g a g^-1 x = m / (d_a dx), g b g^t = b_num / d_b
+        a_num = _int_mul(gn, an, gi)
+        m = _int_mul(a_num, xn)
+        b_num = _int_mul(gn, bn, la.transpose(gn))
+        d_a, d_b = dg * da * dgi, dg * dg * db
+        d_m = d_a * dx
+        n = len(g)
+        b_new = [
+            [Fraction(b_num[i][j] * d_m - (m[i][j] + m[j][i]) * d_b, d_b * d_m) for j in range(n)]
+            for i in range(n)
+        ]
+        return LieElement(b_new, [[Fraction(v, d_a) for v in row] for row in a_num])
     a_new = la.mat_mul(la.mat_mul(g, elt.a), ginv)
     gax = la.mat_mul(a_new, x)
     b_new = la.mat_sub(
@@ -197,14 +224,48 @@ def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
 
 
 def coadjoint(p: GroupElement, pt: DualPoint) -> DualPoint:
-    """Ad*(x,g)(c,a) = (gcheck c g^-1, g a g^-1 + x gcheck c g^-1)."""
+    """Ad*(x,g)(c,a) = (gcheck c g^-1, g a g^-1 + x gcheck c g^-1).
+
+    On int/Fraction entries every product and sum runs over integer
+    numerators, with one Fraction per output entry; any other entries,
+    such as the float witness of ``normal_form``, go through the generic
+    matrix operations.
+    """
+    _check_sizes(p, pt.a)
     g, x, ginv, gc = p.g, p.x, p.inverse, p.gcheck
+    if la._exact_by_type(g, x, pt.c, pt.a):
+        (gn, dg), (gi, dgi), (gcn, dgc), (cn, dc), (an, da), (xn, dx) = map(
+            la._numerators, (g, ginv, gc, pt.c, pt.a, x)
+        )
+        # c' = c_num / d_c, g a g^-1 = a_num / d_a, x c' = xc / (dx d_c)
+        c_num = _int_mul(gcn, cn, gi)
+        a_num = _int_mul(gn, an, gi)
+        xc = _int_mul(xn, c_num)
+        d_c, d_a = dgc * dc * dgi, dg * da * dgi
+        d_xc = dx * d_c
+        c_new = [[Fraction(v, d_c) for v in row] for row in c_num]
+        a_new = [
+            [Fraction(u * d_xc + v * d_a, d_a * d_xc) for u, v in zip(ra, rx)]
+            for ra, rx in zip(a_num, xc)
+        ]
+        return DualPoint(c_new, a_new)
     c_new = la.mat_mul(la.mat_mul(gc, pt.c), ginv)
     a_new = la.mat_add(
         la.mat_mul(la.mat_mul(g, pt.a), ginv),
         la.mat_mul(x, c_new),
     )
     return DualPoint(c_new, a_new)
+
+
+def _check_sizes(p: GroupElement, block: la.Matrix):
+    """StructuralError unless the square block is of the group element's size."""
+    if len(block) != p.n:
+        raise StructuralError(f"a group element of size {p.n} acts on a block of size {len(block)}")
+
+
+def _int_mul(*factors: la.Matrix) -> la.Matrix:
+    """The product of int matrices, left to right."""
+    return reduce(la._int_mat_mul, factors)
 
 
 def ad_star_blocks(alpha: la.Matrix, beta: la.Matrix, c: la.Matrix, a: la.Matrix):
@@ -236,9 +297,18 @@ def pair_dual_algebra(pt: DualPoint, elt: LieElement) -> Fraction:
     summed over the nonzero entries of alpha and b only.
     """
     a, c = pt.a, pt.c
-    gl = sum((a[j][i] * v for i, row in enumerate(elt.a) for j, v in enumerate(row) if v), ZERO)
-    sym = sum((c[j][i] * v for i, row in enumerate(elt.b) for j, v in enumerate(row) if v), ZERO)
-    return 2 * gl + sym
+    gl = [(a[j][i], v) for i, row in enumerate(elt.a) for j, v in enumerate(row) if v]
+    sym = [(c[j][i], v) for i, row in enumerate(elt.b) for j, v in enumerate(row) if v]
+    if la._exact_by_type(gl, sym):
+        # one Fraction over the lcm of the products' denominators
+        den = lcm(*(x.denominator * v.denominator for x, v in gl + sym))
+        total = sum(
+            weight * x.numerator * v.numerator * (den // (x.denominator * v.denominator))
+            for weight, pairs in ((2, gl), (1, sym))
+            for x, v in pairs
+        )
+        return Fraction(total, den)
+    return 2 * sum((x * v for x, v in gl), ZERO) + sum((x * v for x, v in sym), ZERO)
 
 
 def basis_lie_element(basis: LieBasis, i: int) -> LieElement:

@@ -21,26 +21,32 @@ and is refused.  Everything is exact; each premise of the division is checked.
 The module holds the engine only: the checks of the deformation axioms
 and of h-torsion that run it are criteria of ``verify``.
 
-The star product runs on one flat layout from start to finish: the
-operands' terms are lifted straight to integer numerators keyed by
-(packed word, h power) over one common denominator (``_lift``, which
-packs each word straight from its exponent, checks that it is standard
-and reads a QuotientElement's stored layout as it is), multiplied with
-the PBW fold (``PBWAlgebra._product``), reduced with the memoized normal
-forms (``_reduce_flat``) and keyed by exponents into the returned
-QuotientElement, which stores the same layout (``_certify_standard``,
-which also certifies standard support of the result).  No ``NCPoly``
-and no ``HPoly`` is built, and no tuple word once the engine has seen
-the words: what the engine needs to know of a packed word (its
-exponent and whether it is standard) is worked out once, on first
-sight, into one table (``_word_data``), and its place in the term order
-is read off the code itself (``PBWAlgebra.term_key``), so a division
-step (``_step``) enters only the word it divides.  The normal forms are
-memoized in the same layout, keyed by packed words; the division step
-of each is run once and not kept.  Both apply one substitution
-(``_substitute``) and ``poly._lowest_terms``.  ``reduce``, ``phi``,
-``phi_inverse`` and ``NCPoly`` products run on the same helpers.  ``QuotientElement`` adds
-only its input checks and conversions to the shared ``ncpoly._HTerms``.
+The star product runs on one flat layout from start to finish, in one
+pass per stage.  The lift (``_lift``) turns each operand term's exponent
+into its packed word and degree by one lookup, filled on first sight
+with the standard exponents inside the cap (``_lift_entry``), so the
+same loop reads the operand's filtration degree for the cap check; a
+non-standard exponent never enters the lookup and is refused on every
+call.  The operands, integer numerators keyed by (packed word, h power)
+over one common denominator, are multiplied with the PBW fold
+(``PBWAlgebra._product``), and the read-back (``_read_back``) reads each
+product word's entry of the word table once: a standard word goes
+straight to its exponent key in the returned QuotientElement, which
+stores the same layout, and any other word has its memoized normal form
+substituted, each word of the form certified standard where it is used
+(``_standard_exponent``).  No ``NCPoly`` and no ``HPoly`` is built, and
+no tuple word once the engine has seen the words: what the engine needs
+to know of a packed word (its exponent and whether it is standard) is
+worked out once, on first sight, into one table (``_word_data``), and
+its place in the term order is read off the code itself
+(``PBWAlgebra.term_key``), so a division step (``_step``) enters only
+the word it divides.  The normal forms are memoized in the same layout,
+keyed by packed words; the division step of each is run once and not
+kept, and its non-standard words are substituted by ``_substitute``.
+``reduce`` (which packs its output words at its edge), ``phi``,
+``phi_inverse`` and ``NCPoly`` products run on the same helpers.
+``QuotientElement`` adds only its input checks and conversions to the
+shared ``ncpoly._HTerms``.
 """
 
 from __future__ import annotations
@@ -209,6 +215,9 @@ class OrbitQuantization:
 
         self.groebner = groebner_basis(list(generators))
         self._lead: Exponent | None = None
+        # standard exponent -> (packed word, degree), filled on first sight
+        # with the standard exponents inside the cap (``_lift_entry``)
+        self._lifted: dict[Exponent, tuple[int, int]] = {}
         if build_reduction:
             self._certify_lead()
 
@@ -249,9 +258,13 @@ class OrbitQuantization:
 
     def is_standard(self, word: Word) -> bool:
         """X^w is a standard monomial: the leading monomial does not divide it."""
+        self._require_reduction()
+        return self._word_data(pack_word(word, self.algebra.shift))[1]
+
+    def _require_reduction(self):
+        """StructuralError unless the reduction was built."""
         if self._lead is None:
             raise StructuralError("the reduction was not built")
-        return self._word_data(pack_word(word, self.algebra.shift))[1]
 
     def _step(self, word: int) -> tuple:
         """X^w - X^q g / lc for a packed non-standard word w, with q = exp(w) - lead,
@@ -315,62 +328,86 @@ class OrbitQuantization:
             forms[w] = _lowest_terms(*_substitute(kept, den, divided))
         return forms[word]
 
-    def _reduce_flat(self, flat: dict, den: int) -> tuple[dict, int]:
-        """Normal form of flat-layout terms over ``den``, as (terms, denominator).
+    def _lift_entry(self, exp: Exponent) -> tuple[int, int] | None:
+        """(packed word, degree) of a standard exponent, entered in the lift
+        table when it lies inside the cap; None for an exponent that the
+        leading monomial divides, and for every exponent when the reduction
+        was not built.  A refused exponent never enters the table."""
+        if self._lead is None or all(exp[l] >= c for l, c in self._lead_counts):
+            return None
+        entry = (pack_exponent(exp, self.algebra.shift), sum(exp))
+        if entry[1] <= self.deg_cap:
+            self._lifted[exp] = entry
+        return entry
 
-        Standard words keep their numerators; every other word is replaced
-        by its memoized normal form, shifted by its h power.  Callers
-        certify that the result lies on standard-monomial words
-        (``_certify_standard``).
-        """
-        if self._lead is None:
-            raise StructuralError("the reduction was not built")
-        forms, table, data = self._forms, self._word_table, self._word_data
-        kept: dict[tuple[int, int], int] = {}
-        divided = []
-        for (w, p), c in flat.items():
-            if not c:
-                continue
-            if (table.get(w) or data(w))[1]:
-                kept[w, p] = c
-            else:
-                divided.append((forms.get(w) or self._normal_form(w), p, c))
-        return _substitute(kept, den, divided)
-
-    def _certify_standard(self, flat: dict, context: str) -> dict:
-        """The nonzero terms of a flat layout keyed by (exponent, h power);
-        CertificationError unless every word is a standard monomial."""
-        table, data = self._word_table, self._word_data
-        out = {}
-        for (w, p), c in flat.items():
-            if c:
-                exp, standard = table.get(w) or data(w)
-                if not standard:
-                    raise CertificationError(
-                        f"{context}: word {self._word(w)} is not a standard monomial"
-                    )
-                out[exp, p] = c
-        return out
-
-    def _lift(self, f) -> tuple[dict, int]:
-        """phi on the flat layout: the terms of a MultiPoly or QuotientElement
-        as ({(packed word, h power): numerator}, den).  An exponent that the
-        leading monomial divides raises StructuralError."""
-        if self._lead is None:
-            raise StructuralError("the reduction was not built")
+    def _lift(self, f) -> tuple[dict, int, int, Exponent | None]:
+        """phi on the flat layout, in one pass over the terms of a MultiPoly
+        or QuotientElement: ({(packed word, h power): numerator}, den,
+        degree, refused), with degree the operand's filtration degree (-1
+        for zero) and refused its first exponent that is not a standard
+        monomial (None when there is none).  Each exponent's word and
+        degree are one lookup in the lift table (``_lift_entry``)."""
         if isinstance(f, QuotientElement):
             terms = f.flat.items()
         else:
             terms = (((exp, 0), c) for exp, c in f.flat.items())
-        den = f.den
-        shift, table, data = self.algebra.shift, self._word_table, self._word_data
+        lifted, entry_of = self._lifted, self._lift_entry
         out = {}
+        degree, refused = -1, None
         for (exp, p), c in terms:
-            code = pack_exponent(exp, shift)
-            if not (table.get(code) or data(code))[1]:
-                raise StructuralError(f"exponent {exp} is not a standard monomial")
+            entry = lifted.get(exp) or entry_of(exp)
+            if entry is None:
+                degree = max(degree, sum(exp) + p)
+                if refused is None:
+                    refused = exp
+                continue
+            code, d = entry
             out[code, p] = c
-        return out, den
+            if d + p > degree:
+                degree = d + p
+        return out, f.den, degree, refused
+
+    def _standard_exponent(self, code: int, context: str) -> Exponent:
+        """The exponent of a packed standard word; CertificationError naming
+        ``context`` for any other word."""
+        exp, standard = self._word_table.get(code) or self._word_data(code)
+        if not standard:
+            raise CertificationError(f"{context}: word {self._word(code)} is not a standard monomial")
+        return exp
+
+    def _read_back(self, flat: dict, den: int, context: str) -> tuple[dict, int]:
+        """The normal form of flat-layout terms over ``den``, keyed by
+        (exponent, h power), as (terms, denominator); may hold zero
+        numerators.
+
+        One pass reads each word's entry of the word table once: a standard
+        word goes straight to its exponent, and any other word has its
+        memoized normal form substituted, shifted by its h power.  Each word
+        of a substituted form is certified standard where it is used
+        (``_standard_exponent``), so a corrupted form fails here.
+        """
+        table, data, forms = self._word_table, self._word_data, self._forms
+        kept: dict[tuple[Exponent, int], int] = {}
+        divided = []
+        for (w, p), c in flat.items():
+            if not c:
+                continue
+            exp, standard = table.get(w) or data(w)
+            if standard:
+                kept[exp, p] = c
+            else:
+                divided.append((forms.get(w) or self._normal_form(w), p, c))
+        if not divided:
+            return kept, den
+        scale = lcm(*(form[1] for form, _, _ in divided))
+        out = {key: c * scale for key, c in kept.items()} if scale != 1 else kept
+        standard_exponent = self._standard_exponent
+        for (terms, d_form), p, c in divided:
+            c *= scale // d_form
+            for (u, p2), d in terms.items():
+                key = (standard_exponent(u, context), p + p2)
+                out[key] = out.get(key, 0) + c * d
+        return out, den * scale
 
     def basis_report(self) -> dict:
         """Rank bookkeeping behind the quotient-basis certificate.
@@ -384,8 +421,7 @@ class OrbitQuantization:
         quotient up to the cap.  ``reduction_rank`` counts the certified
         multiples, ``expected_rank`` the non-standard columns.
         """
-        if self._lead is None:
-            raise StructuralError("the reduction was not built")
+        self._require_reduction()
         dim, cap, top = self.basis.dim, self.deg_cap, sum(self._lead)
         rank = 0
         for q in monomials_up_to_degree(dim, cap - top):
@@ -420,20 +456,27 @@ class OrbitQuantization:
             raise CapacityError(
                 f"element degree {u.degree()} exceeds cap {self.deg_cap}"
             )
-        flat, den = self._reduce_flat(u.flat, u.den)
-        self._certify_standard(flat, "reduction")
-        return NCPoly._trusted(self.algebra, flat, den)
+        self._require_reduction()
+        flat, den = self._read_back(u.flat, u.den, "reduction")
+        shift = self.algebra.shift
+        words = {(pack_exponent(exp, shift), p): c for (exp, p), c in flat.items()}
+        return NCPoly._trusted(self.algebra, words, den)
 
     def phi(self, f: QuotientElement) -> NCPoly:
         """Ordered-monomial lift: x^a -> X^a as a PBW word."""
         self._check_variables(f)
-        return NCPoly._trusted(self.algebra, *self._lift(f))
+        self._require_reduction()
+        flat, den, _, refused = self._lift(f)
+        if refused is not None:
+            raise StructuralError(f"exponent {refused} is not a standard monomial")
+        return NCPoly._trusted(self.algebra, flat, den)
 
     def phi_inverse(self, u: NCPoly) -> QuotientElement:
         self._check_algebra(u)
-        return QuotientElement._trusted(
-            self.variables, self._certify_standard(u.flat, "phi_inverse"), u.den
-        )
+        self._require_reduction()
+        exponent = self._standard_exponent
+        flat = {(exponent(w, "phi_inverse"), p): c for (w, p), c in u.flat.items()}
+        return QuotientElement._trusted(self.variables, flat, u.den)
 
     def _check_algebra(self, u: NCPoly):
         """StructuralError unless u lies in the engine's algebra: its packed
@@ -463,18 +506,19 @@ class OrbitQuantization:
         """
         for operand in (f, g):
             self._check_variables(operand)
-        total = sum(
-            max(p.total_degree() if isinstance(p, MultiPoly) else p.degree(), 0)
-            for p in (f, g)
-        )
+        left, den1, degree1, refused1 = self._lift(f)
+        right, den2, degree2, refused2 = self._lift(g)
+        total = max(degree1, 0) + max(degree2, 0)
         if total > self.deg_cap:
             raise CapacityError(
                 f"combined degree {total} exceeds cap {self.deg_cap}"
             )
-        left, den1 = self._lift(f)
-        right, den2 = self._lift(g)
-        flat, den = self._reduce_flat(self.algebra._product(left, right), den1 * den2)
-        return QuotientElement._trusted(self.variables, self._certify_standard(flat, "reduction"), den)
+        self._require_reduction()
+        for refused in (refused1, refused2):
+            if refused is not None:
+                raise StructuralError(f"exponent {refused} is not a standard monomial")
+        flat, den = self._read_back(self.algebra._product(left, right), den1 * den2, "reduction")
+        return QuotientElement._trusted(self.variables, flat, den)
 
     def poisson_reduced(self, f: MultiPoly, g: MultiPoly) -> QuotientElement:
         """{f, g} followed by commutative reduction onto the basis."""

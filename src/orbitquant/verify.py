@@ -470,24 +470,41 @@ def deformation_axioms(
     variables = engine.variables
 
     grid = [MultiPoly.monomial(variables, e) for e in monos]
-    pairs = [(f, g) for f in grid for g in grid]
+    # (f, g, key): a grid pair is keyed by its indices (i, j), so each grid
+    # star product is formed once, for the fg of (i, j) and the gf of
+    # (j, i), and each classical product once per unordered pair
+    pairs = [(f, g, (i, j)) for i, f in enumerate(grid) for j, g in enumerate(grid)]
     for _ in range(random_pairs):
         pairs.append(
             (
                 random_polynomial(variables, rng, monos),
                 random_polynomial(variables, rng, monos),
+                None,
             )
         )
+    stars: dict = {}
+    classicals: dict = {}
+
+    def once(memo: dict, key, compute, *args):
+        """compute(*args), formed once per key; nothing is kept for a key of None."""
+        if key is None:
+            return compute(*args)
+        if key not in memo:
+            memo[key] = compute(*args)
+        return memo[key]
+
+    def classical_product(f, g):
+        return divide(f * g, engine.groebner)
 
     mod_h_failures = []
     first_order_failures = []
-    for f, g in pairs:
-        star_fg = engine.star(f, g)
-        classical = divide(f * g, engine.groebner)
+    for f, g, key in pairs:
+        star_fg = once(stars, key, engine.star, f, g)
+        classical = once(classicals, key and tuple(sorted(key)), classical_product, f, g)
         if star_fg.h_coefficient(0) != classical:
             mod_h_failures.append((f.to_records(), g.to_records()))
             continue
-        star_gf = engine.star(g, f)
+        star_gf = once(stars, key and key[::-1], engine.star, g, f)
         commutator = star_fg - star_gf
         bracket = engine.poisson_reduced(f, g)
         delta = commutator - bracket.shift_h(1)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from orbitquant import linalg as la
 from orbitquant.lie import algebra_block, build_lie_basis, dual_block, trace_pairing
 from orbitquant.orbits import (
+    DualPoint,
     GroupElement,
     LieElement,
     adjoint,
@@ -204,3 +205,111 @@ def test_group_layer_inverts_only_through_the_cache(monkeypatch):
     # the inverse element computes its own inverse; none is handed over
     assert pinv.inverse == p.g
     assert calls == [p.g, la.transpose(p.g), pinv.g]
+
+
+# -- the actions and the pairing over integer numerators -------------------------
+
+
+def chain(*ms):
+    """The product of the matrices by the entrywise loop, left to right."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = loop_mat_mul(out, m)
+    return out
+
+
+def entrywise_adjoint(p, elt):
+    """Ad(x,g)(b,a) = (g b g^t - {g a g^-1 x + (g a g^-1 x)^t}, g a g^-1), entry by entry."""
+    g, x, ginv = p.g, p.x, la.inverse(p.g)
+    a_new = chain(g, elt.a, ginv)
+    gax = chain(a_new, x)
+    gbg = chain(g, elt.b, la.transpose(g))
+    n = len(g)
+    return [[gbg[i][j] - (gax[i][j] + gax[j][i]) for j in range(n)] for i in range(n)], a_new
+
+
+def entrywise_coadjoint(p, pt):
+    """Ad*(x,g)(c,a) = (gcheck c g^-1, g a g^-1 + x gcheck c g^-1), entry by entry."""
+    g, x, ginv = p.g, p.x, la.inverse(p.g)
+    c_new = chain(la.inverse(la.transpose(g)), pt.c, ginv)
+    gag, xc = chain(g, pt.a, ginv), chain(x, c_new)
+    return c_new, [[u + v for u, v in zip(r, s)] for r, s in zip(gag, xc)]
+
+
+def entrywise_pairing(pt, elt):
+    """2 tr(a alpha) + tr(c b) over every entry."""
+    n = len(pt.a)
+    return sum(
+        2 * pt.a[j][i] * elt.a[i][j] + pt.c[j][i] * elt.b[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def all_fractions(*ms):
+    return all(type(v) is Fraction for m in ms for row in m for v in row)
+
+
+def int_group_element(n, rng):
+    """A group element with int entries only: unit upper triangular g."""
+    g = [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    x = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x[i][j] = x[j][i] = rng.randint(-3, 3)
+    return GroupElement(x, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_actions_match_the_entrywise_formulas(n, seed):
+    rng = random.Random(seed)
+    basis, _ = build_lie_basis(n)
+    elements = [basis_lie_element(basis, i) for i in rng.sample(range(basis.dim), min(3, basis.dim))]
+    elements += [random_lie_element(n, rng) for _ in range(2)]
+    for p in (random_group_element(n, rng), int_group_element(n, rng)):
+        for pt in (random_gplus_point(n, rng), DualPoint(p.x, p.g)):
+            image = coadjoint(p, pt)
+            assert (image.c, image.a) == entrywise_coadjoint(p, pt)
+            assert all_fractions(image.c, image.a)
+            for elt in elements:
+                moved = adjoint(p, elt)
+                assert (moved.b, moved.a) == entrywise_adjoint(p, elt)
+                assert all_fractions(moved.b, moved.a)
+                for q, y in ((pt, elt), (image, moved), (pt, moved)):
+                    value = pair_dual_algebra(q, y)
+                    assert type(value) is Fraction
+                    assert value == entrywise_pairing(q, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_float_and_mixed_actions_keep_the_generic_operations(n):
+    # a float entry anywhere sends the action and the pairing through the
+    # generic matrix operations, bit for bit
+    rng = random.Random(40 + n)
+    basis, _ = build_lie_basis(n)
+    exact = random_group_element(n, rng)
+    floaty = GroupElement(
+        [[float(v) for v in row] for row in exact.x], [[float(v) for v in row] for row in exact.g]
+    )
+    pt = random_gplus_point(n, rng)
+    float_pt = DualPoint(*([[float(v) for v in row] for row in m] for m in (pt.c, pt.a)))
+    elt = random_lie_element(n, rng)
+    for p, q in ((floaty, pt), (exact, float_pt), (floaty, float_pt)):
+        image = coadjoint(p, q)
+        c_new = la.mat_mul(la.mat_mul(p.gcheck, q.c), p.inverse)
+        a_new = la.mat_add(la.mat_mul(la.mat_mul(p.g, q.a), p.inverse), la.mat_mul(p.x, c_new))
+        assert (bits(image.c), bits(image.a)) == (bits(c_new), bits(a_new))
+        moved = adjoint(p, elt)
+        a_new = la.mat_mul(la.mat_mul(p.g, elt.a), p.inverse)
+        gax = la.mat_mul(a_new, p.x)
+        b_new = la.mat_sub(
+            la.mat_mul(la.mat_mul(p.g, elt.b), la.transpose(p.g)), la.mat_add(gax, la.transpose(gax))
+        )
+        assert (bits(moved.b), bits(moved.a)) == (bits(b_new), bits(a_new))
+    pairs = [(float_pt.a[j][i], v) for i, row in enumerate(elt.a) for j, v in enumerate(row) if v]
+    pairs_c = [(float_pt.c[j][i], v) for i, row in enumerate(elt.b) for j, v in enumerate(row) if v]
+    generic = 2 * sum((x * v for x, v in pairs), Fraction(0)) + sum((x * v for x, v in pairs_c), Fraction(0))
+    value = pair_dual_algebra(float_pt, elt)
+    assert type(value) is float and value.hex() == generic.hex()

@@ -286,9 +286,20 @@ def test_engine_without_reduction_refuses_reduction_queries():
     eng = OrbitQuantization(2, [Fraction(1)], deg_cap=4, build_reduction=False)
     x0 = MultiPoly.variable(eng.variables, 0)
     letter = NCPoly.letter(eng.algebra, 0)
-    for query in (lambda: eng.star(x0, x0), eng.basis_report, lambda: eng.reduce(letter)):
-        with pytest.raises(StructuralError):
+    queries = (
+        lambda: eng.star(x0, x0),
+        eng.basis_report,
+        lambda: eng.reduce(letter),
+        lambda: eng.phi(QuotientElement.from_multipoly(x0)),
+        # phi_inverse was an AttributeError: the word table is built with the reduction
+        lambda: eng.phi_inverse(letter),
+    )
+    for query in queries:
+        with pytest.raises(StructuralError, match="not built"):
             query()
+    # the cap is checked first, as on a built engine
+    with pytest.raises(CapacityError):
+        eng.star(x0**3, x0**2)
 
 
 def test_different_orbit_different_constant():

@@ -288,11 +288,16 @@ def test_over_cap_product_is_refused_by_star(engines):
     x0 = MultiPoly.variable(engine.variables, 0)
     with pytest.raises(CapacityError):
         engine.star(x0**4, x0**3)
-    # the h degree of a fed-back operand counts towards the cap
+    # the h degree of a fed-back operand counts towards the cap, also once
+    # x_0 has been lifted with degree 1
+    engine.star(x0, x0)
     x0_h2 = QuotientElement(engine.variables, {(1,) + (0,) * 6: HPoly.h(2)})
     assert engine.star(x0_h2, x0**3).degree() == 6
-    with pytest.raises(CapacityError):
-        engine.star(x0_h2, x0**4)
+    assert engine.star(x0**3, x0_h2).degree() == 6
+    x0_q = QuotientElement.from_multipoly(x0)
+    for f, g in ((x0_h2, x0**4), (x0**4, x0_h2), (x0_h2 + x0_q, x0**4)):
+        with pytest.raises(CapacityError):
+            engine.star(f, g)
 
 
 def test_foreign_variables_are_refused_by_star(engines):
@@ -327,3 +332,150 @@ def test_foreign_variables_are_refused_by_phi(engines, variables):
     engine = engines[6]
     with pytest.raises(StructuralError):
         engine.phi(QuotientElement(variables, {(1,) + (0,) * (len(variables) - 1): 1}))
+
+
+def test_non_standard_operand_over_the_cap_is_refused_for_capacity(engines):
+    # the cap is checked before the exponents: an operand that is both over
+    # the cap and not standard is a CapacityError
+    engine = engines[6]
+    lead = engine.groebner[0].leading()[0]
+    bad = MultiPoly.monomial(engine.variables, lead)
+    x0 = MultiPoly.variable(engine.variables, 0)
+    assert sum(lead) + 4 > engine.deg_cap
+    for f, g in ((bad, x0**4), (x0**4, bad), (bad * x0**3, x0)):
+        with pytest.raises(CapacityError):
+            engine.star(f, g)
+
+
+def test_non_standard_exponent_is_refused_with_a_warm_lift(engines):
+    # the lift keeps only standard exponents: a refused exponent is refused
+    # again on every call, also once the operands around it are known
+    engine = engines[6]
+    lead = engine.groebner[0].leading()[0]
+    x0 = MultiPoly.variable(engine.variables, 0)
+    bad = MultiPoly.monomial(engine.variables, lead)
+    for _ in range(3):
+        assert engine.star(x0, x0 + 1) == engine.star(x0 + 1, x0)
+        for f, g in ((bad + x0, x0), (x0, x0 + bad)):
+            with pytest.raises(StructuralError):
+                engine.star(f, g)
+        with pytest.raises(StructuralError):
+            engine.phi(QuotientElement.from_multipoly(bad + x0))
+
+
+# words of the n = 2 algebra (letters 0..6) by their first and last letters
+PRODUCT_WORDS = [(), (0,), (3,), (6,), (0, 3), (3, 3), (1, 5), (2, 3, 6), (3, 4, 4), (0, 0, 1, 6)]
+
+
+def word_pair_kind(u, v) -> str:
+    """How the last letter of u compares with the first of v."""
+    if not u or not v:
+        return "empty"
+    if u[-1] < v[0]:
+        return "below"
+    return "equal" if u[-1] == v[0] else "above"
+
+
+def word_pair_products(algebra):
+    """(kind, left, right) for X^u X^v over every pair of ``PRODUCT_WORDS``,
+    with h terms on both sides."""
+    h = HPoly.h()
+    for u in PRODUCT_WORDS:
+        for v in PRODUCT_WORDS:
+            left = NCPoly(algebra, {u: 2 + h})
+            right = NCPoly(algebra, {v: Fraction(1, 3) - h * h})
+            yield word_pair_kind(u, v), left, right
+
+
+def test_product_matches_literal_rewriter_on_every_kind_of_word_pair(engines):
+    algebra = engines[6].algebra
+    kinds = set()
+    for kind, left, right in word_pair_products(algebra):
+        kinds.add(kind)
+        assert left * right == literal_product(left, right), (kind, left, right)
+    assert kinds == {"empty", "below", "equal", "above"}
+
+
+def test_product_merges_concatenated_and_folded_words(engines):
+    # sums whose degree groups hold right words of every kind at once: the
+    # concatenated words and the folded ones land on shared codes
+    algebra = engines[6].algebra
+    h = HPoly.h()
+    rng = random.Random(30)
+    for _ in range(20):
+        left, right = (
+            NCPoly(
+                algebra,
+                {w: HPoly((Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))))
+                 for w in rng.sample(PRODUCT_WORDS, 4)},
+            )
+            for _ in range(2)
+        )
+        assert left * right == literal_product(left, right)
+        assert left * right.scale(h) == literal_product(left, right).scale(h)
+    # X_3 * (X_3 + X_0): the sorted word (3, 3) and the folded X_3 X_0 in one group
+    x0, x3 = NCPoly.letter(algebra, 0), NCPoly.letter(algebra, 3)
+    assert x3 * (x3 + x0) == literal_product(x3, x3 + x0)
+
+
+def test_sorted_word_pairs_are_not_rewritten(engines, monkeypatch):
+    # X^u X^v is rewritten (a letter prepended) exactly when last(u) > first(v)
+    algebra = engines[6].algebra
+    calls = []
+    prepend = algebra._prepend
+    monkeypatch.setattr(algebra, "_prepend", lambda *args: calls.append(args[0]) or prepend(*args))
+    for kind, left, right in word_pair_products(algebra):
+        calls.clear()
+        left * right
+        assert bool(calls) == (kind == "above"), (kind, left, right)
+
+
+def seeded_product_stream(engine, seed: int) -> list:
+    """A fixed stream of star products on the n = 2 cap-8 engine: operand
+    pairs over every (deg f, deg g) in 1..4 with 1 to 3 terms on standard
+    monomials, both orders, and the low-degree products fed back."""
+    rng = random.Random(seed)
+    monos = standard_monomials(engine.groebner, max_degree=4)
+    by_degree = {d: [e for e in monos if sum(e) == d] for d in range(5)}
+
+    def operand(degree):
+        exps = {rng.choice(by_degree[degree])}
+        exps.update(rng.choice(by_degree[rng.randint(0, degree)]) for _ in range(rng.randint(0, 2)))
+        return MultiPoly(engine.variables, {e: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for e in exps})
+
+    steps = []
+    for df in range(1, 5):
+        for dg in range(1, 5):
+            f, g = operand(df), operand(dg)
+            steps += [(f, g), (g, f)]
+            if df + dg <= 6:
+                steps.append((("out", len(steps) - 2), operand(1 + (df + dg) % 2)))
+    return steps
+
+
+def play(engine, steps) -> list:
+    out = []
+    for f, g in steps:
+        out.append(engine.star(out[f[1]] if isinstance(f, tuple) else f, g))
+    return out
+
+
+def test_prepend_count_of_a_warm_star_stream(monkeypatch):
+    # a warm round of this seeded n = 2 cap-8 product stream prepends 364
+    # times, and the count repeats exactly; folding every word pair, sorted
+    # or not, made 498, and folding the pairs with last(u) = first(v) made
+    # 392, so a lost concatenation path shows without timing
+    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=8)
+    steps = seeded_product_stream(engine, 1)
+    first = play(engine, steps)
+    calls = [0]
+    prepend = engine.algebra._prepend
+
+    def counted(*args):
+        calls[0] += 1
+        return prepend(*args)
+
+    monkeypatch.setattr(engine.algebra, "_prepend", counted)
+    assert play(engine, steps) == first
+    assert len(steps) == 45
+    assert 350 <= calls[0] <= 380
