@@ -62,15 +62,20 @@ for a word X_a X^rest
 
     D(X_a X^rest) = X_a D(rest) + h [X_e, X_a] X^rest,      D(1) = 0.
 
-``PBWAlgebra._commutator`` tables D once per call for each distinct
-proper suffix of the element's words, shortest first, at one prepend
-each: the words of a symmetrized generator share most of their
-suffixes.  The words are then grouped by degree and first letter a; each
-group's sum of c D(rest) takes X_a in one prepend, and each degree's
-total is merged into the output once.  A Cartan letter, one that scales
-every letter ([X_e, X_j] = c_j X_j for every j, the rows
-``StructureConstants.cartan_rows``), skips rewriting:
-[X_e, X^w] = h (sum_i c_(w[i])) X^w.
+What of this does not depend on the letter is worked out once per
+element and kept on it, as its suffix plan (``NCPoly._suffix_plan``):
+the distinct proper suffixes of its words, shortest first, each with
+its first letter, its rest and its letter set, and the words grouped by
+degree and first letter.  The words of a symmetrized generator share
+most of their suffixes.  For each letter, ``PBWAlgebra._commutator``
+tables D over the plan's suffixes, each prepending its first letter onto
+the D of its rest in line; a suffix whose letters all commute with X_e
+has D = 0 and is skipped.  Each group's sum of c D(rest) then takes X_a
+in one prepend, and each degree's total is merged into the output once.
+A Cartan letter, one that scales every letter ([X_e, X_j] = c_j X_j for
+every j, the rows ``StructureConstants.cartan_rows``), skips rewriting:
+[X_e, X^w] = h wt(w) X^w, with the word weights wt(w) = sum_i c_(w[i])
+read off the same suffixes (``PBWAlgebra._word_weights``).
 
 The symmetrizer follows S. Gutt's left-multiplication formula (An
 explicit *-product on the cotangent bundle of a Lie group, Lett. Math.
@@ -172,6 +177,8 @@ class PBWAlgebra:
         self._mask = (1 << self.shift) - 1
         # _memo[l][w] = X_l * X^w for a packed word w with first letter below l
         self._memo: list[dict[int, tuple]] = [{} for _ in range(self.dim)]
+        # _active[e] = the set of letters j with [X_e, X_j] != 0, as a bitmask
+        self._active = [sum(1 << j for j, b in enumerate(row) if b) for row in sc.brackets]
         # the commutative coordinates, in letter order, of the polynomials
         # that ``symmetrize`` takes
         self.variables = DualCoordinates(basis).variables
@@ -299,8 +306,56 @@ class PBWAlgebra:
                 stack.append((w[:i] + (k,) + w[i + 2 :], c * HPoly.h(1, v)))
         return result
 
-    def _commutator(self, e: int, flat: dict) -> dict:
-        """[X_e, element] on the flat layout, over the element's denominator.
+    def _suffix_plan(self, flat: dict) -> tuple[list, dict]:
+        """The part of ``_commutator`` that does not depend on the letter.
+
+        Returns (nodes, groups).  The nodes are the distinct proper
+        suffixes u = X_a X^r of the words, shortest first, as (u, a, r,
+        letter set of u as a bitmask); the groups map each (degree, first
+        letter a) to the [(rest, c), ...] of the words X_a X^rest of that
+        degree (length plus h power).  A constant term is in neither.
+        """
+        shift, mask = self.shift, self._mask
+        letters = {0: 0}  # suffix -> its letter set
+        nodes: list[tuple[int, int, int, int]] = []
+        groups: dict[tuple[int, int], list] = {}
+        for (w, p), c in flat.items():
+            if not w:
+                continue
+            rest = w >> shift
+            # the suffixes of rest not yet met, longest first
+            chain = []
+            r = rest
+            while r not in letters:
+                chain.append(r)
+                r >>= shift
+            # r is now the longest suffix met before, the rest of chain[-1]
+            for u in reversed(chain):
+                a = (u & mask) - 1
+                letters[u] = bits = letters[r] | (1 << a)
+                nodes.append((u, a, r, bits))
+                r = u
+            groups.setdefault((word_length(w, shift) + p, (w & mask) - 1), []).append((rest, c))
+        return nodes, groups
+
+    def _word_weights(self, weights, plan: tuple[list, dict]) -> dict[int, int]:
+        """{u: sum of weights[j] over the letters j of u} for the empty word,
+        the plan's suffixes and its words, off the suffix nodes:
+        wt(X_a X^r) = wt(r) + weights[a]."""
+        nodes, groups = plan
+        shift = self.shift
+        wt = {0: 0}
+        for u, a, r, _ in nodes:
+            wt[u] = wt[r] + weights[a]
+        for (_, a), rests in groups.items():
+            top, ca = a + 1, weights[a]
+            for r, _ in rests:
+                wt[(r << shift) | top] = wt[r] + ca
+        return wt
+
+    def _commutator(self, e: int, flat: dict, plan: tuple[list, dict]) -> dict:
+        """[X_e, element] on the flat layout, over the element's denominator,
+        for the element's ``flat`` terms and suffix plan (``_suffix_plan``).
 
         The bracket with a letter is a derivation of the product, so for a
         word X_a X^rest
@@ -308,56 +363,59 @@ class PBWAlgebra:
             D(X_a X^rest) = X_a D(rest) + h [X_e, X_a] X^rest,
 
         with D(u) = [X_e, X^u] of degree len(u) + 1 and D(empty) = 0.  D is
-        tabled once per call for every distinct proper suffix of the
-        words, shortest first, each at one prepend onto the D of its rest.
-        The words themselves are grouped by degree (length plus h power)
-        and first letter a: the group's sum of c D(rest) takes X_a in one
-        prepend, and each degree's total is merged into the output once.
-        A constant term commutes.  For a Cartan letter, [X_e, X_j] = c_j X_j
-        for every j, so [X_e, X^w] = h (sum_i c_(w[i])) X^w with no rewriting.
+        tabled over the plan's suffixes, shortest first, each onto the D of
+        its rest; a suffix whose letters all commute with X_e has D = 0 and
+        is skipped.  Each group of words of one degree and first letter a
+        takes X_a onto its sum of c D(rest) in one prepend, and each
+        degree's total is merged into the output once.  A constant term
+        commutes.  For a Cartan letter, [X_e, X_j] = c_j X_j for every j,
+        so [X_e, X^w] = h wt(w) X^w with wt(w) = sum_i c_(w[i])
+        (``_word_weights``) and no rewriting.
         """
-        shift, mask = self.shift, self._mask
-        out: dict[tuple[int, int], int] = {}
         weights = self.sc.cartan_rows[e]
         if weights is not None:
-            for (w, p), c in flat.items():
-                cuts = range(0, w.bit_length(), shift)
-                total = sum(weights[((w >> cut) & mask) - 1] for cut in cuts)
-                if total:
-                    out[w, p + 1] = c * total
-            return out
+            wt = self._word_weights(weights, plan)
+            return {(w, p + 1): c * wt[w] for (w, p), c in flat.items() if wt[w]}
+        shift, mask = self.shift, self._mask
         prepend, insert, brackets = self._prepend, self._insert, self.sc.brackets[e]
-        # table[u] = D(u) for the proper suffixes u met so far; may hold zeros
-        table: dict[int, WordTerms] = {0: {}}
-        # (degree, first letter) -> (sum of c D(rest), [(rest, c), ...])
-        groups: dict[tuple[int, int], tuple[WordTerms, list]] = {}
-        for (w, p), c in flat.items():
-            if not w:
+        active = self._active[e]
+        nodes, groups = plan
+        # table[u] = D(u) for the suffixes that meet the active letters; may hold zeros
+        table: dict[int, WordTerms] = {}
+        for u, a, r, letters in nodes:
+            if not letters & active:
                 continue
-            rest = w >> shift
-            # the suffixes of rest not yet tabled, longest first
-            chain = []
-            u = rest
-            while u not in table:
-                chain.append(u)
-                u >>= shift
-            for u in reversed(chain):
-                a, r = (u & mask) - 1, u >> shift
-                inner = table[r]
-                table[u] = d_u = prepend(a, inner.items()) if inner else {}
-                for k, ck in brackets[a]:
-                    for v, d in insert(k, r):
-                        d_u[v] = d_u.get(v, 0) + ck * d
-            inner, rests = groups.setdefault((word_length(w, shift) + p, (w & mask) - 1), ({}, []))
-            for v, d in table[rest].items():
-                inner[v] = inner.get(v, 0) + c * d
-            rests.append((rest, c))
-        by_degree: dict[int, WordTerms] = {}
-        for (degree, a), (inner, rests) in groups.items():
-            total = by_degree.setdefault(degree + 1, {})
-            prepend(a, inner.items(), total)
+            table[u] = d_u = {}
+            inner = table.get(r)
+            if inner:
+                top = a + 1
+                for v, d in inner.items():
+                    if top <= v & mask:  # X_a X^v is already sorted
+                        v = (v << shift) | top
+                        d_u[v] = d_u.get(v, 0) + d
+                    else:
+                        for x, y in insert(a, v):
+                            d_u[x] = d_u.get(x, 0) + d * y
             for k, ck in brackets[a]:
+                for v, d in insert(k, r):
+                    d_u[v] = d_u.get(v, 0) + ck * d
+        by_degree: dict[int, WordTerms] = {}
+        for (degree, a), rests in groups.items():
+            inner = {}
+            for rest, c in rests:
+                d_rest = table.get(rest)
+                if d_rest:
+                    for v, d in d_rest.items():
+                        inner[v] = inner.get(v, 0) + c * d
+            bracket = brackets[a]
+            if not (inner or bracket):
+                continue
+            total = by_degree.setdefault(degree + 1, {})
+            if inner:
+                prepend(a, inner.items(), total)
+            for k, ck in bracket:
                 prepend(k, [(rest, c * ck) for rest, c in rests], total)
+        out: dict[tuple[int, int], int] = {}
         for degree, words in by_degree.items():
             _add_scaled(out, words, degree, ((0, 1),), shift)
         return out
@@ -474,7 +532,8 @@ class NCPoly(_HTerms):
     another algebra or type is a StructuralError.
     """
 
-    __slots__ = ("algebra",)
+    # _plan: the suffix plan of the letter commutators, set on first use
+    __slots__ = ("algebra", "_plan")
     _context_slot = "algebra"
     _mismatch = "operands from different algebra contexts"
 
@@ -522,10 +581,21 @@ class NCPoly(_HTerms):
         return self._new(self.algebra._product(self.flat, other.flat), self.den * other.den)
 
     def commutator_with_letter(self, e: int) -> "NCPoly":
-        """[X_e, self] by the derivation rule, each distinct suffix of the
-        words rewritten once (``PBWAlgebra._commutator``)."""
+        """[X_e, self] by the derivation rule, over the suffix plan of self
+        (``PBWAlgebra._commutator``)."""
         checked_word((e,), self.algebra.dim)
-        return self._new(self.algebra._commutator(e, self.flat), self.den)
+        return self._new(self.algebra._commutator(e, self.flat, self._suffix_plan()), self.den)
+
+    def _suffix_plan(self) -> tuple[list, dict]:
+        """The letter-independent part of every letter commutator of self
+        (``PBWAlgebra._suffix_plan``), built on first use and kept: an
+        element is immutable, so its plan cannot go stale."""
+        try:
+            return self._plan
+        except AttributeError:
+            plan = self.algebra._suffix_plan(self.flat)
+            object.__setattr__(self, "_plan", plan)
+            return plan
 
     # -- views ---------------------------------------------------------------
 

@@ -67,6 +67,7 @@ from .ncpoly import (
     _flatten,
     _hvalues,
     _HTerms,
+    checked_word,
     exponent_of_word,
     pack_exponent,
     pack_word,
@@ -148,26 +149,42 @@ def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPol
     coefficient there, which must be h-free.
     The identity itself is then checked term for term; any failure of
     exact proportionality raises CertificationError, which is the primary
-    diagnostic for a wrong generator.
+    diagnostic for a wrong generator.  For a Cartan letter, whose
+    commutator is [X_letter, X^w] = h wt(w) X^w, the identity holds
+    exactly when every word of the generator has one weight t, read off
+    its suffix plan (``PBWAlgebra._word_weights``), and then F = t h; no
+    commutator is built.
     """
     if sym_gen.algebra is not algebra:
         raise StructuralError("the generator lies in another algebra context")
-    comm = sym_gen.commutator_with_letter(letter)
-    if comm.is_zero():
-        return HPoly.zero()
+    checked_word((letter,), algebra.dim)
+    weights = algebra.sc.cartan_rows[letter]
+    if weights is None:
+        comm = sym_gen.commutator_with_letter(letter)
+        if comm.is_zero():
+            return HPoly.zero()
+    else:
+        wt = algebra._word_weights(weights, sym_gen._suffix_plan())
+        found = {wt[w] for w, _ in sym_gen.flat}
+        if found <= {0}:
+            return HPoly.zero()
     # the word of g's leading term; a leading term free of h leaves no h on its word
     ref_code, hpow = max(sym_gen.flat, key=algebra.term_key)
     if hpow:
         word = unpack_word(ref_code, algebra.shift)
         raise CertificationError(f"the generator's coefficient of the word {word} carries h")
-    ref = Fraction(sym_gen.flat[ref_code, 0], sym_gen.den)
-    num = {p: Fraction(c, comm.den) for (w, p), c in comm.flat.items() if w == ref_code}
+    if weights is None:
+        ref = Fraction(sym_gen.flat[ref_code, 0], sym_gen.den)
+        num = {p: Fraction(c, comm.den) / ref for (w, p), c in comm.flat.items() if w == ref_code}
+    else:
+        num = {1: wt[ref_code]} if wt[ref_code] else {}
     if not num:
         raise CertificationError(
             f"commutator with letter {letter} is not proportional to the generator"
         )
-    factor = HPoly(tuple(num.get(p, 0) / ref for p in range(max(num) + 1)))
-    if comm != sym_gen.scale(factor):
+    factor = HPoly(tuple(num.get(p, 0) for p in range(max(num) + 1)))
+    holds = comm == sym_gen.scale(factor) if weights is None else found == {num[1]}
+    if not holds:
         raise CertificationError(
             f"commutator with letter {letter} deviates from scalar proportionality"
         )

@@ -472,7 +472,8 @@ def deformation_axioms(
     grid = [MultiPoly.monomial(variables, e) for e in monos]
     # (f, g, key): a grid pair is keyed by its indices (i, j), so each grid
     # star product is formed once, for the fg of (i, j) and the gf of
-    # (j, i), and each classical product once per unordered pair
+    # (j, i), and each classical product and Poisson bracket once per
+    # unordered pair, the bracket of (j, i) with j > i as -{f, g} of (i, j)
     pairs = [(f, g, (i, j)) for i, f in enumerate(grid) for j, g in enumerate(grid)]
     for _ in range(random_pairs):
         pairs.append(
@@ -484,6 +485,7 @@ def deformation_axioms(
         )
     stars: dict = {}
     classicals: dict = {}
+    brackets: dict = {}
 
     def once(memo: dict, key, compute, *args):
         """compute(*args), formed once per key; nothing is kept for a key of None."""
@@ -506,7 +508,10 @@ def deformation_axioms(
             continue
         star_gf = once(stars, key and key[::-1], engine.star, g, f)
         commutator = star_fg - star_gf
-        bracket = engine.poisson_reduced(f, g)
+        if key is not None and key[0] > key[1]:
+            bracket = -once(brackets, key[::-1], engine.poisson_reduced, g, f)
+        else:
+            bracket = once(brackets, key, engine.poisson_reduced, f, g)
         delta = commutator - bracket.shift_h(1)
         if not delta.divisible_by_h_power(2):
             first_order_failures.append((f.to_records(), g.to_records()))

@@ -325,7 +325,7 @@ DIFFERENTIAL = settings(max_examples=40, deadline=None)
 
 @pytest.fixture(scope="module")
 def algebras():
-    return {n: make_algebra(n)[0] for n in (2, 3)}
+    return {n: make_algebra(n)[0] for n in (1, 2, 3)}
 
 
 def draw_word(data, dim, max_len):
@@ -451,6 +451,45 @@ def test_letter_commutator_with_a_constant_term_and_h_at_two_degrees(algebras):
     assert s.terms[()] == Fraction(7, 3)
     for e in range(alg.dim):
         assert s.commutator_with_letter(e) == product_commutator(alg, s, e)
+
+
+def draw_suffix_sharing_ncpoly(data, alg):
+    """A constant term and words that share suffixes: each of a few tails
+    is taken by several heads, and each term lies at up to three h powers."""
+    nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    at_h_powers = st.lists(st.tuples(st.integers(0, 2), nonzero), min_size=1, max_size=3)
+    terms = {(): HPoly.h(*data.draw(st.tuples(st.integers(0, 2), nonzero)))}
+    for _ in range(data.draw(st.integers(1, 3))):
+        tail = draw_word(data, alg.dim, 3)
+        # head letters up to the tail's first letter keep head + tail sorted
+        top = tail[0] if tail else alg.dim - 1
+        for _ in range(data.draw(st.integers(1, 3))):
+            head = tuple(sorted(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=2))))
+            terms[head + tail] = sum((HPoly.h(p, c) for p, c in data.draw(at_h_powers)), HPoly.zero())
+    return NCPoly(alg, terms)
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_suffix_plan_commutators_match_products_and_the_literal_rewriter(algebras, data):
+    # one suffix plan per element serves every letter: each letter, in a
+    # shuffled order on one element and again on a fresh copy, gives the
+    # product commutator and the literal rewriter's
+    alg = algebras[data.draw(st.sampled_from((1, 2, 3)))]
+    s = draw_suffix_sharing_ncpoly(data, alg)
+    assert s.terms[()] != 0
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    expected = {}
+    for e in data.draw(st.permutations(range(alg.dim))):
+        slow = NCPoly.zero(alg)
+        for w, c in s.terms.items():
+            slow = slow + literal(alg, (e,) + w, c, rng) - literal(alg, w + (e,), c, rng)
+        assert product_commutator(alg, s, e) == slow
+        assert s.commutator_with_letter(e) == slow
+        expected[e] = slow
+    fresh = NCPoly(alg, s.terms)
+    for e in data.draw(st.permutations(range(alg.dim))):
+        assert fresh.commutator_with_letter(e) == expected[e]
 
 
 @DIFFERENTIAL

@@ -210,6 +210,21 @@ def test_deformation_axioms_report(engine):
     assert rep["associativity"]["failures"] == 0
 
 
+def test_deformation_axioms_form_each_grid_bracket_once(engine, monkeypatch):
+    # {g, f} = -{f, g}: the 36 x 36 grid needs the 666 unordered pairs, plus
+    # the 50 random pairs, where both orders made 1,346 calls
+    calls = []
+    bracket = OrbitQuantization.poisson_reduced
+    monkeypatch.setattr(
+        OrbitQuantization,
+        "poisson_reduced",
+        lambda self, f, g: calls.append((f, g)) or bracket(self, f, g),
+    )
+    status, rep = deformation_axioms(engine, random.Random(15))
+    assert status == "pass" and rep["first_order_poisson"]["pairs"] == 36 * 36 + 50
+    assert len(calls) == 716
+
+
 def test_torsion_report(engine):
     status, rep = quotient_basis_torsion(engine, random.Random(65), samples=25)
     assert status == "pass"
@@ -231,6 +246,26 @@ def test_perturbed_generator_fails_certification():
     with pytest.raises(CertificationError):
         for e in range(good.basis.dim):
             commutator_weight(good.algebra, sym, e)
+
+
+def test_a_word_of_another_cartan_weight_fails_certification(engine):
+    # a Cartan letter certifies from the weights of the generator's words
+    # alone: one word at another weight (a letter whose weight is neither 0
+    # nor the generator's, or the constant, at weight 0) must be refused
+    from orbitquant.quantize import commutator_weight
+
+    alg, g = engine.algebra, engine.sym_generators[0]
+    cartan = [e for e in range(alg.dim) if alg.sc.cartan_rows[e] is not None]
+    assert cartan
+    for e in cartan:
+        weights = alg.sc.cartan_rows[e]
+        t = engine.weight_table[0][e].coefficient(1)
+        assert engine.weight_table[0][e] == HPoly.h(1, t)
+        j = next(j for j, w in enumerate(weights) if w not in (0, t))
+        strays = [(j,)] + ([()] if t else [])
+        for word in strays:
+            with pytest.raises(CertificationError, match=f"letter {e} "):
+                commutator_weight(alg, g + NCPoly(alg, {word: Fraction(1, 3)}), e)
 
 
 def test_quotient_element_round_trip(engine):

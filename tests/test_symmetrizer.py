@@ -17,6 +17,7 @@ import pytest
 from orbitquant import linalg as la
 from orbitquant import ncpoly
 from orbitquant.errors import CertificationError
+from orbitquant.hpoly import HPoly
 from orbitquant.invariants import orbit_ideal, semiinvariant_family, symbolic_dual_matrices
 from orbitquant.lie import DualCoordinates, build_lie_basis
 from orbitquant.ncpoly import (
@@ -94,12 +95,17 @@ def test_recursion_matches_the_lattice(n, seed):
         assert (fast.flat, fast.den) == (slow.flat, slow.den)
 
 
-def test_recursion_matches_the_lattice_on_the_n4_generator():
-    # the saturated n = 4 generator s_1 = det(c) tr(a^2) - tr((c a)(adj(c) a^t)) + 20 det(c)
+def n4_generator() -> MultiPoly:
+    """The saturated n = 4 generator s_1 = det(c) tr(a^2) - tr((c a)(adj(c) a^t)) + 20 det(c)."""
     c, a, adj_c, det_c = symbolic_dual_matrices(DualCoordinates(ALGEBRAS[4].basis))
     cross = la.trace(la.mat_mul(la.mat_mul(c, a), la.mat_mul(adj_c, la.transpose(a))))
     s1 = det_c * la.trace(la.mat_mul(a, a)) - cross + det_c * 20
     assert len(s1.flat) == 875 and s1.total_degree() == 6
+    return s1
+
+
+def test_recursion_matches_the_lattice_on_the_n4_generator():
+    s1 = n4_generator()
     fast = symmetrize(ALGEBRAS[4], s1)
     slow = lattice_symmetrize(ALGEBRAS[4], s1)
     assert (fast.flat, fast.den) == (slow.flat, slow.den)
@@ -185,13 +191,37 @@ def test_prepend_count_on_the_n3_generator(monkeypatch):
 
 
 def test_prepend_count_of_the_n3_weight_table(monkeypatch):
-    # the letter commutators prepend once per distinct suffix and once per
-    # letter of each (degree, first letter) group, besides the insertion
-    # memo's own prepends: 9,694 calls for the 15 letters on a fresh algebra,
-    # where rewriting each word on its own made 23,044; the count repeats
+    # the letter commutators prepend once per letter of each (degree, first
+    # letter) group that meets the letter, besides the insertion memo's own
+    # prepends; the suffix table prepends inline: 5,150 calls for the 15
+    # letters on a fresh algebra, where one prepend per suffix and letter
+    # made 9,694 and rewriting each word on its own 23,044; the count repeats
     alg = PBWAlgebra(*build_lie_basis(3))
     sym_gen = symmetrize(alg, n3_generator())
     calls = counted_prepends(monkeypatch)
     for e in range(alg.dim):
         commutator_weight(alg, sym_gen, e)
-    assert 8_500 <= calls[0] <= 11_000
+    assert 4_520 <= calls[0] <= 5_840
+
+
+def test_the_n3_weight_table_builds_one_suffix_plan(monkeypatch):
+    # the 15 letters share the generator's suffix plan, built on first use
+    alg = PBWAlgebra(*build_lie_basis(3))
+    sym_gen = symmetrize(alg, n3_generator())
+    calls = []
+    plan = PBWAlgebra._suffix_plan
+    monkeypatch.setattr(PBWAlgebra, "_suffix_plan", lambda self, flat: calls.append(flat) or plan(self, flat))
+    weights = [commutator_weight(alg, sym_gen, e) for e in range(alg.dim)]
+    assert calls == [sym_gen.flat] and any(not w.is_zero() for w in weights)
+
+
+def test_the_n4_weight_table():
+    # 26 letters: the Cartan ones certify from word weights, the others
+    # through the suffix table; s_1 is normal with weight 2h on the diagonal
+    # gl letters a_ii and commutes with every other letter
+    alg = PBWAlgebra(*build_lie_basis(4))
+    sym_gen = symmetrize(alg, n4_generator())
+    diagonal = {f"a{i}{i}" for i in range(1, 5)}
+    expected = [HPoly.h(1, 2) if name in diagonal else HPoly.zero() for name in alg.basis.names]
+    assert len(expected) == 26
+    assert [commutator_weight(alg, sym_gen, e) for e in range(alg.dim)] == expected
