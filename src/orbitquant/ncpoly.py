@@ -688,7 +688,8 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
     with Bernoulli numbers B_k (B_1 = -1/2), Q_k = sum_j x_j G_k[j], and
     g-valued polynomials G_0 = e_l (x) x^b, G_k = sum_i (ad_{e_i} (x) d/dx_i)
     G_(k-1) over the bracket table.  Odd B_k from B_3 on vanish, but G_k
-    is still stepped through them.  In integers, W(a) = d! Sym(x^a)
+    is still stepped through them, up to the first G_k without terms:
+    every later one is then empty too.  In integers, W(a) = d! Sym(x^a)
     satisfies
 
         W(a) = d X_l W(b) - sum_k C(d, k) B_k h^k sum_e q_e W(e),
@@ -732,6 +733,8 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
         grad = {(l, b): 1}  # G_0
         for k in range(1, d):
             grad = _ad_gradient(grad, brackets)
+            if not grad:
+                break
             if not scaled[k]:
                 continue
             q: dict = {}

@@ -197,6 +197,34 @@ def test_no_invariants_over_cap_is_refused_at_once(capsys, monkeypatch):
     }
 
 
+class Enumerated(Exception):
+    """Raised by a patched monomial enumerator: the capacity check was passed."""
+
+
+def test_no_invariants_cap_bounds_the_equation_rows(capsys, monkeypatch):
+    # the cap counts equation rows, one per letter and monomial of a degree:
+    # n = 4 at degree 5 has 26 x 142,506 = 3,705,156 and is refused before
+    # any monomial is built, while degree 4, with 26 x 23,751 = 617,526,
+    # passes the check and goes on to enumerate its monomials
+    from orbitquant import invariants
+
+    def sentinel(*args):
+        raise Enumerated(*args)
+
+    monkeypatch.setattr(invariants, "monomials_up_to_degree", sentinel)
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "no-invariants", "--n", "4", "--deg", "5")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert doc["error"] == {
+        "type": "CapacityError",
+        "message": "degree 5 needs 142506 monomials, over cap",
+    }
+    with pytest.raises(Enumerated) as passed:
+        invariants.no_invariants_certificate(4, 4)
+    assert passed.value.args == (26, 4)
+
+
 def test_orbit_ideal_requires_lambdas(capsys):
     code, doc = run_json(capsys, "orbit-ideal", "--n", "2")
     assert code == 2

@@ -5,9 +5,13 @@ recursion: U(a), the sum of X^v over the distinct orderings v of the
 letters of x^a, satisfies U(a) = sum_{l : a_l > 0} X_l U(a - e_l), and
 Sym(x^a) = U(a) / multinomial(a).  It expands every sub-exponent of every
 monomial, so it is slow, but it shares no formula with the recursion and
-serves as its oracle here.
+serves as its oracle here.  The weight tables of symmetrized generators
+are checked here too: each letter's own certified commutator
+(``commutator_weight``) is the oracle of the row that ``weight_row``
+derives from brackets.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -15,11 +19,11 @@ from math import factorial, lcm
 import pytest
 
 from orbitquant import linalg as la
-from orbitquant import ncpoly
+from orbitquant import ncpoly, quantize
 from orbitquant.errors import CertificationError
 from orbitquant.hpoly import HPoly
 from orbitquant.invariants import orbit_ideal, semiinvariant_family, symbolic_dual_matrices
-from orbitquant.lie import DualCoordinates, build_lie_basis
+from orbitquant.lie import DualCoordinates, LieBasis, StructureConstants, build_lie_basis
 from orbitquant.ncpoly import (
     SYMMETRIZER_DEGREE_CAP,
     NCPoly,
@@ -30,7 +34,7 @@ from orbitquant.ncpoly import (
     symmetrize,
 )
 from orbitquant.poly import MultiPoly
-from orbitquant.quantize import commutator_weight
+from orbitquant.quantize import OrbitQuantization, commutator_weight, weight_row
 
 
 def lattice_symmetrize(algebra: PBWAlgebra, poly: MultiPoly) -> NCPoly:
@@ -190,6 +194,25 @@ def test_prepend_count_on_the_n3_generator(monkeypatch):
     assert 1_000 <= calls[0] <= 1_500
 
 
+def test_gradient_steps_on_the_n3_generator(monkeypatch):
+    # G_k stops at the first empty gradient, since every later one is empty
+    # too: 2,503 steps, where stepping through to degree d - 1 made 7,118,
+    # 4,615 of them on an empty gradient; the output is unchanged
+    generator = n3_generator()
+    expected = lattice_symmetrize(ALGEBRAS[3], generator)
+    steps = [0]
+    honest = ncpoly._ad_gradient
+
+    def counted(grad, brackets):
+        steps[0] += 1
+        return honest(grad, brackets)
+
+    monkeypatch.setattr(ncpoly, "_ad_gradient", counted)
+    sym = symmetrize(PBWAlgebra(*build_lie_basis(3)), generator)
+    assert steps[0] == 2_503
+    assert (sym.flat, sym.den) == (expected.flat, expected.den)
+
+
 def test_prepend_count_of_the_n3_weight_table(monkeypatch):
     # the letter commutators prepend once per letter of each (degree, first
     # letter) group that meets the letter, besides the insertion memo's own
@@ -225,3 +248,117 @@ def test_the_n4_weight_table():
     expected = [HPoly.h(1, 2) if name in diagonal else HPoly.zero() for name in alg.basis.names]
     assert len(expected) == 26
     assert [commutator_weight(alg, sym_gen, e) for e in range(alg.dim)] == expected
+
+
+def weight_case(n: int) -> tuple[PBWAlgebra, NCPoly]:
+    """A symmetrized normal element at size n: the engine's generator at
+    n = 2 and 3, s_1 at n = 4, and Sym(x_b11^2) at n = 1, which has no engine."""
+    if n == 1:
+        alg = ALGEBRAS[1]
+        b11 = MultiPoly.variable(alg.variables, 1)
+        return alg, symmetrize(alg, b11 * b11)
+    if n == 4:
+        return ALGEBRAS[4], symmetrize(ALGEBRAS[4], n4_generator())
+    engine = OrbitQuantization(n, [1], deg_cap=8, build_reduction=False)
+    return engine.algebra, engine.sym_generators[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_weight_row_matches_each_letters_commutator(n):
+    # most letters of the row are derived through bracket relations; each
+    # must equal the weight that the letter's own commutator certifies
+    alg, sym_gen = weight_case(n)
+    row = weight_row(alg, sym_gen)
+    assert row == [commutator_weight(alg, sym_gen, e) for e in range(alg.dim)]
+    assert any(not w.is_zero() for w in row)
+
+
+def counted_weights(monkeypatch) -> list[str]:
+    """The letters, by name, that ``quantize.commutator_weight`` is called on
+    from here on."""
+    letters = []
+    honest = quantize.commutator_weight
+
+    def counted(algebra, sym_gen, letter):
+        letters.append(algebra.basis.names[letter])
+        return honest(algebra, sym_gen, letter)
+
+    monkeypatch.setattr(quantize, "commutator_weight", counted)
+    return letters
+
+
+@pytest.mark.parametrize(
+    "n, certified",
+    [
+        (2, ["a11", "a22", "a12", "a21", "b11"]),
+        (3, ["a11", "a22", "a33", "a12", "a13", "a21", "a31", "b11"]),
+    ],
+)
+def test_an_engine_build_certifies_only_the_letters_it_cannot_derive(monkeypatch, n, certified):
+    # the Cartan letters first, then, in letter order, each letter that no
+    # bracket of two known letters has as its only unknown letter: 5 of the
+    # 7 letters at n = 2 and 8 of the 15 at n = 3
+    letters = counted_weights(monkeypatch)
+    OrbitQuantization(n, [1], deg_cap=8, build_reduction=False)
+    assert letters == certified
+
+
+def test_a_wrong_certified_weight_breaks_a_bracket_relation(monkeypatch):
+    # 3h in place of 4h on a11, a Cartan letter: no letter is derived from
+    # a bracket that names a11, so only the check of every relation sees it,
+    # at [a12, a21] = h (a11 - a22)
+    honest = quantize.commutator_weight
+
+    def planted(algebra, sym_gen, letter):
+        weight = honest(algebra, sym_gen, letter)
+        if letter == 0:
+            assert weight == HPoly.h(1, 4)
+            return HPoly.h(1, 3)
+        return weight
+
+    monkeypatch.setattr(quantize, "commutator_weight", planted)
+    with pytest.raises(CertificationError, match="bracket relation of letters 1 and 3"):
+        OrbitQuantization(3, [1], deg_cap=8, build_reduction=False)
+
+
+def test_an_engine_on_a_generator_that_is_not_normal_is_refused(monkeypatch):
+    # p + x_0^2 is not semi-invariant: its symmetrization is not normal
+    real = quantize.orbit_ideal
+
+    def perturbed(lambdas, family):
+        ideal = real(lambdas, family)
+        p = ideal.generators[0]
+        x0 = MultiPoly.variable(p.variables, 0)
+        return dataclasses.replace(ideal, generators=(p + x0 * x0,))
+
+    monkeypatch.setattr(quantize, "orbit_ideal", perturbed)
+    with pytest.raises(CertificationError):
+        OrbitQuantization(3, [1], deg_cap=8, build_reduction=False)
+
+
+def twisted_pair_algebra() -> PBWAlgebra:
+    """Two copies of the 2-dimensional algebra [A_i, B_i] = B_i, in the basis
+    x = A1, y = B1 + B2, e = A2 + B1, k = -A2: no letter is Cartan, and
+    [x, y] = e + k names two letters of nonzero weight on B1 B2."""
+    table = {
+        (0, 1): {2: 1, 3: 1},
+        (0, 2): {2: 1, 3: 1},
+        (1, 2): {1: -1, 2: 1, 3: 1},
+        (1, 3): {1: 1, 2: -1, 3: -1},
+    }
+    return PBWAlgebra(LieBasis(0, ("x", "y", "e", "k"), (), ()), StructureConstants(4, table))
+
+
+def test_a_bracket_with_two_unknown_letters_derives_neither(monkeypatch):
+    # B1 B2 = (xe + xk)(xy - xe - xk) has weight h on A1 and A2 and 0 on B1
+    # and B2: x, y and e are certified, and only then is k derived from
+    # [x, y] = e + k; reading F_k as 0 while it is unknown would give e and
+    # k the weight 0, which every bracket relation also satisfies
+    alg = twisted_pair_algebra()
+    xy, xe, xk = (MultiPoly.variable(alg.variables, i) for i in (1, 2, 3))
+    sym_gen = symmetrize(alg, (xe + xk) * (xy - xe - xk))
+    letters = counted_weights(monkeypatch)
+    row = weight_row(alg, sym_gen)
+    assert letters == ["x", "y", "e"]
+    assert row == [HPoly.h(1, 1), HPoly.zero(), HPoly.h(1, 1), HPoly.h(1, -1)]
+    assert row == [commutator_weight(alg, sym_gen, e) for e in range(alg.dim)]

@@ -41,7 +41,8 @@ def test_tracer_installs_traces_a_star_and_uninstalls(monkeypatch):
     assert product == expected and max(c.degree() for c in product.terms.values()) == 1
     assert tracer.count("setup", "lie.build") == 1
     assert tracer.count("setup", "ncpoly.symmetrize") == 1
-    assert tracer.count("setup", "quantize.weight") == engine.basis.dim
+    # the weight row certifies a11, a22, a12, a21 and b11 and derives b12, b22
+    assert tracer.count("setup", "quantize.weight") == 5
     assert tracer.count("setup", "ncpoly.sym_terms") == len(engine.sym_generators[0].terms)
     assert tracer.count("setup", "hpoly.init") > 0
     assert [cls.__dict__[attr] for cls, attr in patched] == originals

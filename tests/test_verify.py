@@ -66,6 +66,17 @@ def vanished_scalar(honest):
     return build
 
 
+def doubled_scalar(honest):
+    # 2x on a diagonal gl letter keeps the vanishing pattern: only the
+    # comparison with each letter's own commutator catches it
+    def build(*args, **kwargs):
+        engine = honest(*args, **kwargs)
+        engine.weight_table[0][0] = engine.weight_table[0][0] * 2  # letter a11
+        return engine
+
+    return build
+
+
 # (check name, run on small inputs, object and attribute to patch, fault)
 CASES = [
     ("embedding_soundness", lambda: verify.check_embedding(1, ns=(1, 2), samples=3),
@@ -94,6 +105,8 @@ CASES = [
      NCPoly, "__mul__", reversed_product),
     ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(ns=(2,)),
      verify, "OrbitQuantization", vanished_scalar),
+    ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(ns=(2,)),
+     verify, "OrbitQuantization", doubled_scalar),
     ("quotient_basis_torsion", lambda: verify.check_quotient_basis_torsion(8, samples=3),
      OrbitQuantization, "reduce",
      lambda honest: lambda self, u: honest(self, u) + NCPoly.unit(self.algebra)),
