@@ -524,7 +524,10 @@ def no_invariants_certificate(n: int, degree: int) -> InvariantCertificate:
     # comb(nvars + delta - 1, delta), which grows with delta for nvars >= 2
     count = comb(nvars + degree - 1, degree)
     if nvars * count > INVARIANT_ROW_CAP:
-        raise CapacityError(f"degree {degree} needs {count} monomials, over cap")
+        raise CapacityError(
+            f"degree {degree} needs {nvars * count} equation rows ({nvars} letters x {count} "
+            f"monomials), over the cap of {INVARIANT_ROW_CAP}"
+        )
     by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(degree + 1)]
     for e in monomials_up_to_degree(nvars, degree):
         by_degree[sum(e)].append(e)

@@ -9,7 +9,12 @@ linear in the brackets, so the weight table (``weight_row``) rewrites
 only the Cartan letters and the letters that no bracket of known letters
 determines (5 of the 12 others at n = 3), reads the rest off the bracket
 relations by the Jacobi identity, and checks the finished row against
-every relation.  In a
+every relation.  Each letter is certified along one path
+(``commutator_weight``): [X_e, -] raises the degree of every term by
+one and h is not a zero divisor, so the scalar of a homogeneous
+generator is F = t h with t rational, read off any term of the
+commutator, and the whole commutator is then compared with t h g term
+for term.  The row is worked out on the rationals t.  In a
 PBW algebra, a domain of solvable type, one element is a left Groebner
 basis of the left ideal it generates (Kandri-Rody and Weispfenning,
 J. Symbolic Comput. 9, 1990; Levandovskyy, PhD thesis, Kaiserslautern,
@@ -151,83 +156,70 @@ def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPol
     """The scalar F with [X_letter, sym_gen] = F * sym_gen, certified.
 
     The per-letter primitive: ``weight_row`` runs it on the Cartan letters
-    and on the letters it cannot derive from others by brackets.
-
-    F is the commutator's coefficient on the word of the generator's
-    leading term (``PBWAlgebra.term_key``), divided by the generator's
-    coefficient there, which must be h-free.
-    The identity itself is then checked term for term; any failure of
-    exact proportionality raises CertificationError, which is the primary
-    diagnostic for a wrong generator.  For a Cartan letter, whose
-    commutator is [X_letter, X^w] = h wt(w) X^w, the identity holds
-    exactly when every word of the generator has one weight t, read off
-    its suffix plan (``PBWAlgebra._word_weights``), and then F = t h; no
-    commutator is built.
+    and on the letters it cannot derive from others by brackets.  Every
+    letter takes one path.  The commutator comes from
+    ``PBWAlgebra._commutator`` over the generator's suffix plan, which is
+    the one place that knows Cartan letters, through word weights.
+    [X_letter, -] raises the degree of every term by one and h is not a
+    zero divisor, so on a homogeneous generator g a nonzero F is t h with
+    t rational.  t is read off any term h^p X^w of the commutator against
+    g's coefficient of h^(p-1) X^w, and the whole commutator must then
+    equal t h g term for term, compared by integer cross-multiplication;
+    any failure raises CertificationError, which is the primary diagnostic
+    for a wrong generator.  The zero element, normal at every F, is
+    refused.
     """
     if sym_gen.algebra is not algebra:
         raise StructuralError("the generator lies in another algebra context")
     checked_word((letter,), algebra.dim)
-    weights = algebra.sc.cartan_rows[letter]
-    if weights is None:
-        comm = sym_gen.commutator_with_letter(letter)
-        if comm.is_zero():
-            return HPoly.zero()
-    else:
-        wt = algebra._word_weights(weights, sym_gen._suffix_plan())
-        found = {wt[w] for w, _ in sym_gen.flat}
-        if found <= {0}:
-            return HPoly.zero()
-    # the word of g's leading term; a leading term free of h leaves no h on its word
-    ref_code, hpow = max(sym_gen.flat, key=algebra.term_key)
-    if hpow:
-        word = unpack_word(ref_code, algebra.shift)
-        raise CertificationError(f"the generator's coefficient of the word {word} carries h")
-    if weights is None:
-        ref = Fraction(sym_gen.flat[ref_code, 0], sym_gen.den)
-        num = {p: Fraction(c, comm.den) / ref for (w, p), c in comm.flat.items() if w == ref_code}
-    else:
-        num = {1: wt[ref_code]} if wt[ref_code] else {}
-    if not num:
+    gen = sym_gen.flat
+    if not gen:
+        raise StructuralError("the zero element commutes with every letter at every weight")
+    comm = algebra._commutator(letter, gen, sym_gen._suffix_plan())
+    terms = [(key, c) for key, c in comm.items() if c]
+    if not terms:
+        return HPoly.zero()
+    (w, p), c0 = terms[0]
+    g0 = gen.get((w, p - 1))
+    if (
+        g0 is None
+        or len(terms) != len(gen)
+        or any(comm.get((v, q + 1), 0) * g0 != d * c0 for (v, q), d in gen.items())
+    ):
         raise CertificationError(
             f"commutator with letter {letter} is not proportional to the generator"
         )
-    factor = HPoly(tuple(num.get(p, 0) for p in range(max(num) + 1)))
-    holds = comm == sym_gen.scale(factor) if weights is None else found == {num[1]}
-    if not holds:
-        raise CertificationError(
-            f"commutator with letter {letter} deviates from scalar proportionality"
-        )
-    return factor
+    return HPoly.h(1, Fraction(c0, g0))
 
 
 def weight_row(algebra: PBWAlgebra, sym_gen: NCPoly) -> list[HPoly]:
     """The scalars F_e with [X_e, sym_gen] = F_e * sym_gen for every letter
     e, in letter order, certified.
 
-    The letters X_e with [X_e, g] = F_e g form a Lie subalgebra, on which F
-    is linear in the brackets: when X_a and X_b are such letters, the
-    Jacobi identity gives [[X_a, X_b], g] = [X_a, F_b g] - [X_b, F_a g] = 0,
-    and [X_a, X_b] = h sum_k c_ab^k X_k with h not a zero divisor, so
-    sum_k c_ab^k [X_k, g] = 0.  If every X_k of that sum but one, X_e, is
-    such a letter too, then [X_e, g] = F_e g with
+    Each F_e is t_e h with t_e rational (``commutator_weight``), and the
+    row is worked out on the t_e, held as Fractions with the int 0 for a
+    zero weight.  The letters X_e with [X_e, g] = F_e g form a Lie
+    subalgebra, on which F is linear in the brackets: when X_a and X_b are
+    such letters, the Jacobi identity gives [[X_a, X_b], g] = [X_a, F_b g]
+    - [X_b, F_a g] = 0, and [X_a, X_b] = h sum_k c_ab^k X_k with h not a
+    zero divisor, so sum_k c_ab^k [X_k, g] = 0.  If every X_k of that sum
+    but one, X_e, is such a letter too, then [X_e, g] = F_e g with
 
-        F_e = -(1/c_ab^e) sum_{k != e} c_ab^k F_k.
+        t_e = -(1/c_ab^e) sum_{k != e} c_ab^k t_k.
 
-    The Cartan letters are certified first, from word weights
-    (``commutator_weight``).  Every other letter, in letter order, is
-    derived from the first bracket of two known letters in which it is the
-    only unknown letter, or certified by ``commutator_weight`` when there
-    is none: at n = 3 that certifies a12, a13, a21, a31 and b11 and derives
-    the other seven.  The finished row is checked against every bracket
-    relation sum_k c_ab^k F_k = 0, a < b, in integers over one common
-    denominator; a relation that fails, as it does when a certified weight
-    is wrong, raises CertificationError.  The plan and the check run on the
-    bracket table's ints and the weights' Fraction coefficients.
+    The Cartan letters are certified first (``commutator_weight``).  Every
+    other letter, in letter order, is derived from the first bracket of
+    two known letters in which it is the only unknown letter, or certified
+    by ``commutator_weight`` when there is none: at n = 3 that certifies
+    a12, a13, a21, a31 and b11 and derives the other seven.  The finished
+    row is checked against every bracket relation sum_k c_ab^k t_k = 0,
+    a < b, skipping zero weights; a relation that fails, as it does when a
+    certified weight is wrong, raises CertificationError.
     """
     sc = algebra.sc
     dim = sc.dim
-    row: list[HPoly | None] = [
-        None if weights is None else commutator_weight(algebra, sym_gen, e)
+    row: list[Fraction | int | None] = [
+        None if weights is None else commutator_weight(algebra, sym_gen, e).coefficient(1) or 0
         for e, weights in enumerate(sc.cartan_rows)
     ]
     # (a, b, [X_a, X_b]) over a < b with a nonzero bracket, and under each
@@ -249,37 +241,19 @@ def weight_row(algebra: PBWAlgebra, sym_gen: NCPoly) -> list[HPoly]:
             if row[a] is not None and row[b] is not None and all(
                 row[k] is not None for k, _ in bracket if k != e
             ):
-                row[e] = _derived_weight(row, bracket, e)
+                total = sum(c * row[k] for k, c in bracket if k != e and row[k])
+                c_e = next(c for k, c in bracket if k == e)
+                row[e] = -Fraction(total, c_e) if total else 0
                 break
         else:
-            row[e] = commutator_weight(algebra, sym_gen, e)
-    den = lcm(*(c.denominator for weight in row for c in weight.coeffs))
-    scaled = [[c.numerator * (den // c.denominator) for c in weight.coeffs] for weight in row]
+            row[e] = commutator_weight(algebra, sym_gen, e).coefficient(1) or 0
     for a, b, bracket in relations:
-        total: dict[int, int] = {}
-        for k, c in bracket:
-            for p, v in enumerate(scaled[k]):
-                total[p] = total.get(p, 0) + c * v
-        if any(total.values()):
+        if sum(c * row[k] for k, c in bracket if row[k]):
             raise CertificationError(
                 f"the weights break the bracket relation of letters {a} and {b}: "
                 f"sum_k c_ab^k F_k is not 0"
             )
-    return row
-
-
-def _derived_weight(row: list, bracket: tuple, e: int) -> HPoly:
-    """F_e = -(1/c_e) sum_{k != e} c_k F_k for a bracket ((k, c_k), ...) whose
-    letters other than e have their weights in ``row``."""
-    terms = [(c, row[k].coeffs) for k, c in bracket if k != e]
-    width = max((len(v) for _, v in terms), default=0)
-    c_e = next(c for k, c in bracket if k == e)
-    return HPoly(
-        tuple(
-            -sum((c * v[p] for c, v in terms if p < len(v)), Fraction(0)) / c_e
-            for p in range(width)
-        )
-    )
+    return [HPoly.h(1, t) if t else HPoly.zero() for t in row]
 
 
 class OrbitQuantization:

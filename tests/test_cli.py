@@ -193,7 +193,10 @@ def test_no_invariants_over_cap_is_refused_at_once(capsys, monkeypatch):
     assert code == 2
     assert doc["error"] == {
         "type": "CapacityError",
-        "message": "degree 6 needs 736281 monomials, over cap",
+        "message": (
+            "degree 6 needs 19143306 equation rows (26 letters x 736281 monomials), "
+            "over the cap of 1000000"
+        ),
     }
 
 
@@ -218,7 +221,10 @@ def test_no_invariants_cap_bounds_the_equation_rows(capsys, monkeypatch):
     assert code == 2
     assert doc["error"] == {
         "type": "CapacityError",
-        "message": "degree 5 needs 142506 monomials, over cap",
+        "message": (
+            "degree 5 needs 3705156 equation rows (26 letters x 142506 monomials), "
+            "over the cap of 1000000"
+        ),
     }
     with pytest.raises(Enumerated) as passed:
         invariants.no_invariants_certificate(4, 4)

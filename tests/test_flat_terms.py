@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from orbitquant.errors import CertificationError, StructuralError
 from orbitquant.hpoly import HPoly
 from orbitquant.lie import build_lie_basis
-from orbitquant.ncpoly import NCPoly, PBWAlgebra, unpack_word, word_length
+from orbitquant.ncpoly import NCPoly, PBWAlgebra
 from orbitquant.poly import MultiPoly, _lowest_terms, monomials_up_to_degree
 from orbitquant.quantize import OrbitQuantization, QuotientElement, commutator_weight
 
@@ -207,21 +207,73 @@ def test_quotient_element_checks_its_input(terms):
         QuotientElement(VARIABLES, terms)
 
 
-def test_commutator_weight_refuses_h_on_the_reference_word():
-    # h times the generator's longest word: the reference coefficient that
-    # the commutator is divided by no longer is a scalar
-    engine = OrbitQuantization(2, [Fraction(1)], deg_cap=6, build_reduction=False)
-    sym_gen = engine.sym_generators[0]
-    # the flat layout is keyed by packed words: the longest, then the
-    # lexicographically largest among those, as a tuple word
-    shift = engine.algebra.shift
-    code = max((w for w, _ in sym_gen.flat), key=lambda w: (word_length(w, shift), unpack_word(w, shift)))
-    longest = unpack_word(code, shift)
-    assert longest == max(sym_gen.terms, key=lambda w: (len(w), w))
-    tilted = sym_gen + NCPoly(engine.algebra, {longest: HPoly.h(1)})
-    weights = [commutator_weight(engine.algebra, sym_gen, e) for e in range(engine.basis.dim)]
-    assert any(not w.is_zero() for w in weights)
-    for e, weight in enumerate(weights):
-        if not weight.is_zero():
-            with pytest.raises(CertificationError, match="carries h"):
-                commutator_weight(engine.algebra, tilted, e)
+def literal_weight(u: NCPoly, e: int):
+    """The rational t with X_e u - u X_e = t h u, from NCPoly products, or
+    None when there is none.  t is read off one word of the ``terms`` view:
+    h t times u's lowest h coefficient there is the commutator's next one."""
+    letter = NCPoly.letter(u.algebra, e)
+    literal = letter * u - u * letter
+    if literal.is_zero():
+        return 0
+    word, c = next(iter(literal.terms.items()))
+    mine = u.terms.get(word, HPoly.zero())
+    if mine.is_zero():
+        return None
+    k = next(k for k, v in enumerate(mine.coeffs) if v)
+    t = c.coefficient(k + 1) / mine.coeffs[k]
+    return t if literal == u.scale(HPoly.h(1, t)) else None
+
+
+@pytest.fixture(scope="module")
+def n2_generator():
+    return OrbitQuantization(2, [Fraction(1)], deg_cap=6, build_reduction=False).sym_generators[0]
+
+
+@pytest.mark.parametrize(
+    "make, t",
+    [
+        (lambda g: g, 2),
+        (lambda g: g.shift_h(2), 2),
+        (lambda g: g.scale(Fraction(3, 7)), 2),
+        (lambda g: g * g, 4),
+    ],
+    ids=["g", "h^2 g", "3/7 g", "g g"],
+)
+def test_commutator_weight_matches_the_literal_commutator(n2_generator, make, t):
+    # X u - u X = F u by NCPoly products, which run the PBW product and not
+    # the letter commutator: F = t h on the Cartan letters a11 and a22 and 0
+    # on the others, also where h divides every coefficient of u
+    u = make(n2_generator)
+    alg = u.algebra
+    for e, name in enumerate(alg.basis.names):
+        weight = commutator_weight(alg, u, e)
+        assert weight == (HPoly.h(1, t) if name in ("a11", "a22") else HPoly.zero())
+        assert literal_weight(u, e) == weight.coefficient(1)
+
+
+def test_commutator_weight_refuses_exactly_where_a_tilted_generator_is_not_normal(n2_generator):
+    # g plus h times its longest word: the Cartan letters still certify, and
+    # every letter whose literal commutator is no multiple t h u is refused
+    g = n2_generator
+    alg = g.algebra
+    longest = max(g.terms, key=lambda w: (len(w), w))
+    tilted = g + NCPoly(alg, {longest: HPoly.h(1)})
+    refused = []
+    for e, name in enumerate(alg.basis.names):
+        t = literal_weight(tilted, e)
+        if t is None:
+            refused.append(name)
+            with pytest.raises(CertificationError, match=f"letter {e} is not proportional"):
+                commutator_weight(alg, tilted, e)
+        else:
+            assert commutator_weight(alg, tilted, e) == (HPoly.h(1, t) if t else HPoly.zero())
+    assert refused and "a11" not in refused and "a22" not in refused
+    assert literal_weight(tilted, 0) == 2
+
+
+def test_commutator_weight_refuses_the_zero_element(n2_generator):
+    # [X, 0] = F 0 holds at every F: no weight is certified for it
+    alg = n2_generator.algebra
+    for e in range(alg.dim):
+        with pytest.raises(StructuralError, match="zero element"):
+            commutator_weight(alg, NCPoly.zero(alg), e)

@@ -1,10 +1,13 @@
 """Every name a package or test module imports is used in that module,
-and exact work does not load the float or worker-pool libraries."""
+every function and class of the package is named somewhere besides its
+own definition, and exact work does not load the float or worker-pool
+libraries."""
 
 import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,84 @@ def test_scanner_flags_an_unused_import():
         "x: Sequence[int] = [gcd(4, 6)]\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: osp"]
+
+
+def names_in(tree: ast.AST) -> Counter:
+    """Each Name, Attribute name and string constant in the tree, counted."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def dead_definitions(sources: dict[str, str], defining) -> list[str]:
+    """"label:line name" for each function and class defined in the sources
+    labelled in ``defining`` whose name appears in no source, as a Name, an
+    Attribute or a string constant, outside its own definition.  Dunders
+    are called by the language and are exempt."""
+    trees = {label: ast.parse(text) for label, text in sources.items()}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(names_in(tree))
+    dead = []
+    for label in defining:
+        definitions = [
+            node
+            for node in ast.walk(trees[label])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+        for node in sorted(definitions, key=lambda node: node.lineno):
+            if total[node.name] == names_in(node)[node.name]:
+                dead.append(f"{label}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_every_package_definition_is_named_outside_itself():
+    scanned = [
+        path
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in scanned}
+    package = [label for label in sources if label.startswith("src/orbitquant/")]
+    assert package
+    assert dead_definitions(sources, package) == []
+
+
+def test_scanner_flags_a_dead_definition():
+    package = (
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return self.method()\n"
+        "    def __repr__(self):\n"
+        "        return 'Used'\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def by_string():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    return inner\n"
+        "class Dead:\n"
+        "    pass\n"
+    )
+    caller = "import package\npackage.Used().method()\ngetattr(package, 'by_string')\n"
+    sources = {"package": package, "caller": caller}
+    assert dead_definitions(sources, ["package"]) == ["package:6 recursive", "package:12 Dead"]
+    # without the calling source, names used only there are dead, and so
+    # is a class named only by a string inside its own body
+    assert dead_definitions({"package": package}, ["package"]) == [
+        "package:1 Used",
+        "package:2 method",
+        "package:6 recursive",
+        "package:8 by_string",
+        "package:12 Dead",
+    ]
 
 
 

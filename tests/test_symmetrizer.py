@@ -322,7 +322,9 @@ def test_a_wrong_certified_weight_breaks_a_bracket_relation(monkeypatch):
 
 
 def test_an_engine_on_a_generator_that_is_not_normal_is_refused(monkeypatch):
-    # p + x_0^2 is not semi-invariant: its symmetrization is not normal
+    # p + x_0^2 is not semi-invariant: its symmetrization is not normal, and
+    # the first letter certified, the Cartan letter a11, already sees it:
+    # X_a11^2 has a11-weight 0 where the words of p have 4
     real = quantize.orbit_ideal
 
     def perturbed(lambdas, family):
@@ -332,7 +334,7 @@ def test_an_engine_on_a_generator_that_is_not_normal_is_refused(monkeypatch):
         return dataclasses.replace(ideal, generators=(p + x0 * x0,))
 
     monkeypatch.setattr(quantize, "orbit_ideal", perturbed)
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="letter 0 is not proportional"):
         OrbitQuantization(3, [1], deg_cap=8, build_reduction=False)
 
 
