@@ -14,6 +14,13 @@ input is read through the checked readers of ``jsonio`` and the record
 parsers, which raise StructuralError for a missing key, a wrong shape or
 an inexact value; ``main`` reports package errors, file errors and
 malformed JSON, and lets anything else show as a traceback.
+
+The library loads on first use: at module level this file imports only
+the standard library, ``errors`` and ``jsonio``, and each handler imports
+the library names it calls, so ``basis --n 1`` loads ``lie``, ``linalg``
+and ``poly`` and no Gröbner, PBW, quantization or verify code, and
+``--help`` loads no library module.  ``verify`` itself imports all of its
+checks' modules at load, before the battery forks its workers.
 """
 
 from __future__ import annotations
@@ -24,27 +31,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, CertificationError, DomainError, OrbitQuantError, StructuralError
-from .hpoly import HPoly
 from .jsonio import as_fraction, float_to_str, frac_to_str, matrix_to_json, required
-from .lie import DualCoordinates, basis_to_json, build_lie_basis
-from .ncpoly import NCPoly, PBWAlgebra, symmetrize
-from .orbits import DualPoint, GroupElement, LieElement, adjoint, coadjoint, group_multiply, normal_form
-from .poly import MultiPoly, polynomial_record
-from .quantize import OrbitQuantization, QuotientElement
-from .invariants import (
-    invariant_trace_power,
-    no_invariants_certificate,
-    orbit_ideal,
-    pfaffian_invariant,
-    regularity_check,
-    semiinvariant_family,
-)
-from .verify import (
-    build_report,
-    check_semiinvariants,
-    emit_report,
-    render_pretty,
-)
 
 
 def _parse_json(load, source):
@@ -85,7 +72,7 @@ def _write_output(args, document: dict, pretty_text: str | None = None):
         sys.stdout.write(payload)
 
 
-def _group_element_json(p: GroupElement) -> dict:
+def _group_element_json(p) -> dict:
     return {"x": matrix_to_json(p.x), "g": matrix_to_json(p.g)}
 
 
@@ -96,6 +83,8 @@ def _lambdas(args) -> list[Fraction]:
 
 
 def cmd_basis(args) -> int:
+    from .lie import DualCoordinates, basis_to_json, build_lie_basis
+
     basis, sc = build_lie_basis(args.n)
     doc = basis_to_json(basis, sc)
     coords = DualCoordinates(basis)
@@ -106,6 +95,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_group_mul(args) -> int:
+    from .orbits import GroupElement, group_multiply
+
     data = _load_input(args)
     p, q = GroupElement.from_json(required(data, "p")), GroupElement.from_json(required(data, "q"))
     product = group_multiply(p, q)
@@ -114,6 +105,8 @@ def cmd_group_mul(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
+    from .orbits import GroupElement, LieElement, adjoint
+
     data = _load_input(args)
     p = GroupElement.from_json(required(data, "element"))
     image = adjoint(p, LieElement.from_json(required(data, "point")))
@@ -122,6 +115,8 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_coadjoint(args) -> int:
+    from .orbits import DualPoint, GroupElement, coadjoint
+
     data = _load_input(args)
     p = GroupElement.from_json(required(data, "element"))
     image = coadjoint(p, DualPoint.from_json(required(data, "point")))
@@ -130,6 +125,8 @@ def cmd_coadjoint(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    from .orbits import DualPoint, normal_form
+
     data = _load_input(args)
     nf = normal_form(DualPoint.from_json(required(data, "point")))
     doc = {
@@ -144,6 +141,9 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import invariant_trace_power, pfaffian_invariant
+    from .orbits import DualPoint
+
     data = _load_input(args)
     pt = DualPoint.from_json(required(data, "point"))
     k = pt.n // 2
@@ -163,6 +163,8 @@ def _exit_code(report: dict) -> int:
 
 
 def cmd_semi_check(args) -> int:
+    from .verify import check_semiinvariants, emit_report, render_pretty
+
     # self-test hook: --perturb offsets every expected weight by 1, so the
     # exact laws are checked against wrong weights and must fail
     entry = check_semiinvariants(
@@ -174,6 +176,8 @@ def cmd_semi_check(args) -> int:
 
 
 def cmd_no_invariants(args) -> int:
+    from .invariants import no_invariants_certificate
+
     cert = no_invariants_certificate(args.n, args.deg)
     doc = {
         "n": cert.n,
@@ -187,6 +191,8 @@ def cmd_no_invariants(args) -> int:
 
 
 def cmd_orbit_ideal(args) -> int:
+    from .invariants import orbit_ideal, semiinvariant_family
+
     lambdas = _lambdas(args)
     fam = semiinvariant_family(args.n)
     ideal = orbit_ideal(lambdas, fam)
@@ -207,6 +213,8 @@ def cmd_orbit_ideal(args) -> int:
 def cmd_regularity(args) -> int:
     import random as _random
 
+    from .invariants import orbit_ideal, regularity_check, semiinvariant_family
+    from .orbits import DualPoint
     from .sampling import random_orbit_sample
 
     lambdas = _lambdas(args)
@@ -231,12 +239,18 @@ def cmd_regularity(args) -> int:
     return 0 if ok else 1
 
 
-def _algebra(n: int) -> PBWAlgebra:
+def _algebra(n: int):
+    from .lie import build_lie_basis
+    from .ncpoly import PBWAlgebra
+
     basis, sc = build_lie_basis(n)
     return PBWAlgebra(basis, sc)
 
 
 def cmd_pbw(args) -> int:
+    from .hpoly import HPoly
+    from .ncpoly import NCPoly
+
     data = _load_input(args)
     algebra = _algebra(args.n)
     coeff = HPoly.from_json(data.get("coefficient", ["1"]))
@@ -246,6 +260,9 @@ def cmd_pbw(args) -> int:
 
 
 def cmd_sym(args) -> int:
+    from .ncpoly import symmetrize
+    from .poly import MultiPoly
+
     data = _load_input(args)
     algebra = _algebra(args.n)
     poly = MultiPoly.from_records(required(data, "polynomial"))
@@ -258,7 +275,10 @@ def cmd_sym(args) -> int:
     return 0
 
 
-def _operand(rec) -> QuotientElement:
+def _operand(rec):
+    from .poly import MultiPoly, polynomial_record
+    from .quantize import QuotientElement
+
     variables, terms = polynomial_record(rec)
     if variables and terms and isinstance(terms[0].get("coefficient"), list):
         return QuotientElement.from_json(rec)
@@ -266,6 +286,8 @@ def _operand(rec) -> QuotientElement:
 
 
 def cmd_star(args) -> int:
+    from .quantize import OrbitQuantization
+
     inline = (args.f, args.g)
     if inline == (None, None):
         data = _load_input(args)
@@ -281,6 +303,8 @@ def cmd_star(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import build_report, render_pretty
+
     report = build_report(
         seed=args.seed,
         n_max=args.n,

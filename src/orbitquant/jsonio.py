@@ -15,8 +15,6 @@ out goes through ``frac_to_str``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 import sys
 from fractions import Fraction
@@ -104,20 +102,3 @@ def matrix_to_json(m) -> list:
             for x in row
         ])
     return out
-
-
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def content_hash(obj, exclude_keys: tuple[str, ...] = ("elapsed_s", "content_hash")) -> str:
-    """Stable sha256 over a JSON document, ignoring timing-style fields."""
-
-    def strip(o):
-        if isinstance(o, dict):
-            return {k: strip(v) for k, v in o.items() if k not in exclude_keys}
-        if isinstance(o, list):
-            return [strip(v) for v in o]
-        return o
-
-    return hashlib.sha256(canonical_dumps(strip(obj)).encode()).hexdigest()

@@ -323,7 +323,14 @@ class MultiPoly(_FlatTerms):
             return MultiPoly._trusted(self.variables, {}, 1)
         num, den = as_fraction(other).as_integer_ratio()
         scaled = {e: c * num for e, c in self.flat.items()}
-        return MultiPoly._trusted(self.variables, scaled, self.den * den)
+        out = MultiPoly._trusted(self.variables, scaled, self.den * den)
+        # a nonzero scalar keeps every leading monomial: carry the memo over
+        leads = getattr(self, "_leads", None)
+        if leads:
+            object.__setattr__(
+                out, "_leads", {order: (exp, c * other) for order, (exp, c) in leads.items()}
+            )
+        return out
 
     __rmul__ = __mul__
 

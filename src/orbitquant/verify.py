@@ -27,10 +27,20 @@ taken while other checks compete for the CPUs, so the values no longer
 add up to the run's time.  The run stays in one process when one CPU is
 usable, when the platform cannot fork, or when the calling process runs
 other threads.
+
+Unlike the rest of the package, which loads on first use, this module
+imports every module its checks run when it loads, so the parent holds
+them before it forks and the workers inherit them instead of each
+importing them again.
 """
 
 from __future__ import annotations
 
+# hashlib serves the report's content hash, and is imported here for the
+# workers too: the normal-form check's scipy imports it, and imported after
+# the fork it adds about 3 MB to that worker's peak resident set
+import hashlib
+import json
 import os
 import random
 import time
@@ -50,7 +60,6 @@ from .invariants import (
     semiinvariant_family,
     verify_semiinvariance,
 )
-from .jsonio import content_hash
 from .lie import build_lie_basis, standard_symplectic_form
 from .ncpoly import NCPoly, PBWAlgebra, word_of_exponent
 from .orbits import (
@@ -705,6 +714,20 @@ def emit_report(checks: list[dict], **meta) -> dict:
     }
     report["content_hash"] = content_hash(report)
     return report
+
+
+def content_hash(obj, exclude_keys: tuple[str, ...] = ("elapsed_s", "content_hash")) -> str:
+    """Stable sha256 over a JSON document, ignoring timing-style fields."""
+
+    def strip(o):
+        if isinstance(o, dict):
+            return {k: strip(v) for k, v in o.items() if k not in exclude_keys}
+        if isinstance(o, list):
+            return [strip(v) for v in o]
+        return o
+
+    canonical = json.dumps(strip(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def render_pretty(report: dict) -> str:

@@ -243,3 +243,58 @@ def test_leading_term_is_computed_once_per_order():
     assert cold - warm == len(g.terms)
     with pytest.raises(StructuralError):
         MultiPoly.zero(XY).leading()
+
+
+def _counting_keys(monkeypatch) -> list:
+    calls = []
+    key = MonomialOrder.key
+
+    def counted(self, exponent):
+        calls.append(exponent)
+        return key(self, exponent)
+
+    monkeypatch.setattr(MonomialOrder, "key", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, MonomialOrder("grlex", (2, 0, 1))], ids=["grevlex", "grlex-prioritized"]
+)
+@pytest.mark.parametrize("scalar", [3, -2, Fraction(-5, 7), Fraction(1, 6)], ids=str)
+def test_a_scalar_multiple_carries_the_leading_term(order, scalar, monkeypatch):
+    # differential: the lead carried over from p equals a fresh recomputation
+    # on the product's own layout, and reading it scans no term
+    rng = random.Random(2026)
+    variables = ("x", "y", "z")
+    terms = {}
+    for _ in range(12):
+        exponent = tuple(rng.randrange(4) for _ in variables)
+        terms[exponent] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    p = MultiPoly(variables, terms)
+    p.leading(order)
+    calls = _counting_keys(monkeypatch)
+    for q in (p * scalar, scalar * p):
+        fresh = MultiPoly(variables, q.terms)
+        assert q == fresh
+        assert q.leading(order) == fresh.leading(order)
+        assert type(q.leading(order)[1]) is Fraction
+    assert len(calls) == 2 * len(p.flat)  # the two fresh recomputations only
+    zero = p * 0
+    assert zero.is_zero()
+    with pytest.raises(StructuralError, match="zero polynomial has no leading term"):
+        zero.leading(order)
+
+
+def test_a_principal_basis_scans_its_generator_once(monkeypatch):
+    # the n = 3 orbit generator (444 terms): _interreduce reads its lead once,
+    # and the monic generator inherits it, so the terms are scanned once and
+    # each of the two sorts adds one key
+    from orbitquant.invariants import orbit_ideal, semiinvariant_family
+
+    (g,) = orbit_ideal([Fraction(1)], semiinvariant_family(3)).generators
+    calls = _counting_keys(monkeypatch)
+    basis = groebner_basis([g])
+    assert len(g.flat) == 444 and len(calls) == len(g.flat) + 2
+    lead, lc = MultiPoly(g.variables, g.terms).leading()
+    assert basis == [g * (1 / lc)]
+    assert basis[0].leading() == (lead, Fraction(1))

@@ -1,9 +1,11 @@
 """Every name a package or test module imports is used in that module,
 every function and class of the package is named somewhere besides its
-own definition, and exact work does not load the float or worker-pool
+own definition, the package and each CLI verb load only the modules
+they run, and exact work does not load the float or worker-pool
 libraries."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -18,13 +20,15 @@ MODULES = sorted((ROOT / "src" / "orbitquant").glob("*.py")) + sorted(
 )
 
 
-def unused_imports(source: str) -> list[str]:
+def unused_imports(source: str, filename: str = "<source>") -> list[str]:
     """Names bound by import statements and never loaded.
 
     A name counts as used when it is loaded anywhere in the module
     (including as the base of an attribute chain) or listed in a
     module-level ``__all__``; ``from __future__`` imports are features,
-    not names.
+    not names.  ``__all__`` is read only when it is a list or tuple
+    literal; any other ``__all__`` raises ValueError naming ``filename``
+    if some imported name is used nowhere else, since it might list it.
     """
     tree = ast.parse(source)
     imported: dict[str, int] = {}
@@ -42,25 +46,28 @@ def unused_imports(source: str) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if unused and isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(
+            if not isinstance(node.value, (ast.List, ast.Tuple)):
+                raise ValueError(
+                    f"{filename}: line {node.lineno}: __all__ is not a list or tuple literal,"
+                    f" so whether it lists {', '.join(name for _, name in unused)} is unknown"
+                )
+            listed = {
                 elt.value
                 for elt in node.value.elts
                 if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            )
-    return [
-        f"line {line}: {name}"
-        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
-        if name not in used
-    ]
+            }
+            unused = [(line, name) for line, name in unused if name not in listed]
+    return [f"line {line}: {name}" for line, name in unused]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(), str(path.relative_to(ROOT))) == []
 
 
 def test_scanner_flags_an_unused_import():
@@ -74,6 +81,21 @@ def test_scanner_flags_an_unused_import():
         "x: Sequence[int] = [gcd(4, 6)]\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: osp"]
+
+
+def test_scanner_reads_a_tuple_all_and_refuses_one_it_cannot_read():
+    source = "from math import gcd, lcm\n__all__ = ('lcm',)\n"
+    assert unused_imports(source) == ["line 1: gcd"]
+    # an __all__ built by a call may list any name: the scanner names the
+    # file instead of guessing, and reads past it when every import is used
+    computed = "from math import gcd, lcm\n__all__ = sorted(['lcm'])\n"
+    with pytest.raises(ValueError) as refused:
+        unused_imports(computed, "pkg/mod.py")
+    assert str(refused.value) == (
+        "pkg/mod.py: line 2: __all__ is not a list or tuple literal,"
+        " so whether it lists gcd, lcm is unknown"
+    )
+    assert unused_imports("from math import gcd\n__all__ = sorted(['x'])\ngcd(1, 2)\n") == []
 
 
 def names_in(tree: ast.AST) -> Counter:
@@ -155,13 +177,14 @@ def test_scanner_flags_a_dead_definition():
 
 
 
-FLOAT_LIBRARY_PROBE = """
-import runpy, sys
+LOAD_PROBE = """
+import json, runpy, sys
 
-LAZY = ("concurrent.futures", "multiprocessing", "numpy", "scipy")
+LAZY = ("concurrent.futures", "hashlib", "multiprocessing", "numpy", "scipy")
 
 def report():
-    print(sorted(m for m in LAZY if m in sys.modules), file=sys.stderr)
+    package = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("orbitquant."))
+    print(json.dumps([package, sorted(m for m in LAZY if m in sys.modules)]), file=sys.stderr)
 
 import orbitquant
 report()
@@ -178,13 +201,69 @@ report()
 
 
 def test_import_and_exact_cli_run_do_not_load_numpy_or_scipy(src_env):
-    # numpy and scipy serve only the float normal form, and multiprocessing
-    # and concurrent.futures only the verify battery's workers; they load on
-    # first use
+    # the package's own modules load on first use: the import loads none of
+    # them and `basis --n 1` only those it runs.  numpy and scipy serve only
+    # the float normal form, multiprocessing and concurrent.futures only the
+    # verify battery's workers, and hashlib only its content hash; they load
+    # on first use too
     result = subprocess.run(
-        [sys.executable, "-c", FLOAT_LIBRARY_PROBE], capture_output=True, text=True, env=src_env
+        [sys.executable, "-c", LOAD_PROBE], capture_output=True, text=True, env=src_env
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["n"] == 1
+    basis = ["errors", "jsonio", "lie", "linalg", "poly"]
     # the float branch of a determinant loads numpy, and the probe sees it
-    assert result.stderr.splitlines() == ["[]", "[]", "['numpy']"]
+    assert [json.loads(line) for line in result.stderr.splitlines()] == [
+        [[], []],
+        [basis, []],
+        [sorted(basis + ["orbits"]), ["numpy"]],
+    ]
+
+
+HELP_PROBE = """
+import contextlib, io, json, sys
+from orbitquant import cli
+
+for verb in cli.VERBS:
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert cli.main([verb, "--help"]) == 0
+    assert text.getvalue().startswith(f"usage: orbitquant {verb} ")
+    print(json.dumps([verb, sorted(m for m in sys.modules if m.startswith("orbitquant."))]))
+"""
+
+
+def test_help_of_every_verb_loads_no_library_module(src_env):
+    from orbitquant import cli
+
+    result = subprocess.run(
+        [sys.executable, "-c", HELP_PROBE], capture_output=True, text=True, env=src_env
+    )
+    assert result.returncode == 0, result.stderr
+    cli_only = ["orbitquant.cli", "orbitquant.errors", "orbitquant.jsonio"]
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        [verb, cli_only] for verb in cli.VERBS
+    ]
+
+
+def test_every_export_resolves_to_the_object_its_submodule_defines():
+    import orbitquant
+
+    assert orbitquant.__all__ == sorted(orbitquant._EXPORTS)
+    listed = dir(orbitquant)
+    for name in orbitquant.__all__:
+        module = importlib.import_module(f"orbitquant.{orbitquant._EXPORTS[name]}")
+        value = getattr(orbitquant, name)
+        assert value is getattr(module, name) and value.__module__ == module.__name__, name
+        assert name in listed
+    namespace = {}
+    exec("from orbitquant import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == orbitquant.__all__
+    with pytest.raises(AttributeError, match="^module 'orbitquant' has no attribute 'x_y'$"):
+        orbitquant.x_y
+    # a submodule is no exported name: __getattr__ refuses it, so the import
+    # system falls back to loading the submodule
+    with pytest.raises(AttributeError, match="'invariants'"):
+        orbitquant.__getattr__("invariants")
+    from orbitquant import invariants
+
+    assert invariants is sys.modules["orbitquant.invariants"]

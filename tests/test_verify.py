@@ -14,6 +14,7 @@ fails the run.
 
 import concurrent.futures
 import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -261,3 +262,36 @@ def test_a_failing_worker_fails_the_run(fault, error, src_env):
     assert result.returncode == 1
     assert "returned" not in result.stdout
     assert error in result.stderr
+
+
+PARENT_MODULES = """
+import json, sys
+from orbitquant import cli, verify
+
+class Stop(Exception):
+    pass
+
+def run_checks(calls):
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("orbitquant."))))
+    raise Stop
+
+verify._run_checks = run_checks
+try:
+    cli.main(["verify", "--n", "3", "--deg", "6", "--seed", "7"])
+except Stop:
+    pass
+"""
+
+
+def test_the_battery_holds_every_check_module_before_its_workers_fork(src_env):
+    # the forked workers inherit the parent's modules; a module a check
+    # imported on first use would be compiled and loaded again in each
+    # worker, so verify imports them all at load (in a fresh interpreter,
+    # since this test process has loaded every module already)
+    result = subprocess.run(
+        [sys.executable, "-c", PARENT_MODULES], capture_output=True, text=True, env=src_env
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    checks = ("quantize", "groebner", "ncpoly", "invariants", "orbits", "sampling")
+    assert {f"orbitquant.{name}" for name in checks} <= loaded
