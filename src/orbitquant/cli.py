@@ -30,7 +30,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import CapacityError, CertificationError, DomainError, OrbitQuantError, StructuralError
+from .errors import CertificationError, DomainError, OrbitQuantError, StructuralError
 from .jsonio import as_fraction, float_to_str, frac_to_str, matrix_to_json, required
 
 
@@ -266,10 +266,6 @@ def cmd_sym(args) -> int:
     data = _load_input(args)
     algebra = _algebra(args.n)
     poly = MultiPoly.from_records(required(data, "polynomial"))
-    if args.cap_terms is not None and len(poly.flat) > args.cap_terms:
-        raise CapacityError(
-            f"input has {len(poly.flat)} terms, over --cap-terms {args.cap_terms}"
-        )
     result = symmetrize(algebra, poly)
     _write_output(args, {"terms": result.to_json()})
     return 0
@@ -326,7 +322,6 @@ OPTIONS = {
     "--input": dict(type=str, default=None, help="JSON input file or '-'"),
     "--output": dict(type=str, default=None, help="output file (default stdout)"),
     "--pretty": dict(action="store_true", help="human-readable report rendering"),
-    "--cap-terms": dict(type=int, default=None, help="term cap on the input polynomial"),
     "--perturb": dict(action="store_true",
                       help="inject a deliberate failure (reporting self-test)"),
     "--f": dict(type=str, default=None, help="inline JSON operand (with --g)"),
@@ -346,7 +341,7 @@ VERBS = {
     "orbit-ideal": (cmd_orbit_ideal, ("--n", "--lambdas")),
     "regularity": (cmd_regularity, ("--n", "--lambdas", "--seed", "--samples", "--input")),
     "pbw": (cmd_pbw, ("--n", "--input")),
-    "sym": (cmd_sym, ("--n", "--input", "--cap-terms")),
+    "sym": (cmd_sym, ("--n", "--input")),
     "star": (cmd_star, ("--n", "--lambdas", "--deg", "--input", "--f", "--g")),
     "verify": (cmd_verify, ("--n", "--deg", "--seed", "--samples", "--perturb", "--pretty")),
 }

@@ -3,11 +3,13 @@
 Matrices are plain lists of lists.  Generic routines (multiplication,
 determinant, adjugate, the 2x2 block assembler ``block``) work for any
 entries that support ring arithmetic, including MultiPoly;
-division-based routines (RREF, kernel, inverse) require Fraction
-entries.  Multiplication of int/Fraction factors runs over integer
-numerators: each factor is brought to integer rows over one
-denominator, and each output entry is one Fraction; MultiPoly and float
-entries keep the entrywise loop, so float products are bit-identical to it.
+division-based routines (RREF, kernel, inverse) require exact
+entries.  A matrix is exact (``is_exact``) when every entry's type is
+int or Fraction; a bool or a float entry is not exact.  Multiplication
+of exact factors runs over integer numerators: each factor is brought
+to integer rows over one denominator, and each output entry is one
+Fraction; MultiPoly and float entries keep the entrywise loop, so float
+products are bit-identical to it.
 
 The sparse RREF is the workhorse behind rank certificates, such as the
 rank of the invariance equations: rows are dictionaries column ->
@@ -36,11 +38,13 @@ def shape(m: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
+def identity(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int, zero=Fraction(0)) -> Matrix:
+def zeros(rows: int, cols: int) -> Matrix:
+    zero = Fraction(0)
     return [[zero for _ in range(cols)] for _ in range(rows)]
 
 
@@ -112,15 +116,10 @@ def _entry_types(*ms: Matrix) -> set:
     return {type(x) for m in ms for row in m for x in row}
 
 
-def _exact_by_type(*ms: Matrix) -> bool:
+def is_exact(*ms: Matrix) -> bool:
     """Whether every entry of the matrices is of type int or Fraction: the
     entries that multiply over integer numerators (bools and floats do not)."""
     return _entry_types(*ms) <= _EXACT_TYPES
-
-
-def is_exact(m: Matrix) -> bool:
-    """Whether every entry is an int or a Fraction."""
-    return all(isinstance(x, (Fraction, int)) for row in m for x in row)
 
 
 def _numerators(m: Matrix) -> tuple[list[list[int]], int]:
@@ -286,7 +285,8 @@ def adjugate(m: Matrix) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination.
+    """Exact inverse of an exact m (``is_exact``) by fraction-free
+    Gauss-Jordan elimination.
 
     m is written as N / d with N an integer matrix (``_numerators``), and
     ``_bareiss`` on [N | I] ends at [D I | D N^-1] with D = +-det(N), so
@@ -295,8 +295,6 @@ def inverse(m: Matrix) -> Matrix:
     rows, cols = shape(m)
     if rows != cols:
         raise StructuralError("inverse of a non-square matrix")
-    if not is_exact(m):
-        m = [[Fraction(x) for x in row] for row in m]
     nums, d = _numerators(m)
     a = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(nums)]
     pivot, _ = _bareiss(a)

@@ -198,7 +198,7 @@ def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
     """
     _check_sizes(p, elt.a)
     g, x, ginv = p.g, p.x, p.inverse
-    if la._exact_by_type(g, x, elt.a, elt.b):
+    if la.is_exact(g, x, elt.a, elt.b):
         (gn, dg), (gi, dgi), (an, da), (bn, db), (xn, dx) = map(
             la._numerators, (g, ginv, elt.a, elt.b, x)
         )
@@ -233,7 +233,7 @@ def coadjoint(p: GroupElement, pt: DualPoint) -> DualPoint:
     """
     _check_sizes(p, pt.a)
     g, x, ginv, gc = p.g, p.x, p.inverse, p.gcheck
-    if la._exact_by_type(g, x, pt.c, pt.a):
+    if la.is_exact(g, x, pt.c, pt.a):
         (gn, dg), (gi, dgi), (gcn, dgc), (cn, dc), (an, da), (xn, dx) = map(
             la._numerators, (g, ginv, gc, pt.c, pt.a, x)
         )
@@ -299,7 +299,7 @@ def pair_dual_algebra(pt: DualPoint, elt: LieElement) -> Fraction:
     a, c = pt.a, pt.c
     gl = [(a[j][i], v) for i, row in enumerate(elt.a) for j, v in enumerate(row) if v]
     sym = [(c[j][i], v) for i, row in enumerate(elt.b) for j, v in enumerate(row) if v]
-    if la._exact_by_type(gl, sym):
+    if la.is_exact(gl, sym):
         # one Fraction over the lcm of the products' denominators
         den = lcm(*(x.denominator * v.denominator for x, v in gl + sym))
         total = sum(
@@ -377,7 +377,7 @@ def lambda_block_matrix(n: int, lambdas) -> list[list]:
     k = n // 2
     if len(lambdas) != k:
         raise StructuralError(f"expected {k} block parameters, got {len(lambdas)}")
-    zero = Fraction(0) if all(isinstance(l, (Fraction, int)) for l in lambdas) else 0.0
+    zero = Fraction(0) if la.is_exact([lambdas]) else 0.0
     H = [[zero for _ in range(n)] for _ in range(n)]
     for i, lam in enumerate(lambdas):
         H[2 * i][2 * i + 1] = lam

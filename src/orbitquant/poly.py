@@ -89,22 +89,35 @@ class MonomialOrder:
     ``priority`` is a permutation of variable indices; priority[0] is the
     most significant variable.  ``kind`` is ``"grevlex"`` or ``"grlex"``.
     Both orders are total, multiplicative and well-founded, which is what
-    the division and completion algorithms require.
+    the division and completion algorithms require; so an unknown kind
+    or a priority that is not a permutation is a StructuralError where
+    the order is built, and a priority of another length than the
+    exponent where a key is asked for.
     """
 
     kind: str = "grevlex"
     priority: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("grevlex", "grlex"):
+            raise StructuralError(f"unknown monomial order kind {self.kind!r}")
+        if self.priority is not None and sorted(self.priority) != list(range(len(self.priority))):
+            raise StructuralError(f"priority {self.priority} is not a permutation of 0..n-1")
+
     def key(self, exponent: Exponent):
         """Sort key: max(key) picks the leading monomial."""
-        prio = self.priority if self.priority is not None else range(len(exponent))
-        reordered = [exponent[p] for p in prio]
+        if self.priority is None:
+            reordered = exponent
+        elif len(self.priority) != len(exponent):
+            raise StructuralError(
+                f"priority over {len(self.priority)} variables, exponent over {len(exponent)}"
+            )
+        else:
+            reordered = [exponent[p] for p in self.priority]
         degree = sum(exponent)
         if self.kind == "grevlex":
             return (degree, tuple(-e for e in reversed(reordered)))
-        if self.kind == "grlex":
-            return (degree, tuple(reordered))
-        raise StructuralError(f"unknown monomial order kind {self.kind!r}")
+        return (degree, tuple(reordered))
 
 
 GREVLEX = MonomialOrder("grevlex")

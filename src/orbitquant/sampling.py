@@ -15,8 +15,9 @@ from .orbits import DualPoint, GroupElement, coadjoint
 from .poly import MultiPoly
 
 
-def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3, max_den: int = 3) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
+    """A fraction with numerator in [lo, hi] and denominator in [1, 3]."""
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
 
 
 def random_sym_matrix(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> la.Matrix:
@@ -65,17 +66,11 @@ def random_orbit_sample(base: DualPoint, rng: random.Random) -> DualPoint:
     return coadjoint(random_group_element(base.n, rng), base)
 
 
-def random_polynomial(
-    variables,
-    rng: random.Random,
-    monomials,
-    max_terms: int = 5,
-    lo: int = -4,
-    hi: int = 4,
-) -> MultiPoly:
-    """Random polynomial supported on the supplied exponent tuples."""
+def random_polynomial(variables, rng: random.Random, monomials, max_terms: int = 5) -> MultiPoly:
+    """Random polynomial supported on the supplied exponent tuples, with
+    coefficient numerators in [-4, 4]."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exp = rng.choice(monomials)
-        terms[exp] = terms.get(exp, Fraction(0)) + random_fraction(rng, lo, hi)
+        terms[exp] = terms.get(exp, Fraction(0)) + random_fraction(rng, -4, 4)
     return MultiPoly(variables, terms)

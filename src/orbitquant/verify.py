@@ -6,8 +6,14 @@ are ordinary library code so tests exercise them directly; the CLI verb
 ``verify`` only assembles and serializes the result.  Each criterion is
 defined here once.  Criteria 10 and 11 are functions of an engine and an
 rng (``quotient_basis_torsion``, ``deformation_axioms``) that return the
-entry's status and details, so they run on any engine; their entries
-run them on the n = 2, lambda = 1 engine.
+entry's status and details, so they run on any engine and at any sample
+count.  Their entries, and the PBW entry, run at fixed sizes: on the
+n = 2, lambda = 1 engine (the algebra of n = 2 for PBW) and at fixed
+sample counts, with only the seed and the degree cap to set.
+
+The report's content hash (``content_hash``) leaves out
+``UNHASHED_KEYS``: the run times and the float normal-form residual, so
+every other value it hashes is exact, apart from the constant budgets.
 
 A check over sizes runs one function of n and an rng per size through
 ``_over_sizes``: the sizes share one seeded rng in order, each record is
@@ -53,9 +59,11 @@ from .errors import CapacityError, OrbitQuantError, StructuralError
 from .groebner import divide, standard_monomials
 from .hpoly import HPoly
 from .invariants import (
+    invariant_trace_power,
     membership_residual,
     no_invariants_certificate,
     orbit_ideal,
+    pfaffian_semiinvariant_value,
     regularity_check,
     semiinvariant_family,
     verify_semiinvariance,
@@ -173,36 +181,45 @@ def check_coadjoint(seed: int, ns=(2, 3), samples: int = 20) -> dict:
     )
 
 
-# the largest normal-form residual and block-parameter drift that pass
+# the largest normal-form residual that passes
 NORMAL_FORM_TOL = 1e-9
 
 
 def check_normal_form(seed: int, ns=(2, 3), samples: int = 20) -> dict:
+    """The float normal form's residual, and the exact orbit invariants of
+    each point against those of a coadjoint translate: the trace invariants
+    f_1..f_k, and for even n the sign of the Pfaffian semiinvariant P, whose
+    weight 1 - n scales it by a positive det(g)^(1 - n)."""
+
+    def invariants(pt):
+        return [invariant_trace_power(i, pt) for i in range(1, pt.n // 2 + 1)]
+
+    def pfaffian_sign(pt):
+        value = pfaffian_semiinvariant_value(pt)
+        return (value > 0) - (value < 0)
+
     def one(n, rng):
         worst_residual = 0.0
-        worst_drift = 0.0
+        traces, signs = 0, 0
         for _ in range(samples):
             pt = random_gplus_point(n, rng)
-            nf = normal_form(pt)
-            worst_residual = max(worst_residual, nf.residual)
+            worst_residual = max(worst_residual, normal_form(pt).residual)
             moved = random_orbit_sample(pt, rng)
-            nf2 = normal_form(moved)
-            drift = max(
-                (abs(x - y) for x, y in zip(nf.lambdas, nf2.lambdas)),
-                default=0.0,
-            )
-            worst_drift = max(worst_drift, drift)
-        record = {
-            "worst_residual": worst_residual,
-            "worst_lambda_drift": worst_drift,
-            "samples": samples,
-        }
-        return record, worst_residual < NORMAL_FORM_TOL and worst_drift < NORMAL_FORM_TOL
+            traces += int(invariants(pt) == invariants(moved))
+            if n % 2 == 0:
+                signs += int(pfaffian_sign(pt) == pfaffian_sign(moved))
+        counts = {"trace_invariants_agree": traces}
+        if n % 2 == 0:
+            counts["pfaffian_signs_agree"] = signs
+        record = {"worst_residual": worst_residual, **counts, "samples": samples}
+        agree = all(count == samples for count in counts.values())
+        return record, worst_residual < NORMAL_FORM_TOL and agree
 
     return _entry(
         "normal_form",
         "a witness group element carries every positive-definite point to (I, H); "
-        "block parameters are orbit invariants",
+        "the trace invariants, and for even n the sign of the Pfaffian, agree "
+        "exactly between a point and its coadjoint translate",
         partial(_over_sizes, seed, ns, one),
         budget_s=30.0,
     )
@@ -317,10 +334,12 @@ def check_orbit_ideal(seed: int, ns=(2, 3), samples: int = 20) -> dict:
     )
 
 
-def check_pbw(seed: int, n: int = 2, words: int = 30, triples: int = 50) -> dict:
+def check_pbw(seed: int) -> dict:
+    words, triples = 30, 50
+
     def run():
         rng = random.Random(seed)
-        basis, sc = build_lie_basis(n)
+        basis, sc = build_lie_basis(2)
         algebra = PBWAlgebra(basis, sc)
         letters = [NCPoly.letter(algebra, i) for i in range(basis.dim)]
         confluent = 0
@@ -443,13 +462,11 @@ def quotient_basis_torsion(
     return ("pass" if ok else "fail"), {"basis": basis, "torsion": torsion}
 
 
-def check_quotient_basis_torsion(
-    seed: int, n: int = 2, deg_cap: int = 6, samples: int = 50
-) -> dict:
+def check_quotient_basis_torsion(seed: int, deg_cap: int = 6) -> dict:
     def run():
-        engine = OrbitQuantization(n, [Fraction(1)], deg_cap=deg_cap)
+        engine = OrbitQuantization(2, [Fraction(1)], deg_cap=deg_cap)
         return quotient_basis_torsion(
-            engine, random.Random(seed), samples, max_degree=min(4, deg_cap - 1)
+            engine, random.Random(seed), samples=50, max_degree=min(4, deg_cap - 1)
         )
 
     return _entry(
@@ -565,12 +582,10 @@ def deformation_axioms(
     return ("pass" if ok else "fail"), details
 
 
-def check_deformation(
-    seed: int, n: int = 2, deg_cap: int = 6, pairs: int = 50, triples: int = 20
-) -> dict:
+def check_deformation(seed: int, deg_cap: int = 6) -> dict:
     def run():
-        engine = OrbitQuantization(n, [Fraction(1)], deg_cap=deg_cap)
-        return deformation_axioms(engine, random.Random(seed), pairs, triples)
+        engine = OrbitQuantization(2, [Fraction(1)], deg_cap=deg_cap)
+        return deformation_axioms(engine, random.Random(seed), random_pairs=50, triples=20)
 
     return _entry(
         "deformation_axioms",
@@ -716,12 +731,17 @@ def emit_report(checks: list[dict], **meta) -> dict:
     return report
 
 
-def content_hash(obj, exclude_keys: tuple[str, ...] = ("elapsed_s", "content_hash")) -> str:
-    """Stable sha256 over a JSON document, ignoring timing-style fields."""
+# the report keys that ``content_hash`` leaves out: the hash itself and
+# the measurements that vary from run to run or machine to machine
+UNHASHED_KEYS = ("elapsed_s", "content_hash", "worst_residual")
+
+
+def content_hash(obj) -> str:
+    """Stable sha256 over a JSON document, leaving out ``UNHASHED_KEYS``."""
 
     def strip(o):
         if isinstance(o, dict):
-            return {k: strip(v) for k, v in o.items() if k not in exclude_keys}
+            return {k: strip(v) for k, v in o.items() if k not in UNHASHED_KEYS}
         if isinstance(o, list):
             return [strip(v) for v in o]
         return o

@@ -9,11 +9,12 @@ can fail is shown in ``tests/test_verify.py``.  Run pytest with -s to see
 one line per criterion.
 """
 
+import copy
 import time
 
 import pytest
 
-from orbitquant.verify import build_report
+from orbitquant.verify import UNHASHED_KEYS, build_report, content_hash
 
 SEED = 7
 SAMPLES = 20
@@ -24,7 +25,7 @@ def per_n(ns, pinned):
 
 
 # the content hash of that report, as ``orbitquant verify`` prints it
-REFERENCE_N3 = "bb49b2f3ab05f6b76609cb1ff6c21a84d17495467f7ed6f83b0d8868ed1ef14a"
+REFERENCE_N3 = "3424f30d4275c97d18cc0d48919acf73638de099c4fc5feb746cfbf7044f53eb"
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,35 @@ def battery(report):
 
 def test_reference_report_hash(report):
     assert report["content_hash"] == REFERENCE_N3
+
+
+def hashed_floats(obj, path=()):
+    """(path, value) of each float the content hash reads."""
+    if isinstance(obj, dict):
+        return [
+            hit
+            for key, value in obj.items()
+            if key not in UNHASHED_KEYS
+            for hit in hashed_floats(value, path + (key,))
+        ]
+    if isinstance(obj, list):
+        return [hit for i, value in enumerate(obj) for hit in hashed_floats(value, path + (i,))]
+    return [(path, obj)] if isinstance(obj, float) else []
+
+
+def test_the_hash_reads_no_float_but_the_budgets(report):
+    floats = hashed_floats(report)
+    assert floats and all(path[-1] == "budget_s" for path, _ in floats)
+    # the float residual stays in the report, outside the hash; an exact
+    # invariant count is inside it
+    perturbed = copy.deepcopy(report)
+    check = next(c for c in perturbed["checks"] if c["name"] == "normal_form")
+    record = check["details"]["n=3"]
+    assert isinstance(record["worst_residual"], float)
+    record["worst_residual"] *= 2
+    assert content_hash(perturbed) == report["content_hash"]
+    record["trace_invariants_agree"] -= 1
+    assert content_hash(perturbed) != report["content_hash"]
 
 
 def pinned_part(actual, pinned):
@@ -73,9 +103,18 @@ def test_criterion_02_coadjoint_functoriality_duality(battery):
 
 
 def test_criterion_03_normal_form(battery):
-    details = accept(battery, "normal_form", 30, per_n((2, 3), {"samples": SAMPLES}))
+    # the exact invariants agree on every sample; the Pfaffian sign is an
+    # invariant for even n only
+    details = accept(battery, "normal_form", 30, {
+        "n=2": {
+            "samples": SAMPLES,
+            "trace_invariants_agree": SAMPLES,
+            "pfaffian_signs_agree": SAMPLES,
+        },
+        "n=3": {"samples": SAMPLES, "trace_invariants_agree": SAMPLES},
+    })
     for worst in details.values():
-        assert worst["worst_residual"] < 1e-9 and worst["worst_lambda_drift"] < 1e-9
+        assert worst["worst_residual"] < 1e-9
 
 
 def test_criterion_04_orbit_dimension(battery):

@@ -176,6 +176,166 @@ def test_scanner_flags_a_dead_definition():
     ]
 
 
+def callee_name(node: ast.AST) -> str | None:
+    """The name a call target is known by: a Name's id or an Attribute's attr."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def call_sites(tree: ast.AST) -> list[tuple[str, int | None, set | None]]:
+    """(callee, positional count, keyword names) of each call in the tree.
+
+    A ``*`` argument makes the positional count None (any count) and a
+    ``**`` argument the keyword names None (any name).  ``partial(f, ...)``
+    counts as a call of f with the arguments after it, and a call through a
+    local alias (``prepend = self._prepend``, also unpacked from a tuple)
+    as a call of the aliased name too.
+    """
+    aliases: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and callee_name(value):
+                        aliases.setdefault(name.id, set()).add(callee_name(value))
+    sites = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee, args = callee_name(node.func), node.args
+        if callee == "partial" and args:
+            callee, args = callee_name(args[0]), args[1:]
+        if callee is None:
+            continue
+        positional = None if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        keywords = {k.arg for k in node.keywords}
+        if None in keywords:
+            keywords = None
+        for name in {callee} | aliases.get(callee, set()):
+            sites.append((name, positional, keywords))
+    return sites
+
+
+def defaulted_parameters(tree: ast.AST):
+    """(line, called names, parameter, its index among the positional
+    arguments of a call or None for a keyword-only one) of each defaulted
+    parameter of a function or method in the tree.  A method's index
+    leaves out self or cls, and ``__init__`` is called by its class name."""
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                owners[child] = node.name
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {node.name}
+        bound = 0
+        if node in owners and "staticmethod" not in {callee_name(d) for d in node.decorator_list}:
+            bound = 1
+            if node.name == "__init__":
+                names.add(owners[node])
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index in range(first, len(positional)):
+            yield node.lineno, names, positional[index].arg, index - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.lineno, names, arg.arg, None
+
+
+def dead_parameters(sources: dict[str, str], defining, kept=frozenset()) -> list[str]:
+    """"label:line function(parameter)" for each defaulted parameter of a
+    function or method defined in the sources labelled in ``defining`` that
+    no call in any source passes, by keyword or by position; ``kept`` holds
+    the (function, parameter) pairs exempt as API."""
+    trees = {label: ast.parse(text) for label, text in sources.items()}
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for name, positional, keywords in call_sites(tree):
+            calls.setdefault(name, []).append((positional, keywords))
+    dead = []
+    for label in defining:
+        for line, names, param, index in defaulted_parameters(trees[label]):
+            if any((name, param) in kept for name in names):
+                continue
+            passed = any(
+                keywords is None
+                or param in keywords
+                or (index is not None and (positional is None or positional > index))
+                for name in names
+                for positional, keywords in calls.get(name, ())
+            )
+            if not passed:
+                dead.append(f"{label}:{line} {min(names)}({param})")
+    return sorted(dead, key=lambda entry: (entry.split(":")[0], int(entry.split(":")[1].split()[0])))
+
+
+# exported signatures kept as API though no call in the repository passes
+# these parameters
+KEPT_PARAMETERS = frozenset(
+    {
+        ("poly_normal_form", "order"),
+        ("poly_normal_form", "capacity"),
+        ("standard_monomials", "order"),
+    }
+)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    scanned = [
+        path
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in scanned}
+    package = [label for label in sources if label.startswith("src/orbitquant/")]
+    assert package
+    assert dead_parameters(sources, package, KEPT_PARAMETERS) == []
+
+
+def test_scanner_flags_a_dead_parameter():
+    package = (
+        "from functools import partial\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour=None):\n"
+        "        self.size = size\n"
+        "    def grow(self, by=1, *, twice=False):\n"
+        "        return by\n"
+        "def scale(x, factor=2, offset=0, dead=None):\n"
+        "    return x * factor + offset\n"
+        "def run():\n"
+        "    grow = Box(3).grow\n"
+        "    grow(2)\n"
+        "    return partial(scale, 1, offset=5)\n"
+    )
+    caller = "import package\npackage.scale(1, 3)\npackage.Box(colour='red').grow(twice=True)\n"
+    sources = {"package": package, "caller": caller}
+    assert dead_parameters(sources, ["package"]) == ["package:7 scale(dead)"]
+    # without the caller: the alias passes grow's `by` and partial passes
+    # `offset`
+    assert dead_parameters({"package": package}, ["package"]) == [
+        "package:3 Box(colour)",
+        "package:5 grow(twice)",
+        "package:7 scale(factor)",
+        "package:7 scale(dead)",
+    ]
+    assert dead_parameters({"package": package}, ["package"], {("scale", "dead")}) == [
+        "package:3 Box(colour)",
+        "package:5 grow(twice)",
+        "package:7 scale(factor)",
+    ]
+    # a call that forwards * and ** arguments may pass any parameter
+    forwarding = "def f(a=1, *, b=2):\n    pass\ndef g(*args, **kwargs):\n    return f(*args, **kwargs)\n"
+    assert dead_parameters({"m": forwarding}, ["m"]) == []
+
 
 LOAD_PROBE = """
 import json, runpy, sys

@@ -10,6 +10,7 @@ from orbitquant.errors import DomainError
 from orbitquant import linalg as la
 from orbitquant.invariants import symbolic_dual_matrices
 from orbitquant.lie import DualCoordinates, build_lie_basis
+from orbitquant.poly import MultiPoly
 
 
 def frac_matrix(rows):
@@ -228,6 +229,24 @@ def test_fraction_free_inverse_swaps_rows_and_rejects_singular_matrices():
         la.inverse([[Fraction(1, 2), 1], [1, 2]])
     with pytest.raises(DomainError):
         la.inverse([[0, 0], [0, 0]])
+
+
+def test_a_matrix_is_exact_when_every_entry_is_an_int_or_a_fraction():
+    x = MultiPoly.variable(("x",), 0)
+    table = [
+        ([[1, -2]], True),
+        ([[Fraction(1, 2)]], True),
+        ([[1, Fraction(1, 2)]], True),
+        ([[True, 1]], False),
+        ([[0.5, 1]], False),
+        ([[x, 1]], False),
+        ([[1, 2], [Fraction(1, 3), 2.0]], False),
+    ]
+    for matrix, exact in table:
+        assert la.is_exact(matrix) is exact, matrix
+    # several matrices are exact together when each is
+    assert la.is_exact([[1]], [[Fraction(2, 3)]], [])
+    assert not la.is_exact([[1]], [[False]])
 
 
 def test_sparse_rref_respects_column_order():

@@ -94,6 +94,18 @@ def test_hpoly_rejects_inexact_coefficients(build):
 # ------------------------------------------------------------------- PBW
 
 
+def test_text_form_names_letters_and_powers_of_h():
+    algebra, _ = make_algebra(2)
+    u = NCPoly(algebra, {
+        (0, 4): HPoly((Fraction(1), Fraction(-2), Fraction(1, 3))),
+        (): HPoly.of(Fraction(5)),
+        (2,): HPoly((Fraction(0), Fraction(0), Fraction(7))),
+    })
+    text = "(5)*1 + ((7)*h^2)*a21 + (1 + (-2)*h + (1/3)*h^2)*a11*b11"
+    assert str(u) == repr(u) == text
+    assert str(NCPoly(algebra, {})) == "0"
+
+
 def test_sorted_word_is_fixed():
     alg, _ = make_algebra(2)
     word = (0, 2, 2, 5)

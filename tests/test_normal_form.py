@@ -11,6 +11,7 @@ from orbitquant.errors import DomainError
 from orbitquant.orbits import (
     DualPoint,
     coadjoint,
+    is_positive_definite,
     lambda_block_matrix,
     normal_form,
 )
@@ -103,6 +104,21 @@ def test_rejects_non_positive_definite():
     c = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
     with pytest.raises(DomainError):
         normal_form(DualPoint(c, la.zeros(2, 2)))
+
+
+def test_a_float_point_takes_the_float_positivity_test():
+    # float entries are tested by a Cholesky factorization, not by the
+    # exact Sylvester minors, and give the exact point's parameters
+    rng = random.Random(41)
+    for n in (2, 3):
+        pt = random_gplus_point(n, rng)
+        floats = DualPoint(*([[float(v) for v in row] for row in m] for m in (pt.c, pt.a)))
+        assert is_positive_definite(floats.c)
+        assert normal_form(floats).lambdas == pytest.approx(normal_form(pt).lambdas, abs=1e-12)
+    c = [[1.0, 2.0], [2.0, 1.0]]  # symmetric, eigenvalues 3 and -1
+    assert not is_positive_definite(c)
+    with pytest.raises(DomainError, match="positive definite"):
+        normal_form(DualPoint(c, [[0.0, 0.0], [0.0, 0.0]]))
 
 
 def test_degenerate_spacing_flagged_non_regular():

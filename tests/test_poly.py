@@ -355,6 +355,21 @@ def test_priority_permutation_changes_leader():
     assert swapped.key(y) > swapped.key(x)
 
 
+def test_an_order_that_is_not_total_is_refused():
+    with pytest.raises(StructuralError, match="unknown monomial order kind 'lex'"):
+        MonomialOrder("lex")
+    # a repeated index ties x*y with x*z, so a Groebner basis would change
+    # with no error; a missing or out-of-range index is refused alike
+    for priority in [(0, 0, 0), (0, 2), (1, 2, 3), (0, 1, 1)]:
+        with pytest.raises(StructuralError, match="not a permutation"):
+            MonomialOrder("grevlex", priority)
+    # a priority over two variables would ignore the third
+    order = MonomialOrder("grlex", (1, 0))
+    with pytest.raises(StructuralError, match="priority over 2 variables, exponent over 3"):
+        order.key((0, 0, 1))
+    assert order.key((2, 1)) == (3, (1, 2))
+
+
 def test_diff_product_rule():
     rng = random.Random(19)
     for _ in range(20):

@@ -27,7 +27,7 @@ import pytest
 from orbitquant import verify
 from orbitquant.hpoly import HPoly
 from orbitquant.ncpoly import NCPoly
-from orbitquant.orbits import GroupElement
+from orbitquant.orbits import DualPoint, GroupElement
 from orbitquant.quantize import OrbitQuantization
 
 
@@ -56,6 +56,16 @@ def weights_off_by_one(honest):
         return dataclasses.replace(fam, weights=tuple(w + 1 for w in fam.weights))
 
     return family
+
+
+def off_orbit(honest):
+    # the translate with its a block doubled lies on another orbit: every
+    # trace invariant f_i scales by 4^i, and the rng draws stay in order
+    def sample(base, rng):
+        moved = honest(base, rng)
+        return DualPoint(moved.c, [[2 * v for v in row] for row in moved.a])
+
+    return sample
 
 
 def vanished_scalar(honest):
@@ -89,6 +99,8 @@ CASES = [
     ("normal_form", lambda: verify.check_normal_form(3, ns=(2,), samples=2),
      verify, "normal_form",
      lambda honest: lambda pt: dataclasses.replace(honest(pt), residual=1.0)),
+    ("normal_form", lambda: verify.check_normal_form(3, ns=(2,), samples=2),
+     verify, "random_orbit_sample", off_orbit),
     ("orbit_dimension", lambda: verify.check_orbit_dimension(ns=(2,)),
      verify, "orbit_dimension", lambda honest: lambda pt, basis: honest(pt, basis) - 1),
     # a fault at the first of two sizes fails the entry
@@ -102,16 +114,16 @@ CASES = [
     ("orbit_ideal", lambda: verify.check_orbit_ideal(5, ns=(2,), samples=2),
      verify, "membership_residual",
      lambda honest: lambda ideal, pt: [v + 1 for v in honest(ideal, pt)]),
-    ("pbw_engine", lambda: verify.check_pbw(6, words=5, triples=3),
+    ("pbw_engine", lambda: verify.check_pbw(6),
      NCPoly, "__mul__", reversed_product),
     ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(ns=(2,)),
      verify, "OrbitQuantization", vanished_scalar),
     ("symmetrized_generator_commutators", lambda: verify.check_generator_commutators(ns=(2,)),
      verify, "OrbitQuantization", doubled_scalar),
-    ("quotient_basis_torsion", lambda: verify.check_quotient_basis_torsion(8, samples=3),
+    ("quotient_basis_torsion", lambda: verify.check_quotient_basis_torsion(8),
      OrbitQuantization, "reduce",
      lambda honest: lambda self, u: honest(self, u) + NCPoly.unit(self.algebra)),
-    ("deformation_axioms", lambda: verify.check_deformation(9, deg_cap=4, pairs=2, triples=2),
+    ("deformation_axioms", lambda: verify.check_deformation(9, deg_cap=4),
      OrbitQuantization, "star", lambda honest: lambda self, f, g: honest(self, g, f)),
 ]
 
@@ -140,12 +152,28 @@ def test_pbw_check_compares_the_engine_product_with_rewriting(monkeypatch):
     # a reversed product is still associative; only the comparison of the
     # product of a word's letters with its rewritten form catches it
     monkeypatch.setattr(NCPoly, "__mul__", reversed_product(NCPoly.__mul__))
-    details = verify.check_pbw(6, words=5, triples=3)["details"]
+    details = verify.check_pbw(6)["details"]
     assert details["confluent_words"] < details["words"]
     assert details["associative_triples"] == details["triples"]
 
 
-REFERENCE_N2 = "aa7c6fb057e34042e2b8c63f3bef1cb8118bf1990621b7ff78312519ee36fbc5"
+def test_normal_form_check_compares_the_pfaffian_sign(monkeypatch):
+    # at n = 2 a translate with its a block negated keeps every trace
+    # invariant; only the sign of the Pfaffian tells its orbit apart
+    honest = verify.random_orbit_sample
+
+    def negated(base, rng):
+        moved = honest(base, rng)
+        return DualPoint(moved.c, [[-v for v in row] for row in moved.a])
+
+    monkeypatch.setattr(verify, "random_orbit_sample", negated)
+    entry = verify.check_normal_form(3, ns=(2,), samples=2)
+    assert entry["status"] == "fail"
+    assert entry["details"]["n=2"]["trace_invariants_agree"] == 2
+    assert entry["details"]["n=2"]["pfaffian_signs_agree"] == 0
+
+
+REFERENCE_N2 = "11985b6063222b0e7eb7796367e84462b5ecde3052ce73c293ee129fb1bed9d6"
 FORK = "fork" in multiprocessing.get_all_start_methods()
 POOL = FORK and verify._usable_cpus() >= 2
 
