@@ -101,8 +101,11 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind not in ("grevlex", "grlex"):
             raise StructuralError(f"unknown monomial order kind {self.kind!r}")
-        if self.priority is not None and sorted(self.priority) != list(range(len(self.priority))):
-            raise StructuralError(f"priority {self.priority} is not a permutation of 0..n-1")
+        prio = self.priority
+        if prio is not None and (
+            any(type(p) is not int for p in prio) or sorted(prio) != list(range(len(prio)))
+        ):
+            raise StructuralError(f"priority {prio} is not a permutation of 0..n-1")
 
     def key(self, exponent: Exponent):
         """Sort key: max(key) picks the leading monomial."""

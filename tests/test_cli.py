@@ -774,13 +774,12 @@ def test_each_verb_refuses_the_options_it_does_not_read(capsys, verb):
     capsys.readouterr()
 
 
-def test_sym_takes_no_term_cap(capsys, tmp_path):
-    # the verbs share 11 options over 50 slots; --cap-terms is gone
+def test_sym_takes_no_term_cap(capsys):
+    # the verbs share 11 options over 50 slots (each verb's own and
+    # --output); --cap-terms is gone, so it is a usage error
     assert len(OPTIONS) == 11
     assert sum(len(reads) + 1 for _, reads in VERBS.values()) == 50
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"polynomial": {"variables": ["xa11"], "terms": []}}))
-    assert main(["sym", "--n", "1", "--input", str(path), "--cap-terms", "5"]) == 2
+    assert main(["sym", "--n", "1", "--cap-terms", "5"]) == 2
     capsys.readouterr()
 
 

@@ -134,7 +134,9 @@ def dead_definitions(sources: dict[str, str], defining) -> list[str]:
     return dead
 
 
-def test_every_package_definition_is_named_outside_itself():
+def repository_sources() -> tuple[dict[str, str], list[str]]:
+    """The text of every Python file in src/, tests/ and perfbench/ by its
+    path from the root, and the paths of the package's modules."""
     scanned = [
         path
         for folder in ("src", "tests", "perfbench")
@@ -143,6 +145,11 @@ def test_every_package_definition_is_named_outside_itself():
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in scanned}
     package = [label for label in sources if label.startswith("src/orbitquant/")]
     assert package
+    return sources, package
+
+
+def test_every_package_definition_is_named_outside_itself():
+    sources, package = repository_sources()
     assert dead_definitions(sources, package) == []
 
 
@@ -225,22 +232,24 @@ def call_sites(tree: ast.AST) -> list[tuple[str, int | None, set | None]]:
 def defaulted_parameters(tree: ast.AST):
     """(line, called names, parameter, its index among the positional
     arguments of a call or None for a keyword-only one) of each defaulted
-    parameter of a function or method in the tree.  A method's index
-    leaves out self or cls, and ``__init__`` is called by its class name."""
+    parameter of a function or method in the tree, in line order.  A
+    method's index leaves out self or cls, and ``__init__`` is called by
+    its class name, which comes first among its names."""
     owners = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 owners[child] = node.name
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        names = {node.name}
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for node in sorted(functions, key=lambda node: node.lineno):
+        names = (node.name,)
         bound = 0
         if node in owners and "staticmethod" not in {callee_name(d) for d in node.decorator_list}:
             bound = 1
             if node.name == "__init__":
-                names.add(owners[node])
+                names = (owners[node], node.name)
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
@@ -274,8 +283,8 @@ def dead_parameters(sources: dict[str, str], defining, kept=frozenset()) -> list
                 for positional, keywords in calls.get(name, ())
             )
             if not passed:
-                dead.append(f"{label}:{line} {min(names)}({param})")
-    return sorted(dead, key=lambda entry: (entry.split(":")[0], int(entry.split(":")[1].split()[0])))
+                dead.append(f"{label}:{line} {names[0]}({param})")
+    return dead
 
 
 # exported signatures kept as API though no call in the repository passes
@@ -290,14 +299,7 @@ KEPT_PARAMETERS = frozenset(
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    scanned = [
-        path
-        for folder in ("src", "tests", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
-    sources = {str(path.relative_to(ROOT)): path.read_text() for path in scanned}
-    package = [label for label in sources if label.startswith("src/orbitquant/")]
-    assert package
+    sources, package = repository_sources()
     assert dead_parameters(sources, package, KEPT_PARAMETERS) == []
 
 

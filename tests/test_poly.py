@@ -359,8 +359,8 @@ def test_an_order_that_is_not_total_is_refused():
     with pytest.raises(StructuralError, match="unknown monomial order kind 'lex'"):
         MonomialOrder("lex")
     # a repeated index ties x*y with x*z, so a Groebner basis would change
-    # with no error; a missing or out-of-range index is refused alike
-    for priority in [(0, 0, 0), (0, 2), (1, 2, 3), (0, 1, 1)]:
+    # with no error; a missing, out-of-range or non-int index is refused alike
+    for priority in [(0, 0, 0), (0, 2), (1, 2, 3), (0, 1, 1), (0.0, 1.0), (False, True)]:
         with pytest.raises(StructuralError, match="not a permutation"):
             MonomialOrder("grevlex", priority)
     # a priority over two variables would ignore the third
