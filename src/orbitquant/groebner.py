@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add
 
@@ -71,6 +72,13 @@ def divide(
     non-Groebner divisor set the remainder may depend on the reduction
     path; passing ``rng`` randomizes divisor choice, which tests use to
     exercise exactly that (non-)dependence.
+
+    Each step takes the leading term of the work from a max-heap of the
+    keys of its live terms (a min-heap of ``MonomialOrder.heap_key``): a
+    key is pushed when its exponent enters the work, and a popped exponent
+    that has left it, cancelled or already taken, is skipped.  The order
+    is total, so the steps take the terms in the order of a scan for the
+    largest live key, at one key per term that enters the work.
     """
     if not divisors:
         raise StructuralError("division requires at least one divisor")
@@ -86,10 +94,15 @@ def divide(
     # quotient term needs; each remainder term keeps the den it was taken at
     den = p.den
     work = dict(p.flat)
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
     remainder: dict[Exponent, tuple[int, int]] = {}
-    while work:
-        exp = max(work, key=order.key)
-        c = work.pop(exp)
+    while heap:
+        exp = heappop(heap)[1]
+        c = work.pop(exp, None)
+        if c is None:
+            continue
         candidates = [i for i, lexp in enumerate(leads) if exponent_divides(lexp, exp)]
         if not candidates:
             remainder[exp] = (c, den)
@@ -106,8 +119,11 @@ def divide(
         get = work.get
         for dexp, dc in tail.items():
             target = tuple(map(add, dexp, factor))
-            new = get(target, 0) + m * dc
-            if new:
+            old = get(target)
+            if old is None:
+                work[target] = m * dc
+                heappush(heap, (heap_key(target), target))
+            elif new := old + m * dc:
                 work[target] = new
             else:
                 del work[target]

@@ -142,7 +142,8 @@ class StructureConstants:
     is a StructuralError.  The one bracket table is ``brackets[i][j]``,
     [X_i, X_j] as ((k, c), ...) for every ordered pair; ``cartan_rows[e]``
     is (c_0, ..., c_(dim-1)) when [X_e, X_j] = c_j X_j for every j (a
-    Cartan letter), else None.
+    Cartan letter), else None; ``bracketing[j]`` is ((i, [X_i, X_j]), ...)
+    over the letters i, in order, whose bracket with X_j is nonzero.
     """
 
     def __init__(self, dim: int, table: dict[tuple[int, int], dict[int, int]]):
@@ -160,6 +161,9 @@ class StructureConstants:
             if all(not b or (len(b) == 1 and b[0][0] == j) for j, b in enumerate(row))
             else None
             for row in self.brackets
+        ]
+        self.bracketing: list[tuple] = [
+            tuple((i, row[j]) for i, row in enumerate(self.brackets) if row[j]) for j in range(dim)
         ]
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int]:

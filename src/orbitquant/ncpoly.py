@@ -85,8 +85,11 @@ Phys. 7, 1983).  For a = b + e_l, l the smallest letter of x^a, d = |a|,
 
 with Bernoulli numbers B_k and Q_k the commutative polynomials of
 iterated brackets that ``symmetrize`` states.  It runs in integers on
-W(a) = d! Sym(x^a), memoized over monomials, so each monomial costs one
-letter prepend plus its lower-degree correction monomials.
+W(a) = d! Sym(x^a), memoized over monomials, each packed into one int,
+so each monomial costs one letter prepend plus its lower-degree
+correction monomials.  Each gradient step reads, for a term e_j (x) x^m,
+only the letters i whose bracket with e_j is nonzero
+(``StructureConstants.bracketing``).
 
 Letters are checked where they enter (``checked_word``): each is an int,
 not a bool, in range.
@@ -647,6 +650,10 @@ def exponent_of_word(word: Word, dim: int) -> tuple[int, ...]:
 
 
 SYMMETRIZER_DEGREE_CAP = 8
+# inside ``symmetrize`` an exponent is one int, entry i in its i-th byte,
+# which holds any entry up to the degree cap
+_SLOT = 8
+_SLOT_MASK = 0xFF
 
 
 def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
@@ -661,16 +668,20 @@ def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
 _BERNOULLI = bernoulli_numbers(SYMMETRIZER_DEGREE_CAP - 1)
 
 
-def _ad_gradient(grad: dict, brackets: list) -> dict:
+def _ad_gradient(grad: dict, rows: list) -> dict:
     """sum_i (ad_{e_i} (x) d/dx_i) G for a g-valued polynomial G given as
-    {(letter j, exponent m): int} (the term e_j (x) x^m), over the bracket
-    table ``StructureConstants.brackets``; may hold zero coefficients."""
+    {(letter j, packed exponent m): int} (the term e_j (x) x^m), over
+    ``rows[j]``: (slot shift, unit exponent, [e_i, e_j]) for each letter i
+    whose bracket with e_j is nonzero (``StructureConstants.bracketing``);
+    may hold zero coefficients."""
+    mask = _SLOT_MASK
     out: dict = {}
     for (j, m), c in grad.items():
-        for i, mi in enumerate(m):
-            if mi and brackets[i][j]:
-                lower, scale = m[:i] + (mi - 1,) + m[i + 1 :], c * mi
-                for t, v in brackets[i][j]:
+        for shift, unit, bracket in rows[j]:
+            mi = (m >> shift) & mask
+            if mi:
+                lower, scale = m - unit, c * mi
+                for t, v in bracket:
                     key = (t, lower)
                     out[key] = out.get(key, 0) + scale * v
     return out
@@ -687,21 +698,27 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
 
     with Bernoulli numbers B_k (B_1 = -1/2), Q_k = sum_j x_j G_k[j], and
     g-valued polynomials G_0 = e_l (x) x^b, G_k = sum_i (ad_{e_i} (x) d/dx_i)
-    G_(k-1) over the bracket table.  Odd B_k from B_3 on vanish, but G_k
-    is still stepped through them, up to the first G_k without terms:
-    every later one is then empty too.  In integers, W(a) = d! Sym(x^a)
-    satisfies
+    G_(k-1) over the bracket table; a term e_j (x) x^m of G_(k-1) reads
+    only the letters i with [e_i, e_j] != 0 (``_ad_gradient``).  Odd B_k
+    from B_3 on vanish, but G_k is still stepped through them, up to the
+    first G_k without terms: every later one is then empty too.  In
+    integers, W(a) = d! Sym(x^a) satisfies
 
-        W(a) = d X_l W(b) - sum_k C(d, k) B_k h^k sum_e q_e W(e),
+        W(a) = X_l (d W(b)) - sum_k C(d, k) B_k h^k sum_e q_e W(e),
 
-    summed times L, the lcm of the Bernoulli denominators, and divided by
-    L exactly; a remainder raises CertificationError naming x^a.  W is
-    memoized per call over monomials, so each monomial costs one letter
-    prepend onto W(b) plus its correction monomials.  The polynomial must
-    lie over the algebra's coordinates (``PBWAlgebra.variables``, in
-    letter order; StructuralError otherwise).  Degree is capped: a
-    monomial of degree more than ``SYMMETRIZER_DEGREE_CAP`` raises
-    CapacityError before any work is done.
+    with each q_e of degree d - k, summed times L, the lcm of the
+    Bernoulli denominators, and divided by L exactly; a remainder raises
+    CertificationError naming x^a.  W is memoized per call over
+    monomials, each with its degree passed down the recursion, so each
+    monomial costs one letter prepend onto d W(b) plus its correction
+    monomials.  Inside the recursion and the gradient a monomial is one
+    int, its entry i in its i-th byte, so x^b and the q_e are one
+    subtraction and one addition away from their monomials.
+    The polynomial must lie over the algebra's coordinates
+    (``PBWAlgebra.variables``, in letter order; StructuralError
+    otherwise).  Degree is capped: a monomial of degree more than
+    ``SYMMETRIZER_DEGREE_CAP`` raises CapacityError before any work is
+    done, which also keeps every entry within its slot.
     """
     if not isinstance(poly, MultiPoly):
         raise StructuralError("symmetrize expects a commutative polynomial")
@@ -717,22 +734,27 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
     big_l = lcm(*(b.denominator for b in _BERNOULLI))
     # L B_k as ints, 0 where B_k vanishes
     scaled = [b.numerator * (big_l // b.denominator) for b in _BERNOULLI]
-    brackets = algebra.sc.brackets
-    memo: dict[tuple[int, ...], WordTerms] = {(0,) * algebra.dim: {0: 1}}
+    units = [1 << _SLOT * i for i in range(algebra.dim)]
+    rows = [
+        tuple((_SLOT * i, units[i], bracket) for i, bracket in row) for row in algebra.sc.bracketing
+    ]
+    memo: dict[int, WordTerms] = {0: {0: 1}}
 
-    def factorial_sym(exp: tuple[int, ...]) -> WordTerms:
-        """W(exp) = |exp|! Sym(x^exp), words of degree |exp|."""
+    def factorial_sym(exp: int, d: int) -> WordTerms:
+        """W(exp) = d! Sym(x^exp), words of degree d = |exp|, for a packed
+        exponent."""
         cached = memo.get(exp)
         if cached is not None:
             return cached
-        d = sum(exp)
-        l = next(i for i, count in enumerate(exp) if count)
-        b = exp[:l] + (exp[l] - 1,) + exp[l + 1 :]
-        # L times the correction sum_k C(d, k) B_k h^k sum_e q_e W(e)
+        # the smallest letter: the slot of the lowest set bit
+        l = ((exp & -exp).bit_length() - 1) // _SLOT
+        b = exp - units[l]
+        # L times the correction sum_k C(d, k) B_k h^k sum_e q_e W(e), each
+        # q_e of degree d - k
         correction: WordTerms = {}
         grad = {(l, b): 1}  # G_0
         for k in range(1, d):
-            grad = _ad_gradient(grad, brackets)
+            grad = _ad_gradient(grad, rows)
             if not grad:
                 break
             if not scaled[k]:
@@ -740,21 +762,20 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
             q: dict = {}
             for (j, m), c in grad.items():
                 if c:
-                    e = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                    e = m + units[j]
                     q[e] = q.get(e, 0) + c
             factor = comb(d, k) * scaled[k]
             for e, c in q.items():
                 if c:
                     c *= factor
-                    for v, w in factorial_sym(e).items():
+                    for v, w in factorial_sym(e, d - k).items():
                         correction[v] = correction.get(v, 0) + c * w
-        acc = algebra._prepend(l, factorial_sym(b).items())
-        for v, c in acc.items():
-            acc[v] = d * c
+        acc = algebra._prepend(l, [(v, d * c) for v, c in factorial_sym(b, d - 1).items()])
         for v, c in correction.items():
             whole, rest = divmod(c, big_l)
             if rest:
-                witness = MultiPoly.monomial(algebra.variables, exp)
+                entries = tuple(exp.to_bytes(algebra.dim, "little"))
+                witness = MultiPoly.monomial(algebra.variables, entries)
                 raise CertificationError(f"{d}! Sym({witness}) is not integral")
             acc[v] = acc.get(v, 0) - whole
         memo[exp] = acc = {v: c for v, c in acc.items() if c}
@@ -766,5 +787,9 @@ def symmetrize(algebra: PBWAlgebra, poly) -> NCPoly:
     flat: dict[tuple[int, int], int] = {}
     for exp, c in poly.flat.items():
         d = sum(exp)
-        _add_scaled(flat, factorial_sym(exp), d, ((0, c * (scale // factorial(d))),), algebra.shift)
+        packed = int.from_bytes(bytes(exp), "little")
+        _add_scaled(flat, factorial_sym(packed, d), d, ((0, c * (scale // factorial(d))),), algebra.shift)
+    # factorial_sym refers to itself through its closure; breaking that cycle
+    # frees the memo here instead of at the next collection of the cyclic GC
+    del factorial_sym
     return NCPoly._trusted(algebra, flat, poly.den * scale)

@@ -122,6 +122,12 @@ class MonomialOrder:
             return (degree, tuple(-e for e in reversed(reordered)))
         return (degree, tuple(reordered))
 
+    def heap_key(self, exponent: Exponent):
+        """``key`` with every entry negated: the least heap key is the
+        leading monomial, so a min-heap (``heapq``) pops in descending order."""
+        degree, rest = self.key(exponent)
+        return (-degree, tuple(-e for e in rest))
+
 
 GREVLEX = MonomialOrder("grevlex")
 

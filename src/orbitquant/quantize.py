@@ -6,16 +6,16 @@ symmetrized generator g only costs a scalar (the quantum shadow of
 semiinvariance), so the two-sided ideal is the left ideal of g.  The
 letters with that property form a Lie subalgebra on which the scalar is
 linear in the brackets, so the weight table (``weight_row``) rewrites
-only the Cartan letters and the letters that no bracket of known letters
-determines (5 of the 12 others at n = 3), reads the rest off the bracket
-relations by the Jacobi identity, and checks the finished row against
-every relation.  Each letter is certified along one path
-(``commutator_weight``): [X_e, -] raises the degree of every term by
-one and h is not a zero divisor, so the scalar of a homogeneous
-generator is F = t h with t rational, read off any term of the
-commutator, and the whole commutator is then compared with t h g term
-for term.  The row is worked out on the rationals t.  In a
-PBW algebra, a domain of solvable type, one element is a left Groebner
+the Cartan letters and then, one at a time, the letter from which the
+bracket relations derive the most others (4 of the 12 others at n = 3),
+reads the rest off the bracket relations by the Jacobi identity, and
+checks the finished row against every relation.  Each letter is
+certified along one path (``commutator_weight``): [X_e, -] raises the
+degree of every term by one and h is not a zero divisor, so the scalar
+of a homogeneous generator is F = t h with t rational, read off any term
+of the commutator, and the whole commutator is then compared with t h g
+term for term.  The row is worked out on the rationals t.  In a PBW
+algebra, a domain of solvable type, one element is a left Groebner
 basis of the left ideal it generates (Kandri-Rody and Weispfenning,
 J. Symbolic Comput. 9, 1990; Levandovskyy, PhD thesis, Kaiserslautern,
 2005).  With terms h^p X^w ordered by length plus h power, then length,
@@ -156,10 +156,10 @@ def commutator_weight(algebra: PBWAlgebra, sym_gen: NCPoly, letter: int) -> HPol
     """The scalar F with [X_letter, sym_gen] = F * sym_gen, certified.
 
     The per-letter primitive: ``weight_row`` runs it on the Cartan letters
-    and on the letters it cannot derive from others by brackets.  Every
-    letter takes one path.  The commutator comes from
-    ``PBWAlgebra._commutator`` over the generator's suffix plan, which is
-    the one place that knows Cartan letters, through word weights.
+    and on the letters it picks to certify.  Every letter takes one path.
+    The commutator comes from ``PBWAlgebra._commutator`` over the
+    generator's suffix plan, which is the one place that knows Cartan
+    letters, through word weights.
     [X_letter, -] raises the degree of every term by one and h is not a
     zero divisor, so on a homogeneous generator g a nonzero F is t h with
     t rational.  t is read off any term h^p X^w of the commutator against
@@ -207,14 +207,17 @@ def weight_row(algebra: PBWAlgebra, sym_gen: NCPoly) -> list[HPoly]:
 
         t_e = -(1/c_ab^e) sum_{k != e} c_ab^k t_k.
 
-    The Cartan letters are certified first (``commutator_weight``).  Every
-    other letter, in letter order, is derived from the first bracket of
-    two known letters in which it is the only unknown letter, or certified
-    by ``commutator_weight`` when there is none: at n = 3 that certifies
-    a12, a13, a21, a31 and b11 and derives the other seven.  The finished
-    row is checked against every bracket relation sum_k c_ab^k t_k = 0,
-    a < b, skipping zero weights; a relation that fails, as it does when a
-    certified weight is wrong, raises CertificationError.
+    The Cartan letters are certified first (``commutator_weight``), and
+    every letter that a bracket of two known letters names as its only
+    unknown letter is derived, to a fixpoint.  While a letter is unknown,
+    the next one certified is the one after which the bracket relations
+    derive the most letters, the first in letter order among equals; the
+    pick reads only the bracket table, on letter sets held as bitmasks.
+    At n = 3 that certifies a11, a22, a33, then a12, b22, a31 and a23,
+    and derives the other eight.  The finished row is checked against
+    every bracket relation sum_k c_ab^k t_k = 0, a < b, skipping zero
+    weights; a relation that fails, as it does when a certified weight is
+    wrong, raises CertificationError.
     """
     sc = algebra.sc
     dim = sc.dim
@@ -223,30 +226,58 @@ def weight_row(algebra: PBWAlgebra, sym_gen: NCPoly) -> list[HPoly]:
         for e, weights in enumerate(sc.cartan_rows)
     ]
     # (a, b, [X_a, X_b]) over a < b with a nonzero bracket, and under each
-    # letter the relations its bracket terms name
-    relations = [
-        (a, b, bracket)
-        for a, brackets in enumerate(sc.brackets)
-        for b in range(a + 1, dim)
-        if (bracket := brackets[b])
-    ]
-    containing: list[list[tuple]] = [[] for _ in range(dim)]
-    for relation in relations:
-        for k, _ in relation[2]:
-            containing[k].append(relation)
-    for e in range(dim):
-        if row[e] is not None:
-            continue
-        for a, b, bracket in containing[e]:
-            if row[a] is not None and row[b] is not None and all(
-                row[k] is not None for k, _ in bracket if k != e
-            ):
-                total = sum(c * row[k] for k, c in bracket if k != e and row[k])
-                c_e = next(c for k, c in bracket if k == e)
-                row[e] = -Fraction(total, c_e) if total else 0
-                break
-        else:
-            row[e] = commutator_weight(algebra, sym_gen, e).coefficient(1) or 0
+    # letter the relations that name it and can derive a letter other
+    # than a and b, as (letters a and b, letters of the bracket, bracket)
+    # with the letter sets as bitmasks
+    relations = []
+    naming: list[list[tuple]] = [[] for _ in range(dim)]
+    for a, brackets in enumerate(sc.brackets):
+        for b in range(a + 1, dim):
+            bracket = brackets[b]
+            if bracket:
+                relations.append((a, b, bracket))
+                pair, letters = 1 << a | 1 << b, 0
+                for k, _ in bracket:
+                    letters |= 1 << k
+                if letters & ~pair:
+                    masked = (pair, letters, bracket)
+                    naming[a].append(masked)
+                    naming[b].append(masked)
+                    for k, _ in bracket:
+                        naming[k].append(masked)
+
+    def derive(known: int, new: list[int]) -> tuple[int, list]:
+        """The letters known once the letters ``new`` join the closed set
+        ``known``, to a fixpoint, and the derivations in the order made, as
+        (letter, bracket).  A relation can only come to derive a letter
+        when a letter it names becomes known, so only those are read."""
+        pending = list(new)
+        for e in new:
+            known |= 1 << e
+        steps = []
+        while pending:
+            for pair, letters, bracket in naming[pending.pop()]:
+                unknown = letters & ~known
+                if unknown and not unknown & (unknown - 1) and not pair & ~known:
+                    e = unknown.bit_length() - 1
+                    known |= unknown
+                    steps.append((e, bracket))
+                    pending.append(e)
+        return known, steps
+
+    known, steps = derive(0, [e for e, t in enumerate(row) if t is not None])
+    while True:
+        for e, bracket in steps:
+            total = sum(c * row[k] for k, c in bracket if k != e and row[k])
+            c_e = next(c for k, c in bracket if k == e)
+            row[e] = -Fraction(total, c_e) if total else 0
+        unknown = [e for e in range(dim) if not known >> e & 1]
+        if not unknown:
+            break
+        # max keeps the first of equal counts: the lowest letter
+        e = max(unknown, key=lambda x: derive(known, [x])[0].bit_count())
+        row[e] = commutator_weight(algebra, sym_gen, e).coefficient(1) or 0
+        known, steps = derive(known, [e])
     for a, b, bracket in relations:
         if sum(c * row[k] for k, c in bracket if row[k]):
             raise CertificationError(

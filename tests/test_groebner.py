@@ -1,11 +1,19 @@
-"""Division, Buchberger completion and standard monomials."""
+"""Division, Buchberger completion and standard monomials.
+
+``scan_divide`` is the division the package used before its heap: each
+step scans the whole work for its largest key.  It is quadratic in the
+work, but it shares no ordering code with ``divide`` and serves as its
+oracle here.
+"""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from operator import add
 
 import pytest
 
+from orbitquant import groebner
 from orbitquant.errors import CapacityError, StructuralError
 from orbitquant.groebner import (
     Capacity,
@@ -14,7 +22,14 @@ from orbitquant.groebner import (
     poly_normal_form,
     standard_monomials,
 )
-from orbitquant.poly import GREVLEX, MonomialOrder, MultiPoly
+from orbitquant.poly import (
+    GREVLEX,
+    MonomialOrder,
+    MultiPoly,
+    _lowest_terms,
+    exponent_div,
+    exponent_divides,
+)
 
 
 XY = ("x", "y")
@@ -298,3 +313,123 @@ def test_a_principal_basis_scans_its_generator_once(monkeypatch):
     lead, lc = MultiPoly(g.variables, g.terms).leading()
     assert basis == [g * (1 / lc)]
     assert basis[0].leading() == (lead, Fraction(1))
+
+
+def scan_divide(p, divisors, order=GREVLEX, rng=None):
+    """The remainder of ``p`` by ``divisors``, each step's leading term
+    found by a scan of the whole work."""
+    leads = [d.leading(order)[0] for d in divisors]
+    tails = [
+        _lowest_terms({e: -c for e, c in d.flat.items() if e != lexp}, d.flat[lexp])
+        for d, lexp in zip(divisors, leads)
+    ]
+    den = p.den
+    work = dict(p.flat)
+    remainder = {}
+    while work:
+        exp = max(work, key=order.key)
+        c = work.pop(exp)
+        candidates = [i for i, lexp in enumerate(leads) if exponent_divides(lexp, exp)]
+        if not candidates:
+            remainder[exp] = (c, den)
+            continue
+        idx = candidates[0] if rng is None else rng.choice(candidates)
+        tail, t = tails[idx]
+        g = gcd(c, t)
+        if g != t:
+            den *= t // g
+            work = {e: v * (t // g) for e, v in work.items()}
+        m = c // g
+        factor = exponent_div(exp, leads[idx])
+        get = work.get
+        for dexp, dc in tail.items():
+            target = tuple(map(add, dexp, factor))
+            new = get(target, 0) + m * dc
+            if new:
+                work[target] = new
+            else:
+                del work[target]
+    flat = {e: c * (den // d) for e, (c, d) in remainder.items()}
+    return MultiPoly._trusted(p.variables, flat, den)
+
+
+XYZ = ("x", "y", "z")
+
+
+def seeded_division(seed: int) -> tuple[MultiPoly, list[MultiPoly]]:
+    """A dividend of up to 12 terms and one to three divisors of two to
+    four terms over x, y, z, with rational coefficients: divisor sets that
+    are mostly not Groebner bases, on which some terms cancel."""
+    rng = random.Random(seed)
+
+    def poly(terms: int, degree: int) -> MultiPoly:
+        out = {}
+        for _ in range(terms):
+            exp = [0, 0, 0]
+            for _ in range(rng.randint(0, degree)):
+                exp[rng.randrange(3)] += 1
+            out[tuple(exp)] = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        return MultiPoly(XYZ, out)
+
+    divisors = [poly(rng.randint(2, 4), 3) for _ in range(rng.randint(1, 3))]
+    return poly(12, 7), divisors
+
+
+DIVISION_ORDERS = [GREVLEX, MonomialOrder("grlex", (2, 0, 1))]
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=["grevlex", "grlex-prioritized"])
+@pytest.mark.parametrize("path", ["first divisor", "rng"])
+def test_heap_division_matches_the_scan(order, path):
+    # the same remainder, terms in the same order, and on the rng path the
+    # same divisor choices: both take the steps in one order
+    for seed in range(60):
+        p, divisors = seeded_division(seed)
+        rngs = (None, None) if path == "first divisor" else (random.Random(seed), random.Random(seed))
+        fast = divide(p, divisors, order, rngs[0])
+        slow = scan_divide(p, divisors, order, rngs[1])
+        assert (list(fast.flat.items()), fast.den) == (list(slow.flat.items()), slow.den)
+
+
+def counted_steps(monkeypatch) -> list:
+    """The division steps from here on, one ``exponent_div`` call each."""
+    steps = []
+    honest = groebner.exponent_div
+    monkeypatch.setattr(groebner, "exponent_div", lambda a, b: steps.append(a) or honest(a, b))
+    return steps
+
+
+def key_bound(p: MultiPoly, divisors: list[MultiPoly], steps: int) -> int:
+    """The terms that enter the work of a division: p's, and at most one
+    divisor tail per step."""
+    return len(p.flat) + steps * max(len(d.flat) - 1 for d in divisors)
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=["grevlex", "grlex-prioritized"])
+def test_a_division_reads_one_key_per_term_that_enters_its_work(order, monkeypatch):
+    # a scan for the largest key reads every live term at every step; the
+    # heap reads one key per term that enters the work
+    for seed in range(20):
+        p, divisors = seeded_division(seed)
+        for d in divisors:
+            d.leading(order)
+        steps = counted_steps(monkeypatch)
+        keys = _counting_keys(monkeypatch)
+        divide(p, divisors, order)
+        assert len(keys) <= key_bound(p, divisors, len(steps))
+        monkeypatch.undo()
+
+
+def test_the_n4_trace_generator_divides_by_det_c_in_one_key_per_term(monkeypatch):
+    # h_1 at n = 4 (10,626 terms) is a multiple of det(c): the scan read a
+    # key per live term per step, about 12 s of keys on a 2-vCPU machine
+    from orbitquant.invariants import semiinvariant_family, symbolic_dual_matrices
+
+    family = semiinvariant_family(4)
+    h1 = family.generators[0]
+    det_c = symbolic_dual_matrices(family.coords)[3]
+    det_c.leading()
+    steps = counted_steps(monkeypatch)
+    keys = _counting_keys(monkeypatch)
+    assert divide(h1, [det_c]).is_zero()
+    assert len(h1.flat) == 10_626 and len(keys) <= key_bound(h1, [det_c], len(steps))
