@@ -15,20 +15,20 @@ numeric ``ad_star`` applies it to numbers, and the tests apply it to
 symbolic entries to check the Lie-Poisson bracket that the invariant
 certificate of ``invariants`` reads.
 
-Everything is exact on Fraction inputs, and the matrix products run over
-integer numerators (``linalg.mat_mul``).  On int/Fraction entries the
-adjoint and coadjoint actions and the trace pairing go further: every
-product and sum of one output runs over integer numerators, with one
-Fraction per output entry; float and mixed inputs keep the generic
-matrix operations.  A group element computes g^{-1}
-and gcheck once, on first use, and keeps them (``GroupElement.inverse``
-and ``.gcheck``); the actions, the group inverse and the embedding read
-them, so acting on many points or basis elements inverts g once.  The
-trace pairing of a dual point with an algebra element is read off the
-element's nonzero entries.  Only the orbit normal form uses floating
-point (Cholesky and a real Schur decomposition), with explicit residual
-and regularity tolerances; numpy and scipy are imported by the float
-branches on first use, so exact work never loads them.
+Group elements, dual points and algebra elements refuse a block with an
+entry that is not an int or a Fraction (StructuralError), so each action
+has one exact path: the group law and the embedding multiply over integer
+numerators (``linalg.mat_mul``), and in the adjoint and coadjoint actions
+and the trace pairing every product and sum of one output does, with one
+Fraction per output entry.  A group element computes g^{-1} and gcheck
+once, on first use, and keeps them (``GroupElement.inverse`` and
+``.gcheck``); the actions, the group inverse and the embedding read them,
+so acting on many points or basis elements inverts g once.  The trace
+pairing reads the algebra element's nonzero entries.  Only the orbit
+normal form uses floating point (Cholesky and a real Schur
+decomposition), with explicit residual and regularity tolerances; its
+moves, witness and transport stay inside ``normal_form``, which alone
+imports numpy and scipy, on first use.
 """
 
 from __future__ import annotations
@@ -37,54 +37,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg as la
 from .errors import DomainError, StructuralError
 from .jsonio import required, square_matrix
-from .lie import ZERO, DualCoordinates, LieBasis
+from .lie import DualCoordinates, LieBasis
 
 
-def _det(m):
-    if la.is_exact(m):
-        return la.det(m)
-    import numpy as np
-
-    return float(np.linalg.det(np.asarray(m, dtype=float)))
-
-
-def _inv(m):
-    if la.is_exact(m):
-        return la.inverse(m)
-    import numpy as np
-
-    return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
-
-
-# the relative asymmetry a float block may carry and still count as symmetric
-SYMMETRY_TOL = 1e-9
 # the relative gap between block parameters, and from zero, of a regular point
 REGULARITY_GAP = 1e-6
 
 
-def _check_symmetric(m, what: str):
-    rows, cols = la.shape(m)
+def _check_blocks(sym: la.Matrix, other: la.Matrix, first: str, second: str):
+    """The entry check of a pair of blocks: both of int/Fraction entries,
+    square and of one size, the first symmetric."""
+    if not la.is_exact(sym, other):
+        raise StructuralError(f"{first} and {second} must have int or Fraction entries")
+    rows, cols = la.shape(sym)
     if rows != cols:
-        raise StructuralError(f"{what} must be square")
-    if la.is_exact(m):
-        if not la.is_symmetric(m):
-            raise DomainError(f"{what} must be symmetric")
-    else:
-        import numpy as np
-
-        arr = np.asarray(m, dtype=float)
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * scale:
-            raise DomainError(f"{what} must be symmetric")
+        raise StructuralError(f"{first} block must be square")
+    if not la.is_symmetric(sym):
+        raise DomainError(f"{first} block must be symmetric")
+    if la.shape(other) != (rows, cols):
+        raise StructuralError(f"{first} and {second} must have the same size")
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A pair (x, g), x symmetric, det(g) > 0.
+    """A pair (x, g) of exact blocks, x symmetric, det(g) > 0.
 
     ``inverse`` and ``gcheck`` are kept once computed, so x, g and the
     matrices these return are read-only.
@@ -94,12 +75,8 @@ class GroupElement:
     g: la.Matrix
 
     def __post_init__(self):
-        _check_symmetric(self.x, "x block")
-        rg, cg = la.shape(self.g)
-        if (rg, cg) != la.shape(self.x):
-            raise StructuralError("x and g must have the same size")
-        d = _det(self.g)
-        if not d > 0:
+        _check_blocks(self.x, self.g, "x", "g")
+        if not la.det(self.g) > 0:
             # the value is left out: an exact det can have too many digits to write
             raise DomainError("det(g) must be positive")
 
@@ -117,25 +94,23 @@ class GroupElement:
     @cached_property
     def inverse(self) -> la.Matrix:
         """g^{-1}."""
-        return _inv(self.g)
+        return la.inverse(self.g)
 
     @cached_property
     def gcheck(self) -> la.Matrix:
         """The contragredient (g^t)^{-1}."""
-        return _inv(la.transpose(self.g))
+        return la.inverse(la.transpose(self.g))
 
 
 @dataclass(frozen=True)
 class DualPoint:
-    """A dual-space point (c, a) with c symmetric."""
+    """A dual-space point (c, a) of exact blocks, c symmetric."""
 
     c: la.Matrix
     a: la.Matrix
 
     def __post_init__(self):
-        _check_symmetric(self.c, "c block")
-        if la.shape(self.a) != la.shape(self.c):
-            raise StructuralError("c and a must have the same size")
+        _check_blocks(self.c, self.a, "c", "a")
 
     @classmethod
     def from_json(cls, data, n: int | None = None) -> "DualPoint":
@@ -152,15 +127,13 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class LieElement:
-    """An algebra element (b, a) with b symmetric (block (a  b; 0  -a^t))."""
+    """An algebra element (b, a) of exact blocks, b symmetric (block (a  b; 0  -a^t))."""
 
     b: la.Matrix
     a: la.Matrix
 
     def __post_init__(self):
-        _check_symmetric(self.b, "b block")
-        if la.shape(self.a) != la.shape(self.b):
-            raise StructuralError("b and a must have the same size")
+        _check_blocks(self.b, self.a, "b", "a")
 
     @classmethod
     def from_json(cls, data) -> "LieElement":
@@ -192,68 +165,50 @@ def embed_sp(p: GroupElement) -> la.Matrix:
 def adjoint(p: GroupElement, elt: LieElement) -> LieElement:
     """Ad(x,g)(b,a) = (g b g^t - {g a g^-1 x + (g a g^-1 x)^t}, g a g^-1).
 
-    On int/Fraction entries every product and sum runs over integer
-    numerators, with one Fraction per output entry; any other entries go
-    through the generic matrix operations.
+    Every product and sum runs over integer numerators, with one Fraction
+    per output entry.
     """
     _check_sizes(p, elt.a)
     g, x, ginv = p.g, p.x, p.inverse
-    if la.is_exact(g, x, elt.a, elt.b):
-        (gn, dg), (gi, dgi), (an, da), (bn, db), (xn, dx) = map(
-            la._numerators, (g, ginv, elt.a, elt.b, x)
-        )
-        # a' = a_num / d_a, g a g^-1 x = m / (d_a dx), g b g^t = b_num / d_b
-        a_num = _int_mul(gn, an, gi)
-        m = _int_mul(a_num, xn)
-        b_num = _int_mul(gn, bn, la.transpose(gn))
-        d_a, d_b = dg * da * dgi, dg * dg * db
-        d_m = d_a * dx
-        n = len(g)
-        b_new = [
-            [Fraction(b_num[i][j] * d_m - (m[i][j] + m[j][i]) * d_b, d_b * d_m) for j in range(n)]
-            for i in range(n)
-        ]
-        return LieElement(b_new, [[Fraction(v, d_a) for v in row] for row in a_num])
-    a_new = la.mat_mul(la.mat_mul(g, elt.a), ginv)
-    gax = la.mat_mul(a_new, x)
-    b_new = la.mat_sub(
-        la.mat_mul(la.mat_mul(g, elt.b), la.transpose(g)),
-        la.mat_add(gax, la.transpose(gax)),
+    (gn, dg), (gi, dgi), (an, da), (bn, db), (xn, dx) = map(
+        la._numerators, (g, ginv, elt.a, elt.b, x)
     )
-    return LieElement(b_new, a_new)
+    # a' = a_num / d_a, g a g^-1 x = m / (d_a dx), g b g^t = b_num / d_b
+    a_num = _int_mul(gn, an, gi)
+    m = _int_mul(a_num, xn)
+    b_num = _int_mul(gn, bn, la.transpose(gn))
+    d_a, d_b = dg * da * dgi, dg * dg * db
+    d_m = d_a * dx
+    n = len(g)
+    b_new = [
+        [Fraction(b_num[i][j] * d_m - (m[i][j] + m[j][i]) * d_b, d_b * d_m) for j in range(n)]
+        for i in range(n)
+    ]
+    return LieElement(b_new, [[Fraction(v, d_a) for v in row] for row in a_num])
 
 
 def coadjoint(p: GroupElement, pt: DualPoint) -> DualPoint:
     """Ad*(x,g)(c,a) = (gcheck c g^-1, g a g^-1 + x gcheck c g^-1).
 
-    On int/Fraction entries every product and sum runs over integer
-    numerators, with one Fraction per output entry; any other entries,
-    such as the float witness of ``normal_form``, go through the generic
-    matrix operations.
+    Every product and sum runs over integer numerators, with one Fraction
+    per output entry.
     """
     _check_sizes(p, pt.a)
     g, x, ginv, gc = p.g, p.x, p.inverse, p.gcheck
-    if la.is_exact(g, x, pt.c, pt.a):
-        (gn, dg), (gi, dgi), (gcn, dgc), (cn, dc), (an, da), (xn, dx) = map(
-            la._numerators, (g, ginv, gc, pt.c, pt.a, x)
-        )
-        # c' = c_num / d_c, g a g^-1 = a_num / d_a, x c' = xc / (dx d_c)
-        c_num = _int_mul(gcn, cn, gi)
-        a_num = _int_mul(gn, an, gi)
-        xc = _int_mul(xn, c_num)
-        d_c, d_a = dgc * dc * dgi, dg * da * dgi
-        d_xc = dx * d_c
-        c_new = [[Fraction(v, d_c) for v in row] for row in c_num]
-        a_new = [
-            [Fraction(u * d_xc + v * d_a, d_a * d_xc) for u, v in zip(ra, rx)]
-            for ra, rx in zip(a_num, xc)
-        ]
-        return DualPoint(c_new, a_new)
-    c_new = la.mat_mul(la.mat_mul(gc, pt.c), ginv)
-    a_new = la.mat_add(
-        la.mat_mul(la.mat_mul(g, pt.a), ginv),
-        la.mat_mul(x, c_new),
+    (gn, dg), (gi, dgi), (gcn, dgc), (cn, dc), (an, da), (xn, dx) = map(
+        la._numerators, (g, ginv, gc, pt.c, pt.a, x)
     )
+    # c' = c_num / d_c, g a g^-1 = a_num / d_a, x c' = xc / (dx d_c)
+    c_num = _int_mul(gcn, cn, gi)
+    a_num = _int_mul(gn, an, gi)
+    xc = _int_mul(xn, c_num)
+    d_c, d_a = dgc * dc * dgi, dg * da * dgi
+    d_xc = dx * d_c
+    c_new = [[Fraction(v, d_c) for v in row] for row in c_num]
+    a_new = [
+        [Fraction(u * d_xc + v * d_a, d_a * d_xc) for u, v in zip(ra, rx)]
+        for ra, rx in zip(a_num, xc)
+    ]
     return DualPoint(c_new, a_new)
 
 
@@ -299,16 +254,14 @@ def pair_dual_algebra(pt: DualPoint, elt: LieElement) -> Fraction:
     a, c = pt.a, pt.c
     gl = [(a[j][i], v) for i, row in enumerate(elt.a) for j, v in enumerate(row) if v]
     sym = [(c[j][i], v) for i, row in enumerate(elt.b) for j, v in enumerate(row) if v]
-    if la.is_exact(gl, sym):
-        # one Fraction over the lcm of the products' denominators
-        den = lcm(*(x.denominator * v.denominator for x, v in gl + sym))
-        total = sum(
-            weight * x.numerator * v.numerator * (den // (x.denominator * v.denominator))
-            for weight, pairs in ((2, gl), (1, sym))
-            for x, v in pairs
-        )
-        return Fraction(total, den)
-    return 2 * sum((x * v for x, v in gl), ZERO) + sum((x * v for x, v in sym), ZERO)
+    # one Fraction over the lcm of the products' denominators
+    den = lcm(*(x.denominator * v.denominator for x, v in gl + sym))
+    total = sum(
+        weight * x.numerator * v.numerator * (den // (x.denominator * v.denominator))
+        for weight, pairs in ((2, gl), (1, sym))
+        for x, v in pairs
+    )
+    return Fraction(total, den)
 
 
 def basis_lie_element(basis: LieBasis, i: int) -> LieElement:
@@ -329,21 +282,18 @@ def orbit_dimension(pt: DualPoint, basis: LieBasis) -> int:
 
 
 def is_positive_definite(c: la.Matrix) -> bool:
-    """Exact Sylvester criterion for Fraction input, Cholesky for floats."""
-    if la.is_exact(c) and la.is_symmetric(c):
-        n = len(c)
-        for k in range(1, n + 1):
-            minor = [row[:k] for row in c[:k]]
-            if la.det(minor) <= 0:
-                return False
-        return True
-    import numpy as np
+    """Exact Sylvester criterion: c is symmetric and its leading principal
+    minors are positive."""
+    return la.is_symmetric(c) and all(
+        la.det([row[:k] for row in c[:k]]) > 0 for k in range(1, len(c) + 1)
+    )
 
-    try:
-        np.linalg.cholesky(np.asarray(c, dtype=float))
-        return True
-    except np.linalg.LinAlgError:
-        return False
+
+class Witness(NamedTuple):
+    """A float move (x, g): not a ``GroupElement``, which is exact."""
+
+    x: list[list[float]]
+    g: list[list[float]]
 
 
 @dataclass(frozen=True)
@@ -354,12 +304,13 @@ class NormalForm:
     by decreasing |l_i|, plus a zero row/column when n is odd.  For odd n
     every l_i is nonnegative.  For even n the last parameter carries the
     sign of the Pfaffian of the skew part: no positive-determinant move
-    can flip it, and the sign is itself an orbit invariant.
+    can flip it, and the sign is itself an orbit invariant.  ``witness``
+    carries the input to (I, H) up to ``residual``, the largest entry error.
     """
 
     lambdas: tuple[float, ...]
     H: tuple[tuple[float, ...], ...]
-    witness: GroupElement
+    witness: Witness
     residual: float
     regular: bool
 
@@ -394,9 +345,9 @@ def normal_form(pt: DualPoint) -> NormalForm:
        (real Schur form), sorts blocks by decreasing |l| and normalizes
        signs into the (0  l; -l  0) convention.
 
-    Each step is a group element, so their composition is a witness
-    carrying the input to its normal form; the residual of that transport
-    is computed and stored.  Raises DomainError when c is not positive
+    Their composition by the group law, (0, r)(x, I)(0, g) = (r x r^t, r g)
+    in floats, is the witness; the residual of its coadjoint transport of
+    the input is stored.  Raises DomainError when c is not positive
     definite, and when the point is out of floating-point range: an entry
     or a move that is not finite, or a c whose float image has no Cholesky
     factor.
@@ -419,7 +370,6 @@ def normal_form(pt: DualPoint) -> NormalForm:
     except np.linalg.LinAlgError:
         raise DomainError("c block has no float Cholesky factor") from None
     g1 = L.T  # then g1^t g1 = c
-    p1 = GroupElement(np.zeros((n, n)).tolist(), g1.tolist())
     a1 = g1 @ a @ np.linalg.inv(g1)
 
     # move 2: remove the symmetric part
@@ -427,7 +377,6 @@ def normal_form(pt: DualPoint) -> NormalForm:
     s = (a1 - a1.T) / 2.0
     if not (np.isfinite(x2).all() and np.isfinite(s).all()):
         raise DomainError("the point's normal form is out of floating-point range")
-    p2 = GroupElement(x2.tolist(), np.eye(n).tolist())
 
     # move 3: special orthogonal block diagonalization of the skew part
     T, Z = scipy.linalg.schur(s, output="real")
@@ -477,14 +426,20 @@ def normal_form(pt: DualPoint) -> NormalForm:
             k = len(lambdas)
             r[[2 * k - 2, 2 * k - 1], :] = r[[2 * k - 1, 2 * k - 2], :]
             lambdas[-1] = -lambdas[-1]
-    p3 = GroupElement(np.zeros((n, n)).tolist(), r.tolist())
 
-    witness = group_multiply(p3, group_multiply(p2, p1))
+    # the witness, and Ad*(x,g)(c,a) = (gcheck c g^-1, g a g^-1 + x gcheck c g^-1)
+    rows = r.tolist()
+    rx = la.mat_mul(la.mat_mul(rows, x2.tolist()), la.transpose(rows))
+    x = [[v + 0.0 for v in row] for row in rx]  # each zero as 0.0, not -0.0
+    g = la.mat_mul(rows, g1.tolist())
+    ginv = np.linalg.inv(np.asarray(g)).tolist()
+    gcheck = np.linalg.inv(np.asarray(g).T).tolist()
+    c_moved = la.mat_mul(la.mat_mul(gcheck, c.tolist()), ginv)
+    a_moved = la.mat_add(la.mat_mul(la.mat_mul(g, a.tolist()), ginv), la.mat_mul(x, c_moved))
     H = lambda_block_matrix(n, lambdas)
-    moved = coadjoint(witness, pt)
     residual = max(
-        float(np.abs(np.asarray(moved.c, dtype=float) - np.eye(n)).max()),
-        float(np.abs(np.asarray(moved.a, dtype=float) - np.asarray(H, dtype=float)).max()),
+        float(np.abs(np.asarray(c_moved) - np.eye(n)).max()),
+        float(np.abs(np.asarray(a_moved) - np.asarray(H, dtype=float)).max()),
     )
 
     abs_sorted = [abs(l) for l in lambdas]
@@ -498,7 +453,7 @@ def normal_form(pt: DualPoint) -> NormalForm:
     return NormalForm(
         lambdas=tuple(lambdas),
         H=tuple(tuple(row) for row in H),
-        witness=witness,
+        witness=Witness(x, g),
         residual=residual,
         regular=regular,
     )

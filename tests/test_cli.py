@@ -75,6 +75,9 @@ def test_normal_form_trivial_point(capsys, tmp_path):
     assert abs(float(doc["lambdas"][0]) - 1.0) < 1e-9
     assert float(doc["residual"]) < 1e-9
     assert doc["regular"] is True
+    # the point has no symmetric part to remove: the witness's x is zero,
+    # written "0", never "-0"
+    assert doc["witness"]["x"] == [["0", "0"], ["0", "0"]]
 
 
 def test_normal_form_rejects_bad_point(capsys, tmp_path):

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from orbitquant import linalg as la
-from orbitquant.errors import DomainError
+from orbitquant.errors import DomainError, StructuralError
 from orbitquant.orbits import (
     DualPoint,
     coadjoint,
-    is_positive_definite,
     lambda_block_matrix,
     normal_form,
 )
@@ -42,13 +41,21 @@ def test_shear_removes_symmetric_part():
 @pytest.mark.parametrize("n", [2, 3])
 def test_witness_transport_residual(n):
     rng = random.Random(21)
-    for _ in range(20):
-        pt = random_gplus_point(n, rng)
+    points = [random_gplus_point(n, rng) for _ in range(20)]
+    # c = 10^-220 I: at n = 3 det(c) is below float range, though c and
+    # every move are not
+    tiny = la.mat_scale(la.identity(n), Fraction(1, 10**220))
+    points.append(DualPoint(tiny, [[Fraction(i - j) for j in range(n)] for i in range(n)]))
+    for pt in points:
         nf = normal_form(pt)
         assert nf.residual < TOL
-        moved = coadjoint(nf.witness, pt)
-        assert np.abs(np.asarray(moved.c, float) - np.eye(n)).max() < TOL
-        assert np.abs(np.asarray(moved.a, float) - np.asarray(nf.H, float)).max() < TOL
+        # Ad*(x, g)(c, a) = (g^-t c g^-1, g a g^-1 + x g^-t c g^-1), in numpy
+        x, g = np.asarray(nf.witness.x), np.asarray(nf.witness.g)
+        ginv = np.linalg.inv(g)
+        c = ginv.T @ np.asarray(pt.c, float) @ ginv
+        a = g @ np.asarray(pt.a, float) @ ginv + x @ c
+        assert np.abs(c - np.eye(n)).max() < TOL
+        assert np.abs(a - np.asarray(nf.H, float)).max() < TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -106,19 +113,14 @@ def test_rejects_non_positive_definite():
         normal_form(DualPoint(c, la.zeros(2, 2)))
 
 
-def test_a_float_point_takes_the_float_positivity_test():
-    # float entries are tested by a Cholesky factorization, not by the
-    # exact Sylvester minors, and give the exact point's parameters
+def test_a_float_point_is_refused():
+    # the normal form reads exact points only: float entries are refused
+    # where the point is built, before any positivity test
     rng = random.Random(41)
     for n in (2, 3):
         pt = random_gplus_point(n, rng)
-        floats = DualPoint(*([[float(v) for v in row] for row in m] for m in (pt.c, pt.a)))
-        assert is_positive_definite(floats.c)
-        assert normal_form(floats).lambdas == pytest.approx(normal_form(pt).lambdas, abs=1e-12)
-    c = [[1.0, 2.0], [2.0, 1.0]]  # symmetric, eigenvalues 3 and -1
-    assert not is_positive_definite(c)
-    with pytest.raises(DomainError, match="positive definite"):
-        normal_form(DualPoint(c, [[0.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(StructuralError, match="must have int or Fraction entries"):
+            DualPoint(*([[float(v) for v in row] for row in m] for m in (pt.c, pt.a)))
 
 
 def test_degenerate_spacing_flagged_non_regular():
