@@ -35,7 +35,6 @@ _EXPORTS = {
     "SemiinvariantFamily": "invariants",
     "no_invariants_certificate": "invariants",
     "orbit_ideal": "invariants",
-    "orbit_ideal_from_normal_form": "invariants",
     "pfaffian": "invariants",
     "regularity_check": "invariants",
     "semiinvariant_family": "invariants",

@@ -47,7 +47,7 @@ class HPoly:
 
     @classmethod
     def h(cls, power: int = 1, coeff=Fraction(1)) -> "HPoly":
-        return cls((Fraction(0),) * power + (coeff,))
+        return cls((Fraction(0),) * checked_h_power(power) + (coeff,))
 
     # -- structure ------------------------------------------------------
 
@@ -135,6 +135,14 @@ class HPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def checked_h_power(k) -> int:
+    """k itself if it is an int >= 0, the only powers of h; StructuralError
+    otherwise, where a negative k would drop or misplace a coefficient."""
+    if type(k) is not int or k < 0:
+        raise StructuralError(f"a power of h is an int >= 0, not {k!r}")
+    return k
 
 
 def _coerce(value) -> HPoly:

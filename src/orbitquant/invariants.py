@@ -10,13 +10,15 @@ polynomial semiinvariants
 
 of weight -4i.  For even n there is additionally a Pfaffian semiinvariant
 P = Pf(K), K = (a adj(c) - adj(c) a^t) / 2, of weight 1 - n, whose
-square joins the trace family in cutting out regular orbits:
+square joins the trace family in cutting out regular orbits.  One rule
+turns each family generator g of stated weight w into an orbit generator:
+f = g for even w, f = g g of weight 2w for odd w, alpha = f(I, H) at the
+orbit's normal form, where det(c) = 1, and, det(c) having weight -2,
 
-    trace type:    p_i = h_i - alpha_i det(c)^(2i)
-    Pfaffian type: p_k = P^2 - alpha_k det(c)^(2k-1)
+    f - alpha det(c)^e,   e = -weight(f) / 2,
 
-with alpha constants read off the orbit's normal form.  Neither T nor K
-is formed for h_1 or P.  Both come from the skew matrix
+so h_i - alpha_i det(c)^(2i) and P^2 - alpha_k det(c)^(2k-1).  Neither
+T nor K is formed for h_1 or P.  Both come from the skew matrix
 N = c a - (c a)^t, whose entries have degree 2 where T's have degree
 n + 1, through three polynomial identities (c symmetric, n = 2k):
 
@@ -47,7 +49,7 @@ from math import comb
 from . import linalg as la
 from .errors import CapacityError, DomainError, StructuralError
 from .lie import DualCoordinates, build_lie_basis
-from .orbits import DualPoint, NormalForm
+from .orbits import DualPoint, lambda_block_matrix
 from .poly import MultiPoly, monomials_up_to_degree, sum_of_products
 
 
@@ -256,11 +258,18 @@ def semiinvariant_family(n: int, coords: DualCoordinates | None = None) -> Semii
 
     Every generator is built from (c, a, adj(c), det(c)) without forming
     K: each h_i by ``trace_semiinvariant`` and P by
-    ``pfaffian_semiinvariant``.  Only h_i for i >= 2 (n >= 5) forms
-    T = N adj(c) and its even power traces.
+    ``pfaffian_semiinvariant``.  n = 5 is the first size whose family
+    needs an h_i with i >= 2, which forms T = N adj(c) and its even power
+    traces; n >= 5 is a CapacityError before any polynomial is built.
     """
     if n < 2:
         raise StructuralError("semiinvariants need n >= 2")
+    if n >= 5:
+        # unbounded, n = 5 was killed after about 10 minutes on an 8 GB machine
+        raise CapacityError(
+            f"the symbolic semiinvariant family stops at n = 4: n = {n} needs h_2, and at "
+            "n = 5 its build raised MemoryError after 97 s of CPU under a 2.5 GB limit"
+        )
     if coords is None:
         basis, _ = build_lie_basis(n)
         coords = DualCoordinates(basis)
@@ -348,10 +357,9 @@ def verify_semiinvariance(
 class OrbitIdeal:
     """Generators cutting out a regular orbit, with their constants.
 
-    ``alphas[i]`` is the constant value the corresponding invariant takes
-    on the orbit and ``det_exponents[i]`` the power of det(c) clearing it
-    into a polynomial: trace type h_i - alpha_i det(c)^(2i); Pfaffian
-    type P^2 - alpha_k det(c)^(2k-1).
+    ``alphas[i]`` is the value the i-th generator's semiinvariant f takes
+    at the normal form and ``det_exponents[i]`` the power e of det(c) in
+    f - alpha det(c)^e (see ``orbit_ideal``).
     """
 
     n: int
@@ -370,8 +378,6 @@ class OrbitIdeal:
         return [[g.diff(j) for j in range(nvars)] for g in self.generators]
 
     def normal_form_point(self) -> DualPoint:
-        from .orbits import lambda_block_matrix
-
         H = lambda_block_matrix(self.n, list(self.lambdas))
         return DualPoint(la.identity(self.n), H)
 
@@ -387,9 +393,11 @@ def regular_lambdas(lambdas) -> bool:
 def orbit_ideal(lambdas, family: SemiinvariantFamily) -> OrbitIdeal:
     """Build the orbit ideal for exact block parameters.
 
-    The alphas are the values the cleared invariants take on the normal
-    form (I, H): trace type tr((2H)^(2i)) = 2 (-1)^i 4^i sum_j l_j^(2i),
-    Pfaffian type (prod_j l_j)^2.
+    One rule over the family's generators g and stated weights w: f = g
+    for even w and f = g g, of weight 2w, for odd w (the Pfaffian at even
+    n); alpha = f(I, H), the value f takes at the normal form, where
+    det(c) = 1; and, det(c) having weight -2, the generator is
+    f - alpha det(c)^e with e = -weight(f) / 2.
     """
     lambdas = tuple(Fraction(l) for l in lambdas)
     n, k = family.n, family.k
@@ -398,51 +406,26 @@ def orbit_ideal(lambdas, family: SemiinvariantFamily) -> OrbitIdeal:
     if not regular_lambdas(lambdas):
         raise DomainError("orbit ideal requires a regular point: distinct nonzero parameters")
 
-    alphas: list[Fraction] = []
-    exponents: list[int] = []
-    generators: list[MultiPoly] = []
-    for m, kind in enumerate(family.kinds):
-        if kind == "trace":
-            i = m + 1
-            alpha = Fraction(2) * (-1) ** i * Fraction(4) ** i * sum(
-                l ** (2 * i) for l in lambdas
-            )
-            exponent = 2 * i
-            gen = family.generators[m] - family.det_poly**exponent * alpha
-        else:
-            alpha = Fraction(1)
-            for l in lambdas:
-                alpha *= l
-            alpha = alpha * alpha
-            exponent = 2 * k - 1
-            p = family.generators[m]
-            gen = p * p - family.det_poly**exponent * alpha
-        alphas.append(alpha)
-        exponents.append(exponent)
-        generators.append(gen)
-
+    at_normal_form = family.coords.coords_of_point(la.identity(n), lambda_block_matrix(n, lambdas))
+    rows = []
+    for g, weight in zip(family.generators, family.weights):
+        f, alpha = g, g.evaluate(at_normal_form)
+        if weight % 2:
+            # g * g, not g ** 2, which ends with one more product by the constant 1
+            f, weight, alpha = g * g, 2 * weight, alpha * alpha
+        exponent = -weight // 2
+        rows.append((alpha, exponent, f - family.det_poly**exponent * alpha))
+    alphas, exponents, generators = zip(*rows)
     return OrbitIdeal(
         n=n,
         k=k,
         lambdas=lambdas,
-        alphas=tuple(alphas),
-        det_exponents=tuple(exponents),
+        alphas=alphas,
+        det_exponents=exponents,
         kinds=family.kinds,
-        generators=tuple(generators),
+        generators=generators,
         family=family,
     )
-
-
-def orbit_ideal_from_normal_form(nf: NormalForm, family: SemiinvariantFamily) -> OrbitIdeal:
-    """Orbit ideal at the exact rational values of a numeric normal form.
-
-    Floats convert exactly to Fractions, so downstream variety checks on
-    translates of the induced (I, H) remain exact; only the relation back
-    to the original point carries the normal form's numeric tolerance.
-    """
-    if not nf.regular:
-        raise DomainError("normal form is not regular")
-    return orbit_ideal([Fraction(l) for l in nf.lambdas], family)
 
 
 def membership_residual(ideal: OrbitIdeal, pt: DualPoint) -> list[Fraction]:

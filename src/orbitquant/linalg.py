@@ -156,6 +156,8 @@ def trace(m: Matrix):
     rows, cols = shape(m)
     if rows != cols:
         raise StructuralError("trace of a non-square matrix")
+    if rows == 0:
+        return Fraction(0)
     acc = m[0][0]
     for i in range(1, rows):
         acc = acc + m[i][i]

@@ -106,7 +106,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import CapacityError, CertificationError, StructuralError
-from .hpoly import HPoly
+from .hpoly import HPoly, checked_h_power
 from .lie import DualCoordinates, LieBasis, StructureConstants
 from .jsonio import as_fraction, required
 from .poly import MultiPoly, _FlatTerms, keyed_once
@@ -521,7 +521,8 @@ class _HTerms(_FlatTerms):
         return self._new(out, self.den * den)
 
     def shift_h(self, k: int):
-        """Multiply by h^k."""
+        """Multiply by h^k, for an int k >= 0."""
+        k = checked_h_power(k)
         return self._new({(key, p + k): c for (key, p), c in self.flat.items()}, self.den)
 
 

@@ -239,6 +239,25 @@ def test_orbit_ideal_requires_lambdas(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit-ideal", "--n", "5", "--lambdas", "2,1"),
+        ("regularity", "--n", "5", "--lambdas", "2,1"),
+        ("semi-check", "--n", "5"),
+    ],
+)
+def test_family_beyond_n4_exits_2_at_once(capsys, argv):
+    # the n = 5 family exhausted a 2.5 GB address space after 97 s of CPU,
+    # so these verbs never reached their exit code
+    start = time.perf_counter()
+    code, doc = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    message = doc["error"]["message"] if "error" in doc else doc["checks"][0]["details"]["reason"]
+    assert "stops at n = 4" in message
+
+
 def test_orbit_ideal_round_trip(capsys):
     code, doc = run_json(capsys, "orbit-ideal", "--n", "2", "--lambdas", "1")
     assert code == 0

@@ -140,6 +140,15 @@ def test_lowest_terms_makes_the_denominator_positive():
     assert _lowest_terms({"a": 0}, -3) == ({}, 1)
 
 
+@pytest.mark.parametrize("k", [-1, -3, 0.5, True])
+def test_shift_h_refuses_what_is_not_a_power_of_h(k):
+    # shift_h(-1) on the letter X_0 stored the key (X_0, h^-1): a nonzero
+    # element whose terms view showed a zero coefficient, of degree 0
+    for x in (NCPoly.letter(ALGEBRA, 0), QuotientElement(VARIABLES, {EXPONENTS[1]: 1})):
+        with pytest.raises(StructuralError, match="power of h"):
+            x.shift_h(k)
+
+
 def test_containers_refuse_foreign_operands():
     other = PBWAlgebra(*build_lie_basis(2))
     u = NCPoly.letter(ALGEBRA, 0)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from orbitquant.invariants import (
     membership_residual,
     no_invariants_certificate,
     orbit_ideal,
-    orbit_ideal_from_normal_form,
     pfaffian,
     pfaffian_semiinvariant,
     pfaffian_semiinvariant_value,
@@ -38,7 +38,6 @@ from orbitquant.orbits import (
     ad_star_blocks,
     coadjoint,
     lambda_block_matrix,
-    normal_form,
 )
 from orbitquant.poly import MultiPoly, sum_of_products
 from orbitquant.sampling import (
@@ -386,17 +385,47 @@ def test_orbit_ideal_rejects_degenerate():
         orbit_ideal([F(0)], fam)
 
 
-def test_orbit_ideal_from_normal_form():
-    rng = random.Random(39)
-    pt = random_gplus_point(2, rng)
-    nf = normal_form(pt)
-    fam = semiinvariant_family(2)
-    ideal = orbit_ideal_from_normal_form(nf, fam)
-    # the induced exact (I, H) lies on the variety exactly
-    assert membership_residual(ideal, ideal.normal_form_point()) == [0]
-    # the original point satisfies the generators to numeric tolerance
-    residuals = membership_residual(ideal, pt)
-    assert all(abs(float(r)) < 1e-6 for r in residuals)
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_ideal_matches_the_closed_forms(n):
+    # oracle: the closed forms of the constants at (I, H), h_i(I, H) =
+    # tr((2H)^(2i)) = 2 (-1)^i 4^i sum_j l_j^(2i) and P(I, H)^2 = (prod_j l_j)^2,
+    # with the exponents 2i and 2k - 1, against the rule read off the family
+    rng = random.Random(40 + n)
+    fam = semiinvariant_family(n)
+    draws = [[F(1)], [F("3/2")], [F("-2/7")], [F(5)]]
+    while len(draws) < 10:
+        lambdas = [random_fraction(rng, -9, 9) for _ in range(fam.k)]
+        if regular_lambdas(lambdas):
+            draws.append(lambdas)
+    for lambdas in draws:
+        ideal = orbit_ideal(lambdas, fam)
+        alphas, exponents, generators = [], [], []
+        for m, (g, kind) in enumerate(zip(fam.generators, fam.kinds)):
+            if kind == "trace":
+                i = m + 1
+                alpha = 2 * (-1) ** i * 4**i * sum(l ** (2 * i) for l in lambdas)
+                exponent, f = 2 * i, g
+            else:
+                alpha, exponent, f = math.prod(lambdas) ** 2, 2 * fam.k - 1, g * g
+            alphas.append(alpha)
+            exponents.append(exponent)
+            generators.append((f - fam.det_poly**exponent * alpha).to_records())
+        assert ideal.alphas == tuple(alphas), lambdas
+        assert all(type(a) is Fraction for a in ideal.alphas)
+        assert ideal.det_exponents == tuple(exponents)
+        assert [g.to_records() for g in ideal.generators] == generators
+
+
+def test_family_beyond_n4_is_refused_before_any_polynomial(monkeypatch):
+    # n = 5 needs h_2: built, it exhausted a 2.5 GB address space in 97 s
+    def refuse(*args):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(invariants, "symbolic_dual_matrices", refuse)
+    monkeypatch.setattr(invariants, "build_lie_basis", refuse)
+    for n in (5, 6):
+        with pytest.raises(CapacityError, match="stops at n = 4"):
+            semiinvariant_family(n)
 
 
 # -------------------------------------------------------------- certificate

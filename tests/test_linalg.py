@@ -24,6 +24,13 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
     ]
 
 
+def test_empty_matrix_has_the_empty_sum_and_product():
+    # trace([]) read m[0][0] and raised IndexError
+    assert la.trace([]) == 0 and type(la.trace([])) is Fraction
+    assert la.det([]) == 1
+    assert la.trace([[Fraction(2), 1], [0, Fraction(-5)]]) == -3
+
+
 def test_kernel_of_identity_is_empty():
     assert la.rational_kernel(la.identity(3)) == []
 

@@ -51,6 +51,15 @@ def test_hpoly_arithmetic():
     assert HPoly.h(3, 5).coefficient(3) == 5 and HPoly.h(3, 5).coefficient(2) == 0
 
 
+@pytest.mark.parametrize("power", [-1, -2, 1.0, True])
+def test_h_powers_are_ints_at_least_zero(power):
+    # h^-1 was the constant 1 and h(-2, 3) the constant 3
+    with pytest.raises(StructuralError, match="power of h"):
+        HPoly.h(power)
+    with pytest.raises(StructuralError, match="power of h"):
+        HPoly.h(power, 3)
+
+
 def test_hpoly_no_trailing_zeros_and_eval():
     p = HPoly((Fraction(1), Fraction(2), Fraction(0)))
     assert p.degree() == 1
